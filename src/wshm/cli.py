@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file replacing all flags")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, space=False, ideal=False, weight=False, wlevel=False, poly=False):
+    def common(
+        p, space=False, ideal=False, weight=False, level=False, wlevel=False, poly=False
+    ):
+        """Register the flags a subcommand reads, and no others."""
         if space:
             p.add_argument("--space", default="drury-arveson")
             p.add_argument("--param", action="append", default=[], metavar="K=V")
@@ -63,15 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ideal", help="comma-separated generator polynomials")
         if weight:
             p.add_argument("--weight", help="weight vector n1,n2,...")
-        p.add_argument("--max-level", type=int, default=10)
+        if level:
+            p.add_argument("--max-level", type=int, default=10)
         if wlevel:
             p.add_argument("--max-wlevel", type=int, default=8)
         if poly:
             p.add_argument("--poly", required=True)
-        p.add_argument("--schatten", help="comma-separated exponents p >= 1")
         p.add_argument("--out", help="output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     p_space = sub.add_parser("space", help="space inspection").add_subparsers(dest="sub")
     p = p_space.add_parser("describe")
@@ -80,27 +82,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ideal = sub.add_parser("ideal", help="ideal computations").add_subparsers(dest="sub")
     p = p_ideal.add_parser("hilbert")
-    common(p, ideal=True)
+    common(p, ideal=True, level=True)
     p = p_ideal.add_parser("decompose")
     common(p, ideal=True, weight=True, wlevel=True)
 
     p_diag = sub.add_parser("diag", help="diagnostics").add_subparsers(dest="sub")
     p = p_diag.add_parser("normality")
-    common(p, space=True, ideal=True)
+    common(p, space=True, ideal=True, level=True)
+    p.add_argument("--schatten", help="comma-separated exponents p >= 1")
     p = p_diag.add_parser("trace")
-    common(p, space=True)
+    common(p, space=True, level=True)
     p = p_diag.add_parser("koszul")
-    common(p, ideal=True)
+    common(p, ideal=True, level=True)
     p.add_argument("--module", choices=("full", "ideal", "quotient"), default=None)
     p = p_diag.add_parser("section5")
-    common(p, space=True, ideal=True)
+    common(p, space=True, ideal=True, level=True)
     p = p_diag.add_parser("qweights")
-    common(p, space=True, ideal=True)
+    common(p, space=True, ideal=True, level=True)
     p.add_argument("--var", type=int, default=1, help="1-based shift variable")
 
     p_preg = sub.add_parser("preg", help="positive regular pipeline").add_subparsers(dest="sub")
     p = p_preg.add_parser("delta")
-    common(p, poly=True)
+    common(p, poly=True, level=True)
     p = p_preg.add_parser("check")
     common(p, poly=True, wlevel=True)
     p = p_preg.add_parser("kernel")
@@ -288,7 +291,7 @@ def _run_diag(args) -> DiagnosticsReport:
             realization = full_realization(space, K + 2)
         else:
             realization = quotient_realization(space, ideal, K + 2)
-        return normality_report(realization, K, _schatten_from_args(args), jobs=args.jobs)
+        return normality_report(realization, K, _schatten_from_args(args))
     if args.sub == "koszul":
         ideal = _ideal_from_args(args)
         module = args.module or ("ideal" if ideal is not None else "full")
@@ -298,7 +301,7 @@ def _run_diag(args) -> DiagnosticsReport:
         ideal = _ideal_from_args(args)
         if ideal is None:
             raise WshmError("diag section5 requires --ideal")
-        return section5_report(space, ideal, args.max_level, jobs=args.jobs)
+        return section5_report(space, ideal, args.max_level)
     if args.sub == "qweights":
         space = _space_from_args(args)
         ideal = _ideal_from_args(args)
@@ -453,9 +456,6 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None) or not getattr(args, "sub", None):
         parser.print_usage(sys.stderr)
         return 2
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     try:
         if args.command == "space":
@@ -477,7 +477,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 1 if report.has_exact_fail else 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -129,14 +128,6 @@ class DiagnosticsReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _pmap(fn, items, jobs: int = 1) -> list:
-    """Deterministic parallel map over independent per-level jobs."""
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # spherical defect series
 # ---------------------------------------------------------------------------
@@ -183,6 +174,8 @@ def _trend_verdict(name: str, norms: list[float], exact_zero: bool) -> Verdict:
     hi, lo = norms[k_hi], norms[k_lo]
     slope = _loglog_slope(norms)
     detail = f"norm[{k_lo}]={lo:.6g}, norm[{k_hi}]={hi:.6g}, loglog_slope={slope}"
+    if k_lo == k_hi:
+        return Verdict(name, "inconclusive", f"{detail}; a trend needs two levels")
     if hi < lo:
         return Verdict(name, "trend-consistent", detail)
     return Verdict(name, "trend-inconsistent", detail)
@@ -192,7 +185,6 @@ def normality_report(
     realization: ModuleRealization,
     K: int,
     p_list: list[float] | None = None,
-    jobs: int = 1,
 ) -> DiagnosticsReport:
     """Per-level norms of every cross commutator and of the spherical defect,
     decay trends, and Schatten partial sums of the defect.
@@ -227,11 +219,11 @@ def normality_report(
         }
     else:
         dop = defect_blocks(realization, K)
-        defect_norms = _pmap(dop.norm, range(K + 1), jobs)
+        defect_norms = [dop.norm(k) for k in range(K + 1)]
         defect_zero = all(
             not x for k in range(K + 1) for row in dop.block(k) for x in row
         )
-        svs = _pmap(dop.singular_values, range(K + 1), jobs)
+        svs = [dop.singular_values(k) for k in range(K + 1)]
         defect_terms = {
             p: [float(np.sum(sv**p)) if sv.size else 0.0 for sv in svs] for p in p_list
         }
@@ -253,7 +245,7 @@ def normality_report(
             fi = GradedPolynomial.variable(m, i)
             gj = GradedPolynomial.variable(m, j)
             comm = commutator_blocks(realization, fi, gj, K + 1)
-            pair_norms[(i, j)] = _pmap(comm.norm, range(K + 1), jobs)
+            pair_norms[(i, j)] = [comm.norm(k) for k in range(K + 1)]
             if any(
                 x for k in range(K + 1) for row in comm.block(k) for x in row
             ):
@@ -518,18 +510,6 @@ class QuotientShiftWeights:
     deviations: list[float] | None
     alpha_abs2: Fraction | None
 
-    def csv_rows(self) -> list[list]:
-        head = ["k", "modulus_sq", "modulus"]
-        if self.normalized is not None:
-            head += ["normalized", "deviation"]
-        rows = [head]
-        for k in range(len(self.moduli)):
-            row = [k, str(self.moduli_sq[k]), self.moduli[k]]
-            if self.normalized is not None:
-                row += [self.normalized[k], self.deviations[k]]
-            rows.append(row)
-        return rows
-
 
 def quotient_shift_weights(
     space: WeightedShiftSpace,
@@ -553,17 +533,12 @@ def quotient_shift_weights(
     zi = GradedPolynomial.variable(space.m, var)
     op = mult_blocks(realization, zi, K)
 
-    def gram00(k: int) -> Fraction:
-        lv = realization.level(k)
-        if lv.gram_diag is not None:
-            return lv.gram_diag[0]
-        g = lv.gram[0][0]
-        return g.re
-
     moduli_sq = []
     for k in range(K + 1):
         c = op.block(k)[0][0]
-        moduli_sq.append(c.abs2() * gram00(k + 1) / gram00(k))
+        g_src = realization.level(k).gram_diag[0]
+        g_tgt = realization.level(k + 1).gram_diag[0]
+        moduli_sq.append(c.abs2() * g_tgt / g_src)
     moduli = [float(q) ** 0.5 for q in moduli_sq]
 
     normalized = deviations = None
@@ -601,16 +576,16 @@ def qweights_report(
             rows[k] += [rec.normalized[k], rec.deviations[k]]
     report.tables.append(Table("quotient_shift_weights", cols, rows))
     if rec.deviations is not None:
-        early = rec.deviations[min(20, K)]
+        k_early = min(20, K)
+        early = rec.deviations[k_early]
         late = rec.deviations[K]
-        status = "trend-consistent" if late < early else "trend-inconsistent"
-        report.verdicts.append(
-            Verdict(
-                "weights-converge",
-                status,
-                f"deviation at k={min(20, K)}: {early:.6g}, at k={K}: {late:.6g}",
-            )
-        )
+        detail = f"deviation at k={k_early}: {early:.6g}, at k={K}: {late:.6g}"
+        if k_early == K:
+            status = "inconclusive"
+            detail += "; a trend needs a level beyond k=20"
+        else:
+            status = "trend-consistent" if late < early else "trend-inconsistent"
+        report.verdicts.append(Verdict("weights-converge", status, detail))
     else:
         report.verdicts.append(
             Verdict("weights-converge", "reported-only", "no reference limit for this scenario")
@@ -674,7 +649,6 @@ def section5_report(
     space: WeightedShiftSpace,
     ideal: GradedIdeal,
     K: int,
-    jobs: int = 1,
 ) -> DiagnosticsReport:
     """Run the trace inequality at every level k <= K.
 
@@ -692,7 +666,7 @@ def section5_report(
             f"(fit degree {fit.degree}, stabilized={fit.stabilized})"
         )
     realization = quotient_realization(space, ideal, K + 1)
-    recs = _pmap(lambda k: section5_check(realization, k, m0), range(K + 1), jobs)
+    recs = [section5_check(realization, k, m0) for k in range(K + 1)]
     params = {
         "space": space.kind,
         "m": space.m,
@@ -817,17 +791,6 @@ class KoszulReport:
     index: int
     dd_zero: bool
     conclusive: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "d_max": self.d_max,
-            "homology": {str(d): dims for d, dims in sorted(self.homology.items())},
-            "chi": self.chi,
-            "index": self.index,
-            "dd_zero": self.dd_zero,
-            "conclusive": self.conclusive,
-        }
 
 
 def koszul_euler(

@@ -6,7 +6,7 @@ Two representations are used:
   spanning sets (rank, kernel, reduced bases) -- the rows arising from
   principal ideals are extremely sparse and reduction must exploit that;
 * dense ``list[list[GaussianRational]]`` matrices for operator blocks and
-  Gram data, with multiplication loops that skip stored zeros.
+  complement bases, with multiplication loops that skip stored zeros.
 
 Everything here is exact field arithmetic: no tolerances and no floats.
 Rank and dimension counts feed every downstream claim, so this module never
@@ -163,11 +163,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    g = GaussianRational.of(c)
-    return [[x * g for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix, b_ncols: int | None = None) -> Matrix:
     """Product a @ b, skipping stored zeros (operator blocks are very sparse)."""
     n = len(a)
@@ -205,7 +200,11 @@ def trace(a: Matrix) -> GaussianRational:
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Exact solve a @ x = b for square invertible a (Gaussian elimination)."""
+    """Exact solve a @ x = b for square invertible a (Gaussian elimination).
+
+    The package itself never needs a dense solve (every Gram matrix is
+    diagonal); this is the reference that tests check projections against.
+    """
     n = len(a)
     if n == 0:
         return [row[:] for row in b]

@@ -187,11 +187,6 @@ class HilbertData:
             acc = acc * k + c
         return acc
 
-    def csv_rows(self) -> list[list]:
-        return [["k", "dim_ideal", "dim_level", "dim_quotient"]] + [
-            list(r) for r in self.table
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "window": self.window,
@@ -292,24 +287,6 @@ class ResidueDecomposition:
     @property
     def max_defect(self) -> int:
         return max((lv.defect for lv in self.levels), default=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": list(self.weight),
-            "levels": [
-                {
-                    "ell": lv.ell,
-                    "dim": lv.dim_total,
-                    "classes": {
-                        ",".join(map(str, cls)): d
-                        for cls, d in sorted(lv.class_dims.items())
-                    },
-                    "defect": lv.defect,
-                }
-                for lv in self.levels
-            ],
-            "max_defect": self.max_defect,
-        }
 
 
 def residue_decompose(ideal: GradedIdeal, ell_max: int) -> ResidueDecomposition:

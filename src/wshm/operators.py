@@ -4,11 +4,11 @@ Every operator here is graded: it maps the degree-k coordinate space of a
 module realization to the degree-(k + shift) space, one exact block per
 level.  Two arithmetic tiers are kept strictly apart:
 
-* exact tier -- bases, Gram matrices, block entries, traces and dimensions
+* exact tier -- bases, Gram diagonals, block entries, traces and dimensions
   are Gaussian-rational and never rounded;
 * float tier -- operator norms, singular values and spectral splits go
-  through an orthonormal-coordinate conversion (Cholesky of the Gram matrix;
-  a diagonal square root on the full space) into double precision.
+  through an orthonormal-coordinate conversion (each block scaled by the
+  square roots of the Gram diagonals) into double precision.
 
 Truncation windows are explicit.  An operator records the last trusted
 source level ``k_valid``; any composition shrinks the window, and access
@@ -16,10 +16,10 @@ beyond it raises :class:`~wshm.errors.WindowError` -- silent truncation
 artifacts are the main correctness hazard of this whole artifact.
 
 Conventions.  The weighted inner product is linear in the first argument,
-``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``, the Gram matrix in
-a complement basis {w_r} is ``G[s][r] = <w_r, w_s>``, the adjoint of a block
-B at source level k is ``G_k^{-1} B^dagger G_{k+d}``, and the cross
-commutator is taken in the order
+``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
+basis {w_r} is orthogonal, so its Gram matrix is the diagonal
+``G = diag(<w_r, w_r>)``; the adjoint of a block B at source level k is
+``G_k^{-1} B^dagger G_{k+d}``, and the cross commutator is taken in the order
 
     commutator_blocks(f, g)  =  M_g^* M_f - M_f M_g^*,
 
@@ -37,6 +37,7 @@ import numpy as np
 from . import exact_linalg as ela
 from .algebra import (
     G_ZERO,
+    GaussianRational,
     GradedPolynomial,
     MultiIndex,
     add_index,
@@ -51,21 +52,22 @@ from .spaces import WeightedShiftSpace
 class _Level:
     monomials: list[MultiIndex]
     col_of: dict[MultiIndex, int]
-    comp_rows: ela.Matrix  # complement basis vectors, rows over monomial coords
-    gram_diag: list[Fraction] | None  # set when the Gram matrix is diagonal
-    gram: ela.Matrix | None  # dense Gram, set otherwise
+    comp_rows: ela.Matrix  # orthogonal complement basis, rows over monomial coords
+    gram_diag: list[Fraction]  # <w_r, w_r>; <w_r, w_s> = 0 for r != s
+    onb_scale: np.ndarray  # float sqrt(gram_diag): orthonormal coordinates
     ideal_pivots: list[int]
     ideal_rows: list[ela.Row]
 
 
 class ModuleRealization:
-    """Per-level exact bases of an ambient space modulo an optional ideal.
+    """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
     For the full space the complement basis at level k is the monomial
-    coordinate basis and the Gram matrix is diag(omega).  For a quotient by a
+    coordinate basis and the Gram diagonal is omega.  For a quotient by a
     plain-homogeneous ideal, S_k is the exact echelon basis of the ideal
     level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
-    S_k}, computed as an exact kernel.  All levels are built eagerly at
+    S_k}: an exact kernel, orthogonalised by unnormalised Gram-Schmidt so that
+    its Gram matrix is diagonal too.  All levels are built eagerly at
     construction, after which the realization is immutable and safe to read
     concurrently.
     """
@@ -87,7 +89,6 @@ class ModuleRealization:
         self.ideal = ideal
         self.max_level = max_level
         self._levels = [self._build_level(k) for k in range(max_level + 1)]
-        self._onb_cache: dict[int, np.ndarray] = {}
 
     @property
     def is_full(self) -> bool:
@@ -98,36 +99,42 @@ class ModuleRealization:
         monomials = enumerate_level(m, k)
         col_of = {a: j for j, a in enumerate(monomials)}
         dim = len(monomials)
+        omega = [self.space.weight(a) for a in monomials]
         if self.is_full:
-            return _Level(
-                monomials,
-                col_of,
-                ela.identity(dim),
-                [self.space.weight(a) for a in monomials],
-                None,
-                [],
-                [],
-            )
-        pivots, red, level_monos = self.ideal.level_data(k)
-        assert level_monos == monomials
-        # v in S_k^perp  <=>  sum_g v_g conj(u_g) omega(g) = 0 for each basis u
-        constraint = [
-            {c: u[c].conjugate() * self.space.weight(monomials[c]) for c in u}
-            for u in red
-        ]
-        kernel = ela.kernel_basis(constraint, dim)
-        comp = ela.rows_to_matrix(kernel, dim)
-        ncomp = len(kernel)
-        gram = ela.zeros(ncomp, ncomp)
-        for s in range(ncomp):
-            for r in range(ncomp):
+            comp, gram_diag = ela.identity(dim), omega
+            pivots, red = [], []
+        else:
+            pivots, red, level_monos = self.ideal.level_data(k)
+            assert level_monos == monomials
+            # v in S_k^perp  <=>  sum_g v_g conj(u_g) omega(g) = 0 for each basis u
+            constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
+
+            def inner(u: ela.Row, v: ela.Row) -> GaussianRational:
                 acc = G_ZERO
-                wr, ws = comp[r], comp[s]
-                for g in range(dim):
-                    if wr[g] and ws[g]:
-                        acc = acc + wr[g] * ws[g].conjugate() * self.space.weight(monomials[g])
-                gram[s][r] = acc
-        return _Level(monomials, col_of, comp, None, gram, pivots, red)
+                for c, x in u.items():
+                    y = v.get(c)
+                    if y is not None:
+                        acc = acc + x * y.conjugate() * omega[c]
+                return acc
+
+            basis: list[ela.Row] = []
+            gram_diag = []
+            for v in ela.kernel_basis(constraint, dim):
+                w = dict(v)
+                for u, g in zip(basis, gram_diag):
+                    c = inner(v, u) / g
+                    if c:
+                        for col, x in u.items():
+                            s = w.get(col, G_ZERO) - c * x
+                            if s:
+                                w[col] = s
+                            else:
+                                w.pop(col, None)
+                basis.append(w)
+                gram_diag.append(inner(w, w).re)
+            comp = ela.rows_to_matrix(basis, dim)
+        onb_scale = np.array([float(g) ** 0.5 for g in gram_diag])
+        return _Level(monomials, col_of, comp, gram_diag, onb_scale, pivots, red)
 
     # -- level geometry -------------------------------------------------
 
@@ -157,46 +164,24 @@ class ModuleRealization:
 
     def gram_apply(self, k: int, mat: ela.Matrix) -> ela.Matrix:
         """G_k @ mat (exact)."""
-        lv = self.level(k)
-        if lv.gram_diag is not None:
-            return [[x * w for x in row] for row, w in zip(mat, lv.gram_diag)]
-        return ela.mat_mul(lv.gram, mat, len(mat[0]) if mat else 0)
+        return [[x * w for x in row] for row, w in zip(mat, self.level(k).gram_diag)]
 
     def gram_solve(self, k: int, mat: ela.Matrix) -> ela.Matrix:
         """G_k^{-1} @ mat (exact)."""
-        lv = self.level(k)
-        if lv.gram_diag is not None:
-            return [[x / w for x in row] for row, w in zip(mat, lv.gram_diag)]
-        return ela.solve(lv.gram, mat)
-
-    def onb_factor(self, k: int) -> np.ndarray:
-        """Float factor C with <u, v> = (C d)^dagger (C c) in coordinates."""
-        c = self._onb_cache.get(k)
-        if c is None:
-            lv = self.level(k)
-            if lv.gram_diag is not None:
-                c = np.diag([float(w) ** 0.5 for w in lv.gram_diag]).astype(complex)
-            else:
-                g = ela.to_complex_array(lv.gram)
-                c = np.linalg.cholesky(g).conj().T
-            self._onb_cache[k] = c
-        return c
+        return [[x / w for x in row] for row, w in zip(mat, self.level(k).gram_diag)]
 
     def project_to_complement(self, k: int, coords: list) -> list:
         """Complement coordinates of the orthogonal projection of a monomial-
-        coordinate vector at level k (exact Gram solve)."""
+        coordinate vector at level k: <coords, w_s> / <w_s, w_s> (exact)."""
         lv = self.level(k)
-        ncomp = len(lv.comp_rows)
-        b = []
-        for s in range(ncomp):
+        out = []
+        for ws, g in zip(lv.comp_rows, lv.gram_diag):
             acc = G_ZERO
-            ws = lv.comp_rows[s]
-            for g, x in enumerate(coords):
-                if x and ws[g]:
-                    acc = acc + x * ws[g].conjugate() * self.space.weight(lv.monomials[g])
-            b.append([acc])
-        sol = self.gram_solve(k, b)
-        return [row[0] for row in sol]
+            for c, x in enumerate(coords):
+                if x and ws[c]:
+                    acc = acc + x * ws[c].conjugate() * self.space.weight(lv.monomials[c])
+            out.append(acc / g)
+        return out
 
 
 def full_realization(space: WeightedShiftSpace, max_level: int) -> ModuleRealization:
@@ -251,9 +236,9 @@ class GradedOperator:
         if nr == 0 or nc == 0:
             return f.reshape(nr, nc)
         r = self.realization
-        ct = r.onb_factor(k + self.shift)
-        cs = r.onb_factor(k)
-        return ct @ f @ np.linalg.inv(cs)
+        st = r.level(k + self.shift).onb_scale
+        ss = r.level(k).onb_scale
+        return f * st[:, None] * (1.0 / ss)
 
     def norm(self, k: int) -> float:
         m = self.onb_block(k)
@@ -291,7 +276,7 @@ def mult_blocks(
     """Blocks of the compression of M_p to the realization's module.
 
     On the full space these are the exact monomial-coordinate matrices of
-    multiplication by p; on a quotient each column is the exact Gram-solved
+    multiplication by p; on a quotient each column is the exact orthogonal
     projection of p * (complement basis vector) onto S_{k+d}^perp.
     """
     if p.is_zero or not p.is_homogeneous:
@@ -502,11 +487,6 @@ class SchattenPartial:
     @property
     def total(self) -> float:
         return self.partial_sums[-1] if self.partial_sums else 0.0
-
-    def csv_rows(self) -> list[list]:
-        return [["k", "term", "partial_sum"]] + [
-            [k, t, s] for k, (t, s) in enumerate(zip(self.terms, self.partial_sums))
-        ]
 
 
 def _entry_string(x) -> str:

@@ -190,15 +190,6 @@ class ProjectionCheck:
     passed: bool
     failures: list[tuple[MultiIndex, Fraction]]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "passed": self.passed,
-            "failures": [
-                {"beta": list(b), "value": str(v)} for b, v in self.failures
-            ],
-        }
-
 
 def defect_projection_check(poly: PositiveRegularPoly, degree: int) -> ProjectionCheck:
     """Verify I - sum_i a_i M_i M_i^* - sum_j a_j M^{alpha_j} M^{*alpha_j} = P_0.
@@ -396,16 +387,6 @@ class KernelLevel:
     equal: bool
     containment_ok: bool
     witness: str | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "dim_kernel": self.dim_kernel,
-            "dim_ideal": self.dim_ideal,
-            "equal": self.equal,
-            "containment_ok": self.containment_ok,
-            "witness": self.witness,
-        }
 
 
 def kernel_vs_ideal(

@@ -225,13 +225,43 @@ def test_config_must_be_alone(tmp_path, capsys):
     assert code == 2
 
 
-def test_jobs_flag_parallel_matches_serial(capsys):
-    base = (
-        "diag", "normality", "--space", "drury-arveson", "--m", "2",
-        "--max-level", "8", "--schatten", "2",
+def test_unread_flags_exit_2(capsys):
+    hilbert = ("ideal", "hilbert", "--m", "2", "--ideal", "z1", "--max-level", "12")
+    assert run(capsys, *hilbert)[0] == 0
+    assert run(capsys, *hilbert, "--schatten", "7")[0] == 2
+    assert run(capsys, *hilbert, "--jobs", "3")[0] == 2
+    assert run(capsys, "space", "describe", "--max-level", "3")[0] == 2
+    assert run(capsys, "ideal", "decompose", "--m", "2", "--ideal", "z2-z1^2",
+               "--weight", "1,2", "--max-level", "3")[0] == 2
+    assert run(capsys, "preg", "kernel", "--poly", "1/2*z1+1/2*z1^2", "--m", "1",
+               "--max-level", "3")[0] == 2
+
+
+def test_normality_single_level_is_inconclusive(capsys):
+    code, out, _ = run(
+        capsys,
+        "diag", "normality", "--space", "hardy-ball", "--m", "2", "--max-level", "0",
     )
-    _, out1, _ = run(capsys, *base, "--jobs", "1")
-    _, out2, _ = run(capsys, *base, "--jobs", "4")
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    assert doc1["tables"] == doc2["tables"]
-    assert run(capsys, *base, "--jobs", "0")[0] == 2
+    assert code == 0
+    statuses = {v["name"]: v["status"] for v in json.loads(out)["verdicts"]}
+    assert statuses["cross-commutators"] == "inconclusive"
+
+
+def test_qweights_short_window_is_inconclusive(capsys):
+    code, out, _ = run(
+        capsys,
+        "diag", "qweights",
+        "--space", "hardy-ball", "--m", "2", "--ideal", "z1+2i*z2", "--max-level", "10",
+    )
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["status"] == "inconclusive"
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(
+        capsys, "diag", "trace", "--space", "hardy-ball", "--m", "2", "--out", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import wshm.exact_linalg as ela
-from wshm.algebra import G_ZERO, GradedPolynomial, enumerate_level, level_dimension
+from wshm.algebra import (
+    G_ONE,
+    G_ZERO,
+    GaussianRational,
+    GradedPolynomial,
+    enumerate_level,
+    level_dimension,
+)
 from wshm.errors import ModeError, WindowError, WshmError
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
@@ -67,28 +74,65 @@ def test_quotient_realization_examples():
     assert [q.comp_dim(k) for k in range(5)] == [1, 2, 0, 0, 0]
 
 
+# The first kernel basis is orthogonal already; the second needs Gram-Schmidt.
+TWO_DIM_LEVEL_IDEALS = ["z1^2 - z2^2", "z1^2 + (1+i)*z1*z2 - z2^2"]
+
+
 def test_realization_dim_split_and_gram():
     hb = builtin_space("hardy-ball", 2)
-    ideal = GradedIdeal(2, [z(0) * z(0) - z(1) * z(1)])
-    r = quotient_realization(hb, ideal, 7)
-    for k in range(8):
-        assert r.ideal_dim(k) + r.comp_dim(k) == level_dimension(2, k)
+    for gen in TWO_DIM_LEVEL_IDEALS:
+        ideal = GradedIdeal(2, [parse_polynomial(gen, 2)])
+        r = quotient_realization(hb, ideal, 7)
+        for k in range(8):
+            assert r.ideal_dim(k) + r.comp_dim(k) == level_dimension(2, k)
+            lv = r.level(k)
+            monos = lv.monomials
+            # the complement basis is orthogonal and gram_diag is its Gram, exactly
+            for s, ws in enumerate(lv.comp_rows):
+                for t, wt in enumerate(lv.comp_rows):
+                    g = exact_inner(hb, ws, wt, monos)
+                    if s == t:
+                        assert g == lv.gram_diag[s] and lv.gram_diag[s] > 0
+                    else:
+                        assert not g
+            # complement orthogonal to the ideal rows, exactly
+            for w in lv.comp_rows:
+                for u_row in lv.ideal_rows:
+                    u = [G_ZERO] * len(monos)
+                    for c, val in u_row.items():
+                        u[c] = val
+                    assert not exact_inner(hb, w, u, monos)
+
+
+@pytest.mark.parametrize("gen", TWO_DIM_LEVEL_IDEALS)
+def test_projection_matches_normal_equations(gen):
+    # reference: solve the normal equations of the un-orthogonalised kernel
+    # basis of S_k^perp; the projected vectors must agree exactly
+    hb = builtin_space("hardy-ball", 2)
+    ideal = GradedIdeal(2, [parse_polynomial(gen, 2)])
+    r = quotient_realization(hb, ideal, 6)
+    for k in range(7):
         lv = r.level(k)
-        if lv.gram is not None:
-            n = len(lv.gram)
-            for s in range(n):
-                for t in range(n):
-                    assert lv.gram[s][t] == lv.gram[t][s].conjugate()
-            # positive definite: float Cholesky succeeds
-            np.linalg.cholesky(ela.to_complex_array(lv.gram))
-        # complement orthogonal to the ideal rows, exactly
         monos = lv.monomials
-        for w in lv.comp_rows:
-            for u_row in lv.ideal_rows:
-                u = [G_ZERO] * len(monos)
-                for c, val in u_row.items():
-                    u[c] = val
-                assert not exact_inner(hb, w, u, monos)
+        dim = len(monos)
+        omega = [hb.weight(a) for a in monos]
+        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in lv.ideal_rows]
+        v = ela.rows_to_matrix(ela.kernel_basis(constraint, dim), dim)
+        n = len(v)
+        gram = [[exact_inner(hb, v[j], v[i], monos) for j in range(n)] for i in range(n)]
+        vectors = [[G_ONE if c == j else G_ZERO for c in range(dim)] for j in range(dim)]
+        vectors.append(
+            [GaussianRational(Fraction(c + 1, 3), Fraction(-c, 2)) for c in range(dim)]
+        )
+        for x in vectors:
+            a = ela.solve(gram, [[exact_inner(hb, x, vi, monos)] for vi in v])
+            want = [sum((a[j][0] * v[j][c] for j in range(n)), G_ZERO) for c in range(dim)]
+            coeffs = r.project_to_complement(k, x)
+            got = [
+                sum((q * w[c] for q, w in zip(coeffs, lv.comp_rows)), G_ZERO)
+                for c in range(dim)
+            ]
+            assert got == want
 
 
 def test_realization_requires_plain_mode():
@@ -304,6 +348,17 @@ def test_quotient_compressions_commute():
     ba = compose(m2, m1)
     for k in range(6):
         assert ab.block(k) == ba.block(k)
+
+
+def test_quotient_defect_norm_closed_form():
+    # z1 + z2 + z3 on the m=3 Hardy ball: ||defect_k|| = 1/(k+3)
+    hb = builtin_space("hardy-ball", 3)
+    ideal = GradedIdeal(3, [z(0, 3) + z(1, 3) + z(2, 3)])
+    r = quotient_realization(hb, ideal, 9)
+    dd = defect_blocks(r, 8)
+    for k in range(9):
+        want = 1.0 / (k + 3)
+        assert abs(dd.norm(k) - want) <= 1e-13 * want
 
 
 # -- block shift data ---------------------------------------------------------
