@@ -1,6 +1,9 @@
 """wshm: weighted shift Hilbert modules, graded ideals, and truncated
 multiplication operators in exact and floating-point arithmetic."""
 
+# The single version source: pyproject.toml and report headers read it.
+__version__ = "0.1.0"
+
 from .algebra import (
     G_I,
     G_ONE,
@@ -18,8 +21,6 @@ from .ideals import GradedIdeal, graded_basis, hilbert_function, hilbert_samuel_
 from .parsing import parse_polynomial, parse_polynomial_list
 from .spaces import WeightedShiftSpace, builtin_space, weighted_piece
 from .posreg import PositiveRegularPoly
-
-__version__ = "0.1.0"
 
 __all__ = [
     "G_I",

@@ -5,18 +5,22 @@ diag normality | diag trace | diag koszul | diag section5 | diag qweights |
 preg delta | preg check | preg kernel.
 
 Exit codes: 0 = all exact checks pass, 1 = an exact-fail verdict is present,
-2 = usage or configuration error.  Trend verdicts never affect the exit
-code.  Reports are JSON (canonical) or per-table CSV, embed their resolved
-configuration, and are byte-identical across runs for identical configs.
+2 = usage, configuration or input error (one ``error:`` line on stderr, never
+a traceback).  Trend verdicts never affect the exit code.  Reports are JSON
+(canonical) or per-table CSV, embed their resolved configuration, and are
+byte-identical across runs for identical configs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .algebra import check_weight_vector
 from .diagnostics import (
@@ -83,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ideal = sub.add_parser("ideal", help="ideal computations").add_subparsers(dest="sub")
     p = p_ideal.add_parser("hilbert")
     common(p, ideal=True, level=True)
+    p.set_defaults(max_level=None)  # the smallest level the fit accepts
     p = p_ideal.add_parser("decompose")
     common(p, ideal=True, weight=True, wlevel=True)
 
@@ -139,11 +144,17 @@ def _parse_params(pairs: list[str]) -> dict:
 def _space_from_args(args) -> object:
     params = _parse_params(getattr(args, "param", []) or [])
     if params.get("table"):
-        table_raw = json.loads(Path(params["table"]).read_text())
-        params["table"] = {
-            tuple(int(x) for x in key.split(",")): Fraction(val)
-            for key, val in table_raw.items()
-        }
+        path = params["table"]
+        try:
+            table_raw = json.loads(Path(path).read_text())
+            if not isinstance(table_raw, dict):
+                raise ValueError("expected a JSON object")
+            params["table"] = {
+                tuple(int(x) for x in key.split(",")): Fraction(val)
+                for key, val in table_raw.items()
+            }
+        except (OSError, ValueError, TypeError, ZeroDivisionError) as e:
+            raise WshmError(f"cannot read weight table {path}: {e}") from None
     return builtin_space(args.space, args.m, params)
 
 
@@ -159,14 +170,25 @@ def _weight_from_args(args):
     text = getattr(args, "weight", None)
     if not text:
         return None
-    return check_weight_vector([int(x) for x in text.split(",")], args.m)
+    try:
+        weight = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise WshmError(f"--weight needs comma-separated integers, got {text!r}") from None
+    return check_weight_vector(weight, args.m)
 
 
 def _schatten_from_args(args) -> list[float]:
     text = getattr(args, "schatten", None)
     if not text:
         return []
-    return [float(x) for x in text.split(",")]
+    try:
+        exponents = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise WshmError(f"--schatten needs comma-separated numbers, got {text!r}") from None
+    for p in exponents:
+        if not (1 <= p < math.inf):
+            raise WshmError(f"--schatten exponents must be finite and >= 1, got {p}")
+    return exponents
 
 
 def _resolved_config(args) -> dict:
@@ -203,7 +225,7 @@ def _run_ideal_hilbert(args) -> DiagnosticsReport:
         {
             "m": args.m,
             "ideal": [str(g) for g in ideal.generators],
-            "max_level": args.max_level,
+            "max_level": data.table[-1][0],
             "fit": data.to_json_dict(),
         },
     )
@@ -393,9 +415,11 @@ def _run_preg(args) -> DiagnosticsReport:
             )
         )
         svmax = 0.0
+        sq_max = Fraction(0)
         for xl in xp_blocks(poly, ell_max):
             if xl.singular_values:
                 svmax = max(svmax, xl.singular_values[0])
+            sq_max = max([sq_max, *xl.singular_sq])
         report.tables.append(
             Table(
                 "contractivity",
@@ -406,7 +430,7 @@ def _run_preg(args) -> DiagnosticsReport:
         report.verdicts.append(
             Verdict(
                 "contractivity",
-                "exact-pass" if svmax <= 1.0 + 1e-10 else "exact-fail",
+                "exact-pass" if sq_max <= 1 else "exact-fail",
                 f"max singular value {svmax}",
             )
         )
@@ -473,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             parser.print_usage(sys.stderr)
             return 2
-    except (WshmError, ParseError) as e:
+    except (WshmError, ParseError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

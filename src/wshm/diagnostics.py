@@ -21,8 +21,10 @@ from itertools import combinations
 
 import numpy as np
 
+from . import __version__
 from . import exact_linalg as ela
 from .algebra import (
+    G_ZERO,
     GradedPolynomial,
     add_index,
     enumerate_level,
@@ -45,7 +47,7 @@ from .operators import (
 )
 from .spaces import WeightedShiftSpace
 
-TOOL_VERSION = "wshm 0.1.0"
+TOOL_VERSION = f"wshm {__version__}"
 
 VERDICT_STATUSES = (
     "exact-pass",
@@ -220,9 +222,7 @@ def normality_report(
     else:
         dop = defect_blocks(realization, K)
         defect_norms = [dop.norm(k) for k in range(K + 1)]
-        defect_zero = all(
-            not x for k in range(K + 1) for row in dop.block(k) for x in row
-        )
+        defect_zero = not any(row for k in range(K + 1) for row in dop.block(k))
         svs = [dop.singular_values(k) for k in range(K + 1)]
         defect_terms = {
             p: [float(np.sum(sv**p)) if sv.size else 0.0 for sv in svs] for p in p_list
@@ -246,9 +246,7 @@ def normality_report(
             gj = GradedPolynomial.variable(m, j)
             comm = commutator_blocks(realization, fi, gj, K + 1)
             pair_norms[(i, j)] = [comm.norm(k) for k in range(K + 1)]
-            if any(
-                x for k in range(K + 1) for row in comm.block(k) for x in row
-            ):
+            if any(row for k in range(K + 1) for row in comm.block(k)):
                 exact_zero_all = False
     cols = [Column("k", "int")] + [
         Column(f"comm_{i + 1}_{j + 1}", "float") for i in range(m) for j in range(m)
@@ -535,7 +533,7 @@ def quotient_shift_weights(
 
     moduli_sq = []
     for k in range(K + 1):
-        c = op.block(k)[0][0]
+        c = op.block(k)[0].get(0, G_ZERO)
         g_src = realization.level(k).gram_diag[0]
         g_tgt = realization.level(k + 1).gram_diag[0]
         moduli_sq.append(c.abs2() * g_tgt / g_src)

@@ -1,12 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Two representations are used:
-
-* sparse rows ``dict[int, GaussianRational]`` for row reduction of graded
-  spanning sets (rank, kernel, reduced bases) -- the rows arising from
-  principal ideals are extremely sparse and reduction must exploit that;
-* dense ``list[list[GaussianRational]]`` matrices for operator blocks and
-  complement bases, with multiplication loops that skip stored zeros.
+One representation is used throughout: the sparse row
+``Row = dict[int, GaussianRational]``, column index to nonzero entry, with
+zeros never stored.  A spanning set, a kernel basis or a complement basis is
+a ``list[Row]``; an operator block is a ``list[Row]`` with one row per target
+coordinate, its column count kept by the caller.  The rows arising from
+principal ideals and from multiplication operators are extremely sparse, and
+reduction, products and adjoints only ever touch stored entries.
 
 Everything here is exact field arithmetic: no tolerances and no floats.
 Rank and dimension counts feed every downstream claim, so this module never
@@ -23,7 +23,6 @@ import numpy as np
 from .algebra import G_ONE, G_ZERO, GaussianRational
 
 Row = dict[int, GaussianRational]
-Matrix = list[list[GaussianRational]]
 
 
 # ---------------------------------------------------------------------------
@@ -137,69 +136,47 @@ def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[Ga
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# sparse blocks
 # ---------------------------------------------------------------------------
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[G_ZERO] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = G_ONE
+def mat_sub(a: list[Row], b: list[Row]) -> list[Row]:
+    """Row-wise a - b; entries that cancel are dropped."""
+    out: list[Row] = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, v in rb.items():
+            s = row.get(j, G_ZERO) - v
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+        out.append(row)
     return out
 
 
-def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a: Matrix, b: Matrix, b_ncols: int | None = None) -> Matrix:
-    """Product a @ b, skipping stored zeros (operator blocks are very sparse)."""
-    n = len(a)
-    inner = len(a[0]) if a else 0
-    if b_ncols is None:
-        b_ncols = len(b[0]) if b else 0
-    assert inner == len(b), "inner dimensions disagree"
-    out = zeros(n, b_ncols)
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if not aik:
-                continue
-            brow = b[k]
-            for j in range(b_ncols):
-                bkj = brow[j]
-                if bkj:
-                    orow[j] = orow[j] + aik * bkj
+def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:
+    """Product a @ b, row by row (Gustavson): row i is sum_k a[i][k] * b[k]."""
+    out: list[Row] = []
+    for arow in a:
+        acc: Row = {}
+        for k, aik in arow.items():
+            for j, bkj in b[k].items():
+                acc[j] = acc.get(j, G_ZERO) + aik * bkj
+        out.append({j: v for j, v in acc.items() if v})
     return out
 
 
-def conj_transpose(a: Matrix, ncols: int | None = None) -> Matrix:
-    nr, nc = len(a), (len(a[0]) if a else (ncols or 0))
-    return [[a[i][j].conjugate() for i in range(nr)] for j in range(nc)]
-
-
-def trace(a: Matrix) -> GaussianRational:
-    assert not a or len(a) == len(a[0]), "trace needs a square matrix"
+def trace(a: list[Row]) -> GaussianRational:
+    """Trace of a square block."""
     t = G_ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
+    for i, row in enumerate(a):
+        v = row.get(i)
+        if v is not None:
+            t = t + v
     return t
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
+def solve(a: list[list], b: list[list]) -> list[list]:
     """Exact solve a @ x = b for square invertible a (Gaussian elimination).
 
     The package itself never needs a dense solve (every Gram matrix is
@@ -226,23 +203,12 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return [aug[i][n : n + ncols] for i in range(n)]
 
 
-def rows_to_matrix(rows: list[Row], ncols: int) -> Matrix:
-    out = zeros(len(rows), ncols)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            out[i][c] = v
-    return out
-
-
-def to_complex_array(a: Matrix, ncols: int | None = None) -> np.ndarray:
+def to_complex_array(a: list[Row], ncols: int) -> np.ndarray:
     """The single exact-to-float crossing point (numeric tier)."""
-    nr = len(a)
-    nc = len(a[0]) if a else (ncols or 0)
-    out = np.zeros((nr, nc), dtype=complex)
-    for i in range(nr):
-        for j, v in enumerate(a[i]):
-            if v:
-                out[i, j] = complex(v)
+    out = np.zeros((len(a), ncols), dtype=complex)
+    for i, row in enumerate(a):
+        for j, v in row.items():
+            out[i, j] = complex(v)
     return out
 
 

@@ -226,16 +226,21 @@ def _newton_fit(xs: list[int], ys: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def hilbert_samuel_fit(ideal: GradedIdeal, k_max: int, window: int = 5) -> HilbertData:
-    """Fit the eventual polynomial of k -> dim S_k^perp.
+def hilbert_samuel_fit(
+    ideal: GradedIdeal, k_max: int | None = None, window: int = 5
+) -> HilbertData:
+    """Fit the eventual polynomial of k -> dim S_k^perp over levels 0..k_max.
 
     Newton forward differences on the last window+1 values; the fit is
     accepted only if it also reproduces the preceding window values
     (double-window confirmation).  A failed confirmation is a reported
-    outcome (stabilized=False), not an error.
+    outcome (stabilized=False), not an error.  ``k_max`` defaults to the
+    smallest level the fit accepts, 2 * window + max generator degree.
     """
     ideal._require_plain()
     maxdeg = ideal.max_generator_degree() or 0
+    if k_max is None:
+        k_max = 2 * window + maxdeg
     if k_max < 2 * window + maxdeg:
         raise WshmError(
             f"k_max={k_max} too small: need >= 2*window + max generator degree "

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import exact_linalg as ela
 from .algebra import (
+    G_ONE,
     G_ZERO,
     GaussianRational,
     GradedPolynomial,
@@ -48,11 +49,22 @@ from .ideals import GradedIdeal
 from .spaces import WeightedShiftSpace
 
 
+def _inner(u: ela.Row, v: ela.Row, omega: list[Fraction]) -> GaussianRational:
+    """<u, v> = sum_c u_c conj(v_c) omega_c over sparse monomial coordinates."""
+    acc = G_ZERO
+    for c, x in u.items():
+        y = v.get(c)
+        if y is not None:
+            acc = acc + x * y.conjugate() * omega[c]
+    return acc
+
+
 @dataclass
 class _Level:
     monomials: list[MultiIndex]
     col_of: dict[MultiIndex, int]
-    comp_rows: ela.Matrix  # orthogonal complement basis, rows over monomial coords
+    omega: list[Fraction]  # weight of each monomial coordinate
+    comp_rows: list[ela.Row]  # orthogonal complement basis over monomial coords
     gram_diag: list[Fraction]  # <w_r, w_r>; <w_r, w_s> = 0 for r != s
     onb_scale: np.ndarray  # float sqrt(gram_diag): orthonormal coordinates
     ideal_pivots: list[int]
@@ -68,8 +80,10 @@ class ModuleRealization:
     level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
     S_k}: an exact kernel, orthogonalised by unnormalised Gram-Schmidt so that
     its Gram matrix is diagonal too.  All levels are built eagerly at
-    construction, after which the realization is immutable and safe to read
-    concurrently.
+    construction.  Multiplier blocks are built on first use by
+    :func:`mult_blocks`, once per polynomial, and memoised here, so a
+    realization is not safe to share between threads without a lock, and no
+    caller may mutate a block it reads.
     """
 
     def __init__(
@@ -89,6 +103,7 @@ class ModuleRealization:
         self.ideal = ideal
         self.max_level = max_level
         self._levels = [self._build_level(k) for k in range(max_level + 1)]
+        self._mult: dict[GradedPolynomial, dict[int, list[ela.Row]]] = {}
 
     @property
     def is_full(self) -> bool:
@@ -101,28 +116,18 @@ class ModuleRealization:
         dim = len(monomials)
         omega = [self.space.weight(a) for a in monomials]
         if self.is_full:
-            comp, gram_diag = ela.identity(dim), omega
+            comp, gram_diag = [{j: G_ONE} for j in range(dim)], omega
             pivots, red = [], []
         else:
             pivots, red, level_monos = self.ideal.level_data(k)
             assert level_monos == monomials
             # v in S_k^perp  <=>  sum_g v_g conj(u_g) omega(g) = 0 for each basis u
             constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
-
-            def inner(u: ela.Row, v: ela.Row) -> GaussianRational:
-                acc = G_ZERO
-                for c, x in u.items():
-                    y = v.get(c)
-                    if y is not None:
-                        acc = acc + x * y.conjugate() * omega[c]
-                return acc
-
-            basis: list[ela.Row] = []
-            gram_diag = []
+            comp, gram_diag = [], []
             for v in ela.kernel_basis(constraint, dim):
                 w = dict(v)
-                for u, g in zip(basis, gram_diag):
-                    c = inner(v, u) / g
+                for u, g in zip(comp, gram_diag):
+                    c = _inner(v, u, omega) / g
                     if c:
                         for col, x in u.items():
                             s = w.get(col, G_ZERO) - c * x
@@ -130,11 +135,10 @@ class ModuleRealization:
                                 w[col] = s
                             else:
                                 w.pop(col, None)
-                basis.append(w)
-                gram_diag.append(inner(w, w).re)
-            comp = ela.rows_to_matrix(basis, dim)
+                comp.append(w)
+                gram_diag.append(_inner(w, w, omega).re)
         onb_scale = np.array([float(g) ** 0.5 for g in gram_diag])
-        return _Level(monomials, col_of, comp, gram_diag, onb_scale, pivots, red)
+        return _Level(monomials, col_of, omega, comp, gram_diag, onb_scale, pivots, red)
 
     # -- level geometry -------------------------------------------------
 
@@ -160,27 +164,16 @@ class ModuleRealization:
             return 0
         return len(self.level(k).ideal_pivots)
 
-    # -- Gram machinery ---------------------------------------------------
-
-    def gram_apply(self, k: int, mat: ela.Matrix) -> ela.Matrix:
-        """G_k @ mat (exact)."""
-        return [[x * w for x in row] for row, w in zip(mat, self.level(k).gram_diag)]
-
-    def gram_solve(self, k: int, mat: ela.Matrix) -> ela.Matrix:
-        """G_k^{-1} @ mat (exact)."""
-        return [[x / w for x in row] for row, w in zip(mat, self.level(k).gram_diag)]
-
-    def project_to_complement(self, k: int, coords: list) -> list:
-        """Complement coordinates of the orthogonal projection of a monomial-
-        coordinate vector at level k: <coords, w_s> / <w_s, w_s> (exact)."""
+    def project_to_complement(self, k: int, coords: ela.Row) -> ela.Row:
+        """Complement coordinates of the orthogonal projection of a sparse
+        monomial-coordinate vector at level k: <coords, w_s> / <w_s, w_s>
+        (exact), with zero coordinates dropped."""
         lv = self.level(k)
-        out = []
-        for ws, g in zip(lv.comp_rows, lv.gram_diag):
-            acc = G_ZERO
-            for c, x in enumerate(coords):
-                if x and ws[c]:
-                    acc = acc + x * ws[c].conjugate() * self.space.weight(lv.monomials[c])
-            out.append(acc / g)
+        out: ela.Row = {}
+        for s, (ws, g) in enumerate(zip(lv.comp_rows, lv.gram_diag)):
+            acc = _inner(coords, ws, lv.omega)
+            if acc:
+                out[s] = acc / g
         return out
 
 
@@ -199,15 +192,17 @@ class GradedOperator:
     """A graded operator as a family of per-level exact blocks.
 
     ``blocks[k]`` maps level-k complement coordinates to level-(k + shift)
-    coordinates, for 0 <= k <= k_valid.  Blocks whose target level is
-    negative are stored with zero rows (the operator kills those levels).
+    coordinates, for 0 <= k <= k_valid: one sparse row per target coordinate,
+    its shape given by :meth:`block_shape`.  Blocks whose target level is
+    negative have no rows (the operator kills those levels).  Blocks may be
+    shared with other operators and must not be mutated.
     """
 
     def __init__(
         self,
         realization: ModuleRealization,
         shift: int,
-        blocks: dict[int, ela.Matrix],
+        blocks: dict[int, list[ela.Row]],
         k_valid: int,
     ):
         self.realization = realization
@@ -215,7 +210,7 @@ class GradedOperator:
         self.k_valid = k_valid
         self._blocks = blocks
 
-    def block(self, k: int) -> ela.Matrix:
+    def block(self, k: int) -> list[ela.Row]:
         if k < 0 or k > self.k_valid:
             raise WindowError(
                 f"block {k} outside trusted window [0, {self.k_valid}]"
@@ -232,7 +227,7 @@ class GradedOperator:
         """The block in orthonormal coordinates (norms become honest)."""
         b = self.block(k)
         nr, nc = self.block_shape(k)
-        f = ela.to_complex_array(b, ncols=nc)
+        f = ela.to_complex_array(b, nc)
         if nr == 0 or nc == 0:
             return f.reshape(nr, nc)
         r = self.realization
@@ -259,25 +254,59 @@ class GradedOperator:
         return ela.trace(self.block(k))
 
 
-def _zero_block(realization: ModuleRealization, shift: int, k: int) -> ela.Matrix:
-    return ela.zeros(realization.comp_dim(k + shift), realization.comp_dim(k))
+def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
+    return [{} for _ in range(realization.comp_dim(k + shift))]
 
 
 def identity_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     blocks = {
-        k: ela.identity(realization.comp_dim(k)) for k in range(K + 1)
+        k: [{i: G_ONE} for i in range(realization.comp_dim(k))] for k in range(K + 1)
     }
     return GradedOperator(realization, 0, blocks, K)
+
+
+def _build_mult(
+    realization: ModuleRealization, p: GradedPolynomial
+) -> dict[int, list[ela.Row]]:
+    """Every block of the compressed M_p that the realization holds: sources
+    0..max_level - deg p."""
+    d = p.degree
+    terms = list(p.terms())
+    blocks: dict[int, list[ela.Row]] = {}
+    for k in range(realization.max_level - d + 1):
+        src = realization.level(k)
+        tgt = realization.level(k + d)
+        if realization.is_full:
+            block: list[ela.Row] = [{} for _ in tgt.monomials]
+            for col, alpha in enumerate(src.monomials):
+                for beta, c in terms:
+                    block[tgt.col_of[add_index(alpha, beta)]][col] = c
+            blocks[k] = block
+            continue
+        block = [{} for _ in tgt.comp_rows]
+        for ci, w in enumerate(src.comp_rows):
+            image: ela.Row = {}
+            for g, x in w.items():
+                mono = src.monomials[g]
+                for beta, c in terms:
+                    j = tgt.col_of[add_index(mono, beta)]
+                    image[j] = image.get(j, G_ZERO) + x * c
+            for ri, v in realization.project_to_complement(k + d, image).items():
+                block[ri][ci] = v
+        blocks[k] = block
+    return blocks
 
 
 def mult_blocks(
     realization: ModuleRealization, p: GradedPolynomial, K: int
 ) -> GradedOperator:
-    """Blocks of the compression of M_p to the realization's module.
+    """Blocks of the compression of M_p to the realization's module, trusted to K.
 
     On the full space these are the exact monomial-coordinate matrices of
     multiplication by p; on a quotient each column is the exact orthogonal
-    projection of p * (complement basis vector) onto S_{k+d}^perp.
+    projection of p * (complement basis vector) onto S_{k+d}^perp.  The
+    blocks are built once per realization and polynomial, to the last level
+    the realization allows, and shared by every operator returned here.
     """
     if p.is_zero or not p.is_homogeneous:
         raise ModeError(f"multiplier must be nonzero homogeneous, got {p}")
@@ -289,49 +318,23 @@ def mult_blocks(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
             f"have {realization.max_level}"
         )
-    terms = list(p.terms())
-    blocks: dict[int, ela.Matrix] = {}
-    for k in range(K + 1):
-        src = realization.level(k)
-        tgt = realization.level(k + d)
-        ncomp_src = len(src.comp_rows)
-        if realization.is_full:
-            block = ela.zeros(len(tgt.monomials), len(src.monomials))
-            for col, alpha in enumerate(src.monomials):
-                for beta, c in terms:
-                    block[tgt.col_of[add_index(alpha, beta)]][col] = c
-            blocks[k] = block
-            continue
-        cols = []
-        for ci in range(ncomp_src):
-            w = src.comp_rows[ci]
-            image = [G_ZERO] * len(tgt.monomials)
-            for g, x in enumerate(w):
-                if not x:
-                    continue
-                mono = src.monomials[g]
-                for beta, c in terms:
-                    j = tgt.col_of[add_index(mono, beta)]
-                    image[j] = image[j] + x * c
-            cols.append(realization.project_to_complement(k + d, image))
-        ncomp_tgt = realization.comp_dim(k + d)
-        block = ela.zeros(ncomp_tgt, ncomp_src)
-        for ci, col in enumerate(cols):
-            for ri in range(ncomp_tgt):
-                block[ri][ci] = col[ri]
-        blocks[k] = block
+    blocks = realization._mult.get(p)
+    if blocks is None:
+        blocks = realization._mult[p] = _build_mult(realization, p)
     return GradedOperator(realization, d, blocks, K)
 
 
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     """The adjoint in the weighted inner product: G_k^{-1} B_k^dagger G_{k+d}.
 
+    With diagonal Grams this is one pass over the stored entries: entry
+    (c, r) of the adjoint block is conj(B[r][c]) * g_{k+d}[r] / g_k[c].
     Sources below the original degree shift map into negative levels and get
     zero-row blocks; the adjoint's window extends to k_valid + shift.
     """
     r = op.realization
     d = op.shift
-    blocks: dict[int, ela.Matrix] = {}
+    blocks: dict[int, list[ela.Row]] = {}
     k_valid = op.k_valid + d
     if k_valid > r.max_level:
         k_valid = r.max_level
@@ -340,10 +343,12 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
         if k < 0:
             blocks[j] = _zero_block(r, -d, j)
             continue
-        b = op.block(k)  # (dim_j, dim_k)
-        gb = r.gram_apply(j, b)  # G_j B
-        btg = ela.conj_transpose(gb, ncols=r.comp_dim(k))  # B^dagger G_j
-        blocks[j] = r.gram_solve(k, btg)
+        g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
+        adj: list[ela.Row] = [{} for _ in g_src]
+        for ri, row in enumerate(op.block(k)):
+            for c, x in row.items():
+                adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
+        blocks[j] = adj
     return GradedOperator(r, -d, blocks, k_valid)
 
 
@@ -353,17 +358,13 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     r = a.realization
     shift = a.shift + b.shift
     k_valid = min(b.k_valid, a.k_valid - b.shift)
-    blocks: dict[int, ela.Matrix] = {}
+    blocks: dict[int, list[ela.Row]] = {}
     for j in range(k_valid + 1):
         mid = j + b.shift
         if mid < 0:
             blocks[j] = _zero_block(r, shift, j)
             continue
-        bb = b.block(j)
-        ab = a.block(mid)
-        blocks[j] = ela.mat_mul(ab, bb, b_ncols=r.comp_dim(j)) if ab else ela.zeros(
-            0, r.comp_dim(j)
-        )
+        blocks[j] = ela.mat_mul(a.block(mid), b.block(j))
     return GradedOperator(r, shift, blocks, k_valid)
 
 
@@ -371,13 +372,6 @@ def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     assert a.realization is b.realization and a.shift == b.shift
     k_valid = min(a.k_valid, b.k_valid)
     blocks = {k: ela.mat_sub(a.block(k), b.block(k)) for k in range(k_valid + 1)}
-    return GradedOperator(a.realization, a.shift, blocks, k_valid)
-
-
-def op_add(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    assert a.realization is b.realization and a.shift == b.shift
-    k_valid = min(a.k_valid, b.k_valid)
-    blocks = {k: ela.mat_add(a.block(k), b.block(k)) for k in range(k_valid + 1)}
     return GradedOperator(a.realization, a.shift, blocks, k_valid)
 
 
@@ -447,7 +441,7 @@ def codefect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     return acc
 
 
-def block_shift_data(realization: ModuleRealization, i: int, k: int) -> ela.Matrix:
+def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela.Row]:
     """The block A_{i,k} : S_k^perp -> S_{k+1}^perp of the compressed shift."""
     if k + 1 > realization.max_level:
         raise WindowError(
@@ -487,35 +481,6 @@ class SchattenPartial:
     @property
     def total(self) -> float:
         return self.partial_sums[-1] if self.partial_sums else 0.0
-
-
-def _entry_string(x) -> str:
-    """Exact entry rendering for block exports: 'a/b', 'a/b+c/d i'."""
-    if not x.im:
-        return str(x.re)
-    sign = "+" if x.im > 0 else "-"
-    return f"{x.re}{sign}{abs(x.im)} i"
-
-
-def export_block_json(op: GradedOperator, k: int) -> dict:
-    """One block as JSON with exact entries rendered as strings."""
-    block = op.block(k)
-    nr, nc = op.block_shape(k)
-    return {
-        "level": k,
-        "shift": op.shift,
-        "shape": [nr, nc],
-        "entries": [[_entry_string(x) for x in row] for row in block],
-    }
-
-
-def export_block_csv(op: GradedOperator, k: int) -> str:
-    """One block as CSV of floats (real;imag pairs per entry)."""
-    arr = ela.to_complex_array(op.block(k), ncols=op.block_shape(k)[1])
-    lines = []
-    for row in arr:
-        lines.append(",".join(f"{v.real!r};{v.imag!r}" for v in row))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def schatten_partial(op: GradedOperator, p: float, K: int) -> SchattenPartial:

@@ -1,7 +1,12 @@
 import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from wshm import cli
 from wshm.diagnostics import DiagnosticsReport, Verdict
+from wshm.posreg import XpLevel
 
 
 def run(capsys, *argv):
@@ -265,3 +270,54 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+def _raise_linalg_error(args):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "argv, patch",
+    [
+        (("diag", "normality", "--schatten", "abc"), None),
+        (("diag", "normality", "--max-level", "2", "--schatten", "0.5"), None),
+        (("ideal", "decompose", "--m", "2", "--ideal", "z1", "--weight", "1,x"), None),
+        (("space", "describe", "--space", "table", "--param", "table={tmp}/missing.json"), None),
+        (("diag", "trace", "--space", "hardy-ball", "--max-level", "2"), _raise_linalg_error),
+    ],
+    ids=["schatten-not-a-number", "schatten-below-one",
+         "weight-not-an-integer", "missing-weight-table", "linalg-error"],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
+    if patch is not None:
+        monkeypatch.setattr(cli, "_run_diag", patch)
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ideal_hilbert_default_level_is_accepted(capsys):
+    code, out, _ = run(capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["max_level"] == 11  # 2 * window + max generator degree
+    assert len(doc["tables"][0]["rows"]) == 12
+    # an explicit level below the smallest accepted one is still refused
+    too_small = ("ideal", "hilbert", "--m", "2", "--ideal", "z1", "--max-level", "10")
+    assert run(capsys, *too_small)[0] == 2
+
+
+def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
+    # one squared singular value 1 + 1e-12: its float square root rounds to
+    # within 1e-10 of 1, but the exact verdict must fail
+    sq = Fraction(1) + Fraction(1, 10**12)
+    level = XpLevel(0, [(0, 0)], [(0, 0)], [sq], [sq], [float(sq) ** 0.5], 1)
+    monkeypatch.setattr(cli, "xp_blocks", lambda poly, ell_max: [level])
+    code, out, _ = run(
+        capsys,
+        "preg", "check",
+        "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-wlevel", "2",
+    )
+    statuses = {v["name"]: v["status"] for v in json.loads(out)["verdicts"]}
+    assert statuses["contractivity"] == "exact-fail"
+    assert code == 1

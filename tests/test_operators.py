@@ -24,7 +24,6 @@ from wshm.operators import (
     full_realization,
     identity_blocks,
     mult_blocks,
-    op_add,
     op_sub,
     pn_split,
     quotient_realization,
@@ -39,11 +38,32 @@ def z(i, m=2):
 
 
 def exact_inner(space, u, v, level_monos):
-    """<u, v> in coordinates, the defining sesquilinear form."""
+    """<u, v> in dense coordinates, the defining sesquilinear form."""
     acc = G_ZERO
     for g, mono in enumerate(level_monos):
         acc = acc + u[g] * v[g].conjugate() * space.weight(mono)
     return acc
+
+
+def dense(rows, ncols):
+    """A list of sparse rows as a dense list of lists."""
+    out = [[G_ZERO] * ncols for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i][j] = v
+    return out
+
+
+def sparse_identity(n):
+    return [{i: G_ONE} for i in range(n)]
+
+
+def conj_transpose(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v.conjugate()
+    return out
 
 
 # -- realizations ----------------------------------------------------------
@@ -87,20 +107,18 @@ def test_realization_dim_split_and_gram():
             assert r.ideal_dim(k) + r.comp_dim(k) == level_dimension(2, k)
             lv = r.level(k)
             monos = lv.monomials
+            comp = dense(lv.comp_rows, len(monos))
             # the complement basis is orthogonal and gram_diag is its Gram, exactly
-            for s, ws in enumerate(lv.comp_rows):
-                for t, wt in enumerate(lv.comp_rows):
+            for s, ws in enumerate(comp):
+                for t, wt in enumerate(comp):
                     g = exact_inner(hb, ws, wt, monos)
                     if s == t:
                         assert g == lv.gram_diag[s] and lv.gram_diag[s] > 0
                     else:
                         assert not g
             # complement orthogonal to the ideal rows, exactly
-            for w in lv.comp_rows:
-                for u_row in lv.ideal_rows:
-                    u = [G_ZERO] * len(monos)
-                    for c, val in u_row.items():
-                        u[c] = val
+            for w in comp:
+                for u in dense(lv.ideal_rows, len(monos)):
                     assert not exact_inner(hb, w, u, monos)
 
 
@@ -117,7 +135,7 @@ def test_projection_matches_normal_equations(gen):
         dim = len(monos)
         omega = [hb.weight(a) for a in monos]
         constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in lv.ideal_rows]
-        v = ela.rows_to_matrix(ela.kernel_basis(constraint, dim), dim)
+        v = dense(ela.kernel_basis(constraint, dim), dim)
         n = len(v)
         gram = [[exact_inner(hb, v[j], v[i], monos) for j in range(n)] for i in range(n)]
         vectors = [[G_ONE if c == j else G_ZERO for c in range(dim)] for j in range(dim)]
@@ -127,9 +145,10 @@ def test_projection_matches_normal_equations(gen):
         for x in vectors:
             a = ela.solve(gram, [[exact_inner(hb, x, vi, monos)] for vi in v])
             want = [sum((a[j][0] * v[j][c] for j in range(n)), G_ZERO) for c in range(dim)]
-            coeffs = r.project_to_complement(k, x)
+            coeffs = r.project_to_complement(k, {c: xc for c, xc in enumerate(x) if xc})
             got = [
-                sum((q * w[c] for q, w in zip(coeffs, lv.comp_rows)), G_ZERO)
+                sum((q * w.get(c, G_ZERO) for s, w in enumerate(lv.comp_rows)
+                     if (q := coeffs.get(s)) is not None), G_ZERO)
                 for c in range(dim)
             ]
             assert got == want
@@ -160,7 +179,7 @@ def test_mult_blocks_polydisk_unit_entries():
     r = full_realization(pd, 4)
     op = mult_blocks(r, z(0), 3)
     for k in range(4):
-        block = op.block(k)
+        block = dense(op.block(k), level_dimension(2, k))
         entries = {str(x) for row in block for x in row}
         assert entries <= {"0", "1"}
         assert sum(1 for row in block for x in row if x) == level_dimension(2, k)
@@ -171,7 +190,7 @@ def test_mult_blocks_identity_multiplier():
     r = full_realization(da, 3)
     op = mult_blocks(r, GradedPolynomial.constant(2, 1), 3)
     for k in range(4):
-        assert op.block(k) == ela.identity(level_dimension(2, k))
+        assert op.block(k) == sparse_identity(level_dimension(2, k))
 
 
 def test_mult_blocks_errors():
@@ -192,7 +211,7 @@ def test_adjoint_full_space_formula():
     op = mult_blocks(r, z(0), 4)
     adj = adjoint_blocks(op)
     for j in range(1, 5):
-        block = adj.block(j)  # level j -> j-1
+        block = dense(adj.block(j), level_dimension(2, j))  # level j -> j-1
         src_level = enumerate_level(2, j)
         tgt_level = enumerate_level(2, j - 1)
         for col, alpha in enumerate(src_level):
@@ -211,7 +230,7 @@ def test_adjoint_of_identity():
     ident = identity_blocks(r, 3)
     adj = adjoint_blocks(ident)
     for k in range(4):
-        assert adj.block(k) == ela.identity(level_dimension(2, k))
+        assert adj.block(k) == sparse_identity(level_dimension(2, k))
 
 
 def test_adjoint_pairing_exact_on_quotient():
@@ -222,11 +241,13 @@ def test_adjoint_pairing_exact_on_quotient():
     adj = adjoint_blocks(op)
     # <B u, v>_{k+1} = <u, B* v>_k holds exactly in Gram form:
     # G_{k+1} B == (G_k B*)^dagger
+    def gram_apply(k, rows):
+        gram = r.level(k).gram_diag
+        return [{j: v * g for j, v in row.items()} for row, g in zip(rows, gram)]
+
     for k in range(5):
-        lhs = r.gram_apply(k + 1, op.block(k))
-        rhs = ela.conj_transpose(
-            r.gram_apply(k, adj.block(k + 1)), ncols=r.comp_dim(k + 1)
-        )
+        lhs = gram_apply(k + 1, op.block(k))
+        rhs = conj_transpose(gram_apply(k, adj.block(k + 1)), r.comp_dim(k + 1))
         assert lhs == rhs
 
 
@@ -237,9 +258,9 @@ def test_commutator_unilateral_shift():
     disk = builtin_space("polydisk-hardy", 1)
     r = full_realization(disk, 12)
     comm = commutator_blocks(r, z(0, 1), z(0, 1), 11)
-    assert [[str(x) for x in row] for row in comm.block(0)] == [["1"]]
+    assert comm.block(0) == [{0: G_ONE}]
     for k in range(1, 11):
-        assert all(not x for row in comm.block(k) for x in row)
+        assert comm.block(k) == [{}]
 
 
 def test_commutator_scaled_polydisk_constant_half():
@@ -267,7 +288,7 @@ def test_commutator_hermitian_when_f_equals_g():
     comm = commutator_blocks(r, z(0), z(0), 7)
     for k in range(7):
         b = comm.block(k)
-        assert b == ela.conj_transpose(b, ncols=len(b))
+        assert b == conj_transpose(b, len(b))
 
 
 def test_commutator_adjoint_symmetry():
@@ -318,12 +339,9 @@ def test_defect_identity_blockwise():
     K = 7
     dd = defect_blocks(r, K)
     cd = codefect_blocks(r, K)
-    total = None
-    for i in range(2):
-        ci = commutator_blocks(r, z(i), z(i), K + 1)
-        total = ci if total is None else op_add(total, ci)
+    c0, c1 = (commutator_blocks(r, z(i), z(i), K + 1) for i in range(2))
     for k in range(K):
-        assert ela.mat_sub(cd.block(k), dd.block(k)) == total.block(k)
+        assert ela.mat_sub(ela.mat_sub(cd.block(k), dd.block(k)), c0.block(k)) == c1.block(k)
 
 
 def test_defect_blocks_match_diagonal():
@@ -331,7 +349,7 @@ def test_defect_blocks_match_diagonal():
     r = full_realization(da, 7)
     dd = defect_blocks(r, 6)
     for k in range(7):
-        block = dd.block(k)
+        block = dense(dd.block(k), level_dimension(2, k))
         for j, alpha in enumerate(enumerate_level(2, k)):
             expected = da.spherical_defect(alpha)
             for i in range(len(block)):
@@ -369,7 +387,7 @@ def test_block_shift_data_full_one_variable():
     r = full_realization(disk, 6)
     for k in range(5):
         a = block_shift_data(r, 0, k)
-        assert a == [[ela.G_ONE]]
+        assert a == [{0: G_ONE}]
 
 
 def test_block_shift_data_linear_ideal_one_dimensional():
@@ -377,7 +395,7 @@ def test_block_shift_data_linear_ideal_one_dimensional():
     r = quotient_realization(hb, GradedIdeal(2, [z(0) + z(1)]), 8)
     for k in range(7):
         a = block_shift_data(r, 0, k)
-        assert len(a) == 1 and len(a[0]) == 1
+        assert len(a) == 1 and set(a[0]) == {0}
         assert a == mult_blocks(r, z(0), k).block(k)
 
 
@@ -387,7 +405,7 @@ def test_block_shift_data_z1_ideal_gives_z2_shift():
     op2 = mult_blocks(r, z(1), 6)
     for k in range(6):
         a1 = block_shift_data(r, 0, k)
-        assert all(not x for row in a1 for x in row)
+        assert a1 == [{}]
         # modulus^2 of the z2 block equals the one-variable hardy ratio
         onb = op2.onb_block(k)
         ratio = hb.shift_ratio((0, k), 1)
@@ -470,23 +488,5 @@ def test_compose_window_shrinks():
     m1 = mult_blocks(r, z(0), 5)
     sq = compose(m1, m1)
     assert sq.shift == 2 and sq.k_valid == 4
-    assert op_sub(sq, sq).block(3) == ela.zeros(level_dimension(2, 5), level_dimension(2, 3))
+    assert op_sub(sq, sq).block(3) == [{}] * level_dimension(2, 5)
 
-
-def test_block_exports():
-    from wshm.operators import export_block_csv, export_block_json
-
-    da = builtin_space("da", 2)
-    r = full_realization(da, 4)
-    comm = commutator_blocks(r, z(0), z(0), 3)
-    doc = export_block_json(comm, 1)
-    assert doc["shape"] == [2, 2] and doc["shift"] == 0
-    flat = [x for row in doc["entries"] for x in row]
-    assert all(isinstance(x, str) for x in flat)
-
-    op = mult_blocks(r, parse_polynomial("z1 + (1/2)i*z2", 2), 3)
-    doc2 = export_block_json(op, 1)
-    joined = " ".join(x for row in doc2["entries"] for x in row)
-    assert " i" in joined  # complex exact entries rendered as 'a/b+c/d i'
-    csv = export_block_csv(op, 1)
-    assert ";" in csv
