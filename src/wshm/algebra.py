@@ -57,9 +57,14 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    # Arithmetic with a real operand (im == 0, int or Fraction) costs what a
+    # real product costs: two Fraction operations.  Any other operand goes
+    # through Fraction(...), so re and im always stay Fraction.
+
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + Fraction(other), self.im)
 
     __radd__ = __add__
 
@@ -67,32 +72,50 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational(self.re - Fraction(other), self.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational(Fraction(other) - self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianRational):
+            if other.im:
+                if not self.im:
+                    r = self.re
+                    return GaussianRational(r * other.re, r * other.im)
+                return GaussianRational(
+                    self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re,
+                )
+            r = other.re
+        else:
+            r = Fraction(other)
+        return GaussianRational(self.re * r, self.im * r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        n2 = o.abs2()
-        if not n2:
+        if isinstance(other, GaussianRational):
+            if other.im:
+                n2 = other.abs2()
+                if not self.im:
+                    r = self.re
+                    return GaussianRational(r * other.re / n2, -(r * other.im) / n2)
+                return GaussianRational(
+                    (self.re * other.re + self.im * other.im) / n2,
+                    (self.im * other.re - self.re * other.im) / n2,
+                )
+            r = other.re
+        else:
+            r = Fraction(other)
+        if not r:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
+        return GaussianRational(self.re / r, self.im / r)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.of(other) / self
+        return GaussianRational(Fraction(other)) / self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

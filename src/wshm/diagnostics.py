@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from . import exact_linalg as ela
 from .algebra import (
+    G_ONE,
     G_ZERO,
     GradedPolynomial,
     add_index,
@@ -36,10 +37,8 @@ from .ideals import GradedIdeal, hilbert_samuel_fit
 from .operators import (
     GradedOperator,
     ModuleRealization,
-    adjoint_blocks,
-    codefect_blocks,
+    adjoint_block,
     commutator_blocks,
-    compose,
     defect_blocks,
     mult_blocks,
     pn_split,
@@ -616,29 +615,34 @@ def section5_check(
 
     X_k is the level-k block of I - sum_i M_i M_i^*; each self commutator
     [M_i, M_i^*] (in that order) splits spectrally as P - N.  Exact blocks
-    enter; the split and the norms are float tier with the stated slack.
+    enter; the split and the norms are float tier with the stated slack.  Only
+    level-k products are formed, so a report over k <= K does O(K) block work.
     """
     if k + 1 > realization.max_level:
         raise WindowError(f"section5_check at k={k} needs realization to {k + 1}")
     m = realization.space.m
-    x_op = codefect_blocks(realization, k)
-    x_norm = x_op.norm(k)
+    x_k = [{c: G_ONE} for c in range(realization.comp_dim(k))]
     lhs = 0.0
     p_norms: list[float] = []
     n_norms: list[float] = []
     for i in range(m):
         zi = GradedPolynomial.variable(m, i)
         mi = mult_blocks(realization, zi, k)
-        mi_adj = adjoint_blocks(mi)
-        mm = compose(mi, mi_adj)  # M_i M_i^*
-        mm_star = compose(mi_adj, mi)  # M_i^* M_i
-        hk = ela.mat_sub(mm.block(k), mm_star.block(k))
+        # level-k blocks of M_i M_i^* (zero at k = 0) and M_i^* M_i only
+        if k == 0:
+            mm = [{} for _ in x_k]
+        else:
+            mm = ela.mat_mul(mi.block(k - 1), adjoint_block(mi, k))
+        mm_star = ela.mat_mul(adjoint_block(mi, k + 1), mi.block(k))
+        x_k = ela.mat_sub(x_k, mm)
+        hk = ela.mat_sub(mm, mm_star)
         op = GradedOperator(realization, 0, {k: hk}, k)
         h = op.onb_block(k)
         p_part, n_part = pn_split(h)
         lhs += float(np.trace(p_part).real)
         p_norms.append(float(np.linalg.norm(p_part, 2)) if p_part.size else 0.0)
         n_norms.append(float(np.linalg.norm(n_part, 2)) if n_part.size else 0.0)
+    x_norm = GradedOperator(realization, 0, {k: x_k}, k).norm(k)
     rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
     return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + slack)
 

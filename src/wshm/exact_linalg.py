@@ -8,6 +8,11 @@ coordinate, its column count kept by the caller.  The rows arising from
 principal ideals and from multiplication operators are extremely sparse, and
 reduction, products and adjoints only ever touch stored entries.
 
+:func:`rref` is the one elimination the package runs for ideal levels;
+:func:`rank` stops after forward elimination.  :func:`kernel_basis` and
+:func:`solve` are references that the package no longer calls: tests check
+complement bases and projections against them.
+
 Everything here is exact field arithmetic: no tolerances and no floats.
 Rank and dimension counts feed every downstream claim, so this module never
 rounds.  Float conversion for the numeric tier happens in one place,
@@ -33,14 +38,10 @@ def _leading(row: Row) -> int:
     return min(row)
 
 
-def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
-    """Reduced row echelon form of the span of ``rows``.
-
-    Returns (pivot columns ascending, reduced rows) where reduced row ``i``
-    has a unit pivot at ``pivots[i]`` and zeros in every other pivot column.
-    Deterministic: pivots are chosen left-to-right and ties between candidate
-    rows are broken by input order, so identical input gives identical output.
-    """
+def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
+    """Forward elimination: (pivot columns ascending, echelon rows), row ``i``
+    leading at ``pivots[i]`` with its pivot not normalised.  Pivots are chosen
+    left-to-right and ties between candidate rows are broken by input order."""
     pending: list[Row] = [dict(r) for r in rows if r]
     by_lead: dict[int, list[Row]] = {}
     for r in pending:
@@ -66,7 +67,17 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
                 by_lead.setdefault(_leading(other), []).append(other)
         pivots.append(col)
         pivot_rows.append(piv)
+    return pivots, pivot_rows
 
+
+def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
+    """Reduced row echelon form of the span of ``rows``.
+
+    Returns (pivot columns ascending, reduced rows) where reduced row ``i``
+    has a unit pivot at ``pivots[i]`` and zeros in every other pivot column.
+    Deterministic: identical input gives identical output.
+    """
+    pivots, pivot_rows = _echelon(rows, ncols)
     # Normalize pivots and clear entries above, last pivot row first; for the
     # near-triangular systems produced by principal ideals this pass is linear.
     for i in range(len(pivot_rows) - 1, -1, -1):
@@ -90,14 +101,17 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
 
 
 def rank(rows: list[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+    """Rank of ``rows``, by forward elimination only."""
+    return len(_echelon(rows, ncols)[0])
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
     """Deterministic basis of the right kernel {v : R v = 0}.
 
     One basis vector per free column, in ascending column order, with a unit
-    entry in its free column.
+    entry in its free column.  The package never calls this (complement bases
+    are read off the ideal's reduced echelon form in closed form); it is the
+    reference that tests check them against.
     """
     pivots, red = rref(rows, ncols)
     pivot_set = set(pivots)
@@ -179,8 +193,8 @@ def trace(a: list[Row]) -> GaussianRational:
 def solve(a: list[list], b: list[list]) -> list[list]:
     """Exact solve a @ x = b for square invertible a (Gaussian elimination).
 
-    The package itself never needs a dense solve (every Gram matrix is
-    diagonal); this is the reference that tests check projections against.
+    The package never calls this (every Gram matrix is diagonal); it is the
+    reference that tests check projections against.
     """
     n = len(a)
     if n == 0:

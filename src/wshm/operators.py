@@ -59,6 +59,28 @@ def _inner(u: ela.Row, v: ela.Row, omega: list[Fraction]) -> GaussianRational:
     return acc
 
 
+def _complement_kernel(
+    pivots: list[int], red: list[ela.Row], omega: list[Fraction]
+) -> list[ela.Row]:
+    """Basis of S_k^perp = {v : <v, u_i> = 0 for every reduced row u_i}, one
+    vector per free column f in ascending order, with a unit entry at f.
+
+    The constraint rows conj(u_i) * omega need no elimination: ``red`` is in
+    reduced echelon form (u_i has a unit pivot at p_i and zeros in every other
+    pivot column), so dividing constraint row i by omega_{p_i} leaves it in
+    reduced echelon form too, and its kernel vector for f is
+    {f: 1, p_i: -conj(u_i[f]) * omega_f / omega_{p_i}}.  This is exactly
+    ``ela.kernel_basis`` of the constraint rows.
+    """
+    pivot_set = set(pivots)
+    basis = {f: {f: G_ONE} for f in range(len(omega)) if f not in pivot_set}
+    for p, u in zip(pivots, red):
+        for f, x in u.items():
+            if f != p:
+                basis[f][p] = -x.conjugate() * (omega[f] / omega[p])
+    return list(basis.values())
+
+
 @dataclass
 class _Level:
     monomials: list[MultiIndex]
@@ -76,9 +98,10 @@ class ModuleRealization:
 
     For the full space the complement basis at level k is the monomial
     coordinate basis and the Gram diagonal is omega.  For a quotient by a
-    plain-homogeneous ideal, S_k is the exact echelon basis of the ideal
-    level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
-    S_k}: an exact kernel, orthogonalised by unnormalised Gram-Schmidt so that
+    plain-homogeneous ideal, S_k is the exact reduced echelon basis of the
+    ideal level and the complement basis spans S_k^perp = {v : <v, u> = 0 for
+    u in S_k}: a kernel read off that reduced echelon form in closed form (no
+    second elimination), orthogonalised by unnormalised Gram-Schmidt so that
     its Gram matrix is diagonal too.  All levels are built eagerly at
     construction.  Multiplier blocks are built on first use by
     :func:`mult_blocks`, once per polynomial, and memoised here, so a
@@ -121,10 +144,8 @@ class ModuleRealization:
         else:
             pivots, red, level_monos = self.ideal.level_data(k)
             assert level_monos == monomials
-            # v in S_k^perp  <=>  sum_g v_g conj(u_g) omega(g) = 0 for each basis u
-            constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
             comp, gram_diag = [], []
-            for v in ela.kernel_basis(constraint, dim):
+            for v in _complement_kernel(pivots, red, omega):
                 w = dict(v)
                 for u, g in zip(comp, gram_diag):
                     c = _inner(v, u, omega) / g
@@ -136,7 +157,7 @@ class ModuleRealization:
                             else:
                                 w.pop(col, None)
                 comp.append(w)
-                gram_diag.append(_inner(w, w, omega).re)
+                gram_diag.append(sum((x.abs2() * omega[c] for c, x in w.items()), Fraction(0)))
         onb_scale = np.array([float(g) ** 0.5 for g in gram_diag])
         return _Level(monomials, col_of, omega, comp, gram_diag, onb_scale, pivots, red)
 
@@ -324,32 +345,36 @@ def mult_blocks(
     return GradedOperator(realization, d, blocks, K)
 
 
+def adjoint_block(op: GradedOperator, j: int) -> list[ela.Row]:
+    """Block j of :func:`adjoint_blocks` alone: source level j, target j - shift.
+
+    With diagonal Grams this is one pass over the stored entries: entry
+    (c, r) is conj(B[r][c]) * g_{j}[r] / g_{j - d}[c] for the block B of op at
+    source level j - d.  A source below the degree shift d maps into a
+    negative level and gets a zero-row block.
+    """
+    r = op.realization
+    k = j - op.shift
+    if k < 0:
+        return _zero_block(r, -op.shift, j)
+    g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
+    adj: list[ela.Row] = [{} for _ in g_src]
+    for ri, row in enumerate(op.block(k)):
+        for c, x in row.items():
+            adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
+    return adj
+
+
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     """The adjoint in the weighted inner product: G_k^{-1} B_k^dagger G_{k+d}.
 
-    With diagonal Grams this is one pass over the stored entries: entry
-    (c, r) of the adjoint block is conj(B[r][c]) * g_{k+d}[r] / g_k[c].
-    Sources below the original degree shift map into negative levels and get
-    zero-row blocks; the adjoint's window extends to k_valid + shift.
+    One :func:`adjoint_block` per level; the adjoint's window extends to
+    k_valid + shift.
     """
     r = op.realization
-    d = op.shift
-    blocks: dict[int, list[ela.Row]] = {}
-    k_valid = op.k_valid + d
-    if k_valid > r.max_level:
-        k_valid = r.max_level
-    for j in range(k_valid + 1):
-        k = j - d
-        if k < 0:
-            blocks[j] = _zero_block(r, -d, j)
-            continue
-        g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
-        adj: list[ela.Row] = [{} for _ in g_src]
-        for ri, row in enumerate(op.block(k)):
-            for c, x in row.items():
-                adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
-        blocks[j] = adj
-    return GradedOperator(r, -d, blocks, k_valid)
+    k_valid = min(op.k_valid + op.shift, r.max_level)
+    blocks = {j: adjoint_block(op, j) for j in range(k_valid + 1)}
+    return GradedOperator(r, -op.shift, blocks, k_valid)
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:

@@ -2,8 +2,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import wshm.exact_linalg as ela
 from wshm.algebra import GradedPolynomial
 from wshm.diagnostics import (
     DiagnosticsReport,
@@ -23,7 +25,16 @@ from wshm.diagnostics import (
 )
 from wshm.errors import ScenarioError, StructuralError, WshmError
 from wshm.ideals import GradedIdeal
-from wshm.operators import full_realization, quotient_realization
+from wshm.operators import (
+    GradedOperator,
+    adjoint_blocks,
+    codefect_blocks,
+    compose,
+    full_realization,
+    mult_blocks,
+    pn_split,
+    quotient_realization,
+)
 from wshm.parsing import parse_polynomial
 from wshm.spaces import builtin_space
 
@@ -194,6 +205,34 @@ def test_section5_n_norms_decay_on_linear_quotient():
     recs = [section5_check(realization, k, 1) for k in (2, 14)]
     assert sum(recs[1].n_norms) < sum(recs[0].n_norms)
     assert all(p <= 1e-12 for rec in recs for p in rec.p_norms)
+
+
+@pytest.mark.parametrize("gen", ["z1+z2", "z1^2+(1+i)*z1*z2-z2^2"])
+def test_section5_check_matches_whole_operator_reference(gen):
+    # reference: X_k from codefect_blocks, and [M_i, M_i^*] at level k from
+    # the composed operators over every level <= k
+    hb = builtin_space("hardy-ball", 2)
+    r = quotient_realization(hb, GradedIdeal(2, [parse_polynomial(gen, 2)]), 6)
+    for k in range(6):
+        rec = section5_check(r, k, 2)
+        assert rec.x_norm == codefect_blocks(r, k).norm(k)
+        for i in range(2):
+            mi = mult_blocks(r, z(i), k)
+            adj = adjoint_blocks(mi)
+            hk = ela.mat_sub(compose(mi, adj).block(k), compose(adj, mi).block(k))
+            p_part, n_part = pn_split(GradedOperator(r, 0, {k: hk}, k).onb_block(k))
+            assert rec.p_norms[i] == float(np.linalg.norm(p_part, 2))
+            assert rec.n_norms[i] == float(np.linalg.norm(n_part, 2))
+
+
+def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
+    # two level-k products per variable and level: at most 2 m (K + 1)
+    calls = []
+    mat_mul = ela.mat_mul
+    monkeypatch.setattr(ela, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    hb = builtin_space("hardy-ball", 2)
+    section5_report(hb, GradedIdeal(2, [z(0) + z(1)]), 15)
+    assert len(calls) <= 2 * 2 * 16
 
 
 def test_section5_requires_bounded_dimension():

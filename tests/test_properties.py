@@ -1,15 +1,25 @@
-"""Hypothesis properties of the exact core: the weighted adjoint pairing of
-compressed multipliers, kernel bases, and the polynomial text round trip."""
+"""Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
+weighted adjoint pairing of compressed multipliers, closed-form complement
+bases, kernel bases, elimination against a sympy oracle, and the polynomial
+text round trip."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 import wshm.exact_linalg as ela
 from wshm.algebra import G_ZERO, GaussianRational, GradedPolynomial, enumerate_level
 from wshm.ideals import GradedIdeal
-from wshm.operators import adjoint_blocks, mult_blocks, quotient_realization
+from wshm.operators import (
+    _complement_kernel,
+    adjoint_blocks,
+    mult_blocks,
+    quotient_realization,
+)
 from wshm.parsing import parse_polynomial
 from wshm.spaces import builtin_space
 
@@ -22,6 +32,69 @@ gaussian_rationals = st.builds(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
 )
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# Gaussian, real and purely imaginary Gaussian rationals, then every plain
+# operand kind the arithmetic accepts: int, Fraction and float
+gaussian_kinds = st.one_of(
+    gaussian_rationals,
+    small_fractions.map(GaussianRational),
+    small_fractions.map(lambda y: GaussianRational(Fraction(0), y)),
+)
+operands = gaussian_kinds | st.integers(-7, 7) | small_fractions | st.floats(-8, 8, allow_nan=False)
+
+
+def parts(x):
+    """(re, im) as Fractions, the textbook operands."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def textbook(op, x, y):
+    (a, b), (c, d) = parts(x), parts(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    g=gaussian_kinds,
+    other=operands,
+    op=st.sampled_from("+-*/"),
+    gaussian_first=st.booleans(),
+)
+def test_gaussian_arithmetic_matches_textbook(g, other, op, gaussian_first):
+    x, y = (g, other) if gaussian_first else (other, g)
+    if op == "/" and not any(parts(y)):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    got = {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y, "/": lambda: x / y}[op]()
+    assert isinstance(got, GaussianRational)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == textbook(op, x, y)
+
+
+@pytest.mark.parametrize("zero", [G_ZERO, GaussianRational(Fraction(0)), Fraction(0), 0, 0.0])
+@pytest.mark.parametrize(
+    "x", [GaussianRational(Fraction(1, 2), Fraction(-3)), GaussianRational(Fraction(2)), G_ZERO]
+)
+def test_gaussian_division_by_zero_raises(x, zero):
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    if isinstance(zero, GaussianRational):
+        with pytest.raises(ZeroDivisionError):
+            Fraction(3) / zero
+        with pytest.raises(ZeroDivisionError):
+            3 / zero
 
 
 def homogeneous(data, m, d):
@@ -99,6 +172,62 @@ def test_kernel_basis_is_annihilated(ncols, data):
         assert v and all(x for x in v.values())
         for row in rows:
             assert sum((x * v[c] for c, x in row.items() if c in v), G_ZERO) == G_ZERO
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "da"]),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+)
+def test_closed_form_complement_equals_kernel_basis(data, kind, m, ideal_degree, ngens):
+    # the basis of S_k^perp read off the ideal's reduced echelon form equals the
+    # kernel of its constraint rows conj(u_i) * omega, computed by elimination
+    space = builtin_space(kind, m)
+    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
+    for k in range(5 if m == 2 else 4):
+        pivots, red, monomials = ideal.level_data(k)
+        omega = [space.weight(a) for a in monomials]
+        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
+        assert _complement_kernel(pivots, red, omega) == ela.kernel_basis(
+            constraint, len(monomials)
+        )
+
+
+def to_domain_matrix(rows, ncols):
+    def entry(v):
+        return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
+
+    dense = [[entry(row.get(c, G_ZERO)) for c in range(ncols)] for row in rows]
+    return DomainMatrix(dense, (len(rows), ncols), QQ_I)
+
+
+def from_domain(x):
+    return GaussianRational(
+        Fraction(int(x.x.numerator), int(x.x.denominator)),
+        Fraction(int(x.y.numerator), int(x.y.denominator)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols=st.integers(1, 8), data=st.data())
+def test_elimination_matches_sympy_oracle(ncols, data):
+    entry = st.tuples(st.integers(0, ncols - 1), gaussian_rationals | gaussian_ints)
+    rows = [
+        {c: v for c, v in entries if v}
+        for entries in data.draw(st.lists(st.lists(entry, max_size=4), max_size=7))
+    ]
+    oracle = to_domain_matrix(rows, ncols)
+    reduced, oracle_pivots = oracle.rref()
+    pivots, red = ela.rref(rows, ncols)
+    assert tuple(pivots) == oracle_pivots
+    for row, oracle_row in zip(red, reduced.to_list()):
+        assert [row.get(c, G_ZERO) for c in range(ncols)] == [from_domain(x) for x in oracle_row]
+    rank = oracle.rank()
+    assert ela.rank(rows, ncols) == rank == len(pivots)
+    assert len(ela.kernel_basis(rows, ncols)) == oracle.nullspace().shape[0] == ncols - rank
 
 
 @settings(max_examples=100, deadline=None)
