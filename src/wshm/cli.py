@@ -191,6 +191,15 @@ def _schatten_from_args(args) -> list[float]:
     return exponents
 
 
+def _check_levels(args) -> None:
+    """Levels count degrees from 0: a negative bound would leave every table
+    empty and every exact check vacuously passing."""
+    for name in ("max_level", "max_wlevel"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise WshmError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _resolved_config(args) -> dict:
     skip = {"config"}
     return {
@@ -482,6 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
+        _check_levels(args)
         if args.command == "space":
             report = _run_space_describe(args)
         elif args.command == "ideal":

@@ -35,14 +35,17 @@ from .algebra import (
 from .errors import ScenarioError, StructuralError, WindowError, WshmError
 from .ideals import GradedIdeal, hilbert_samuel_fit
 from .operators import (
-    GradedOperator,
     ModuleRealization,
-    adjoint_block,
+    adjoint_blocks,
     commutator_blocks,
+    compose,
     defect_blocks,
+    identity_blocks,
     mult_blocks,
+    op_sub,
     pn_split,
     quotient_realization,
+    schatten_partial,
 )
 from .spaces import WeightedShiftSpace
 
@@ -215,17 +218,12 @@ def normality_report(
         diag = [full_defect_eigenvalues(realization.space, k) for k in range(K + 1)]
         defect_norms = [max((abs(float(v)) for v in d), default=0.0) for d in diag]
         defect_zero = all(not v for d in diag for v in d)
-        defect_terms = {
-            p: [float(sum(abs(float(v)) ** p for v in d)) for d in diag] for p in p_list
-        }
+        defect_terms = {p: defect_schatten_terms(realization.space, p, K) for p in p_list}
     else:
         dop = defect_blocks(realization, K)
         defect_norms = [dop.norm(k) for k in range(K + 1)]
         defect_zero = not any(row for k in range(K + 1) for row in dop.block(k))
-        svs = [dop.singular_values(k) for k in range(K + 1)]
-        defect_terms = {
-            p: [float(np.sum(sv**p)) if sv.size else 0.0 for sv in svs] for p in p_list
-        }
+        defect_terms = {p: schatten_partial(dop, p, K).terms for p in p_list}
 
     report.tables.append(
         Table(
@@ -616,33 +614,27 @@ def section5_check(
     X_k is the level-k block of I - sum_i M_i M_i^*; each self commutator
     [M_i, M_i^*] (in that order) splits spectrally as P - N.  Exact blocks
     enter; the split and the norms are float tier with the stated slack.  Only
-    level-k products are formed, so a report over k <= K does O(K) block work.
+    level-k blocks are read, and M_i M_i^* serves both X_k and the commutator,
+    so a report over k <= K does two block products per variable and level.
     """
     if k + 1 > realization.max_level:
         raise WindowError(f"section5_check at k={k} needs realization to {k + 1}")
     m = realization.space.m
-    x_k = [{c: G_ONE} for c in range(realization.comp_dim(k))]
+    x = identity_blocks(realization, k)
     lhs = 0.0
     p_norms: list[float] = []
     n_norms: list[float] = []
     for i in range(m):
-        zi = GradedPolynomial.variable(m, i)
-        mi = mult_blocks(realization, zi, k)
-        # level-k blocks of M_i M_i^* (zero at k = 0) and M_i^* M_i only
-        if k == 0:
-            mm = [{} for _ in x_k]
-        else:
-            mm = ela.mat_mul(mi.block(k - 1), adjoint_block(mi, k))
-        mm_star = ela.mat_mul(adjoint_block(mi, k + 1), mi.block(k))
-        x_k = ela.mat_sub(x_k, mm)
-        hk = ela.mat_sub(mm, mm_star)
-        op = GradedOperator(realization, 0, {k: hk}, k)
-        h = op.onb_block(k)
+        mi = mult_blocks(realization, GradedPolynomial.variable(m, i), k)
+        mi_adj = adjoint_blocks(mi)
+        mm = compose(mi, mi_adj)
+        x = op_sub(x, mm)
+        h = op_sub(mm, compose(mi_adj, mi)).onb_block(k)
         p_part, n_part = pn_split(h)
         lhs += float(np.trace(p_part).real)
         p_norms.append(float(np.linalg.norm(p_part, 2)) if p_part.size else 0.0)
         n_norms.append(float(np.linalg.norm(n_part, 2)) if n_part.size else 0.0)
-    x_norm = GradedOperator(realization, 0, {k: x_k}, k).norm(k)
+    x_norm = x.norm(k)
     rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
     return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + slack)
 
@@ -716,6 +708,8 @@ class _KoszulModule:
             raise WshmError(f"module kind {kind!r} needs an ideal")
         if ideal is not None and ideal.mode != "plain":
             raise WshmError("Koszul module needs a plain-homogeneous ideal")
+        if kind == "full":
+            ideal = GradedIdeal(m, [])  # the full module is the quotient by 0
         self.m = m
         self.ideal = ideal
         self.kind = kind
@@ -723,8 +717,6 @@ class _KoszulModule:
     def dim(self, d: int) -> int:
         if d < 0:
             return 0
-        if self.kind == "full":
-            return level_dimension(self.m, d)
         if self.kind == "ideal":
             return len(self.ideal.level_data(d)[0])
         return level_dimension(self.m, d) - len(self.ideal.level_data(d)[0])
@@ -738,13 +730,6 @@ class _KoszulModule:
         """Row r -> sparse image coordinates of z_i * (basis vector r of
         degree d) in the degree d+1 basis."""
         m = self.m
-        if self.kind == "full":
-            src = enumerate_level(m, d)
-            tgt = {a: j for j, a in enumerate(enumerate_level(m, d + 1))}
-            ei = unit_index(m, i)
-            from .algebra import G_ONE
-
-            return [{tgt[add_index(a, ei)]: G_ONE} for a in src]
         if self.kind == "ideal":
             pivots_s, red_s, monos_s = self.ideal.level_data(d)
             pivots_t, red_t, monos_t = self.ideal.level_data(d + 1)
@@ -765,8 +750,6 @@ class _KoszulModule:
         std_t_index = {col: j for j, col in enumerate(std_t)}
         monos_s = self.ideal.level_data(d)[2]
         ei = unit_index(m, i)
-        from .algebra import G_ONE
-
         rows = []
         for col in std_s:
             shifted = {tgt_col[add_index(monos_s[col], ei)]: G_ONE}

@@ -15,6 +15,11 @@ source level ``k_valid``; any composition shrinks the window, and access
 beyond it raises :class:`~wshm.errors.WindowError` -- silent truncation
 artifacts are the main correctness hazard of this whole artifact.
 
+Evaluation is on demand.  Realization levels, multiplier blocks and the
+blocks of every identity, adjoint, composition and difference are built the
+first time they are read and then kept, so a report builds exactly the
+levels it reads, each once per operator, however wide the windows are.
+
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
 basis {w_r} is orthogonal, so its Gram matrix is the diagonal
@@ -29,8 +34,10 @@ projection onto constants with a positive sign).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +54,18 @@ from .algebra import (
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
 from .spaces import WeightedShiftSpace
+
+
+class _OnDemand(dict):
+    """A cache whose missing key k is built by ``build(k)`` on first read and
+    kept, so that only the levels (or multipliers) some caller reads are built."""
+
+    def __init__(self, build):
+        self._build = build  # the dict itself starts empty
+
+    def __missing__(self, k):
+        value = self[k] = self._build(k)
+        return value
 
 
 def _inner(u: ela.Row, v: ela.Row, omega: list[Fraction]) -> GaussianRational:
@@ -102,11 +121,11 @@ class ModuleRealization:
     ideal level and the complement basis spans S_k^perp = {v : <v, u> = 0 for
     u in S_k}: a kernel read off that reduced echelon form in closed form (no
     second elimination), orthogonalised by unnormalised Gram-Schmidt so that
-    its Gram matrix is diagonal too.  All levels are built eagerly at
-    construction.  Multiplier blocks are built on first use by
-    :func:`mult_blocks`, once per polynomial, and memoised here, so a
-    realization is not safe to share between threads without a lock, and no
-    caller may mutate a block it reads.
+    its Gram matrix is diagonal too.  Each level up to ``max_level`` is built
+    the first time it is read, and so is each multiplier block of
+    :func:`mult_blocks`; both are memoised here, so a realization is not safe
+    to share between threads without a lock, and no caller may mutate a
+    block it reads.
     """
 
     def __init__(
@@ -125,8 +144,12 @@ class ModuleRealization:
         self.space = space
         self.ideal = ideal
         self.max_level = max_level
-        self._levels = [self._build_level(k) for k in range(max_level + 1)]
-        self._mult: dict[GradedPolynomial, dict[int, list[ela.Row]]] = {}
+        # The caches refer to the realization weakly: a reference cycle would
+        # keep every level alive until the next full garbage collection.
+        me = weakref.proxy(self)
+        self._levels = _OnDemand(partial(ModuleRealization._build_level, me))
+        # polynomial -> its multiplier blocks by source level
+        self._mult = _OnDemand(lambda p: _OnDemand(partial(_mult_block, me, p)))
 
     @property
     def is_full(self) -> bool:
@@ -164,9 +187,9 @@ class ModuleRealization:
     # -- level geometry -------------------------------------------------
 
     def _check_level(self, k: int) -> None:
-        if k > self.max_level:
+        if k < 0 or k > self.max_level:
             raise WindowError(
-                f"level {k} beyond realization window (max_level={self.max_level})"
+                f"level {k} outside realization window [0, {self.max_level}]"
             )
 
     def level(self, k: int) -> _Level:
@@ -215,8 +238,9 @@ class GradedOperator:
     ``blocks[k]`` maps level-k complement coordinates to level-(k + shift)
     coordinates, for 0 <= k <= k_valid: one sparse row per target coordinate,
     its shape given by :meth:`block_shape`.  Blocks whose target level is
-    negative have no rows (the operator kills those levels).  Blocks may be
-    shared with other operators and must not be mutated.
+    negative have no rows (the operator kills those levels).  ``blocks`` may
+    be a plain dict or a cache that builds each block on first read.  Blocks
+    may be shared with other operators and must not be mutated.
     """
 
     def __init__(
@@ -280,42 +304,37 @@ def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.
 
 
 def identity_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
-    blocks = {
-        k: [{i: G_ONE} for i in range(realization.comp_dim(k))] for k in range(K + 1)
-    }
-    return GradedOperator(realization, 0, blocks, K)
+    def block(k: int) -> list[ela.Row]:
+        return [{i: G_ONE} for i in range(realization.comp_dim(k))]
+
+    return GradedOperator(realization, 0, _OnDemand(block), K)
 
 
-def _build_mult(
-    realization: ModuleRealization, p: GradedPolynomial
-) -> dict[int, list[ela.Row]]:
-    """Every block of the compressed M_p that the realization holds: sources
-    0..max_level - deg p."""
+def _mult_block(
+    realization: ModuleRealization, p: GradedPolynomial, k: int
+) -> list[ela.Row]:
+    """Block k of the compressed M_p: source level k, target k + deg p."""
     d = p.degree
     terms = list(p.terms())
-    blocks: dict[int, list[ela.Row]] = {}
-    for k in range(realization.max_level - d + 1):
-        src = realization.level(k)
-        tgt = realization.level(k + d)
-        if realization.is_full:
-            block: list[ela.Row] = [{} for _ in tgt.monomials]
-            for col, alpha in enumerate(src.monomials):
-                for beta, c in terms:
-                    block[tgt.col_of[add_index(alpha, beta)]][col] = c
-            blocks[k] = block
-            continue
-        block = [{} for _ in tgt.comp_rows]
-        for ci, w in enumerate(src.comp_rows):
-            image: ela.Row = {}
-            for g, x in w.items():
-                mono = src.monomials[g]
-                for beta, c in terms:
-                    j = tgt.col_of[add_index(mono, beta)]
-                    image[j] = image.get(j, G_ZERO) + x * c
-            for ri, v in realization.project_to_complement(k + d, image).items():
-                block[ri][ci] = v
-        blocks[k] = block
-    return blocks
+    src = realization.level(k)
+    tgt = realization.level(k + d)
+    if realization.is_full:
+        block: list[ela.Row] = [{} for _ in tgt.monomials]
+        for col, alpha in enumerate(src.monomials):
+            for beta, c in terms:
+                block[tgt.col_of[add_index(alpha, beta)]][col] = c
+        return block
+    block = [{} for _ in tgt.comp_rows]
+    for ci, w in enumerate(src.comp_rows):
+        image: ela.Row = {}
+        for g, x in w.items():
+            mono = src.monomials[g]
+            for beta, c in terms:
+                j = tgt.col_of[add_index(mono, beta)]
+                image[j] = image.get(j, G_ZERO) + x * c
+        for ri, v in realization.project_to_complement(k + d, image).items():
+            block[ri][ci] = v
+    return block
 
 
 def mult_blocks(
@@ -325,9 +344,9 @@ def mult_blocks(
 
     On the full space these are the exact monomial-coordinate matrices of
     multiplication by p; on a quotient each column is the exact orthogonal
-    projection of p * (complement basis vector) onto S_{k+d}^perp.  The
-    blocks are built once per realization and polynomial, to the last level
-    the realization allows, and shared by every operator returned here.
+    projection of p * (complement basis vector) onto S_{k+d}^perp.  Each
+    block is built the first time any operator returned here reads it, once
+    per realization and polynomial, and shared by all of them.
     """
     if p.is_zero or not p.is_homogeneous:
         raise ModeError(f"multiplier must be nonzero homogeneous, got {p}")
@@ -339,42 +358,34 @@ def mult_blocks(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
             f"have {realization.max_level}"
         )
-    blocks = realization._mult.get(p)
-    if blocks is None:
-        blocks = realization._mult[p] = _build_mult(realization, p)
-    return GradedOperator(realization, d, blocks, K)
-
-
-def adjoint_block(op: GradedOperator, j: int) -> list[ela.Row]:
-    """Block j of :func:`adjoint_blocks` alone: source level j, target j - shift.
-
-    With diagonal Grams this is one pass over the stored entries: entry
-    (c, r) is conj(B[r][c]) * g_{j}[r] / g_{j - d}[c] for the block B of op at
-    source level j - d.  A source below the degree shift d maps into a
-    negative level and gets a zero-row block.
-    """
-    r = op.realization
-    k = j - op.shift
-    if k < 0:
-        return _zero_block(r, -op.shift, j)
-    g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
-    adj: list[ela.Row] = [{} for _ in g_src]
-    for ri, row in enumerate(op.block(k)):
-        for c, x in row.items():
-            adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
-    return adj
+    return GradedOperator(realization, d, realization._mult[p], K)
 
 
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     """The adjoint in the weighted inner product: G_k^{-1} B_k^dagger G_{k+d}.
 
-    One :func:`adjoint_block` per level; the adjoint's window extends to
-    k_valid + shift.
+    With diagonal Grams each block is one pass over the stored entries: entry
+    (c, r) of block j is conj(B[r][c]) * g_j[r] / g_{j-d}[c] for the block B
+    of op at source level j - d.  A source below the degree shift d maps into
+    a negative level and gets a zero-row block.  The adjoint's window extends
+    to k_valid + shift.
     """
     r = op.realization
-    k_valid = min(op.k_valid + op.shift, r.max_level)
-    blocks = {j: adjoint_block(op, j) for j in range(k_valid + 1)}
-    return GradedOperator(r, -op.shift, blocks, k_valid)
+    d = op.shift
+
+    def block(j: int) -> list[ela.Row]:
+        k = j - d
+        if k < 0:
+            return _zero_block(r, -d, j)
+        g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
+        adj: list[ela.Row] = [{} for _ in g_src]
+        for ri, row in enumerate(op.block(k)):
+            for c, x in row.items():
+                adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
+        return adj
+
+    k_valid = min(op.k_valid + d, r.max_level)
+    return GradedOperator(r, -d, _OnDemand(block), k_valid)
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -382,22 +393,25 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     assert a.realization is b.realization
     r = a.realization
     shift = a.shift + b.shift
-    k_valid = min(b.k_valid, a.k_valid - b.shift)
-    blocks: dict[int, list[ela.Row]] = {}
-    for j in range(k_valid + 1):
+
+    def block(j: int) -> list[ela.Row]:
         mid = j + b.shift
         if mid < 0:
-            blocks[j] = _zero_block(r, shift, j)
-            continue
-        blocks[j] = ela.mat_mul(a.block(mid), b.block(j))
-    return GradedOperator(r, shift, blocks, k_valid)
+            return _zero_block(r, shift, j)
+        return ela.mat_mul(a.block(mid), b.block(j))
+
+    k_valid = min(b.k_valid, a.k_valid - b.shift)
+    return GradedOperator(r, shift, _OnDemand(block), k_valid)
 
 
 def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     assert a.realization is b.realization and a.shift == b.shift
+
+    def block(k: int) -> list[ela.Row]:
+        return ela.mat_sub(a.block(k), b.block(k))
+
     k_valid = min(a.k_valid, b.k_valid)
-    blocks = {k: ela.mat_sub(a.block(k), b.block(k)) for k in range(k_valid + 1)}
-    return GradedOperator(a.realization, a.shift, blocks, k_valid)
+    return GradedOperator(a.realization, a.shift, _OnDemand(block), k_valid)
 
 
 def commutator_blocks(
@@ -427,43 +441,33 @@ def commutator_blocks(
     mg = mult_blocks(realization, g, realization.max_level - dg)
     mg_adj = adjoint_blocks(mg)
     comm = op_sub(compose(mg_adj, mf), compose(mf, mg_adj))
-    k_valid = min(comm.k_valid, K - mx)
-    blocks = {k: comm.block(k) for k in range(max(k_valid, -1) + 1)}
-    return GradedOperator(realization, df - dg, blocks, k_valid)
+    comm.k_valid = min(comm.k_valid, K - mx)
+    return comm
+
+
+def _sum_of_squares_defect(
+    realization: ModuleRealization, K: int, product
+) -> GradedOperator:
+    """I - sum_i product(M_{z_i}, M_{z_i}^*), one exact square block per level <= K.
+
+    Needs realization levels to K + 1, which :func:`mult_blocks` checks.
+    """
+    m = realization.space.m
+    acc = identity_blocks(realization, K)
+    for i in range(m):
+        mi = mult_blocks(realization, GradedPolynomial.variable(m, i), K)
+        acc = op_sub(acc, product(mi, adjoint_blocks(mi)))
+    return acc
 
 
 def defect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     """I - sum_i M_{z_i}* M_{z_i}, one exact square block per level <= K."""
-    if K + 1 > realization.max_level:
-        raise WindowError(
-            f"defect to K={K} needs realization levels to {K + 1}, "
-            f"have {realization.max_level}"
-        )
-    m = realization.space.m
-    acc = identity_blocks(realization, K)
-    for i in range(m):
-        zi = GradedPolynomial.variable(m, i)
-        mi = mult_blocks(realization, zi, K)
-        acc = op_sub(acc, compose(adjoint_blocks(mi), mi))
-    return acc
+    return _sum_of_squares_defect(realization, K, lambda mi, mi_adj: compose(mi_adj, mi))
 
 
 def codefect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis."""
-    if K + 1 > realization.max_level:
-        raise WindowError(
-            f"codefect to K={K} needs realization levels to {K + 1}, "
-            f"have {realization.max_level}"
-        )
-    m = realization.space.m
-    acc = identity_blocks(realization, K)
-    for i in range(m):
-        zi = GradedPolynomial.variable(m, i)
-        mi = mult_blocks(realization, zi, K)
-        term = compose(mi, adjoint_blocks(mi))
-        blocks = {k: term.block(k) for k in range(K + 1)}
-        acc = op_sub(acc, GradedOperator(realization, 0, blocks, K))
-    return acc
+    return _sum_of_squares_defect(realization, K, compose)
 
 
 def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela.Row]:

@@ -284,9 +284,16 @@ def _raise_linalg_error(args):
         (("ideal", "decompose", "--m", "2", "--ideal", "z1", "--weight", "1,x"), None),
         (("space", "describe", "--space", "table", "--param", "table={tmp}/missing.json"), None),
         (("diag", "trace", "--space", "hardy-ball", "--max-level", "2"), _raise_linalg_error),
+        (("diag", "normality", "--space", "hardy-ball", "--m", "2", "--max-level", "-1"), None),
+        (("diag", "section5", "--space", "hardy-ball", "--m", "2", "--ideal", "z1+z2",
+          "--max-level", "-1"), None),
+        (("preg", "check", "--poly", "z1+z2", "--m", "2", "--max-wlevel", "-1"), None),
+        (("diag", "koszul", "--max-level", "-1"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
-         "weight-not-an-integer", "missing-weight-table", "linalg-error"],
+         "weight-not-an-integer", "missing-weight-table", "linalg-error",
+         "negative-level-normality", "negative-level-section5",
+         "negative-wlevel-preg-check", "negative-level-koszul"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:

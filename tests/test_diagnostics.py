@@ -27,6 +27,7 @@ from wshm.errors import ScenarioError, StructuralError, WshmError
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
     GradedOperator,
+    ModuleRealization,
     adjoint_blocks,
     codefect_blocks,
     compose,
@@ -340,6 +341,34 @@ def test_normality_quotient_scenario():
     statuses = {v.name: v.status for v in rep.verdicts}
     assert statuses["cross-commutators"] == "trend-consistent"
     assert statuses["spherical-defect"] == "trend-consistent"
+
+
+def test_normality_report_forms_only_reported_levels(monkeypatch):
+    # each cross commutator needs K + 1 products M_j^* M_i and K products
+    # M_i M_j^* (zero at level 0); the spherical defect is an exact diagonal
+    calls = []
+    mat_mul = ela.mat_mul
+    monkeypatch.setattr(ela, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    m, K = 3, 3
+    normality_report(full_realization(builtin_space("hardy-ball", m), K + 2), K, [2.0])
+    assert len(calls) <= m * m * (2 * K + 1)
+
+
+def test_normality_report_projects_each_reported_multiplier_column_once(monkeypatch):
+    # one projection per column of M_i at source levels k <= K
+    calls = []
+    project = ModuleRealization.project_to_complement
+
+    def counted(self, k, coords):
+        calls.append(k)
+        return project(self, k, coords)
+
+    monkeypatch.setattr(ModuleRealization, "project_to_complement", counted)
+    m, K = 3, 2
+    ideal = GradedIdeal(m, [z(0, m) + z(1, m) + z(2, m)])
+    r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
+    normality_report(r, K, [2.0])
+    assert len(calls) <= m * sum(r.comp_dim(k) for k in range(K + 1))
 
 
 def test_full_defect_eigenvalues():
