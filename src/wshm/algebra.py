@@ -1,8 +1,9 @@
 """Exact scalars, multi-index combinatorics, and graded polynomials.
 
-Scalars are Gaussian rationals: complex numbers whose real and imaginary
-parts are `fractions.Fraction` values.  All arithmetic is exact; there is no
-rounding anywhere in this module.
+Scalars are Gaussian rationals (a + b i) / d held as three Python ints in
+lowest terms, so +, -, * and / are int arithmetic with one gcd and create no
+`fractions.Fraction`; ``re``, ``im`` and ``abs2`` are Fraction-valued.  All
+arithmetic is exact; there is no rounding anywhere in this module.
 
 Monomials are exponent tuples ``alpha = (a_1, ..., a_m)`` and polynomials are
 sparse maps from exponent tuple to coefficient (zero coefficients are never
@@ -14,7 +15,6 @@ everywhere so that matrices, bases and reports are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -26,118 +26,134 @@ WeightVector = tuple[int, ...]
 ScalarLike = Union["GaussianRational", Fraction, int]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class GaussianRational:
     """A complex number with rational real and imaginary parts.
 
-    Closed under +, -, *, and / by a nonzero element.  Equality and hashing
-    are exact and agree with Fraction/int on real values, so these can key
-    dictionaries and be compared for bit-for-bit identity in tests.
+    Stored as three ints (a, b, d) meaning (a + b i) / d, with d > 0 and
+    gcd(a, b, d) = 1, and never mutated.  Closed under +, -, *, and / by a
+    nonzero element.  Equality and hashing are exact and agree with
+    Fraction/int on real values, so these can key dictionaries and be
+    compared for bit-for-bit identity in tests.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
+        re, im = Fraction(re), Fraction(im)
+        d = self._d = math.lcm(re.denominator, im.denominator)
+        self._a, self._b = re.numerator * d // re.denominator, im.numerator * d // im.denominator
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     @staticmethod
     def of(value: ScalarLike) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value))
+        return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    # Arithmetic with a real operand (im == 0, int or Fraction) costs what a
-    # real product costs: two Fraction operations.  Any other operand goes
-    # through Fraction(...), so re and im always stay Fraction.
+        return bool(self._a or self._b)
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        return GaussianRational(self.re + Fraction(other), self.im)
+        c, e, f = _parts(other)
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        return GaussianRational(self.re - Fraction(other), self.im)
+        return self + -other
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational(Fraction(other) - self.re, -self.im)
+        return -self + other
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            if other.im:
-                if not self.im:
-                    r = self.re
-                    return GaussianRational(r * other.re, r * other.im)
-                return GaussianRational(
-                    self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re,
-                )
-            r = other.re
-        else:
-            r = Fraction(other)
-        return GaussianRational(self.re * r, self.im * r)
+        c, e, f = _parts(other)
+        a, b = self._a, self._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            if other.im:
-                n2 = other.abs2()
-                if not self.im:
-                    r = self.re
-                    return GaussianRational(r * other.re / n2, -(r * other.im) / n2)
-                return GaussianRational(
-                    (self.re * other.re + self.im * other.im) / n2,
-                    (self.im * other.re - self.re * other.im) / n2,
-                )
-            r = other.re
-        else:
-            r = Fraction(other)
-        if not r:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / r, self.im / r)
+        c, e, f = _parts(other)
+        a, b = self._a * f, self._b * f
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _reduced(a, b, self._d * c)
+        return _reduced(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational(Fraction(other)) / self
+        return _make(*_parts(other)) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, the same double as float(Fraction)
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self._b:
             return str(self.re)
         im = f"{abs(self.im)}i" if abs(self.im) != 1 else "i"
-        sign = "-" if self.im < 0 else "+"
-        if not self.re:
+        sign = "-" if self._b < 0 else "+"
+        if not self._a:
             return im if sign == "+" else f"-{im}"
         return f"{self.re}{sign}{im}"
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for a triple already in lowest terms with d > 0."""
+    x = object.__new__(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0, reduced to lowest terms."""
+    g = math.gcd(a, b, d)
+    return _make(a, b, d) if g == 1 else _make(a // g, b // g, d // g)
+
+
+def _parts(x: ScalarLike) -> tuple[int, int, int]:
+    """(a, b, d) of an operand; a real one (int, Fraction, float) has b = 0."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, 0, x.denominator
 
 
 G_ZERO = GaussianRational()

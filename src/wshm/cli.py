@@ -192,9 +192,9 @@ def _schatten_from_args(args) -> list[float]:
 
 
 def _check_levels(args) -> None:
-    """Levels count degrees from 0: a negative bound would leave every table
+    """Levels and degrees count from 0: a negative bound would leave every table
     empty and every exact check vacuously passing."""
-    for name in ("max_level", "max_wlevel"):
+    for name in ("max_level", "max_wlevel", "preview_degree"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise WshmError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
@@ -338,6 +338,8 @@ def _run_diag(args) -> DiagnosticsReport:
         ideal = _ideal_from_args(args)
         if ideal is None:
             raise WshmError("diag qweights requires --ideal")
+        if not 1 <= args.var <= space.m:
+            raise WshmError(f"--var must be in 1..{space.m}, got {args.var}")
         return qweights_report(space, ideal, args.max_level, var=args.var - 1)
     raise WshmError(f"unknown diag subcommand {args.sub!r}")
 

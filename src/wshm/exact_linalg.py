@@ -13,7 +13,8 @@ reduction, products and adjoints only ever touch stored entries.
 :func:`solve` are references that the package no longer calls: tests check
 complement bases and projections against them.
 
-Everything here is exact field arithmetic: no tolerances and no floats.
+Everything here is exact field arithmetic: no tolerances and no floats.  An
+entry is (a + b i) / d over Python ints, so row operations create no Fraction.
 Rank and dimension counts feed every downstream claim, so this module never
 rounds.  Float conversion for the numeric tier happens in one place,
 :func:`to_complex_array`.

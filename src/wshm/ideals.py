@@ -76,9 +76,6 @@ class GradedIdeal:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
-    def min_generator_degree(self) -> int | None:
-        return min(self._gen_degrees, default=None)
-
     def max_generator_degree(self) -> int | None:
         return max(self._gen_degrees, default=None)
 
@@ -178,14 +175,6 @@ class HilbertData:
         if self.stabilized and self.degree == 0:
             return int(self.coefficients[0])
         return None
-
-    def evaluate_fit(self, k: int) -> Fraction | None:
-        if self.coefficients is None:
-            return None
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
 
     def to_json_dict(self) -> dict:
         return {

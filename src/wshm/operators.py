@@ -37,7 +37,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -107,9 +107,13 @@ class _Level:
     omega: list[Fraction]  # weight of each monomial coordinate
     comp_rows: list[ela.Row]  # orthogonal complement basis over monomial coords
     gram_diag: list[Fraction]  # <w_r, w_r>; <w_r, w_s> = 0 for r != s
-    onb_scale: np.ndarray  # float sqrt(gram_diag): orthonormal coordinates
     ideal_pivots: list[int]
     ideal_rows: list[ela.Row]
+
+    @cached_property
+    def onb_scale(self) -> np.ndarray:
+        """float sqrt(gram_diag), built on first read: exact-only reports never round it."""
+        return np.array([float(g) ** 0.5 for g in self.gram_diag])
 
 
 class ModuleRealization:
@@ -122,8 +126,8 @@ class ModuleRealization:
     u in S_k}: a kernel read off that reduced echelon form in closed form (no
     second elimination), orthogonalised by unnormalised Gram-Schmidt so that
     its Gram matrix is diagonal too.  Each level up to ``max_level`` is built
-    the first time it is read, and so is each multiplier block of
-    :func:`mult_blocks`; both are memoised here, so a realization is not safe
+    the first time it is read, and so is each block of :func:`mult_blocks`
+    and of its adjoint; all are memoised here, so a realization is not safe
     to share between threads without a lock, and no caller may mutate a
     block it reads.
     """
@@ -148,8 +152,11 @@ class ModuleRealization:
         # keep every level alive until the next full garbage collection.
         me = weakref.proxy(self)
         self._levels = _OnDemand(partial(ModuleRealization._build_level, me))
-        # polynomial -> its multiplier blocks by source level
+        # polynomial -> blocks by source level of its multiplier and of that adjoint
         self._mult = _OnDemand(lambda p: _OnDemand(partial(_mult_block, me, p)))
+        self._adj = _OnDemand(
+            lambda p: _OnDemand(partial(_adjoint_block, me, me._mult[p], p.degree))
+        )
 
     @property
     def is_full(self) -> bool:
@@ -181,8 +188,7 @@ class ModuleRealization:
                                 w.pop(col, None)
                 comp.append(w)
                 gram_diag.append(sum((x.abs2() * omega[c] for c, x in w.items()), Fraction(0)))
-        onb_scale = np.array([float(g) ** 0.5 for g in gram_diag])
-        return _Level(monomials, col_of, omega, comp, gram_diag, onb_scale, pivots, red)
+        return _Level(monomials, col_of, omega, comp, gram_diag, pivots, red)
 
     # -- level geometry -------------------------------------------------
 
@@ -240,7 +246,8 @@ class GradedOperator:
     its shape given by :meth:`block_shape`.  Blocks whose target level is
     negative have no rows (the operator kills those levels).  ``blocks`` may
     be a plain dict or a cache that builds each block on first read.  Blocks
-    may be shared with other operators and must not be mutated.
+    may be shared with other operators and must not be mutated; ``adjoint``
+    optionally holds the adjoint's blocks, shared the same way.
     """
 
     def __init__(
@@ -249,11 +256,13 @@ class GradedOperator:
         shift: int,
         blocks: dict[int, list[ela.Row]],
         k_valid: int,
+        adjoint: dict[int, list[ela.Row]] | None = None,
     ):
         self.realization = realization
         self.shift = shift
         self.k_valid = k_valid
         self._blocks = blocks
+        self._adjoint = adjoint
 
     def block(self, k: int) -> list[ela.Row]:
         if k < 0 or k > self.k_valid:
@@ -358,7 +367,7 @@ def mult_blocks(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
             f"have {realization.max_level}"
         )
-    return GradedOperator(realization, d, realization._mult[p], K)
+    return GradedOperator(realization, d, realization._mult[p], K, realization._adj[p])
 
 
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
@@ -368,24 +377,26 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     (c, r) of block j is conj(B[r][c]) * g_j[r] / g_{j-d}[c] for the block B
     of op at source level j - d.  A source below the degree shift d maps into
     a negative level and gets a zero-row block.  The adjoint's window extends
-    to k_valid + shift.
+    to k_valid + shift; a multiplier's adjoint is built once per realization.
     """
-    r = op.realization
-    d = op.shift
+    r, d = op.realization, op.shift
+    blocks = op._adjoint
+    if blocks is None:
+        blocks = _OnDemand(partial(_adjoint_block, r, op._blocks, d))
+    return GradedOperator(r, -d, blocks, min(op.k_valid + d, r.max_level))
 
-    def block(j: int) -> list[ela.Row]:
-        k = j - d
-        if k < 0:
-            return _zero_block(r, -d, j)
-        g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
-        adj: list[ela.Row] = [{} for _ in g_src]
-        for ri, row in enumerate(op.block(k)):
-            for c, x in row.items():
-                adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
-        return adj
 
-    k_valid = min(op.k_valid + d, r.max_level)
-    return GradedOperator(r, -d, _OnDemand(block), k_valid)
+def _adjoint_block(r: ModuleRealization, blocks: dict, d: int, j: int) -> list[ela.Row]:
+    """Block j of the adjoint of a degree-d operator; its window bounds j - d."""
+    k = j - d
+    if k < 0:
+        return _zero_block(r, -d, j)
+    g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
+    adj: list[ela.Row] = [{} for _ in g_src]
+    for ri, row in enumerate(blocks[k]):
+        for c, x in row.items():
+            adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
+    return adj
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:

@@ -262,6 +262,17 @@ def test_qweights_short_window_is_inconclusive(capsys):
     assert json.loads(out)["verdicts"][0]["status"] == "inconclusive"
 
 
+def test_qweights_with_huge_gram_entries_exits_0(capsys):
+    # gram_diag outgrows a double by level 60; qweights reads only exact ratios
+    code, out, err = run(
+        capsys,
+        "diag", "qweights",
+        "--space", "hardy-ball", "--m", "2", "--ideal", "z1+1000000*z2", "--max-level", "60",
+    )
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["verdicts"]
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, _, err = run(
@@ -289,11 +300,17 @@ def _raise_linalg_error(args):
           "--max-level", "-1"), None),
         (("preg", "check", "--poly", "z1+z2", "--m", "2", "--max-wlevel", "-1"), None),
         (("diag", "koszul", "--max-level", "-1"), None),
+        (("space", "describe", "--space", "da", "--m", "2", "--preview-degree", "-1"), None),
+        (("diag", "qweights", "--space", "hardy-ball", "--m", "2", "--ideal", "z1+z2",
+          "--max-level", "3", "--var", "0"), None),
+        (("diag", "qweights", "--space", "hardy-ball", "--m", "2", "--ideal", "z1+z2",
+          "--max-level", "3", "--var", "3"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
          "negative-level-normality", "negative-level-section5",
-         "negative-wlevel-preg-check", "negative-level-koszul"],
+         "negative-wlevel-preg-check", "negative-level-koszul",
+         "negative-preview-degree", "var-zero", "var-above-m"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:

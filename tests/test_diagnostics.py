@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wshm.exact_linalg as ela
+import wshm.operators as operators
 from wshm.algebra import GradedPolynomial
 from wshm.diagnostics import (
     DiagnosticsReport,
@@ -352,6 +353,22 @@ def test_normality_report_forms_only_reported_levels(monkeypatch):
     m, K = 3, 3
     normality_report(full_realization(builtin_space("hardy-ball", m), K + 2), K, [2.0])
     assert len(calls) <= m * m * (2 * K + 1)
+
+
+def test_each_multiplier_adjoint_block_is_built_once(monkeypatch):
+    # M_j^* is memoised on the realization like M_j, so the m^2 commutators of
+    # a normality report, and section5's levels, share one build per block
+    calls = []
+    build = operators._adjoint_block
+    monkeypatch.setattr(
+        operators, "_adjoint_block", lambda *args: calls.append(args[-1]) or build(*args)
+    )
+    m, K = 3, 3
+    normality_report(full_realization(builtin_space("hardy-ball", m), K + 2), K, [2.0])
+    assert len(calls) <= m * (K + 1)
+    calls.clear()
+    section5_report(builtin_space("hardy-ball", 2), GradedIdeal(2, [z(0) + z(1)]), K)
+    assert len(calls) <= 2 * (K + 2)
 
 
 def test_normality_report_projects_each_reported_multiplier_column_once(monkeypatch):

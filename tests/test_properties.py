@@ -3,6 +3,7 @@ weighted adjoint pairing of compressed multipliers, closed-form complement
 bases, kernel bases, elimination against a sympy oracle, and the polynomial
 text round trip."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,75 @@ def test_gaussian_division_by_zero_raises(x, zero):
             Fraction(3) / zero
         with pytest.raises(ZeroDivisionError):
             3 / zero
+
+
+def canonical(x):
+    return x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+
+
+operations = {
+    "neg": lambda x, y: -x,
+    "conjugate": lambda x, y: x.conjugate(),
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    "r+": lambda x, y: y + x,
+    "r-": lambda x, y: y - x,
+    "r*": lambda x, y: y * x,
+    "r/": lambda x, y: y / x,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=gaussian_kinds, other=operands, op=st.sampled_from(sorted(operations)))
+def test_gaussian_results_are_in_lowest_terms(g, other, op):
+    # (a + b i) / d with d > 0 and gcd(a, b, d) = 1 after every operation,
+    # and a real result equals the Fraction it stands for
+    try:
+        got = operations[op](g, other)
+    except ZeroDivisionError:
+        return
+    assert canonical(got) and got == GaussianRational(got.re, got.im)
+    if not got.im:
+        assert got == got.re and got.re == got and hash(got) == hash(got.re)
+
+
+reals = st.integers(-(2**70), 2**70) | st.fractions(max_denominator=2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=reals, im=small_fractions)
+def test_gaussian_equality_and_hash_agree_with_int_and_fraction(q, im):
+    g = GaussianRational(q)
+    assert canonical(g)
+    assert g == q and q == g and hash(g) == hash(q) and hash(g) == hash(Fraction(q))
+    assert g == GaussianRational(Fraction(q), Fraction(0))
+    assert g + 1 != q and q + 1 != g
+    if im:
+        h = GaussianRational(q, im)
+        assert h != q and q != h and h != GaussianRational(q)
+
+
+huge = st.integers(-(2**1100), 2**1100)
+huge_denominators = st.integers(1, 2**1100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=huge, b=huge, d=huge_denominators, e=huge_denominators)
+def test_gaussian_complex_is_the_correctly_rounded_pair(a, b, d, e):
+    # complex(x) rounds each part once, exactly as float(Fraction) does, also
+    # for numerators and denominators far beyond the range of a double
+    x = GaussianRational(Fraction(a, d), Fraction(b, e))
+    assert canonical(x)
+    try:
+        expected = complex(float(x.re), float(x.im))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            complex(x)
+        return
+    got = complex(x)
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def homogeneous(data, m, d):
