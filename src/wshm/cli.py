@@ -143,7 +143,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _space_from_args(args) -> object:
     params = _parse_params(getattr(args, "param", []) or [])
-    if params.get("table"):
+    if "table" in params:
         path = params["table"]
         try:
             table_raw = json.loads(Path(path).read_text())

@@ -33,7 +33,7 @@ from .algebra import (
     unit_index,
 )
 from .errors import ScenarioError, StructuralError, WindowError, WshmError
-from .ideals import GradedIdeal, hilbert_samuel_fit
+from .ideals import FIT_WINDOW, GradedIdeal, hilbert_samuel_fit
 from .operators import (
     ModuleRealization,
     adjoint_blocks,
@@ -383,14 +383,21 @@ def trace_report(space: WeightedShiftSpace, K: int) -> DiagnosticsReport:
 # summability
 # ---------------------------------------------------------------------------
 
+# the last doubling increment above which a series reads divergent, and the
+# extrapolated tail below which it reads convergent
+SUMMABILITY_FLOOR = 0.05
+SUMMABILITY_TAIL = 0.05
+
+
 @dataclass
 class SummabilityRecord:
     """Doubling-window growth test over a per-level Schatten series.
 
     Checkpoints are N/16, N/8, N/4, N/2, N.  The verdict is divergent-trend
-    when the last doubling increment exceeds ``floor``; otherwise a geometric
-    tail extrapolation from the increment ratio decides convergent-trend
-    against ``tail_threshold``.  Fewer than four doublings is inconclusive.
+    when the last doubling increment exceeds ``SUMMABILITY_FLOOR``; otherwise a
+    geometric tail extrapolation from the increment ratio decides
+    convergent-trend against ``SUMMABILITY_TAIL``.  Fewer than four doublings
+    is inconclusive.
     ``agrees_with_threshold`` compares the observed trend with the
     claimed dichotomy at p = m (convergent above, divergent at or below).
     """
@@ -401,8 +408,6 @@ class SummabilityRecord:
     checkpoints: list[int]
     increments: list[float]
     tail_estimate: float | None
-    floor: float
-    tail_threshold: float
     exponent_above_m: bool
 
     @property
@@ -430,33 +435,21 @@ class SummabilityRecord:
         return "trend-consistent" if agreement else "trend-inconsistent"
 
 
-def summability_verdict(
-    series: list[float],
-    p: float,
-    m: int,
-    floor: float = 0.05,
-    tail_threshold: float = 0.05,
-) -> SummabilityRecord:
+def summability_verdict(series: list[float], p: float, m: int) -> SummabilityRecord:
     above = p > m
     if series and all(t == 0.0 for t in series):
-        return SummabilityRecord(
-            p, m, "convergent-trend", [], [], 0.0, floor, tail_threshold, above
-        )
+        return SummabilityRecord(p, m, "convergent-trend", [], [], 0.0, above)
     n = len(series) - 1
     if n < 16:
-        return SummabilityRecord(
-            p, m, "inconclusive", [], [], None, floor, tail_threshold, above
-        )
+        return SummabilityRecord(p, m, "inconclusive", [], [], None, above)
     checkpoints = [n // 16, n // 8, n // 4, n // 2, n]
     prefix = np.cumsum(series)
     increments = [
         float(prefix[b] - prefix[a]) for a, b in zip(checkpoints, checkpoints[1:])
     ]
     last, prev = increments[-1], increments[-2]
-    if last > floor:
-        return SummabilityRecord(
-            p, m, "divergent-trend", checkpoints, increments, None, floor, tail_threshold, above
-        )
+    if last > SUMMABILITY_FLOOR:
+        return SummabilityRecord(p, m, "divergent-trend", checkpoints, increments, None, above)
     if last == 0.0:
         tail = 0.0
     elif prev <= last:
@@ -464,10 +457,8 @@ def summability_verdict(
     else:
         r = last / prev
         tail = last * r / (1.0 - r)
-    status = "convergent-trend" if tail < tail_threshold else "inconclusive"
-    return SummabilityRecord(
-        p, m, status, checkpoints, increments, tail, floor, tail_threshold, above
-    )
+    status = "convergent-trend" if tail < SUMMABILITY_TAIL else "inconclusive"
+    return SummabilityRecord(p, m, status, checkpoints, increments, tail, above)
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +594,18 @@ class Section5Record:
     holds: bool
 
 
+# float-tier slack of the section5 trace inequality, reported in its params
+SECTION5_SLACK = 1e-8
+
+
 def section5_check(
-    realization: ModuleRealization,
-    k: int,
-    bounded_dim: int,
-    slack: float = 1e-8,
+    realization: ModuleRealization, k: int, bounded_dim: int
 ) -> Section5Record:
     """Check Tr(sum P_{i,k}) <= M0 (2||X_k|| + sum ||N_{i,k}||) at level k.
 
     X_k is the level-k block of I - sum_i M_i M_i^*; each self commutator
     [M_i, M_i^*] (in that order) splits spectrally as P - N.  Exact blocks
-    enter; the split and the norms are float tier with the stated slack.  Only
+    enter; the split and the norms are float tier with ``SECTION5_SLACK``.  Only
     level-k blocks are read, and M_i M_i^* serves both X_k and the commutator,
     so a report over k <= K does two block products per variable and level.
     """
@@ -636,7 +628,7 @@ def section5_check(
         n_norms.append(float(np.linalg.norm(n_part, 2)) if n_part.size else 0.0)
     x_norm = x.norm(k)
     rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
-    return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + slack)
+    return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)
 
 
 def section5_report(
@@ -650,9 +642,8 @@ def section5_report(
     positive degree is a scenario error (the inequality needs dim S_k^perp
     eventually constant).
     """
-    window = 5
-    maxdeg = ideal.max_generator_degree() or 0
-    fit = hilbert_samuel_fit(ideal, max(2 * window + maxdeg, K + 1), window)
+    min_level = 2 * FIT_WINDOW + (ideal.max_generator_degree() or 0)
+    fit = hilbert_samuel_fit(ideal, max(min_level, K + 1))
     m0 = fit.bounded_dimension
     if m0 is None:
         raise ScenarioError(
@@ -667,7 +658,7 @@ def section5_report(
         "ideal": [str(g) for g in ideal.generators],
         "max_level": K,
         "M0": m0,
-        "slack": 1e-8,
+        "slack": SECTION5_SLACK,
     }
     report = DiagnosticsReport("section5", params)
     report.tables.append(
@@ -726,35 +717,27 @@ class _KoszulModule:
         pset = set(pivots)
         return [j for j in range(len(monomials)) if j not in pset]
 
-    def mult_rows(self, i: int, d: int) -> list[dict[int, object]]:
+    def mult_rows(self, i: int, d: int) -> list[ela.Row]:
         """Row r -> sparse image coordinates of z_i * (basis vector r of
-        degree d) in the degree d+1 basis."""
-        m = self.m
-        if self.kind == "ideal":
-            pivots_s, red_s, monos_s = self.ideal.level_data(d)
-            pivots_t, red_t, monos_t = self.ideal.level_data(d + 1)
-            tgt_col = {a: j for j, a in enumerate(monos_t)}
-            ei = unit_index(m, i)
-            rows = []
-            for row in red_s:
-                shifted = {tgt_col[add_index(monos_s[c], ei)]: v for c, v in row.items()}
-                coeffs, residual = ela.reduce_against(shifted, pivots_t, red_t)
-                assert not residual, "ideal level not closed under multiplication"
-                rows.append({j: c for j, c in enumerate(coeffs) if c})
-            return rows
-        # quotient: standard monomials, reduce the shifted monomial
+        degree d) in the degree d+1 basis.  The ideal's basis is its reduced
+        echelon rows, and the image is their coefficients; the quotient's is
+        the standard monomials, and the image is the residual."""
+        _, red_s, monos_s = self.ideal.level_data(d)
         pivots_t, red_t, monos_t = self.ideal.level_data(d + 1)
         tgt_col = {a: j for j, a in enumerate(monos_t)}
-        std_s = self._standard(d)
-        std_t = self._standard(d + 1)
-        std_t_index = {col: j for j, col in enumerate(std_t)}
-        monos_s = self.ideal.level_data(d)[2]
-        ei = unit_index(m, i)
+        is_ideal = self.kind == "ideal"
+        source = red_s if is_ideal else [{c: G_ONE} for c in self._standard(d)]
+        std_t_index = {col: j for j, col in enumerate(self._standard(d + 1))}
+        ei = unit_index(self.m, i)
         rows = []
-        for col in std_s:
-            shifted = {tgt_col[add_index(monos_s[col], ei)]: G_ONE}
-            _, residual = ela.reduce_against(shifted, pivots_t, red_t)
-            rows.append({std_t_index[c]: v for c, v in residual.items()})
+        for row in source:
+            shifted = {tgt_col[add_index(monos_s[c], ei)]: v for c, v in row.items()}
+            coeffs, residual = ela.reduce_against(shifted, pivots_t, red_t)
+            if is_ideal:
+                assert not residual, "ideal level not closed under multiplication"
+                rows.append({j: c for j, c in enumerate(coeffs) if c})
+            else:
+                rows.append({std_t_index[c]: v for c, v in residual.items()})
         return rows
 
 
@@ -800,28 +783,20 @@ def koszul_euler(
 
     def differential(d: int, j: int) -> list[ela.Row]:
         """Rows = images of the basis of Lambda^j (x) Mod_{d-j}."""
-        rows: list[ela.Row] = []
         if j == 0 or mod.dim(d - j) == 0:
-            return [dict() for _ in range(chain_dim(d, j))]
+            return [{} for _ in range(chain_dim(d, j))]
         tgt_pos = {s: idx for idx, s in enumerate(subsets[j - 1])}
         dim_tgt_mod = mod.dim(d - j + 1)
         mult_cache = {i: mod.mult_rows(i, d - j) for i in range(m)}
+        rows: list[ela.Row] = []
+        # each i in S hits a different target e_{S \ i}, so no two terms share a column
         for s in subsets[j]:
             for r in range(mod.dim(d - j)):
                 row: ela.Row = {}
                 for t, i in enumerate(s):
-                    rest = tuple(x for x in s if x != i)
-                    sign = 1 if t % 2 == 0 else -1
-                    base = tgt_pos[rest] * dim_tgt_mod
+                    base = tgt_pos[tuple(x for x in s if x != i)] * dim_tgt_mod
                     for c, v in mult_cache[i][r].items():
-                        key = base + c
-                        acc = row.get(key)
-                        val = v if sign == 1 else -v
-                        val = acc + val if acc is not None else val
-                        if val:
-                            row[key] = val
-                        elif key in row:
-                            del row[key]
+                        row[base + c] = v if t % 2 == 0 else -v
                 rows.append(row)
         return rows
 
@@ -829,34 +804,12 @@ def koszul_euler(
     dd_zero = True
     chi = 0
     for d in range(d_max + 1):
-        diffs = {j: differential(d, j) for j in range(m + 2) if j <= m}
-        ranks = {
-            j: ela.rank(diffs[j], chain_dim(d, j - 1)) if j >= 1 else 0
-            for j in range(m + 1)
-        }
-        dims = []
-        for j in range(m + 1):
-            cj = chain_dim(d, j)
-            rank_out = ranks[j] if j >= 1 else 0
-            rank_in = ranks[j + 1] if j + 1 <= m else 0
-            dims.append(cj - rank_out - rank_in)
-        # d o d = 0: image of level j+1 must reduce to zero through level j
-        for j in range(2, m + 1):
-            upper = diffs[j]
-            lower = diffs[j - 1]
-            for row in upper:
-                acc: ela.Row = {}
-                for c, v in row.items():
-                    for c2, v2 in lower[c].items():
-                        s = acc.get(c2)
-                        val = v * v2
-                        val = s + val if s is not None else val
-                        if val:
-                            acc[c2] = val
-                        elif c2 in acc:
-                            del acc[c2]
-                if acc:
-                    dd_zero = False
+        diffs = [differential(d, j) for j in range(m + 1)]
+        ranks = [0] + [ela.rank(diffs[j], chain_dim(d, j - 1)) for j in range(1, m + 1)] + [0]
+        dims = [chain_dim(d, j) - ranks[j] - ranks[j + 1] for j in range(m + 1)]
+        # d o d = 0: the image of chain level j must vanish through level j - 1
+        if any(any(ela.mat_mul(diffs[j], diffs[j - 1])) for j in range(2, m + 1)):
+            dd_zero = False
         homology[d] = dims
         chi_d = sum((-1) ** j * h for j, h in enumerate(dims))
         chain_chi = sum((-1) ** j * chain_dim(d, j) for j in range(m + 1))

@@ -9,9 +9,10 @@ principal ideals and from multiplication operators are extremely sparse, and
 reduction, products and adjoints only ever touch stored entries.
 
 :func:`rref` is the one elimination the package runs for ideal levels;
-:func:`rank` stops after forward elimination.  :func:`kernel_basis` and
-:func:`solve` are references that the package no longer calls: tests check
-complement bases and projections against them.
+:func:`rank` stops after forward elimination.  Every elimination, reduction
+and orthogonalisation updates rows through :func:`sub_scaled`.
+:func:`kernel_basis` and :func:`solve` are references that the package no
+longer calls: tests check complement bases and projections against them.
 
 Everything here is exact field arithmetic: no tolerances and no floats.  An
 entry is (a + b i) / d over Python ints, so row operations create no Fraction.
@@ -35,18 +36,25 @@ Row = dict[int, GaussianRational]
 # sparse row reduction
 # ---------------------------------------------------------------------------
 
-def _leading(row: Row) -> int:
-    return min(row)
+def sub_scaled(dst: Row, c: GaussianRational, src: Row) -> None:
+    """dst -= c * src in place, dropping the entries that cancel: the one row
+    update behind every elimination, reduction and orthogonalisation."""
+    for col, v in src.items():
+        s = dst.get(col, G_ZERO) - c * v
+        if s:
+            dst[col] = s
+        else:
+            dst.pop(col, None)
 
 
 def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
     """Forward elimination: (pivot columns ascending, echelon rows), row ``i``
     leading at ``pivots[i]`` with its pivot not normalised.  Pivots are chosen
     left-to-right and ties between candidate rows are broken by input order."""
-    pending: list[Row] = [dict(r) for r in rows if r]
     by_lead: dict[int, list[Row]] = {}
-    for r in pending:
-        by_lead.setdefault(_leading(r), []).append(r)
+    for r in rows:
+        if r:
+            by_lead.setdefault(min(r), []).append(dict(r))
 
     pivots: list[int] = []
     pivot_rows: list[Row] = []
@@ -57,15 +65,9 @@ def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
         piv = bucket[0]
         pc = piv[col]
         for other in bucket[1:]:
-            factor = other[col] / pc
-            for c, v in piv.items():
-                s = other.get(c, G_ZERO) - factor * v
-                if s:
-                    other[c] = s
-                else:
-                    other.pop(c, None)
+            sub_scaled(other, other[col] / pc, piv)
             if other:
-                by_lead.setdefault(_leading(other), []).append(other)
+                by_lead.setdefault(min(other), []).append(other)
         pivots.append(col)
         pivot_rows.append(piv)
     return pivots, pivot_rows
@@ -87,17 +89,10 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
         if pc != G_ONE:
             for c in list(row):
                 row[c] = row[c] / pc
-        for j in range(i - 1, -1, -1):
-            upper = pivot_rows[j]
+        for upper in pivot_rows[:i]:
             v = upper.get(pivots[i])
-            if v is None:
-                continue
-            for c, w in row.items():
-                s = upper.get(c, G_ZERO) - v * w
-                if s:
-                    upper[c] = s
-                else:
-                    upper.pop(c, None)
+            if v is not None:
+                sub_scaled(upper, v, row)
     return pivots, pivot_rows
 
 
@@ -141,12 +136,7 @@ def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[Ga
         c = work.get(pc, G_ZERO)
         coeffs.append(c)
         if c:
-            for col, v in basis_row.items():
-                s = work.get(col, G_ZERO) - c * v
-                if s:
-                    work[col] = s
-                else:
-                    work.pop(col, None)
+            sub_scaled(work, c, basis_row)
     return coeffs, work
 
 

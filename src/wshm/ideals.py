@@ -31,6 +31,7 @@ from .algebra import (
     GradedPolynomial,
     MultiIndex,
     WeightVector,
+    add_index,
     check_weight_vector,
     enumerate_weighted_level,
     grlex_key,
@@ -99,9 +100,9 @@ class GradedIdeal:
             rem = ell - dg
             if rem < 0:
                 continue
+            terms = list(g.terms())
             for beta in enumerate_weighted_level(self.m, self.weight, rem):
-                shifted = g.times_monomial(beta)
-                rows.append({col_of[a]: c for a, c in shifted.terms()})
+                rows.append({col_of[add_index(a, beta)]: c for a, c in terms})
         pivots, red = ela.rref(rows, len(monomials))
         result = (pivots, red, monomials)
         self._level_cache[ell] = result
@@ -215,25 +216,28 @@ def _newton_fit(xs: list[int], ys: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def hilbert_samuel_fit(
-    ideal: GradedIdeal, k_max: int | None = None, window: int = 5
-) -> HilbertData:
+# levels in each half of the Hilbert-Samuel fit's double window
+FIT_WINDOW = 5
+
+
+def hilbert_samuel_fit(ideal: GradedIdeal, k_max: int | None = None) -> HilbertData:
     """Fit the eventual polynomial of k -> dim S_k^perp over levels 0..k_max.
 
-    Newton forward differences on the last window+1 values; the fit is
-    accepted only if it also reproduces the preceding window values
-    (double-window confirmation).  A failed confirmation is a reported
-    outcome (stabilized=False), not an error.  ``k_max`` defaults to the
-    smallest level the fit accepts, 2 * window + max generator degree.
+    Newton forward differences on the last window+1 values (window =
+    ``FIT_WINDOW``); the fit is accepted only if it also reproduces the
+    preceding window values (double-window confirmation).  A failed
+    confirmation is a reported outcome (stabilized=False), not an error.
+    ``k_max`` defaults to the smallest level the fit accepts, 2 * FIT_WINDOW +
+    max generator degree.
     """
     ideal._require_plain()
     maxdeg = ideal.max_generator_degree() or 0
     if k_max is None:
-        k_max = 2 * window + maxdeg
-    if k_max < 2 * window + maxdeg:
+        k_max = 2 * FIT_WINDOW + maxdeg
+    if k_max < 2 * FIT_WINDOW + maxdeg:
         raise WshmError(
             f"k_max={k_max} too small: need >= 2*window + max generator degree "
-            f"= {2 * window + maxdeg}"
+            f"= {2 * FIT_WINDOW + maxdeg}"
         )
     table = []
     perp: list[Fraction] = []
@@ -243,7 +247,7 @@ def hilbert_samuel_fit(
         table.append((k, di, dh, dh - di))
         perp.append(Fraction(dh - di))
 
-    base = k_max - window
+    base = k_max - FIT_WINDOW
     xs = list(range(base, k_max + 1))
     coeffs = _newton_fit(xs, perp[base:])
 
@@ -253,14 +257,14 @@ def hilbert_samuel_fit(
             acc = acc * k + c
         return acc == perp[k]
 
-    confirm = range(k_max - 2 * window, base)
+    confirm = range(k_max - 2 * FIT_WINDOW, base)
     if not all(fits(k) for k in confirm):
-        return HilbertData(window, table, False, None, None)
+        return HilbertData(FIT_WINDOW, table, False, None, None)
 
     K = base
     while K > 0 and fits(K - 1):
         K -= 1
-    return HilbertData(window, table, True, coeffs, K)
+    return HilbertData(FIT_WINDOW, table, True, coeffs, K)
 
 
 @dataclass

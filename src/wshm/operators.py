@@ -111,9 +111,18 @@ class _Level:
     ideal_rows: list[ela.Row]
 
     @cached_property
-    def onb_scale(self) -> np.ndarray:
-        """float sqrt(gram_diag), built on first read: exact-only reports never round it."""
-        return np.array([float(g) ** 0.5 for g in self.gram_diag])
+    def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(gram_diag) split as (x, s) with x * 2**s = sqrt(g), built on first
+        read: exact-only reports never round it.  s = 0 while float(g) is a
+        normal double; beyond that g is scaled by 2**(-2s) into [1/4, 4) before
+        rounding, so no Gram entry overflows or underflows the crossing."""
+        xs, ss = [], []
+        for g in self.gram_diag:
+            e = g.numerator.bit_length() - g.denominator.bit_length()
+            s = 0 if -1000 < e < 1000 else e // 2
+            xs.append(float(g * Fraction(2) ** (-2 * s)) ** 0.5)
+            ss.append(s)
+        return np.array(xs), np.array(ss, dtype=int)
 
 
 class ModuleRealization:
@@ -180,12 +189,7 @@ class ModuleRealization:
                 for u, g in zip(comp, gram_diag):
                     c = _inner(v, u, omega) / g
                     if c:
-                        for col, x in u.items():
-                            s = w.get(col, G_ZERO) - c * x
-                            if s:
-                                w[col] = s
-                            else:
-                                w.pop(col, None)
+                        ela.sub_scaled(w, c, u)
                 comp.append(w)
                 gram_diag.append(sum((x.abs2() * omega[c] for c, x in w.items()), Fraction(0)))
         return _Level(monomials, col_of, omega, comp, gram_diag, pivots, red)
@@ -285,9 +289,10 @@ class GradedOperator:
         if nr == 0 or nc == 0:
             return f.reshape(nr, nc)
         r = self.realization
-        st = r.level(k + self.shift).onb_scale
-        ss = r.level(k).onb_scale
-        return f * st[:, None] * (1.0 / ss)
+        xt, st = r.level(k + self.shift).onb_scale
+        xs, ss = r.level(k).onb_scale
+        # power-of-two scaling is exact: with every s = 0 the factor is 1.0
+        return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
 
     def norm(self, k: int) -> float:
         m = self.onb_block(k)
@@ -491,16 +496,20 @@ def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela
     return mult_blocks(realization, zi, k).block(k)
 
 
-def pn_split(h: np.ndarray, hermitian_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+# relative asymmetry pn_split accepts as float rounding of a Hermitian block
+HERMITIAN_TOL = 1e-10
+
+
+def pn_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral split H = P - N with P, N >= 0 and P N = 0 (float tier).
 
-    Input must be Hermitian within ``hermitian_tol`` relative to its size.
+    Input must be Hermitian within ``HERMITIAN_TOL`` relative to its size.
     """
     h = np.asarray(h, dtype=complex)
     if h.size == 0:
         return h.copy(), h.copy()
     scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.conj().T).max()) > hermitian_tol * scale:
+    if float(np.abs(h - h.conj().T).max()) > HERMITIAN_TOL * scale:
         raise WshmError("pn_split requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     pos = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T

@@ -142,14 +142,26 @@ def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn]:
     return weight, ratio
 
 
+# the only parameter keys each kind reads; any other key is an input error
+_PARAM_KEYS = {"polydisk-hardy": ("scale2",), "custom": ("table",)}
+
+
 def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShiftSpace:
-    """Construct one of the built-in spaces (or a custom one) by name."""
+    """Construct one of the built-in spaces (or a custom one) by name.
+
+    ``params`` may hold only the keys its kind reads: ``scale2`` (a positive
+    rational, or "1/m") for polydisk-hardy and ``table`` (exponent tuple ->
+    positive weight) for custom.
+    """
     canonical = _ALIASES.get(str(kind).lower())
     if canonical is None:
         raise WshmError(f"unknown space kind {kind!r}; expected one of {BUILTIN_KINDS}")
     if m < 1:
         raise ArityError(f"variable count must be >= 1, got {m}")
     params = dict(params or {})
+    unknown = set(params) - set(_PARAM_KEYS.get(canonical, ()))
+    if unknown:
+        raise WshmError(f"space {canonical} reads no parameter {min(unknown)!r}")
 
     if canonical == "drury-arveson":
         w, r = _factorial_weights(m, 1)
@@ -161,12 +173,13 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
         w, r = _factorial_weights(m, m + 1)
         return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r)
     if canonical == "polydisk-hardy":
-        scale2 = params.get("scale2", 1)
-        if isinstance(scale2, str):
-            scale2 = Fraction(1, m) if scale2 == "1/m" else Fraction(scale2)
-        scale2 = Fraction(scale2)
-        if scale2 <= 0:
-            raise WshmError(f"scale2 must be positive, got {scale2}")
+        raw = params.get("scale2", 1)
+        try:
+            scale2 = Fraction(1, m) if raw == "1/m" else Fraction(raw)
+        except (ValueError, TypeError, ZeroDivisionError):
+            scale2 = None
+        if scale2 is None or scale2 <= 0:
+            raise WshmError(f"scale2 must be a positive rational, got {raw!r}")
 
         def w(alpha: MultiIndex, _s=scale2) -> Fraction:
             return _s ** sum(alpha)
@@ -176,23 +189,17 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
 
         return WeightedShiftSpace(canonical, m, w, params={"scale2": scale2}, ratio_fn=r)
 
-    # custom: params must supply a weight table or callable
-    fn = params.get("weight")
     table = params.get("table")
-    if fn is None and table is None:
-        raise WshmError("custom space needs params['weight'] (callable) or params['table']")
-    if fn is None:
-        tbl = {tuple(k) if not isinstance(k, tuple) else k: Fraction(v) for k, v in table.items()}
+    if not isinstance(table, dict):
+        raise WshmError("custom space needs params['table'], a dict of exponent tuples to weights")
+    tbl = {tuple(k): Fraction(v) for k, v in table.items()}
 
-        def fn(alpha: MultiIndex, _t=tbl) -> Fraction:
-            if alpha not in _t:
-                raise WshmError(f"custom weight table has no entry for {alpha}")
-            return _t[alpha]
+    def fn(alpha: MultiIndex) -> Fraction:
+        if alpha not in tbl:
+            raise WshmError(f"custom weight table has no entry for {alpha}")
+        return tbl[alpha]
 
-        params = {"table": "inline"}
-    else:
-        params = {"weight": getattr(fn, "__name__", "callable")}
-    return WeightedShiftSpace("custom", m, fn, params=params)
+    return WeightedShiftSpace("custom", m, fn, params={"table": "inline"})
 
 
 def weighted_piece(

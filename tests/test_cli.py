@@ -273,6 +273,23 @@ def test_qweights_with_huge_gram_entries_exits_0(capsys):
     assert json.loads(out)["verdicts"]
 
 
+@pytest.mark.parametrize("report", ["normality", "section5"])
+def test_float_reports_with_huge_gram_entries_exit_0(capsys, report):
+    # gram_diag leaves the range of a double from level 26 on; the float tier
+    # must still read every block in orthonormal coordinates
+    code, out, err = run(
+        capsys,
+        "diag", report,
+        "--space", "hardy-ball", "--m", "2", "--ideal", "z1+1000000*z2", "--max-level", "30",
+    )
+    assert code == 0 and not err
+    doc = json.loads(out)
+    for table in doc["tables"]:
+        for c, col in enumerate(table["columns"]):
+            if col["tier"] == "float":
+                assert all(np.isfinite(row[c]) for row in table["rows"]), col["name"]
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, _, err = run(
@@ -305,12 +322,19 @@ def _raise_linalg_error(args):
           "--max-level", "3", "--var", "0"), None),
         (("diag", "qweights", "--space", "hardy-ball", "--m", "2", "--ideal", "z1+z2",
           "--max-level", "3", "--var", "3"), None),
+        (("space", "describe", "--space", "polydisk", "--param", "scale2=abc"), None),
+        (("space", "describe", "--space", "polydisk", "--param", "scale2=1/0"), None),
+        (("space", "describe", "--space", "custom", "--param", "table="), None),
+        (("space", "describe", "--space", "custom", "--param", "weight=foo"), None),
+        (("space", "describe", "--space", "da", "--param", "scale2=2"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
          "negative-level-normality", "negative-level-section5",
          "negative-wlevel-preg-check", "negative-level-koszul",
-         "negative-preview-degree", "var-zero", "var-above-m"],
+         "negative-preview-degree", "var-zero", "var-above-m",
+         "scale2-not-a-number", "scale2-zero-denominator", "empty-table-path",
+         "custom-weight-key", "param-not-read-by-space"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:

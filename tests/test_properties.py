@@ -1,7 +1,8 @@
 """Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
 weighted adjoint pairing of compressed multipliers, closed-form complement
-bases, kernel bases, elimination against a sympy oracle, and the polynomial
-text round trip."""
+bases, kernel bases, elimination against a sympy oracle, sparse rows that
+never store a zero, the Koszul homology of a principal ideal, and the
+polynomial text round trip."""
 
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import wshm.exact_linalg as ela
 from wshm.algebra import G_ZERO, GaussianRational, GradedPolynomial, enumerate_level
+from wshm.diagnostics import koszul_euler
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
     _complement_kernel,
@@ -266,6 +268,15 @@ def test_closed_form_complement_equals_kernel_basis(data, kind, m, ideal_degree,
         )
 
 
+def sparse_row(data, ncols):
+    entry = st.tuples(st.integers(0, ncols - 1), gaussian_rationals | gaussian_ints)
+    return {c: v for c, v in data.draw(st.lists(entry, max_size=4)) if v}
+
+
+def sparse_rows(data, ncols):
+    return [sparse_row(data, ncols) for _ in range(data.draw(st.integers(0, 7)))]
+
+
 def to_domain_matrix(rows, ncols):
     def entry(v):
         return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
@@ -284,11 +295,7 @@ def from_domain(x):
 @settings(max_examples=150, deadline=None)
 @given(ncols=st.integers(1, 8), data=st.data())
 def test_elimination_matches_sympy_oracle(ncols, data):
-    entry = st.tuples(st.integers(0, ncols - 1), gaussian_rationals | gaussian_ints)
-    rows = [
-        {c: v for c, v in entries if v}
-        for entries in data.draw(st.lists(st.lists(entry, max_size=4), max_size=7))
-    ]
+    rows = sparse_rows(data, ncols)
     oracle = to_domain_matrix(rows, ncols)
     reduced, oracle_pivots = oracle.rref()
     pivots, red = ela.rref(rows, ncols)
@@ -298,6 +305,62 @@ def test_elimination_matches_sympy_oracle(ncols, data):
     rank = oracle.rank()
     assert ela.rank(rows, ncols) == rank == len(pivots)
     assert len(ela.kernel_basis(rows, ncols)) == oracle.nullspace().shape[0] == ncols - rank
+
+
+def no_zero_stored(rows):
+    return all(v for row in rows for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols=st.integers(1, 8), data=st.data())
+def test_reduced_rows_never_store_a_zero(ncols, data):
+    # rref rows and reduce_against residuals keep only nonzero entries, and
+    # the residual is the exact remainder off the pivot columns
+    rows = sparse_rows(data, ncols)
+    pivots, red = ela.rref(rows, ncols)
+    assert no_zero_stored(red)
+    target = sparse_row(data, ncols)
+    coeffs, residual = ela.reduce_against(target, pivots, red)
+    assert no_zero_stored([residual]) and not set(residual) & set(pivots)
+    rebuilt = dict(residual)
+    for c, row in zip(coeffs, red):
+        ela.sub_scaled(rebuilt, -c, row)
+    assert rebuilt == target
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "da"]),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+)
+def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens):
+    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
+    r = quotient_realization(builtin_space(kind, m), ideal, 4 if m == 2 else 3)
+    for k in range(r.max_level + 1):
+        assert no_zero_stored(r.level(k).comp_rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3]), degree=st.integers(1, 3))
+def test_koszul_homology_of_a_principal_ideal(data, m, degree):
+    # 0 -> R(-d) -> R -> R/(f) -> 0 resolves R/(f), and (f) is free on one
+    # generator of degree d, so Tor_j(-, C) is read off directly
+    f = homogeneous(data, m, degree)
+    ideal = GradedIdeal(m, [f])
+    d_max = degree + 2
+    zero = [0] * (m + 1)
+    expect_ideal = {d: zero for d in range(d_max + 1)}
+    expect_ideal[degree] = [1] + zero[1:]
+    expect_quotient = dict(expect_ideal)
+    expect_quotient[0] = [1] + zero[1:]
+    expect_quotient[degree] = [0, 1] + zero[2:]
+    for module, expected in (("ideal", expect_ideal), ("quotient", expect_quotient)):
+        rep = koszul_euler(m, ideal, module, d_max)
+        assert rep.dd_zero, module
+        assert rep.homology == expected, module
 
 
 @settings(max_examples=100, deadline=None)
