@@ -15,6 +15,7 @@ everywhere so that matrices, bases and reports are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -33,7 +34,9 @@ class GaussianRational:
     gcd(a, b, d) = 1, and never mutated.  Closed under +, -, *, and / by a
     nonzero element.  Equality and hashing are exact and agree with
     Fraction/int on real values, so these can key dictionaries and be
-    compared for bit-for-bit identity in tests.
+    compared for bit-for-bit identity in tests.  The integer kernels of
+    ``exact_linalg`` read the triple directly and build values with
+    :func:`gaussian` or :func:`from_triple`.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -72,13 +75,13 @@ class GaussianRational:
         c, e, f = _parts(other)
         a, b, d = self._a, self._b, self._d
         if d == f:
-            return _reduced(a + c, b + e, d)
-        return _reduced(a * f + c * d, b * f + e * d, d * f)
+            return gaussian(a + c, b + e, d)
+        return gaussian(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return _make(-self._a, -self._b, self._d)
+        return from_triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         return self + -other
@@ -89,7 +92,7 @@ class GaussianRational:
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         c, e, f = _parts(other)
         a, b = self._a, self._b
-        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
+        return gaussian(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
@@ -101,14 +104,14 @@ class GaussianRational:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             if c < 0:
                 a, b, c = -a, -b, -c
-            return _reduced(a, b, self._d * c)
-        return _reduced(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
+            return gaussian(a, b, self._d * c)
+        return gaussian(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return _make(*_parts(other)) / self
+        return from_triple(*_parts(other)) / self
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
+        return from_triple(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -134,17 +137,19 @@ class GaussianRational:
         return f"{self.re}{sign}{im}"
 
 
-def _make(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b i) / d for a triple already in lowest terms with d > 0."""
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for a triple already in lowest terms with d > 0, unchecked;
+    a Gaussian integer (d = 1) always is."""
     x = object.__new__(GaussianRational)
     x._a, x._b, x._d = a, b, d
     return x
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b i) / d for d > 0, reduced to lowest terms."""
-    g = math.gcd(a, b, d)
-    return _make(a, b, d) if g == 1 else _make(a // g, b // g, d // g)
+def gaussian(a: int, b: int = 0, d: int = 1) -> GaussianRational:
+    """(a + b i) / d for ints a, b and d > 0, reduced to lowest terms.  The gcd
+    starts at d, so a Gaussian integer (d = 1) costs no big-int gcd."""
+    g = math.gcd(d, a, b)
+    return from_triple(a, b, d) if g == 1 else from_triple(a // g, b // g, d // g)
 
 
 def _parts(x: ScalarLike) -> tuple[int, int, int]:
@@ -201,18 +206,7 @@ def enumerate_level(m: int, k: int) -> list[MultiIndex]:
     """
     if m < 1:
         raise ArityError(f"variable count must be >= 1, got {m}")
-    if k < 0:
-        return []
-
-    def rec(vars_left: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if vars_left == 1:
-            yield (budget,)
-            return
-        for e in range(budget, -1, -1):
-            for rest in rec(vars_left - 1, budget - e):
-                yield (e,) + rest
-
-    return list(rec(m, k))
+    return enumerate_weighted_level(m, (1,) * m, k)
 
 
 def enumerate_weighted_level(m: int, n: WeightVector, ell: int) -> list[MultiIndex]:
@@ -225,16 +219,16 @@ def enumerate_weighted_level(m: int, n: WeightVector, ell: int) -> list[MultiInd
     if ell < 0:
         return []
 
-    def rec(i: int, budget: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, budget: int) -> list[tuple[int, ...]]:
         if i == m - 1:
-            if budget % n[i] == 0:
-                yield (budget // n[i],)
-            return
-        for e in range(budget // n[i], -1, -1):
-            for rest in rec(i + 1, budget - e * n[i]):
-                yield (e,) + rest
+            return [(budget // n[i],)] if budget % n[i] == 0 else []
+        return [
+            (e,) + rest
+            for e in range(budget // n[i], -1, -1)
+            for rest in rec(i + 1, budget - e * n[i])
+        ]
 
-    return list(rec(0, ell))
+    return rec(0, ell)
 
 
 def weighted_degree(alpha: MultiIndex, n: WeightVector) -> int:
@@ -256,7 +250,7 @@ def residue_of(alpha: MultiIndex, n: WeightVector) -> MultiIndex:
 
 
 def add_index(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
+    return tuple(map(operator.add, alpha, beta))
 
 
 def sub_index(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex | None:

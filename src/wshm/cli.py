@@ -145,6 +145,8 @@ def _space_from_args(args) -> object:
     params = _parse_params(getattr(args, "param", []) or [])
     if "table" in params:
         path = params["table"]
+        if not path:
+            raise WshmError("--param table: the path is empty")
         try:
             table_raw = json.loads(Path(path).read_text())
             if not isinstance(table_raw, dict):

@@ -13,6 +13,7 @@ their full configuration so identical configs reproduce byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -777,6 +778,8 @@ def koszul_euler(
     """
     mod = _KoszulModule(m, ideal, module)
     subsets = {j: list(combinations(range(m), j)) for j in range(m + 1)}
+    # z_i on Mod_e enters every differential(d, j) with d - j = e: build it once
+    mult_rows = functools.cache(mod.mult_rows)
 
     def chain_dim(d: int, j: int) -> int:
         return len(subsets[j]) * mod.dim(d - j)
@@ -787,7 +790,7 @@ def koszul_euler(
             return [{} for _ in range(chain_dim(d, j))]
         tgt_pos = {s: idx for idx, s in enumerate(subsets[j - 1])}
         dim_tgt_mod = mod.dim(d - j + 1)
-        mult_cache = {i: mod.mult_rows(i, d - j) for i in range(m)}
+        mult_cache = {i: mult_rows(i, d - j) for i in range(m)}
         rows: list[ela.Row] = []
         # each i in S hits a different target e_{S \ i}, so no two terms share a column
         for s in subsets[j]:

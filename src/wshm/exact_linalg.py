@@ -8,26 +8,33 @@ coordinate, its column count kept by the caller.  The rows arising from
 principal ideals and from multiplication operators are extremely sparse, and
 reduction, products and adjoints only ever touch stored entries.
 
-:func:`rref` is the one elimination the package runs for ideal levels;
-:func:`rank` stops after forward elimination.  Every elimination, reduction
-and orthogonalisation updates rows through :func:`sub_scaled`.
+Elimination and orthogonalisation are fraction-free.  Their rows are
+Gaussian-integer rows (every entry has denominator 1) with integer content 1,
+updated only by :func:`combine` (a * dst - b * src, content removed).
+:func:`rref` is the one elimination the package runs for ideal levels; its
+rows keep their own pivot entries, so a caller that needs the RREF divides
+once.  :func:`rank` stops after forward elimination, and :func:`inner` is the
+integer weighted inner product of complement bases.  Blocks stay rational:
+:func:`mat_mul`, :func:`mat_sub` and :func:`trace` work on Gaussian
+rationals, as does :func:`reduce_against`, whose residual is exact.
 :func:`kernel_basis` and :func:`solve` are references that the package no
 longer calls: tests check complement bases and projections against them.
 
-Everything here is exact field arithmetic: no tolerances and no floats.  An
-entry is (a + b i) / d over Python ints, so row operations create no Fraction.
-Rank and dimension counts feed every downstream claim, so this module never
-rounds.  Float conversion for the numeric tier happens in one place,
-:func:`to_complex_array`.
+Everything here is exact: no tolerances and no floats.  An entry is
+(a + b i) / d over Python ints, and the integer kernels read that triple
+directly, so row operations create no Fraction.  Rank and dimension counts
+feed every downstream claim, so this module never rounds.  Float conversion
+for the numeric tier happens in one place, :func:`to_complex_array`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import G_ONE, G_ZERO, GaussianRational
+from .algebra import G_ONE, G_ZERO, GaussianRational, from_triple
 
 Row = dict[int, GaussianRational]
 
@@ -36,25 +43,75 @@ Row = dict[int, GaussianRational]
 # sparse row reduction
 # ---------------------------------------------------------------------------
 
-def sub_scaled(dst: Row, c: GaussianRational, src: Row) -> None:
-    """dst -= c * src in place, dropping the entries that cancel: the one row
-    update behind every elimination, reduction and orthogonalisation."""
-    for col, v in src.items():
-        s = dst.get(col, G_ZERO) - c * v
-        if s:
-            dst[col] = s
+def _content_free(row: Row) -> Row:
+    """A Gaussian-integer row divided by the gcd of its real and imaginary
+    parts (``row`` itself when that gcd is 1)."""
+    g = math.gcd(*[y for x in row.values() for y in (x._a, x._b)])
+    if g == 1:
+        return row
+    return {c: from_triple(x._a // g, x._b // g, 1) for c, x in row.items()}
+
+
+def integral(row: Row) -> Row:
+    """``row`` times the positive rational that makes it a primitive
+    Gaussian-integer row (``row`` itself if it is one already)."""
+    den = math.lcm(*[x._d for x in row.values()])
+    if den > 1:
+        s = {c: den // x._d for c, x in row.items()}
+        row = {c: from_triple(x._a * s[c], x._b * s[c], 1) for c, x in row.items()}
+    return _content_free(row)
+
+
+def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row:
+    """The primitive form of a * dst - b * src, for Gaussian-integer rows and
+    scalars: the one fraction-free row update behind every elimination and
+    orthogonalisation.  a and b are divided by their common integer content
+    first; a > 0 real keeps the sign of dst, and a = 1 keeps its untouched
+    entries as they are."""
+    ar, ai, br, bi = a._a, a._b, b._a, b._b
+    g = math.gcd(ar, ai, br, bi)
+    if g > 1:
+        ar, ai, br, bi = ar // g, ai // g, br // g, bi // g
+    if ar == 1 and not ai:
+        out = dict(dst)
+    else:
+        out = {
+            c: from_triple(ar * x._a - ai * x._b, ar * x._b + ai * x._a, 1)
+            for c, x in dst.items()
+        }
+    for c, y in src.items():
+        yr, yi = y._a, y._b
+        x = out.get(c, G_ZERO)
+        re, im = x._a - br * yr + bi * yi, x._b - br * yi - bi * yr
+        if re or im:
+            out[c] = from_triple(re, im, 1)
         else:
-            dst.pop(col, None)
+            out.pop(c, None)
+    return _content_free(out)
+
+
+def inner(u: Row, v: Row, n: list[int]) -> tuple[int, int]:
+    """(re, im) of sum_c u_c conj(v_c) n_c, for Gaussian-integer rows and
+    integer weights ``n``."""
+    re = im = 0
+    for c, x in u.items():
+        y = v.get(c)
+        if y is not None:
+            xr, xi, yr, yi, w = x._a, x._b, y._a, y._b, n[c]
+            re += (xr * yr + xi * yi) * w
+            im += (xi * yr - xr * yi) * w
+    return re, im
 
 
 def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
-    """Forward elimination: (pivot columns ascending, echelon rows), row ``i``
-    leading at ``pivots[i]`` with its pivot not normalised.  Pivots are chosen
-    left-to-right and ties between candidate rows are broken by input order."""
+    """Fraction-free forward elimination: (pivot columns ascending, primitive
+    Gaussian-integer echelon rows), row ``i`` leading at ``pivots[i]``.
+    Pivots are chosen left-to-right and ties between candidate rows are
+    broken by input order."""
     by_lead: dict[int, list[Row]] = {}
     for r in rows:
         if r:
-            by_lead.setdefault(min(r), []).append(dict(r))
+            by_lead.setdefault(min(r), []).append(integral(r))
 
     pivots: list[int] = []
     pivot_rows: list[Row] = []
@@ -65,7 +122,7 @@ def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
         piv = bucket[0]
         pc = piv[col]
         for other in bucket[1:]:
-            sub_scaled(other, other[col] / pc, piv)
+            other = combine(pc, other, other[col], piv)
             if other:
                 by_lead.setdefault(min(other), []).append(other)
         pivots.append(col)
@@ -74,26 +131,29 @@ def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
 
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
-    """Reduced row echelon form of the span of ``rows``.
+    """Fraction-free reduced row echelon form of the span of ``rows``.
 
-    Returns (pivot columns ascending, reduced rows) where reduced row ``i``
-    has a unit pivot at ``pivots[i]`` and zeros in every other pivot column.
-    Deterministic: identical input gives identical output.
+    Returns (pivot columns ascending, reduced rows) where reduced row ``i`` is
+    a primitive Gaussian-integer row with a nonzero entry at ``pivots[i]`` and
+    zeros in every other pivot column.  Divided by that entry it is row ``i``
+    of the (unique) RREF.  Deterministic: identical input gives identical
+    output.
     """
-    pivots, pivot_rows = _echelon(rows, ncols)
-    # Normalize pivots and clear entries above, last pivot row first; for the
-    # near-triangular systems produced by principal ideals this pass is linear.
-    for i in range(len(pivot_rows) - 1, -1, -1):
-        row = pivot_rows[i]
-        pc = row[pivots[i]]
-        if pc != G_ONE:
-            for c in list(row):
-                row[c] = row[c] / pc
-        for upper in pivot_rows[:i]:
-            v = upper.get(pivots[i])
-            if v is not None:
-                sub_scaled(upper, v, row)
-    return pivots, pivot_rows
+    pivots, red = _echelon(rows, ncols)
+    # Clear each pivot column above its row, last pivot row first.  Row i is
+    # then zero in every later pivot column, so clearing it from a row above
+    # adds entries in free columns only: the rows to clear are known upfront.
+    index = {p: i for i, p in enumerate(pivots)}
+    above: list[list[int]] = [[] for _ in pivots]
+    for j, row in enumerate(red):
+        for c in row:
+            if index.get(c, j) > j:
+                above[index[c]].append(j)
+    for i in range(len(red) - 1, -1, -1):
+        p, row = pivots[i], red[i]
+        for j in above[i]:
+            red[j] = combine(row[p], red[j], red[j][p], row)
+    return pivots, red
 
 
 def rank(rows: list[Row], ncols: int) -> int:
@@ -118,14 +178,14 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
         v: Row = {free: G_ONE}
         for pc, row in zip(pivots, red):
             c = row.get(free)
-            if c is not None and c:
-                v[pc] = -c
+            if c is not None:
+                v[pc] = -c / row[pc]
         basis.append(v)
     return basis
 
 
 def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[GaussianRational], Row]:
-    """Express ``row`` against an RREF basis.
+    """Express ``row`` against the reduced rows of :func:`rref`.
 
     Returns (coefficients, residual): row = sum_i coeff_i * red_i + residual,
     with the residual supported off the pivot columns.
@@ -134,9 +194,15 @@ def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[Ga
     coeffs: list[GaussianRational] = []
     for pc, basis_row in zip(pivots, red):
         c = work.get(pc, G_ZERO)
-        coeffs.append(c)
         if c:
-            sub_scaled(work, c, basis_row)
+            c = c / basis_row[pc]
+            for col, v in basis_row.items():
+                s = work.get(col, G_ZERO) - c * v
+                if s:
+                    work[col] = s
+                else:
+                    work.pop(col, None)
+        coeffs.append(c)
     return coeffs, work
 
 
@@ -221,8 +287,6 @@ def fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
         return None
-    import math
-
     pn, pd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if pn * pn == q.numerator and pd * pd == q.denominator:
         return Fraction(pn, pd)

@@ -87,7 +87,9 @@ class GradedIdeal:
     def level_data(self, ell: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
         """(pivot columns, reduced rows, monomial column order) at level ell.
 
-        The cache fills idempotently; concurrent re-computation produces the
+        The reduced rows are the fraction-free ones of :func:`ela.rref`:
+        primitive Gaussian-integer rows, each with its own pivot entry.  The
+        cache fills idempotently; concurrent re-computation produces the
         identical value.
         """
         cached = self._level_cache.get(ell)
@@ -100,7 +102,7 @@ class GradedIdeal:
             rem = ell - dg
             if rem < 0:
                 continue
-            terms = list(g.terms())
+            terms = list(ela.integral(dict(g.terms())).items())
             for beta in enumerate_weighted_level(self.m, self.weight, rem):
                 rows.append({col_of[add_index(a, beta)]: c for a, c in terms})
         pivots, red = ela.rref(rows, len(monomials))
@@ -115,10 +117,12 @@ class GradedIdeal:
 
 
 def _rows_to_polys(
-    red: list[ela.Row], monomials: list[MultiIndex], m: int
+    pivots: list[int], red: list[ela.Row], monomials: list[MultiIndex], m: int
 ) -> list[GradedPolynomial]:
+    """The RREF rows as polynomials, each divided by its pivot entry."""
     return [
-        GradedPolynomial(m, {monomials[c]: v for c, v in row.items()}) for row in red
+        GradedPolynomial(m, {monomials[c]: v / row[p] for c, v in row.items()})
+        for p, row in zip(pivots, red)
     ]
 
 
@@ -126,7 +130,7 @@ def graded_basis(ideal: GradedIdeal, k: int) -> list[GradedPolynomial]:
     """Echelon basis of I_k = span{z^beta g_j : |beta| + deg g_j = k}."""
     ideal._require_plain()
     pivots, red, monomials = ideal.level_data(k)
-    return _rows_to_polys(red, monomials, ideal.m)
+    return _rows_to_polys(pivots, red, monomials, ideal.m)
 
 
 def weighted_graded_basis(ideal: GradedIdeal, ell: int) -> list[GradedPolynomial]:
@@ -134,7 +138,7 @@ def weighted_graded_basis(ideal: GradedIdeal, ell: int) -> list[GradedPolynomial
     if ideal.mode != "quasi":
         raise ModeError("weighted_graded_basis requires quasi mode")
     pivots, red, monomials = ideal.level_data(ell)
-    return _rows_to_polys(red, monomials, ideal.m)
+    return _rows_to_polys(pivots, red, monomials, ideal.m)
 
 
 def ideal_level_dimension(ideal: GradedIdeal, ell: int) -> int:

@@ -34,6 +34,7 @@ projection onto constants with a positive sign).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,11 +46,11 @@ from . import exact_linalg as ela
 from .algebra import (
     G_ONE,
     G_ZERO,
-    GaussianRational,
     GradedPolynomial,
     MultiIndex,
     add_index,
     enumerate_level,
+    gaussian,
 )
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
@@ -68,47 +69,44 @@ class _OnDemand(dict):
         return value
 
 
-def _inner(u: ela.Row, v: ela.Row, omega: list[Fraction]) -> GaussianRational:
-    """<u, v> = sum_c u_c conj(v_c) omega_c over sparse monomial coordinates."""
-    acc = G_ZERO
-    for c, x in u.items():
-        y = v.get(c)
-        if y is not None:
-            acc = acc + x * y.conjugate() * omega[c]
-    return acc
-
-
-def _complement_kernel(
-    pivots: list[int], red: list[ela.Row], omega: list[Fraction]
-) -> list[ela.Row]:
+def _complement_kernel(pivots: list[int], red: list[ela.Row], n: list[int]) -> list[ela.Row]:
     """Basis of S_k^perp = {v : <v, u_i> = 0 for every reduced row u_i}, one
-    vector per free column f in ascending order, with a unit entry at f.
+    primitive Gaussian-integer vector per free column f in ascending order.
 
-    The constraint rows conj(u_i) * omega need no elimination: ``red`` is in
-    reduced echelon form (u_i has a unit pivot at p_i and zeros in every other
-    pivot column), so dividing constraint row i by omega_{p_i} leaves it in
-    reduced echelon form too, and its kernel vector for f is
-    {f: 1, p_i: -conj(u_i[f]) * omega_f / omega_{p_i}}.  This is exactly
-    ``ela.kernel_basis`` of the constraint rows.
+    The constraint rows conj(u_i) * n need no elimination: ``red`` is in
+    reduced echelon form (u_i has its pivot entry at p_i and zeros in every
+    other pivot column), so the kernel vector for f with v_f = 1 is
+    v_{p_i} = -conj(u_i[f]) u_i[p_i] n_f / (|u_i[p_i]|^2 n_{p_i}): exactly
+    ``ela.kernel_basis`` of the constraint rows.  Each is then scaled by the
+    least L > 0 that makes it integral.
     """
     pivot_set = set(pivots)
-    basis = {f: {f: G_ONE} for f in range(len(omega)) if f not in pivot_set}
+    basis = {f: {f: G_ONE} for f in range(len(n)) if f not in pivot_set}
     for p, u in zip(pivots, red):
-        for f, x in u.items():
+        ur, ui = u[p]._a, u[p]._b
+        dp = (ur * ur + ui * ui) * n[p]
+        for f, y in u.items():
             if f != p:
-                basis[f][p] = -x.conjugate() * (omega[f] / omega[p])
-    return list(basis.values())
+                yr, yi, w = y._a, y._b, n[f]
+                basis[f][p] = gaussian(-(yr * ur + yi * ui) * w, (yi * ur - yr * ui) * w, dp)
+    return [ela.integral(v) for v in basis.values()]
 
 
 @dataclass
 class _Level:
     monomials: list[MultiIndex]
     col_of: dict[MultiIndex, int]
-    omega: list[Fraction]  # weight of each monomial coordinate
-    comp_rows: list[ela.Row]  # orthogonal complement basis over monomial coords
-    gram_diag: list[Fraction]  # <w_r, w_r>; <w_r, w_s> = 0 for r != s
+    weights: list[int]  # the weight of monomial coordinate c is weights[c] / den
+    den: int
+    comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis
+    norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
     ideal_pivots: list[int]
     ideal_rows: list[ela.Row]
+
+    @cached_property
+    def gram_diag(self) -> list[Fraction]:
+        """<w_r, w_r>, exact."""
+        return [Fraction(g, self.den) for g in self.norms]
 
     @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,17 +126,18 @@ class _Level:
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
-    For the full space the complement basis at level k is the monomial
-    coordinate basis and the Gram diagonal is omega.  For a quotient by a
-    plain-homogeneous ideal, S_k is the exact reduced echelon basis of the
-    ideal level and the complement basis spans S_k^perp = {v : <v, u> = 0 for
-    u in S_k}: a kernel read off that reduced echelon form in closed form (no
-    second elimination), orthogonalised by unnormalised Gram-Schmidt so that
-    its Gram matrix is diagonal too.  Each level up to ``max_level`` is built
-    the first time it is read, and so is each block of :func:`mult_blocks`
-    and of its adjoint; all are memoised here, so a realization is not safe
-    to share between threads without a lock, and no caller may mutate a
-    block it reads.
+    Each level holds its monomial weights as ints over one denominator.  For
+    the full space the complement basis at level k is the monomial coordinate
+    basis and the Gram diagonal is omega.  For a quotient by a
+    plain-homogeneous ideal, S_k is the reduced echelon basis of the ideal
+    level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
+    S_k}: Gaussian-integer kernel vectors read off that echelon form in closed
+    form (no second elimination), orthogonalised by fraction-free Gram-Schmidt
+    so that its Gram matrix is diagonal too.  Each level up to ``max_level``
+    is built the first time it is read, and so is each block of
+    :func:`mult_blocks` and of its adjoint; all are memoised here, so a
+    realization is not safe to share between threads without a lock, and no
+    caller may mutate a block it reads.
     """
 
     def __init__(
@@ -172,27 +171,25 @@ class ModuleRealization:
         return self.ideal is None or self.ideal.is_zero_ideal
 
     def _build_level(self, k: int) -> _Level:
-        m = self.space.m
-        monomials = enumerate_level(m, k)
-        col_of = {a: j for j, a in enumerate(monomials)}
-        dim = len(monomials)
-        omega = [self.space.weight(a) for a in monomials]
+        n, den = self.space.level_weights(k)
         if self.is_full:
-            comp, gram_diag = [{j: G_ONE} for j in range(dim)], omega
+            monomials = enumerate_level(self.space.m, k)
+            comp, norms = [{j: G_ONE} for j in range(len(n))], n
             pivots, red = [], []
         else:
-            pivots, red, level_monos = self.ideal.level_data(k)
-            assert level_monos == monomials
-            comp, gram_diag = [], []
-            for v in _complement_kernel(pivots, red, omega):
-                w = dict(v)
-                for u, g in zip(comp, gram_diag):
-                    c = _inner(v, u, omega) / g
-                    if c:
-                        ela.sub_scaled(w, c, u)
+            # a plain ideal's level columns are enumerate_level's monomials
+            pivots, red, monomials = self.ideal.level_data(k)
+            comp, norms = [], []
+            # fraction-free Gram-Schmidt: w <- g_u w - <w, u> u, content removed
+            for w in _complement_kernel(pivots, red, n):
+                for u, g in zip(comp, norms):
+                    c = ela.inner(w, u, n)
+                    if any(c):
+                        w = ela.combine(gaussian(g), w, gaussian(*c), u)
                 comp.append(w)
-                gram_diag.append(sum((x.abs2() * omega[c] for c, x in w.items()), Fraction(0)))
-        return _Level(monomials, col_of, omega, comp, gram_diag, pivots, red)
+                norms.append(ela.inner(w, w, n)[0])
+        col_of = {a: j for j, a in enumerate(monomials)}
+        return _Level(monomials, col_of, n, den, comp, norms, pivots, red)
 
     # -- level geometry -------------------------------------------------
 
@@ -218,16 +215,18 @@ class ModuleRealization:
             return 0
         return len(self.level(k).ideal_pivots)
 
-    def project_to_complement(self, k: int, coords: ela.Row) -> ela.Row:
-        """Complement coordinates of the orthogonal projection of a sparse
-        monomial-coordinate vector at level k: <coords, w_s> / <w_s, w_s>
-        (exact), with zero coordinates dropped."""
+    def project_to_complement(self, k: int, coords: ela.Row, den: int) -> ela.Row:
+        """Complement coordinates of the orthogonal projection of coords / den,
+        for a sparse Gaussian-integer monomial-coordinate row ``coords`` at
+        level k: <coords, w_s> / (den <w_s, w_s>) (exact, one Gaussian rational
+        per coordinate; the level's weight denominator cancels), with zero
+        coordinates dropped."""
         lv = self.level(k)
         out: ela.Row = {}
-        for s, (ws, g) in enumerate(zip(lv.comp_rows, lv.gram_diag)):
-            acc = _inner(coords, ws, lv.omega)
-            if acc:
-                out[s] = acc / g
+        for s, (ws, g) in enumerate(zip(lv.comp_rows, lv.norms)):
+            re, im = ela.inner(coords, ws, lv.weights)
+            if re or im:
+                out[s] = gaussian(re, im, g * den)
         return out
 
 
@@ -339,6 +338,9 @@ def _mult_block(
                 block[tgt.col_of[add_index(alpha, beta)]][col] = c
         return block
     block = [{} for _ in tgt.comp_rows]
+    # the image of an integer vector is integral over p's common denominator
+    den = math.lcm(*[c._d for _, c in terms])
+    terms = [(beta, c * den) for beta, c in terms]
     for ci, w in enumerate(src.comp_rows):
         image: ela.Row = {}
         for g, x in w.items():
@@ -346,7 +348,7 @@ def _mult_block(
             for beta, c in terms:
                 j = tgt.col_of[add_index(mono, beta)]
                 image[j] = image.get(j, G_ZERO) + x * c
-        for ri, v in realization.project_to_complement(k + d, image).items():
+        for ri, v in realization.project_to_complement(k + d, image, den).items():
             block[ri][ci] = v
     return block
 

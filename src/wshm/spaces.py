@@ -39,6 +39,7 @@ from .errors import ArityError, DimensionError, WshmError
 
 WeightFn = Callable[[MultiIndex], Fraction]
 RatioFn = Callable[[MultiIndex, int], Fraction]
+LevelFn = Callable[[int], tuple[list[int], int]]
 
 BUILTIN_KINDS = ("drury-arveson", "hardy-ball", "bergman-ball", "polydisk-hardy", "custom")
 
@@ -69,6 +70,7 @@ class WeightedShiftSpace:
         weight_fn: WeightFn,
         params: dict | None = None,
         ratio_fn: RatioFn | None = None,
+        level_fn: LevelFn | None = None,
     ):
         if m < 1:
             raise ArityError(f"variable count must be >= 1, got {m}")
@@ -77,6 +79,7 @@ class WeightedShiftSpace:
         self.params = dict(params or {})
         self._weight_fn = weight_fn
         self._ratio_fn = ratio_fn
+        self._level_fn = level_fn
         self._cache: dict[MultiIndex, Fraction] = {}
 
     def weight(self, alpha: Iterable[int]) -> Fraction:
@@ -89,6 +92,15 @@ class WeightedShiftSpace:
                 raise WshmError(f"weight must be positive, got {w} at {a}")
             self._cache[a] = w
         return w
+
+    def level_weights(self, k: int) -> tuple[list[int], int]:
+        """(n, D): the weights of the degree-k monomials, in ``enumerate_level``
+        order, as ints over one denominator, omega(alpha_j) = n[j] / D exactly."""
+        if self._level_fn is not None:
+            return self._level_fn(k)
+        ws = [self.weight(a) for a in enumerate_level(self.m, k)]
+        den = math.lcm(*[w.denominator for w in ws])
+        return [w.numerator * (den // w.denominator) for w in ws], den
 
     def shift_ratio(self, alpha: Iterable[int], i: int) -> Fraction:
         """omega(alpha + e_i) / omega(alpha) = ||z_i z^alpha||^2 / ||z^alpha||^2."""
@@ -125,12 +137,9 @@ class WeightedShiftSpace:
         return f"WeightedShiftSpace({self.kind}, m={self.m}, params={self.params})"
 
 
-def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn]:
-    """Weights alpha! (shift-1)! / (|alpha|+shift-1)! and their ratios.
-
-    shift = 1 gives Drury-Arveson, shift = m the Hardy ball, shift = m+1 the
-    Bergman ball (these are the kernel powers of the respective spaces).
-    """
+def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn, LevelFn]:
+    """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, their ratios, and each
+    level's weights as the ints alpha! (shift-1)! over (k+shift-1)!."""
 
     def weight(alpha: MultiIndex) -> Fraction:
         num = math.prod(math.factorial(a) for a in alpha) * math.factorial(shift - 1)
@@ -139,7 +148,15 @@ def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn]:
     def ratio(alpha: MultiIndex, i: int) -> Fraction:
         return Fraction(alpha[i] + 1, sum(alpha) + shift)
 
-    return weight, ratio
+    def level(k: int) -> tuple[list[int], int]:
+        fact = [1]  # fact[j] = j! for j < k + shift
+        for j in range(1, k + shift):
+            fact.append(fact[-1] * j)
+        top = fact[shift - 1]
+        n = [math.prod([fact[a] for a in alpha]) * top for alpha in enumerate_level(m, k)]
+        return n, fact[-1]
+
+    return weight, ratio, level
 
 
 # the only parameter keys each kind reads; any other key is an input error
@@ -163,15 +180,11 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
     if unknown:
         raise WshmError(f"space {canonical} reads no parameter {min(unknown)!r}")
 
-    if canonical == "drury-arveson":
-        w, r = _factorial_weights(m, 1)
-        return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r)
-    if canonical == "hardy-ball":
-        w, r = _factorial_weights(m, m)
-        return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r)
-    if canonical == "bergman-ball":
-        w, r = _factorial_weights(m, m + 1)
-        return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r)
+    # kernel powers: shift 1 is Drury-Arveson, m the Hardy ball, m + 1 the Bergman ball
+    shift = {"drury-arveson": 1, "hardy-ball": m, "bergman-ball": m + 1}.get(canonical)
+    if shift is not None:
+        w, r, level = _factorial_weights(m, shift)
+        return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r, level_fn=level)
     if canonical == "polydisk-hardy":
         raw = params.get("scale2", 1)
         try:
@@ -187,7 +200,12 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
         def r(alpha: MultiIndex, i: int, _s=scale2) -> Fraction:
             return _s
 
-        return WeightedShiftSpace(canonical, m, w, params={"scale2": scale2}, ratio_fn=r)
+        def level(k: int, _s=scale2) -> tuple[list[int], int]:
+            return [_s.numerator**k] * level_dimension(m, k), _s.denominator**k
+
+        return WeightedShiftSpace(
+            canonical, m, w, params={"scale2": scale2}, ratio_fn=r, level_fn=level
+        )
 
     table = params.get("table")
     if not isinstance(table, dict):

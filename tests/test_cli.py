@@ -344,6 +344,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_empty_table_path_names_the_flag(capsys):
+    # an empty path is refused as such, not read as the working directory
+    code, out, err = run(capsys, "space", "describe", "--space", "custom", "--param", "table=")
+    assert code == 2 and not out
+    assert err == "error: --param table: the path is empty\n"
+
+
 def test_ideal_hilbert_default_level_is_accepted(capsys):
     code, out, _ = run(capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1")
     assert code == 0

@@ -11,6 +11,7 @@ from wshm.algebra import GradedPolynomial
 from wshm.diagnostics import (
     DiagnosticsReport,
     Verdict,
+    _KoszulModule,
     defect_schatten_terms,
     full_defect_eigenvalues,
     koszul_euler,
@@ -289,6 +290,23 @@ def test_koszul_additivity_over_quotient():
         assert chi_i + chi_q == koszul_euler(2, None, "full", 9).chi
 
 
+def test_koszul_builds_each_multiplication_block_once(monkeypatch):
+    # z_i on Mod_e enters every differential(d, j) with d - j = e; each (i, e)
+    # pair is built once per koszul_euler call
+    calls = []
+    mult_rows = _KoszulModule.mult_rows
+
+    def counted(self, i, e):
+        calls.append((i, e))
+        return mult_rows(self, i, e)
+
+    monkeypatch.setattr(_KoszulModule, "mult_rows", counted)
+    ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in ("z1^2+z2*z3", "z1*z2")])
+    rep = koszul_euler(3, ideal, "quotient", 10)
+    assert rep.dd_zero
+    assert len(calls) == len(set(calls)) == 30
+
+
 def test_koszul_inconclusive_when_too_shallow():
     ideal = GradedIdeal(2, [z(0) * z(0), z(0) * z(1), z(1) * z(1)])
     rep = koszul_euler(2, ideal, "ideal", 2)
@@ -376,9 +394,9 @@ def test_normality_report_projects_each_reported_multiplier_column_once(monkeypa
     calls = []
     project = ModuleRealization.project_to_complement
 
-    def counted(self, k, coords):
+    def counted(self, k, *args):
         calls.append(k)
-        return project(self, k, coords)
+        return project(self, k, *args)
 
     monkeypatch.setattr(ModuleRealization, "project_to_complement", counted)
     m, K = 3, 2

@@ -15,6 +15,8 @@ from wshm.algebra import (
 from wshm.errors import ModeError, WindowError, WshmError
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
+    GradedOperator,
+    _Level,
     adjoint_blocks,
     block_shift_data,
     codefect_blocks,
@@ -145,7 +147,8 @@ def test_projection_matches_normal_equations(gen):
         for x in vectors:
             a = ela.solve(gram, [[exact_inner(hb, x, vi, monos)] for vi in v])
             want = [sum((a[j][0] * v[j][c] for j in range(n)), G_ZERO) for c in range(dim)]
-            coeffs = r.project_to_complement(k, {c: xc for c, xc in enumerate(x) if xc})
+            # project_to_complement reads a Gaussian-integer row over a denominator
+            coeffs = r.project_to_complement(k, {c: xc * 6 for c, xc in enumerate(x) if xc}, 6)
             got = [
                 sum((q * w.get(c, G_ZERO) for s, w in enumerate(lv.comp_rows)
                      if (q := coeffs.get(s)) is not None), G_ZERO)
@@ -410,6 +413,40 @@ def test_block_shift_data_z1_ideal_gives_z2_shift():
         onb = op2.onb_block(k)
         ratio = hb.shift_ratio((0, k), 1)
         assert abs(abs(onb[0, 0]) ** 2 - float(ratio)) < 1e-13
+
+
+def one_dim_level(norm, den):
+    """A full one-coordinate level of weight (and Gram entry) norm / den."""
+    return _Level([(0,)], {(0,): 0}, [norm], den, [{0: G_ONE}], [norm], [], [])
+
+
+def test_onb_scale_splits_gram_entries_beyond_double_range():
+    # Gram entries 2^-2100 and 2^2100 neither underflow nor overflow: each
+    # mantissa is finite and nonzero, and x * 2^s is sqrt(g) to rounding
+    lv = _Level([(1, 0), (0, 1)], {(1, 0): 0, (0, 1): 1}, [1, 2**4200], 2**2100,
+                [{0: G_ONE}, {1: G_ONE}], [1, 2**4200], [], [])
+    assert lv.gram_diag == [Fraction(1, 2**2100), Fraction(2**2100)]
+    xs, ss = lv.onb_scale
+    for x, s, g in zip(xs, ss, lv.gram_diag):
+        assert np.isfinite(x) and x != 0
+        assert abs(Fraction(float(x)) ** 2 * Fraction(4) ** int(s) / g - 1) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "src, tgt",
+    [((1, 2**2100), (3, 2**2101)), ((2**2100, 1), (5 * 2**2097, 1))],
+    ids=["underflow", "overflow"],
+)
+def test_onb_block_between_levels_beyond_double_range(src, tgt):
+    # a 1x1 block between two levels whose Gram entries lie far outside the
+    # range of a double matches the exact ratio b * sqrt(g_tgt / g_src)
+    r = full_realization(builtin_space("polydisk-hardy", 1), 1)
+    r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
+    b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    got = GradedOperator(r, 1, {0: [{0: b}]}, 0).onb_block(0)
+    ratio = Fraction(*tgt) / Fraction(*src)
+    want = complex(b) * float(ratio) ** 0.5
+    assert got.shape == (1, 1) and abs(got[0, 0] - want) <= 1e-15 * abs(want)
 
 
 # -- pn split -----------------------------------------------------------------

@@ -222,7 +222,9 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, p_degr
                 image[j] = image[j] + x * coeff
         for row, (wr, gr) in enumerate(zip(tgt.comp_rows, tgt.gram_diag)):
             inner = sum(
-                (image[j] * y.conjugate() * tgt.omega[j] for j, y in wr.items()), G_ZERO
+                (image[j] * y.conjugate() * Fraction(tgt.weights[j], tgt.den)
+                 for j, y in wr.items()),
+                G_ZERO,
             )
             assert block[row].get(c, G_ZERO) == inner / gr
 
@@ -255,17 +257,24 @@ def test_kernel_basis_is_annihilated(ncols, data):
     ngens=st.integers(1, 2),
 )
 def test_closed_form_complement_equals_kernel_basis(data, kind, m, ideal_degree, ngens):
-    # the basis of S_k^perp read off the ideal's reduced echelon form equals the
-    # kernel of its constraint rows conj(u_i) * omega, computed by elimination
+    # the basis of S_k^perp read off the ideal's reduced echelon form, divided
+    # by its free entries, equals the kernel of its constraint rows
+    # conj(u_i) * omega, computed by elimination; each vector is a primitive
+    # Gaussian-integer row with a positive free entry
     space = builtin_space(kind, m)
     ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
     for k in range(5 if m == 2 else 4):
         pivots, red, monomials = ideal.level_data(k)
         omega = [space.weight(a) for a in monomials]
         constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
-        assert _complement_kernel(pivots, red, omega) == ela.kernel_basis(
-            constraint, len(monomials)
-        )
+        reference = ela.kernel_basis(constraint, len(monomials))
+        n, den = space.level_weights(k)
+        basis = _complement_kernel(pivots, red, n)
+        assert len(basis) == len(reference)
+        for v, ref in zip(basis, reference):
+            free = next(c for c in ref if c not in pivots)
+            assert v[free].is_real() and v[free].re > 0 and is_primitive(v)
+            assert {c: x / v[free] for c, x in v.items()} == ref
 
 
 def sparse_row(data, ncols):
@@ -300,8 +309,11 @@ def test_elimination_matches_sympy_oracle(ncols, data):
     reduced, oracle_pivots = oracle.rref()
     pivots, red = ela.rref(rows, ncols)
     assert tuple(pivots) == oracle_pivots
-    for row, oracle_row in zip(red, reduced.to_list()):
-        assert [row.get(c, G_ZERO) for c in range(ncols)] == [from_domain(x) for x in oracle_row]
+    # the fraction-free rows, divided by their pivot entries, are the RREF
+    for p, row, oracle_row in zip(pivots, red, reduced.to_list()):
+        assert [row.get(c, G_ZERO) / row[p] for c in range(ncols)] == [
+            from_domain(x) for x in oracle_row
+        ]
     rank = oracle.rank()
     assert ela.rank(rows, ncols) == rank == len(pivots)
     assert len(ela.kernel_basis(rows, ncols)) == oracle.nullspace().shape[0] == ncols - rank
@@ -309,6 +321,27 @@ def test_elimination_matches_sympy_oracle(ncols, data):
 
 def no_zero_stored(rows):
     return all(v for row in rows for v in row.values())
+
+
+def is_primitive(row):
+    """Gaussian-integer entries whose real and imaginary parts have gcd 1."""
+    parts = [x for v in row.values() for x in (v.re, v.im)]
+    return all(x.denominator == 1 for x in parts) and math.gcd(*map(int, parts)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols=st.integers(1, 8), data=st.data())
+def test_fraction_free_rows_are_primitive_and_reduced(ncols, data):
+    # every rref row is a primitive Gaussian-integer row that stores no zero,
+    # keeps its pivot entry and is zero in every other pivot column; so are
+    # the echelon rows behind rank
+    rows = sparse_rows(data, ncols)
+    pivots, red = ela.rref(rows, ncols)
+    assert no_zero_stored(red) and all(map(is_primitive, red))
+    for p, row in zip(pivots, red):
+        assert row[p] and not set(row) & (set(pivots) - {p})
+    echelon = ela._echelon(rows, ncols)[1]
+    assert no_zero_stored(echelon) and all(map(is_primitive, echelon))
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,8 +357,9 @@ def test_reduced_rows_never_store_a_zero(ncols, data):
     assert no_zero_stored([residual]) and not set(residual) & set(pivots)
     rebuilt = dict(residual)
     for c, row in zip(coeffs, red):
-        ela.sub_scaled(rebuilt, -c, row)
-    assert rebuilt == target
+        for col, v in row.items():
+            rebuilt[col] = rebuilt.get(col, G_ZERO) + c * v
+    assert {col: v for col, v in rebuilt.items() if v} == target
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,6 +375,37 @@ def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens)
     r = quotient_realization(builtin_space(kind, m), ideal, 4 if m == 2 else 3)
     for k in range(r.max_level + 1):
         assert no_zero_stored(r.level(k).comp_rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "da", "bergman-ball"]),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+)
+def test_integer_complement_bases_span_the_reference_kernel(data, kind, m, ideal_degree, ngens):
+    # each level's complement basis is primitive Gaussian-integer rows that
+    # span the kernel_basis reference of the constraint rows, are exactly
+    # orthogonal in the space's weights, and have gram_diag equal to their
+    # weighted norms
+    space = builtin_space(kind, m)
+    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
+    r = quotient_realization(space, ideal, 4 if m == 2 else 3)
+    for k in range(r.max_level + 1):
+        lv = r.level(k)
+        omega = [space.weight(a) for a in lv.monomials]
+        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in lv.ideal_rows]
+        reference = ela.kernel_basis(constraint, len(omega))
+        comp = lv.comp_rows
+        assert all(map(is_primitive, comp)) and len(comp) == len(reference)
+        assert ela.rank(comp + reference, len(omega)) == len(reference)
+        for s, ws in enumerate(comp):
+            for t, wt in enumerate(comp):
+                g = sum((x * wt[c].conjugate() * omega[c] for c, x in ws.items() if c in wt),
+                        G_ZERO)
+                assert g == (lv.gram_diag[s] if s == t else 0)
 
 
 @settings(max_examples=25, deadline=None)

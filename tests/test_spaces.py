@@ -181,3 +181,30 @@ def test_describe_serializes():
     desc = da.describe(2)
     text = json.dumps(desc, sort_keys=True)
     assert "drury-arveson" in text and desc["sample_weights"][0]["omega"] == "1"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_space("da", 3),
+        lambda: builtin_space("hardy-ball", 2),
+        lambda: builtin_space("bergman-ball", 3),
+        lambda: builtin_space("polydisk-hardy", 2, {"scale2": Fraction(2, 3)}),
+        lambda: builtin_space(
+            "custom", 2,
+            {"table": {a: Fraction(k + 1, 3 + j) for k in range(6)
+                       for j, a in enumerate(enumerate_level(2, k))}},
+        ),
+        lambda: weighted_piece(builtin_space("da", 2), (2, 1), (1, 0)),
+    ],
+    ids=["da", "hardy-ball", "bergman-ball", "polydisk-scale2", "custom", "weighted-piece"],
+)
+def test_level_weights_are_ints_over_one_denominator(make):
+    # level_weights(k) = (n, D) with n[j] / D == weight(alpha_j) in enumerate_level order
+    space = make()
+    for k in range(6):
+        n, den = space.level_weights(k)
+        monos = enumerate_level(space.m, k)
+        assert type(den) is int and den > 0 and len(n) == len(monos)
+        assert all(type(x) is int for x in n)
+        assert [Fraction(x, den) for x in n] == [space.weight(a) for a in monos]
