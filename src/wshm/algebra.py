@@ -34,9 +34,8 @@ class GaussianRational:
     gcd(a, b, d) = 1, and never mutated.  Closed under +, -, *, and / by a
     nonzero element.  Equality and hashing are exact and agree with
     Fraction/int on real values, so these can key dictionaries and be
-    compared for bit-for-bit identity in tests.  The integer kernels of
-    ``exact_linalg`` read the triple directly and build values with
-    :func:`gaussian` or :func:`from_triple`.
+    compared for bit-for-bit identity in tests.  Outside this module only
+    the integer row kernels of ``exact_linalg`` read or build the triple.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -75,13 +74,13 @@ class GaussianRational:
         c, e, f = _parts(other)
         a, b, d = self._a, self._b, self._d
         if d == f:
-            return gaussian(a + c, b + e, d)
-        return gaussian(a * f + c * d, b * f + e * d, d * f)
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return from_triple(-self._a, -self._b, self._d)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         return self + -other
@@ -92,7 +91,7 @@ class GaussianRational:
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         c, e, f = _parts(other)
         a, b = self._a, self._b
-        return gaussian(a * c - b * e, a * e + b * c, self._d * f)
+        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
@@ -104,14 +103,14 @@ class GaussianRational:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             if c < 0:
                 a, b, c = -a, -b, -c
-            return gaussian(a, b, self._d * c)
-        return gaussian(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
+            return _reduced(a, b, self._d * c)
+        return _reduced(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return from_triple(*_parts(other)) / self
+        return _make(*_parts(other)) / self
 
     def conjugate(self) -> "GaussianRational":
-        return from_triple(self._a, -self._b, self._d)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -137,19 +136,18 @@ class GaussianRational:
         return f"{self.re}{sign}{im}"
 
 
-def from_triple(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b i) / d for a triple already in lowest terms with d > 0, unchecked;
-    a Gaussian integer (d = 1) always is."""
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for a triple already in lowest terms with d > 0."""
     x = object.__new__(GaussianRational)
     x._a, x._b, x._d = a, b, d
     return x
 
 
-def gaussian(a: int, b: int = 0, d: int = 1) -> GaussianRational:
-    """(a + b i) / d for ints a, b and d > 0, reduced to lowest terms.  The gcd
-    starts at d, so a Gaussian integer (d = 1) costs no big-int gcd."""
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0, reduced to lowest terms.  The gcd starts at d,
+    so a Gaussian integer (d = 1) costs no big-int gcd."""
     g = math.gcd(d, a, b)
-    return from_triple(a, b, d) if g == 1 else from_triple(a // g, b // g, d // g)
+    return _make(a, b, d) if g == 1 else _make(a // g, b // g, d // g)
 
 
 def _parts(x: ScalarLike) -> tuple[int, int, int]:
@@ -206,7 +204,18 @@ def enumerate_level(m: int, k: int) -> list[MultiIndex]:
     """
     if m < 1:
         raise ArityError(f"variable count must be >= 1, got {m}")
-    return enumerate_weighted_level(m, (1,) * m, k)
+    if k < 0:
+        return []
+
+    def rec(vars_left: int, budget: int) -> Iterator[tuple[int, ...]]:
+        if vars_left == 1:
+            yield (budget,)
+            return
+        for e in range(budget, -1, -1):
+            for rest in rec(vars_left - 1, budget - e):
+                yield (e,) + rest
+
+    return list(rec(m, k))
 
 
 def enumerate_weighted_level(m: int, n: WeightVector, ell: int) -> list[MultiIndex]:

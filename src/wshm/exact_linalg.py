@@ -13,18 +13,22 @@ Gaussian-integer rows (every entry has denominator 1) with integer content 1,
 updated only by :func:`combine` (a * dst - b * src, content removed).
 :func:`rref` is the one elimination the package runs for ideal levels; its
 rows keep their own pivot entries, so a caller that needs the RREF divides
-once.  :func:`rank` stops after forward elimination, and :func:`inner` is the
-integer weighted inner product of complement bases.  Blocks stay rational:
+once.  :func:`rank` stops after forward elimination.  Complement geometry
+runs on integer weights: :func:`complement_kernel` reads a basis of the
+orthogonal complement off the rref rows in closed form, :func:`orthogonalize`
+makes it orthogonal with integer norms, and :func:`project` gives exact
+coordinates against it, one Gaussian rational each.  Blocks stay rational:
 :func:`mat_mul`, :func:`mat_sub` and :func:`trace` work on Gaussian
 rationals, as does :func:`reduce_against`, whose residual is exact.
 :func:`kernel_basis` and :func:`solve` are references that the package no
 longer calls: tests check complement bases and projections against them.
 
 Everything here is exact: no tolerances and no floats.  An entry is
-(a + b i) / d over Python ints, and the integer kernels read that triple
-directly, so row operations create no Fraction.  Rank and dimension counts
-feed every downstream claim, so this module never rounds.  Float conversion
-for the numeric tier happens in one place, :func:`to_complex_array`.
+(a + b i) / d over Python ints; the integer kernels here read and build that
+triple directly (the only module besides ``algebra`` that does), so row
+operations create no Fraction.  Rank and dimension counts feed every
+downstream claim, so this module never rounds.  Float conversion for the
+numeric tier happens in one place, :func:`to_complex_array`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import G_ONE, G_ZERO, GaussianRational, from_triple
+from .algebra import G_ONE, G_ZERO, GaussianRational, _make, _reduced
 
 Row = dict[int, GaussianRational]
 
@@ -49,17 +53,23 @@ def _content_free(row: Row) -> Row:
     g = math.gcd(*[y for x in row.values() for y in (x._a, x._b)])
     if g == 1:
         return row
-    return {c: from_triple(x._a // g, x._b // g, 1) for c, x in row.items()}
+    return {c: _make(x._a // g, x._b // g, 1) for c, x in row.items()}
+
+
+def over_common_denominator(row: Row) -> tuple[Row, int]:
+    """(num, den): ``row`` as the Gaussian-integer row ``num`` over the least
+    common denominator ``den`` of its entries, row = num / den exactly."""
+    den = math.lcm(*[x._d for x in row.values()])
+    if den > 1:
+        s = {c: den // x._d for c, x in row.items()}
+        row = {c: _make(x._a * s[c], x._b * s[c], 1) for c, x in row.items()}
+    return row, den
 
 
 def integral(row: Row) -> Row:
     """``row`` times the positive rational that makes it a primitive
     Gaussian-integer row (``row`` itself if it is one already)."""
-    den = math.lcm(*[x._d for x in row.values()])
-    if den > 1:
-        s = {c: den // x._d for c, x in row.items()}
-        row = {c: from_triple(x._a * s[c], x._b * s[c], 1) for c, x in row.items()}
-    return _content_free(row)
+    return _content_free(over_common_denominator(row)[0])
 
 
 def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row:
@@ -76,7 +86,7 @@ def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row
         out = dict(dst)
     else:
         out = {
-            c: from_triple(ar * x._a - ai * x._b, ar * x._b + ai * x._a, 1)
+            c: _make(ar * x._a - ai * x._b, ar * x._b + ai * x._a, 1)
             for c, x in dst.items()
         }
     for c, y in src.items():
@@ -84,7 +94,7 @@ def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row
         x = out.get(c, G_ZERO)
         re, im = x._a - br * yr + bi * yi, x._b - br * yi - bi * yr
         if re or im:
-            out[c] = from_triple(re, im, 1)
+            out[c] = _make(re, im, 1)
         else:
             out.pop(c, None)
     return _content_free(out)
@@ -101,6 +111,19 @@ def inner(u: Row, v: Row, n: list[int]) -> tuple[int, int]:
             re += (xr * yr + xi * yi) * w
             im += (xi * yr - xr * yi) * w
     return re, im
+
+
+def project(row: Row, den: int, basis: list[Row], norms: list[int], n: list[int]) -> Row:
+    """Coordinates of row / den against an orthogonal Gaussian-integer basis:
+    entry s is <row, basis[s]> / (den * norms[s]), exact, under the integer
+    weights ``n``, where norms[s] = <basis[s], basis[s]>.  A common scale of
+    the weights cancels.  Zero coordinates are dropped."""
+    out: Row = {}
+    for s, (w, g) in enumerate(zip(basis, norms)):
+        re, im = inner(row, w, n)
+        if re or im:
+            out[s] = _reduced(re, im, g * den)
+    return out
 
 
 def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
@@ -182,6 +205,46 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
                 v[pc] = -c / row[pc]
         basis.append(v)
     return basis
+
+
+def complement_kernel(pivots: list[int], red: list[Row], n: list[int]) -> list[Row]:
+    """Basis of {v : <v, u_i> = 0 for every row u_i of :func:`rref`} under the
+    integer weights ``n``: one primitive Gaussian-integer vector per free
+    column f, in ascending order, with a positive entry at f.
+
+    The constraint rows conj(u_i) * n need no elimination: u_i has its pivot
+    entry at p_i and zeros in every other pivot column, so the kernel vector
+    for f with v_f = 1 is v_{p_i} = -conj(u_i[f]) u_i[p_i] n_f / (|u_i[p_i]|^2
+    n_{p_i}), exactly :func:`kernel_basis` of the constraint rows.  Each is
+    then scaled by the least L > 0 that makes it integral.
+    """
+    pivot_set = set(pivots)
+    basis = {f: {f: G_ONE} for f in range(len(n)) if f not in pivot_set}
+    for p, u in zip(pivots, red):
+        ur, ui = u[p]._a, u[p]._b
+        dp = (ur * ur + ui * ui) * n[p]
+        for f, y in u.items():
+            if f != p:
+                yr, yi, w = y._a, y._b, n[f]
+                basis[f][p] = _reduced(-(yr * ur + yi * ui) * w, (yi * ur - yr * ui) * w, dp)
+    return [integral(v) for v in basis.values()]
+
+
+def orthogonalize(rows: list[Row], n: list[int]) -> tuple[list[Row], list[int]]:
+    """Fraction-free Gram-Schmidt of Gaussian-integer rows under the integer
+    weights ``n``: (basis, norms) with basis[r] orthogonal to every other row
+    and norms[r] = <basis[r], basis[r]>.  Each row is updated by
+    w <- g_u w - <w, u> u against the earlier basis rows u, content removed."""
+    basis: list[Row] = []
+    norms: list[int] = []
+    for w in rows:
+        for u, g in zip(basis, norms):
+            re, im = inner(w, u, n)
+            if re or im:
+                w = combine(_make(g, 0, 1), w, _make(re, im, 1), u)
+        basis.append(w)
+        norms.append(inner(w, w, n)[0])
+    return basis, norms
 
 
 def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[GaussianRational], Row]:

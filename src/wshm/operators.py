@@ -34,7 +34,6 @@ projection onto constants with a positive sign).
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,6 @@ from .algebra import (
     MultiIndex,
     add_index,
     enumerate_level,
-    gaussian,
 )
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
@@ -67,29 +65,6 @@ class _OnDemand(dict):
     def __missing__(self, k):
         value = self[k] = self._build(k)
         return value
-
-
-def _complement_kernel(pivots: list[int], red: list[ela.Row], n: list[int]) -> list[ela.Row]:
-    """Basis of S_k^perp = {v : <v, u_i> = 0 for every reduced row u_i}, one
-    primitive Gaussian-integer vector per free column f in ascending order.
-
-    The constraint rows conj(u_i) * n need no elimination: ``red`` is in
-    reduced echelon form (u_i has its pivot entry at p_i and zeros in every
-    other pivot column), so the kernel vector for f with v_f = 1 is
-    v_{p_i} = -conj(u_i[f]) u_i[p_i] n_f / (|u_i[p_i]|^2 n_{p_i}): exactly
-    ``ela.kernel_basis`` of the constraint rows.  Each is then scaled by the
-    least L > 0 that makes it integral.
-    """
-    pivot_set = set(pivots)
-    basis = {f: {f: G_ONE} for f in range(len(n)) if f not in pivot_set}
-    for p, u in zip(pivots, red):
-        ur, ui = u[p]._a, u[p]._b
-        dp = (ur * ur + ui * ui) * n[p]
-        for f, y in u.items():
-            if f != p:
-                yr, yi, w = y._a, y._b, n[f]
-                basis[f][p] = gaussian(-(yr * ur + yi * ui) * w, (yi * ur - yr * ui) * w, dp)
-    return [ela.integral(v) for v in basis.values()]
 
 
 @dataclass
@@ -171,23 +146,15 @@ class ModuleRealization:
         return self.ideal is None or self.ideal.is_zero_ideal
 
     def _build_level(self, k: int) -> _Level:
-        n, den = self.space.level_weights(k)
         if self.is_full:
             monomials = enumerate_level(self.space.m, k)
-            comp, norms = [{j: G_ONE} for j in range(len(n))], n
-            pivots, red = [], []
+            n, den = self.space.level_weights(monomials)
+            comp, norms, pivots, red = [{j: G_ONE} for j in range(len(n))], n, [], []
         else:
             # a plain ideal's level columns are enumerate_level's monomials
             pivots, red, monomials = self.ideal.level_data(k)
-            comp, norms = [], []
-            # fraction-free Gram-Schmidt: w <- g_u w - <w, u> u, content removed
-            for w in _complement_kernel(pivots, red, n):
-                for u, g in zip(comp, norms):
-                    c = ela.inner(w, u, n)
-                    if any(c):
-                        w = ela.combine(gaussian(g), w, gaussian(*c), u)
-                comp.append(w)
-                norms.append(ela.inner(w, w, n)[0])
+            n, den = self.space.level_weights(monomials)
+            comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
         col_of = {a: j for j, a in enumerate(monomials)}
         return _Level(monomials, col_of, n, den, comp, norms, pivots, red)
 
@@ -222,12 +189,7 @@ class ModuleRealization:
         per coordinate; the level's weight denominator cancels), with zero
         coordinates dropped."""
         lv = self.level(k)
-        out: ela.Row = {}
-        for s, (ws, g) in enumerate(zip(lv.comp_rows, lv.norms)):
-            re, im = ela.inner(coords, ws, lv.weights)
-            if re or im:
-                out[s] = gaussian(re, im, g * den)
-        return out
+        return ela.project(coords, den, lv.comp_rows, lv.norms, lv.weights)
 
 
 def full_realization(space: WeightedShiftSpace, max_level: int) -> ModuleRealization:
@@ -339,8 +301,8 @@ def _mult_block(
         return block
     block = [{} for _ in tgt.comp_rows]
     # the image of an integer vector is integral over p's common denominator
-    den = math.lcm(*[c._d for _, c in terms])
-    terms = [(beta, c * den) for beta, c in terms]
+    num, den = ela.over_common_denominator(dict(terms))
+    terms = list(num.items())
     for ci, w in enumerate(src.comp_rows):
         image: ela.Row = {}
         for g, x in w.items():

@@ -39,7 +39,6 @@ from .errors import ArityError, DimensionError, WshmError
 
 WeightFn = Callable[[MultiIndex], Fraction]
 RatioFn = Callable[[MultiIndex, int], Fraction]
-LevelFn = Callable[[int], tuple[list[int], int]]
 
 BUILTIN_KINDS = ("drury-arveson", "hardy-ball", "bergman-ball", "polydisk-hardy", "custom")
 
@@ -70,7 +69,6 @@ class WeightedShiftSpace:
         weight_fn: WeightFn,
         params: dict | None = None,
         ratio_fn: RatioFn | None = None,
-        level_fn: LevelFn | None = None,
     ):
         if m < 1:
             raise ArityError(f"variable count must be >= 1, got {m}")
@@ -79,7 +77,6 @@ class WeightedShiftSpace:
         self.params = dict(params or {})
         self._weight_fn = weight_fn
         self._ratio_fn = ratio_fn
-        self._level_fn = level_fn
         self._cache: dict[MultiIndex, Fraction] = {}
 
     def weight(self, alpha: Iterable[int]) -> Fraction:
@@ -93,12 +90,10 @@ class WeightedShiftSpace:
             self._cache[a] = w
         return w
 
-    def level_weights(self, k: int) -> tuple[list[int], int]:
-        """(n, D): the weights of the degree-k monomials, in ``enumerate_level``
-        order, as ints over one denominator, omega(alpha_j) = n[j] / D exactly."""
-        if self._level_fn is not None:
-            return self._level_fn(k)
-        ws = [self.weight(a) for a in enumerate_level(self.m, k)]
+    def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
+        """(n, D): the weights of ``monomials`` as ints over one denominator,
+        omega(alpha_j) = n[j] / D exactly; here D is the lcm of theirs."""
+        ws = [self.weight(a) for a in monomials]
         den = math.lcm(*[w.denominator for w in ws])
         return [w.numerator * (den // w.denominator) for w in ws], den
 
@@ -137,9 +132,12 @@ class WeightedShiftSpace:
         return f"WeightedShiftSpace({self.kind}, m={self.m}, params={self.params})"
 
 
-def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn, LevelFn]:
-    """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, their ratios, and each
-    level's weights as the ints alpha! (shift-1)! over (k+shift-1)!."""
+def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn]:
+    """Weights alpha! (shift-1)! / (|alpha|+shift-1)! and their ratios.
+
+    shift = 1 gives Drury-Arveson, shift = m the Hardy ball, shift = m+1 the
+    Bergman ball (these are the kernel powers of the respective spaces).
+    """
 
     def weight(alpha: MultiIndex) -> Fraction:
         num = math.prod(math.factorial(a) for a in alpha) * math.factorial(shift - 1)
@@ -148,15 +146,28 @@ def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn, LevelFn]:
     def ratio(alpha: MultiIndex, i: int) -> Fraction:
         return Fraction(alpha[i] + 1, sum(alpha) + shift)
 
-    def level(k: int) -> tuple[list[int], int]:
-        fact = [1]  # fact[j] = j! for j < k + shift
-        for j in range(1, k + shift):
-            fact.append(fact[-1] * j)
-        top = fact[shift - 1]
-        n = [math.prod([fact[a] for a in alpha]) * top for alpha in enumerate_level(m, k)]
-        return n, fact[-1]
+    return weight, ratio
 
-    return weight, ratio, level
+
+class _KernelPowerSpace(WeightedShiftSpace):
+    """A kernel-power space of :func:`_factorial_weights`, whose level weights
+    have a closed form."""
+
+    def __init__(self, kind: str, m: int, shift: int):
+        w, r = _factorial_weights(m, shift)
+        super().__init__(kind, m, w, params={}, ratio_fn=r)
+        self._shift = shift
+
+    def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
+        """Closed form for one level k: the ints alpha! (shift-1)! over
+        D = (k+shift-1)!.  It builds no Fraction, where the generic path
+        builds one per monomial and spends most of its time doing so."""
+        k = sum(monomials[0]) if monomials else 0
+        fact = [1]  # fact[j] = j! for j < k + shift
+        for j in range(1, k + self._shift):
+            fact.append(fact[-1] * j)
+        top = fact[self._shift - 1]
+        return [math.prod([fact[a] for a in alpha]) * top for alpha in monomials], fact[-1]
 
 
 # the only parameter keys each kind reads; any other key is an input error
@@ -180,11 +191,12 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
     if unknown:
         raise WshmError(f"space {canonical} reads no parameter {min(unknown)!r}")
 
-    # kernel powers: shift 1 is Drury-Arveson, m the Hardy ball, m + 1 the Bergman ball
-    shift = {"drury-arveson": 1, "hardy-ball": m, "bergman-ball": m + 1}.get(canonical)
-    if shift is not None:
-        w, r, level = _factorial_weights(m, shift)
-        return WeightedShiftSpace(canonical, m, w, params={}, ratio_fn=r, level_fn=level)
+    if canonical == "drury-arveson":
+        return _KernelPowerSpace(canonical, m, 1)
+    if canonical == "hardy-ball":
+        return _KernelPowerSpace(canonical, m, m)
+    if canonical == "bergman-ball":
+        return _KernelPowerSpace(canonical, m, m + 1)
     if canonical == "polydisk-hardy":
         raw = params.get("scale2", 1)
         try:
@@ -200,12 +212,7 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
         def r(alpha: MultiIndex, i: int, _s=scale2) -> Fraction:
             return _s
 
-        def level(k: int, _s=scale2) -> tuple[list[int], int]:
-            return [_s.numerator**k] * level_dimension(m, k), _s.denominator**k
-
-        return WeightedShiftSpace(
-            canonical, m, w, params={"scale2": scale2}, ratio_fn=r, level_fn=level
-        )
+        return WeightedShiftSpace(canonical, m, w, params={"scale2": scale2}, ratio_fn=r)
 
     table = params.get("table")
     if not isinstance(table, dict):

@@ -200,11 +200,11 @@ def test_describe_serializes():
     ids=["da", "hardy-ball", "bergman-ball", "polydisk-scale2", "custom", "weighted-piece"],
 )
 def test_level_weights_are_ints_over_one_denominator(make):
-    # level_weights(k) = (n, D) with n[j] / D == weight(alpha_j) in enumerate_level order
+    # level_weights(monos) = (n, D) with n[j] / D == weight(monos[j])
     space = make()
     for k in range(6):
-        n, den = space.level_weights(k)
         monos = enumerate_level(space.m, k)
+        n, den = space.level_weights(monos)
         assert type(den) is int and den > 0 and len(n) == len(monos)
         assert all(type(x) is int for x in n)
         assert [Fraction(x, den) for x in n] == [space.weight(a) for a in monos]
