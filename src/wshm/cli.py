@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: space describe | ideal hilbert | ideal decompose |
-diag normality | diag trace | diag koszul | diag section5 | diag qweights |
-preg delta | preg check | preg kernel.
+``COMMANDS`` is the one place a subcommand's flags live: it maps each
+two-word subcommand (``diag normality``, ``preg kernel``, ...) to the flags it
+reads and the function that runs it.  A call builds one parser with those
+flags plus ``--m``, ``--out`` and ``--format``, so any other flag exits 2.
 
 Exit codes: 0 = all exact checks pass, 1 = an exact-fail verdict is present,
 2 = usage, configuration or input error (one ``error:`` line on stderr, never
@@ -19,6 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .diagnostics import (
 from .errors import ParseError, WshmError
 from .ideals import GradedIdeal, hilbert_samuel_fit, residue_decompose
 from .operators import full_realization, quotient_realization
-from .parsing import parse_polynomial_list
+from .parsing import parse_polynomial, parse_polynomial_list
 from .posreg import (
     PositiveRegularPoly,
     defect_projection_check,
@@ -49,71 +51,24 @@ from .posreg import (
 )
 from .spaces import builtin_space
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wshm",
-        description="weighted shift Hilbert module diagnostics",
-    )
-    parser.add_argument("--config", help="JSON config file replacing all flags")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(
-        p, space=False, ideal=False, weight=False, level=False, wlevel=False, poly=False
-    ):
-        """Register the flags a subcommand reads, and no others."""
-        if space:
-            p.add_argument("--space", default="drury-arveson")
-            p.add_argument("--param", action="append", default=[], metavar="K=V")
-        p.add_argument("--m", type=int, default=2)
-        if ideal:
-            p.add_argument("--ideal", help="comma-separated generator polynomials")
-        if weight:
-            p.add_argument("--weight", help="weight vector n1,n2,...")
-        if level:
-            p.add_argument("--max-level", type=int, default=10)
-        if wlevel:
-            p.add_argument("--max-wlevel", type=int, default=8)
-        if poly:
-            p.add_argument("--poly", required=True)
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_space = sub.add_parser("space", help="space inspection").add_subparsers(dest="sub")
-    p = p_space.add_parser("describe")
-    common(p, space=True)
-    p.add_argument("--preview-degree", type=int, default=3)
-
-    p_ideal = sub.add_parser("ideal", help="ideal computations").add_subparsers(dest="sub")
-    p = p_ideal.add_parser("hilbert")
-    common(p, ideal=True, level=True)
-    p.set_defaults(max_level=None)  # the smallest level the fit accepts
-    p = p_ideal.add_parser("decompose")
-    common(p, ideal=True, weight=True, wlevel=True)
-
-    p_diag = sub.add_parser("diag", help="diagnostics").add_subparsers(dest="sub")
-    p = p_diag.add_parser("normality")
-    common(p, space=True, ideal=True, level=True)
-    p.add_argument("--schatten", help="comma-separated exponents p >= 1")
-    p = p_diag.add_parser("trace")
-    common(p, space=True, level=True)
-    p = p_diag.add_parser("koszul")
-    common(p, ideal=True, level=True)
-    p.add_argument("--module", choices=("full", "ideal", "quotient"), default=None)
-    p = p_diag.add_parser("section5")
-    common(p, space=True, ideal=True, level=True)
-    p = p_diag.add_parser("qweights")
-    common(p, space=True, ideal=True, level=True)
-    p.add_argument("--var", type=int, default=1, help="1-based shift variable")
-
-    p_preg = sub.add_parser("preg", help="positive regular pipeline").add_subparsers(dest="sub")
-    p = p_preg.add_parser("delta")
-    common(p, poly=True, level=True)
-    p = p_preg.add_parser("check")
-    common(p, poly=True, wlevel=True)
-    p = p_preg.add_parser("kernel")
-    common(p, poly=True, wlevel=True)
-    return parser
+# add_argument keywords of every flag, in the order a parser registers them
+_FLAGS = {
+    "space": {"default": "drury-arveson"},
+    "param": {"action": "append", "default": [], "metavar": "K=V"},
+    "m": {"type": int, "default": 2},
+    "ideal": {"help": "comma-separated generator polynomials"},
+    "weight": {"help": "weight vector n1,n2,..."},
+    "max-level": {"type": int, "default": 10},
+    "max-wlevel": {"type": int, "default": 8},
+    "poly": {"required": True},
+    "out": {"help": "output path"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "preview-degree": {"type": int, "default": 3},
+    "schatten": {"help": "comma-separated exponents p >= 1"},
+    "module": {"choices": ("full", "ideal", "quotient"), "default": None},
+    "var": {"type": int, "default": 1, "help": "1-based shift variable"},
+}
+_EVERY_COMMAND_FLAGS = ("m", "out", "format")
 
 
 def _config_to_argv(path: str) -> list[str]:
@@ -142,7 +97,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _space_from_args(args) -> object:
-    params = _parse_params(getattr(args, "param", []) or [])
+    params = _parse_params(args.param)
     if "table" in params:
         path = params["table"]
         if not path:
@@ -161,17 +116,23 @@ def _space_from_args(args) -> object:
 
 
 def _ideal_from_args(args, weight=None) -> GradedIdeal | None:
-    text = getattr(args, "ideal", None)
-    if not text:
+    if not args.ideal:
         return None
-    gens = parse_polynomial_list(text, args.m)
+    gens = parse_polynomial_list(args.ideal, args.m)
     return GradedIdeal(args.m, gens, weight=weight)
 
 
+def _required_ideal(args, weight=None) -> GradedIdeal:
+    ideal = _ideal_from_args(args, weight)
+    if ideal is None:
+        raise WshmError(f"{args.command} {args.sub} requires --ideal")
+    return ideal
+
+
 def _weight_from_args(args):
-    text = getattr(args, "weight", None)
+    text = args.weight
     if not text:
-        return None
+        raise WshmError("ideal decompose requires --weight")
     try:
         weight = [int(x) for x in text.split(",")]
     except ValueError:
@@ -180,7 +141,7 @@ def _weight_from_args(args):
 
 
 def _schatten_from_args(args) -> list[float]:
-    text = getattr(args, "schatten", None)
+    text = args.schatten
     if not text:
         return []
     try:
@@ -202,13 +163,6 @@ def _check_levels(args) -> None:
             raise WshmError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
-def _resolved_config(args) -> dict:
-    skip = {"config"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
-
-
 def _run_space_describe(args) -> DiagnosticsReport:
     space = _space_from_args(args)
     desc = space.describe(args.preview_degree)
@@ -227,9 +181,7 @@ def _run_space_describe(args) -> DiagnosticsReport:
 
 
 def _run_ideal_hilbert(args) -> DiagnosticsReport:
-    ideal = _ideal_from_args(args)
-    if ideal is None:
-        raise WshmError("ideal hilbert requires --ideal")
+    ideal = _required_ideal(args)
     data = hilbert_samuel_fit(ideal, args.max_level)
     report = DiagnosticsReport(
         "ideal-hilbert",
@@ -264,11 +216,7 @@ def _run_ideal_hilbert(args) -> DiagnosticsReport:
 
 def _run_ideal_decompose(args) -> DiagnosticsReport:
     weight = _weight_from_args(args)
-    if weight is None:
-        raise WshmError("ideal decompose requires --weight")
-    ideal = _ideal_from_args(args, weight=weight)
-    if ideal is None:
-        raise WshmError("ideal decompose requires --ideal")
+    ideal = _required_ideal(args, weight)
     dec = residue_decompose(ideal, args.max_wlevel)
     report = DiagnosticsReport(
         "ideal-decompose",
@@ -312,67 +260,57 @@ def _run_ideal_decompose(args) -> DiagnosticsReport:
     return report
 
 
-def _run_diag(args) -> DiagnosticsReport:
-    if args.sub == "trace":
-        space = _space_from_args(args)
-        return trace_report(space, args.max_level)
-    if args.sub == "normality":
-        space = _space_from_args(args)
-        ideal = _ideal_from_args(args)
-        K = args.max_level
-        if ideal is None:
-            realization = full_realization(space, K + 2)
-        else:
-            realization = quotient_realization(space, ideal, K + 2)
-        return normality_report(realization, K, _schatten_from_args(args))
-    if args.sub == "koszul":
-        ideal = _ideal_from_args(args)
-        module = args.module or ("ideal" if ideal is not None else "full")
-        return koszul_report(args.m, ideal, module, args.max_level)
-    if args.sub == "section5":
-        space = _space_from_args(args)
-        ideal = _ideal_from_args(args)
-        if ideal is None:
-            raise WshmError("diag section5 requires --ideal")
-        return section5_report(space, ideal, args.max_level)
-    if args.sub == "qweights":
-        space = _space_from_args(args)
-        ideal = _ideal_from_args(args)
-        if ideal is None:
-            raise WshmError("diag qweights requires --ideal")
-        if not 1 <= args.var <= space.m:
-            raise WshmError(f"--var must be in 1..{space.m}, got {args.var}")
-        return qweights_report(space, ideal, args.max_level, var=args.var - 1)
-    raise WshmError(f"unknown diag subcommand {args.sub!r}")
+def _run_normality(args) -> DiagnosticsReport:
+    space = _space_from_args(args)
+    ideal = _ideal_from_args(args)
+    K = args.max_level
+    if ideal is None:
+        realization = full_realization(space, K + 2)
+    else:
+        realization = quotient_realization(space, ideal, K + 2)
+    return normality_report(realization, K, _schatten_from_args(args))
+
+
+def _run_koszul(args) -> DiagnosticsReport:
+    ideal = _ideal_from_args(args)
+    module = args.module or ("ideal" if ideal is not None else "full")
+    return koszul_report(args.m, ideal, module, args.max_level)
+
+
+def _run_qweights(args) -> DiagnosticsReport:
+    space = _space_from_args(args)
+    ideal = _required_ideal(args)
+    if not 1 <= args.var <= space.m:
+        raise WshmError(f"--var must be in 1..{space.m}, got {args.var}")
+    return qweights_report(space, ideal, args.max_level, var=args.var - 1)
 
 
 def _preg_poly(args) -> PositiveRegularPoly:
-    from .parsing import parse_polynomial
-
-    p = parse_polynomial(args.poly, args.m)
-    return PositiveRegularPoly.from_polynomial(p)
+    return PositiveRegularPoly.from_polynomial(parse_polynomial(args.poly, args.m))
 
 
-def _run_preg(args) -> DiagnosticsReport:
+def _run_preg_delta(args) -> DiagnosticsReport:
     poly = _preg_poly(args)
-    if args.sub == "delta":
-        table = delta_coefficients(poly, args.max_level)
-        report = DiagnosticsReport(
-            "preg-delta", {"poly": str(poly), "m": args.m, "max_level": args.max_level}
+    table = delta_coefficients(poly, args.max_level)
+    report = DiagnosticsReport(
+        "preg-delta", {"poly": str(poly), "m": args.m, "max_level": args.max_level}
+    )
+    report.tables.append(
+        Table(
+            "delta",
+            [Column("beta", "text"), Column("delta", "exact")],
+            [[",".join(map(str, b)), str(v)] for b, v in table.items()],
         )
-        report.tables.append(
-            Table(
-                "delta",
-                [Column("beta", "text"), Column("delta", "exact")],
-                [[",".join(map(str, b)), str(v)] for b, v in table.items()],
-            )
-        )
-        return report
+    )
+    return report
 
+
+def _kernel_report(args, poly: PositiveRegularPoly) -> DiagnosticsReport:
+    """The kernel-vs-ideal report that ``preg kernel`` prints and ``preg
+    check`` extends."""
     ell_max = args.max_wlevel
     report = DiagnosticsReport(
-        "preg-check" if args.sub == "check" else "preg-kernel",
-        {"poly": str(poly), "m": args.m, "max_wlevel": ell_max},
+        f"preg-{args.sub}", {"poly": str(poly), "m": args.m, "max_wlevel": ell_max}
     )
     data = jp_data(poly)
     report.params["jp"] = data.to_json_dict()
@@ -407,53 +345,105 @@ def _run_preg(args) -> DiagnosticsReport:
             f"levels 0..{ell_max}",
         )
     )
-    if args.sub == "check":
-        deg = max(ell_max, 8)
-        proj = defect_projection_check(poly, deg)
-        report.verdicts.append(
-            Verdict(
-                "defect-projection-identity",
-                "exact-pass" if proj.passed else "exact-fail",
-                f"rank-one identity on all |beta| <= {deg}"
-                if proj.passed
-                else f"failed at {proj.failures[0]}",
-            )
-        )
-        mm = xp_module_map_check(poly, ell_max)
-        report.verdicts.append(
-            Verdict(
-                "module-map-intertwining",
-                "exact-pass" if mm.passed else "exact-fail",
-                mm.witness or "exact on squared data",
-            )
-        )
-        svmax = 0.0
-        sq_max = Fraction(0)
-        for xl in xp_blocks(poly, ell_max):
-            if xl.singular_values:
-                svmax = max(svmax, xl.singular_values[0])
-            sq_max = max([sq_max, *xl.singular_sq])
-        report.tables.append(
-            Table(
-                "contractivity",
-                [Column("max_singular_value", "float")],
-                [[svmax]],
-            )
-        )
-        report.verdicts.append(
-            Verdict(
-                "contractivity",
-                "exact-pass" if sq_max <= 1 else "exact-fail",
-                f"max singular value {svmax}",
-            )
-        )
     return report
+
+
+def _run_preg_check(args) -> DiagnosticsReport:
+    poly = _preg_poly(args)
+    report = _kernel_report(args, poly)
+    ell_max = args.max_wlevel
+    deg = max(ell_max, 8)
+    proj = defect_projection_check(poly, deg)
+    report.verdicts.append(
+        Verdict(
+            "defect-projection-identity",
+            "exact-pass" if proj.passed else "exact-fail",
+            f"rank-one identity on all |beta| <= {deg}"
+            if proj.passed
+            else f"failed at {proj.failures[0]}",
+        )
+    )
+    mm = xp_module_map_check(poly, ell_max)
+    report.verdicts.append(
+        Verdict(
+            "module-map-intertwining",
+            "exact-pass" if mm.passed else "exact-fail",
+            mm.witness or "exact on squared data",
+        )
+    )
+    svmax = 0.0
+    sq_max = Fraction(0)
+    for xl in xp_blocks(poly, ell_max):
+        if xl.singular_values:
+            svmax = max(svmax, xl.singular_values[0])
+        sq_max = max([sq_max, *xl.singular_sq])
+    report.tables.append(
+        Table(
+            "contractivity",
+            [Column("max_singular_value", "float")],
+            [[svmax]],
+        )
+    )
+    report.verdicts.append(
+        Verdict(
+            "contractivity",
+            "exact-pass" if sq_max <= 1 else "exact-fail",
+            f"max singular value {svmax}",
+        )
+    )
+    return report
+
+
+class _Command(NamedTuple):
+    flags: tuple[str, ...]  # keys of _FLAGS, besides _EVERY_COMMAND_FLAGS
+    run: Callable[[argparse.Namespace], DiagnosticsReport]
+    defaults: dict = {}  # parser defaults that override a flag's own
+
+
+COMMANDS = {
+    "space describe": _Command(("space", "param", "preview-degree"), _run_space_describe),
+    # without --max-level: the smallest level the fit accepts
+    "ideal hilbert": _Command(("ideal", "max-level"), _run_ideal_hilbert, {"max_level": None}),
+    "ideal decompose": _Command(("ideal", "weight", "max-wlevel"), _run_ideal_decompose),
+    "diag normality": _Command(
+        ("space", "param", "ideal", "max-level", "schatten"), _run_normality
+    ),
+    "diag trace": _Command(
+        ("space", "param", "max-level"),
+        lambda args: trace_report(_space_from_args(args), args.max_level),
+    ),
+    "diag koszul": _Command(("ideal", "max-level", "module"), _run_koszul),
+    "diag section5": _Command(
+        ("space", "param", "ideal", "max-level"),
+        lambda args: section5_report(
+            _space_from_args(args), _required_ideal(args), args.max_level
+        ),
+    ),
+    "diag qweights": _Command(("space", "param", "ideal", "max-level", "var"), _run_qweights),
+    "preg delta": _Command(("poly", "max-level"), _run_preg_delta),
+    "preg check": _Command(("poly", "max-wlevel"), _run_preg_check),
+    "preg kernel": _Command(
+        ("poly", "max-wlevel"), lambda args: _kernel_report(args, _preg_poly(args))
+    ),
+}
+_USAGE = f"usage: wshm {{{' | '.join(COMMANDS)}}} [flags], or wshm --config FILE"
+
+
+def _parser(name: str, entry: _Command) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"wshm {name}")
+    for flag, keywords in _FLAGS.items():
+        if flag in entry.flags or flag in _EVERY_COMMAND_FLAGS:
+            parser.add_argument(f"--{flag}", **keywords)
+    command, sub = name.split()
+    parser.set_defaults(command=command, sub=sub, **entry.defaults)
+    return parser
 
 
 def _emit(report: DiagnosticsReport, args) -> None:
     report.params["config"] = {
         k: (v if isinstance(v, (int, float, str, list)) else str(v))
-        for k, v in _resolved_config(args).items()
+        for k, v in sorted(vars(args).items())
+        if v is not None
     }
     if args.format == "json":
         text = report.to_json()
@@ -476,41 +466,28 @@ def _emit(report: DiagnosticsReport, args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
         if "--config" in argv:
-            idx = argv.index("--config")
-            if len(argv) != 2 or idx != 0:
+            if len(argv) != 2 or argv[0] != "--config":
                 raise WshmError("--config must be the only argument")
             argv = _config_to_argv(argv[1])
-        args = parser.parse_args(argv)
+        name = " ".join(argv[:2])
+        # two arguments: the single argument "diag trace" names no subcommand
+        entry = COMMANDS.get(name) if len(argv) >= 2 else None
+        if entry is None:
+            asked = {"-h", "--help"} & set(argv[:2])
+            print(_USAGE, file=sys.stdout if asked else sys.stderr)
+            return 0 if asked else 2
+        args = _parser(name, entry).parse_args(argv[2:])
     except SystemExit as e:
         return int(e.code or 0)
     except (WshmError, ParseError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    if not getattr(args, "command", None) or not getattr(args, "sub", None):
-        parser.print_usage(sys.stderr)
-        return 2
-
     try:
         _check_levels(args)
-        if args.command == "space":
-            report = _run_space_describe(args)
-        elif args.command == "ideal":
-            report = (
-                _run_ideal_hilbert(args)
-                if args.sub == "hilbert"
-                else _run_ideal_decompose(args)
-            )
-        elif args.command == "diag":
-            report = _run_diag(args)
-        elif args.command == "preg":
-            report = _run_preg(args)
-        else:
-            parser.print_usage(sys.stderr)
-            return 2
+        report = entry.run(args)
     except (WshmError, ParseError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

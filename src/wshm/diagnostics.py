@@ -698,6 +698,8 @@ class _KoszulModule:
             raise WshmError(f"unknown module kind {kind!r}")
         if kind != "full" and ideal is None:
             raise WshmError(f"module kind {kind!r} needs an ideal")
+        if kind == "full" and ideal is not None:
+            raise WshmError("module kind 'full' takes no ideal")
         if ideal is not None and ideal.mode != "plain":
             raise WshmError("Koszul module needs a plain-homogeneous ideal")
         if kind == "full":
@@ -818,7 +820,7 @@ def koszul_euler(
         chain_chi = sum((-1) ** j * chain_dim(d, j) for j in range(m + 1))
         assert chi_d == chain_chi, "homology Euler sum disagrees with chain sum"
         chi += chi_d
-    gen_deg = (ideal.max_generator_degree() if ideal is not None else 0) or 0
+    gen_deg = mod.ideal.max_generator_degree() or 0
     tail = [sum(homology[d]) for d in range(max(0, d_max - 2), d_max + 1)]
     conclusive = d_max >= gen_deg + m and len(tail) == 3 and all(t == 0 for t in tail)
     return KoszulReport(module, d_max, homology, chi, -chi, dd_zero, conclusive)

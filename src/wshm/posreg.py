@@ -52,7 +52,7 @@ from .algebra import (
 from .errors import SignConventionError, WshmError
 from .exact_linalg import fraction_sqrt
 from .ideals import GradedIdeal, ideal_level_dimension
-from .spaces import WeightedShiftSpace
+from .spaces import WeightedShiftSpace, builtin_space
 
 
 @dataclass(frozen=True)
@@ -318,14 +318,6 @@ def _sigma(poly: PositiveRegularPoly, beta: MultiIndex) -> MultiIndex:
     return tuple(out)
 
 
-def _da_weight(beta: MultiIndex) -> Fraction:
-    import math
-
-    return Fraction(
-        math.prod(math.factorial(b) for b in beta), math.factorial(sum(beta))
-    )
-
-
 @dataclass
 class XpLevel:
     """One weighted level of the comparison map in orthonormal coordinates."""
@@ -353,6 +345,7 @@ def xp_blocks(poly: PositiveRegularPoly, ell_max: int) -> list[XpLevel]:
     data = jp_data(poly)
     table = DeltaTable(poly)
     table.ensure(ell_max)
+    da_weight = builtin_space("drury-arveson", data.total_vars).weight
     out = []
     for ell in range(ell_max + 1):
         domain = enumerate_weighted_level(data.total_vars, data.weight, ell)
@@ -363,7 +356,7 @@ def xp_blocks(poly: PositiveRegularPoly, ell_max: int) -> list[XpLevel]:
             gamma = _sigma(poly, beta)
             csq = _sqrt_coeff_sq(poly, beta)
             if csq:
-                esq = csq / (_da_weight(beta) * table.delta(gamma))
+                esq = csq / (da_weight(beta) * table.delta(gamma))
                 col_sums[gamma] = col_sums.get(gamma, Fraction(0)) + esq
             else:
                 esq = Fraction(0)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wshm import cli
 from wshm.diagnostics import DiagnosticsReport, Verdict
@@ -43,6 +45,16 @@ def test_unknown_flag_exits_2(capsys):
 def test_missing_subcommand_exits_2(capsys):
     assert run(capsys, "space")[0] == 2
     assert run(capsys)[0] == 2
+    code, out, err = run(capsys, "diag", "bogus")
+    assert code == 2 and not out and err.startswith("usage: wshm")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_subcommand(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0 and not err
+    assert out.count("\n") == 1
+    assert all(name in out for name in cli.COMMANDS)
 
 
 def test_parse_error_reports_position(capsys):
@@ -171,7 +183,7 @@ def test_preg_kernel(capsys):
 def test_exact_fail_maps_to_exit_one(monkeypatch, capsys):
     failing = DiagnosticsReport("stub", {})
     failing.verdicts.append(Verdict("broken", "exact-fail", "witness"))
-    monkeypatch.setattr(cli, "_run_diag", lambda args: failing)
+    monkeypatch.setattr(cli, "trace_report", lambda space, max_level: failing)
     code, out, _ = run(capsys, "diag", "trace", "--space", "hardy-ball", "--m", "2")
     assert code == 1
 
@@ -230,7 +242,54 @@ def test_config_must_be_alone(tmp_path, capsys):
     assert code == 2
 
 
-def test_unread_flags_exit_2(capsys):
+_PREG = "1/2*z1+1/2*z2+1/4*z1*z2"
+# subcommand -> (a base argv that exits 0, the flags it reads besides --m,
+# --out and --format)
+_FLAG_TABLE = {
+    "space describe": (("--space", "da"), {"space", "param", "preview-degree"}),
+    "ideal hilbert": (("--ideal", "z1"), {"ideal", "max-level"}),
+    "ideal decompose": (
+        ("--ideal", "z2-z1^2", "--weight", "1,2", "--max-wlevel", "3"),
+        {"ideal", "weight", "max-wlevel"},
+    ),
+    "diag normality": (
+        ("--space", "hardy-ball", "--max-level", "1"),
+        {"space", "param", "ideal", "max-level", "schatten"},
+    ),
+    "diag trace": (("--space", "hardy-ball", "--max-level", "1"), {"space", "param", "max-level"}),
+    "diag koszul": (("--ideal", "z1", "--max-level", "2"), {"ideal", "max-level", "module"}),
+    "diag section5": (
+        ("--space", "hardy-ball", "--ideal", "z1", "--max-level", "1"),
+        {"space", "param", "ideal", "max-level"},
+    ),
+    "diag qweights": (
+        ("--space", "hardy-ball", "--ideal", "z1", "--max-level", "1"),
+        {"space", "param", "ideal", "max-level", "var"},
+    ),
+    "preg delta": (("--poly", _PREG, "--max-level", "2"), {"poly", "max-level"}),
+    "preg check": (("--poly", _PREG, "--max-wlevel", "2"), {"poly", "max-wlevel"}),
+    "preg kernel": (("--poly", _PREG, "--max-wlevel", "2"), {"poly", "max-wlevel"}),
+}
+# flag -> an argv fragment with a value every subcommand reading it accepts
+_FLAG_VALUES = {
+    "space": ("--space", "hardy-ball"),
+    "param": ("--param", "scale2=1/2", "--space", "polydisk-hardy"),
+    "m": ("--m", "2"),
+    "ideal": ("--ideal", "z1"),
+    "weight": ("--weight", "1,2"),
+    "max-level": ("--max-level", "11"),
+    "max-wlevel": ("--max-wlevel", "2"),
+    "poly": ("--poly", _PREG),
+    "out": ("--out", "{tmp}/report.json"),
+    "format": ("--format", "json"),
+    "preview-degree": ("--preview-degree", "2"),
+    "schatten": ("--schatten", "2"),
+    "module": ("--module", "ideal"),
+    "var": ("--var", "2"),
+}
+
+
+def test_unread_flags_exit_2(tmp_path, capsys):
     hilbert = ("ideal", "hilbert", "--m", "2", "--ideal", "z1", "--max-level", "12")
     assert run(capsys, *hilbert)[0] == 0
     assert run(capsys, *hilbert, "--schatten", "7")[0] == 2
@@ -240,6 +299,17 @@ def test_unread_flags_exit_2(capsys):
                "--weight", "1,2", "--max-level", "3")[0] == 2
     assert run(capsys, "preg", "kernel", "--poly", "1/2*z1+1/2*z1^2", "--m", "1",
                "--max-level", "3")[0] == 2
+
+    # every (subcommand, flag) pair: a flag the subcommand reads parses and
+    # runs, any other one is refused by the parser
+    for name, (base, reads) in _FLAG_TABLE.items():
+        for flag, value in _FLAG_VALUES.items():
+            argv = (*name.split(), *base, *(a.replace("{tmp}", str(tmp_path)) for a in value))
+            code, _, err = run(capsys, *argv)
+            if flag in reads or flag in ("m", "out", "format"):
+                assert code == 0, (argv, err)
+            else:
+                assert code == 2 and "unrecognized arguments" in err, argv
 
 
 def test_normality_single_level_is_inconclusive(capsys):
@@ -300,7 +370,7 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
-def _raise_linalg_error(args):
+def _raise_linalg_error(space, max_level):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
@@ -327,6 +397,8 @@ def _raise_linalg_error(args):
         (("space", "describe", "--space", "custom", "--param", "table="), None),
         (("space", "describe", "--space", "custom", "--param", "weight=foo"), None),
         (("space", "describe", "--space", "da", "--param", "scale2=2"), None),
+        (("diag", "koszul", "--m", "2", "--max-level", "4", "--module", "full",
+          "--ideal", "z1^5"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
@@ -334,11 +406,11 @@ def _raise_linalg_error(args):
          "negative-wlevel-preg-check", "negative-level-koszul",
          "negative-preview-degree", "var-zero", "var-above-m",
          "scale2-not-a-number", "scale2-zero-denominator", "empty-table-path",
-         "custom-weight-key", "param-not-read-by-space"],
+         "custom-weight-key", "param-not-read-by-space", "koszul-full-with-ideal"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:
-        monkeypatch.setattr(cli, "_run_diag", patch)
+        monkeypatch.setattr(cli, "trace_report", patch)
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2 and not out
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
@@ -376,3 +448,56 @@ def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
     statuses = {v["name"]: v["status"] for v in json.loads(out)["verdicts"]}
     assert statuses["contractivity"] == "exact-fail"
     assert code == 1
+
+
+_LEVEL_FLAGS = ("max-level", "max-wlevel", "preview-degree")
+_LEVELS = (("0", "1", "2", "3", "4"), ("-1", "x"))
+# flag -> (small well-formed values, malformed ones), for every flag but --out
+_FUZZ_VALUES = {
+    "space": (("da", "hardy-ball", "bergman-ball", "polydisk-hardy"), ("custom", "nope", "")),
+    "param": (("scale2=1/2",), ("scale2=abc", "table=", "foo", "weight=1")),
+    "m": (("1", "2", "3"), ("0", "x")),
+    "ideal": (("z1", "z1+z2", "z1^2,z1*z2", "z1+2i*z2", "z2-z1^2"), ("z1 + $", "z3", "1", "")),
+    "weight": (("1,2", "2,1"), ("1,x", "0,1", "1")),
+    "max-level": _LEVELS,
+    "max-wlevel": _LEVELS,
+    "preview-degree": _LEVELS,
+    "poly": ((_PREG, "1/2*z1+1/2*z1^2"), ("z1+z2", "z1 + $")),
+    "format": (("json",), ("xml",)),
+    "schatten": (("2", "1,2.5"), ("0.5", "abc", "inf")),
+    "module": (("full", "ideal", "quotient"), ("bogus",)),
+    "var": (("1", "2"), ("0", "3")),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand, a subset of its flags and a value for each, malformed one
+    time in eight.  Every level flag is given, so that each run stays small;
+    ``ideal hilbert`` may leave its own out, whose default is the smallest
+    level its fit accepts."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = (*cli.COMMANDS[name].flags, "m", "format")
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True))
+    if name != "ideal hilbert":
+        chosen += [f for f in flags if f in _LEVEL_FLAGS and f not in chosen]
+    argv = name.split()
+    for flag in chosen:
+        good, bad = _FUZZ_VALUES[flag]
+        values = bad if draw(st.integers(0, 7)) == 7 else good
+        argv += [f"--{flag}", draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_keeps_the_exit_code_contract(capsys, argv):
+    # --out is left out, so stdout carries the report the exit code is checked against
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert not out and (err.startswith("error:") or err.startswith("usage:"))
+    else:
+        statuses = {v["status"] for v in json.loads(out)["verdicts"]}
+        assert code == (1 if "exact-fail" in statuses else 0)
