@@ -46,7 +46,7 @@ from .operators import (
     op_sub,
     pn_split,
     quotient_realization,
-    schatten_partial,
+    spectral_norm,
 )
 from .spaces import WeightedShiftSpace
 
@@ -145,12 +145,11 @@ def full_defect_eigenvalues(space: WeightedShiftSpace, k: int) -> list[Fraction]
 def defect_schatten_terms(space: WeightedShiftSpace, p: float, K: int) -> list[float]:
     """Per-level Schatten-p terms of the full-module defect, from the exact
     diagonal (multiplicities included)."""
-    out = []
-    for k in range(K + 1):
-        out.append(
-            float(sum(abs(float(v)) ** p for v in full_defect_eigenvalues(space, k)))
-        )
-    return out
+    return _diagonal_schatten_terms([full_defect_eigenvalues(space, k) for k in range(K + 1)], p)
+
+
+def _diagonal_schatten_terms(diag: list[list[Fraction]], p: float) -> list[float]:
+    return [float(sum(abs(float(v)) ** p for v in d)) for d in diag]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def _trend_verdict(name: str, norms: list[float], exact_zero: bool) -> Verdict:
     detail = f"norm[{k_lo}]={lo:.6g}, norm[{k_hi}]={hi:.6g}, loglog_slope={slope}"
     if k_lo == k_hi:
         return Verdict(name, "inconclusive", f"{detail}; a trend needs two levels")
-    if hi < lo:
+    if hi < lo or hi == 0.0:  # a series that has reached zero stays consistent
         return Verdict(name, "trend-consistent", detail)
     return Verdict(name, "trend-inconsistent", detail)
 
@@ -202,6 +201,8 @@ def normality_report(
             f"normality_report to K={K} needs realization levels to {K + 2}"
         )
     p_list = list(p_list or [])
+    if any(not p >= 1 for p in p_list):
+        raise WshmError(f"Schatten exponents must be >= 1, got {p_list}")
     m = realization.space.m
     params = {
         "space": realization.space.kind,
@@ -214,17 +215,18 @@ def normality_report(
     }
     report = DiagnosticsReport("normality", params)
 
-    # spherical defect
+    # spherical defect: one exact diagonal or one SVD per level
     if realization.is_full:
         diag = [full_defect_eigenvalues(realization.space, k) for k in range(K + 1)]
         defect_norms = [max((abs(float(v)) for v in d), default=0.0) for d in diag]
         defect_zero = all(not v for d in diag for v in d)
-        defect_terms = {p: defect_schatten_terms(realization.space, p, K) for p in p_list}
+        defect_terms = {p: _diagonal_schatten_terms(diag, p) for p in p_list}
     else:
         dop = defect_blocks(realization, K)
-        defect_norms = [dop.norm(k) for k in range(K + 1)]
+        svs = [dop.singular_values(k) for k in range(K + 1)]
+        defect_norms = [float(sv.max(initial=0.0)) for sv in svs]
         defect_zero = not any(row for k in range(K + 1) for row in dop.block(k))
-        defect_terms = {p: schatten_partial(dop, p, K).terms for p in p_list}
+        defect_terms = {p: [float(np.sum(sv**p)) for sv in svs] for p in p_list}
 
     report.tables.append(
         Table(
@@ -235,32 +237,22 @@ def normality_report(
     )
     report.verdicts.append(_trend_verdict("spherical-defect", defect_norms, defect_zero))
 
-    # cross commutators [M_{z_j}^* M_{z_i} - M_{z_i} M_{z_j}^*] for all pairs
+    # cross commutators C(z_i, z_j) = M_{z_j}^* M_{z_i} - M_{z_i} M_{z_j}^*; as
+    # C(z_j, z_i) = C(z_i, z_j)^* has the same norms and zeros, i <= j suffices
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    z = [GradedPolynomial.variable(m, i) for i in range(m)]
     pair_norms: dict[tuple[int, int], list[float]] = {}
-    exact_zero_all = True
-    for i in range(m):
-        for j in range(m):
-            fi = GradedPolynomial.variable(m, i)
-            gj = GradedPolynomial.variable(m, j)
-            comm = commutator_blocks(realization, fi, gj, K + 1)
-            pair_norms[(i, j)] = [comm.norm(k) for k in range(K + 1)]
-            if any(row for k in range(K + 1) for row in comm.block(k)):
-                exact_zero_all = False
-    cols = [Column("k", "int")] + [
-        Column(f"comm_{i + 1}_{j + 1}", "float") for i in range(m) for j in range(m)
-    ]
-    rows = [
-        [k] + [pair_norms[(i, j)][k] for i in range(m) for j in range(m)]
-        for k in range(K + 1)
-    ]
+    nonzero = False
+    for i, j in pairs:
+        if i <= j:
+            comm = commutator_blocks(realization, z[i], z[j], K + 1)
+            pair_norms[(i, j)] = pair_norms[(j, i)] = [comm.norm(k) for k in range(K + 1)]
+            nonzero = nonzero or any(row for k in range(K + 1) for row in comm.block(k))
+    cols = [Column("k", "int")] + [Column(f"comm_{i + 1}_{j + 1}", "float") for i, j in pairs]
+    rows = [[k] + [pair_norms[ij][k] for ij in pairs] for k in range(K + 1)]
     report.tables.append(Table("commutator_level_norms", cols, rows))
-    max_series = [
-        max(pair_norms[(i, j)][k] for i in range(m) for j in range(m))
-        for k in range(K + 1)
-    ]
-    report.verdicts.append(
-        _trend_verdict("cross-commutators", max_series, exact_zero_all)
-    )
+    max_series = [max(row[1:]) for row in rows]
+    report.verdicts.append(_trend_verdict("cross-commutators", max_series, not nonzero))
 
     # Schatten partial sums of the defect for each requested exponent
     for p in p_list:
@@ -625,8 +617,8 @@ def section5_check(
         h = op_sub(mm, compose(mi_adj, mi)).onb_block(k)
         p_part, n_part = pn_split(h)
         lhs += float(np.trace(p_part).real)
-        p_norms.append(float(np.linalg.norm(p_part, 2)) if p_part.size else 0.0)
-        n_norms.append(float(np.linalg.norm(n_part, 2)) if n_part.size else 0.0)
+        p_norms.append(spectral_norm(p_part))
+        n_norms.append(spectral_norm(n_part))
     x_norm = x.norm(k)
     rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
     return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)

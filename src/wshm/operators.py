@@ -19,6 +19,9 @@ Evaluation is on demand.  Realization levels, multiplier blocks and the
 blocks of every identity, adjoint, composition and difference are built the
 first time they are read and then kept, so a report builds exactly the
 levels it reads, each once per operator, however wide the windows are.
+Multipliers, their adjoints and the products M_q^* M_p and M_p M_q^* of
+multiplier pairs are cached per realization, so every commutator and defect
+that reads the same product shares one build of it.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -38,6 +41,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,9 +114,9 @@ class ModuleRealization:
     form (no second elimination), orthogonalised by fraction-free Gram-Schmidt
     so that its Gram matrix is diagonal too.  Each level up to ``max_level``
     is built the first time it is read, and so is each block of
-    :func:`mult_blocks` and of its adjoint; all are memoised here, so a
-    realization is not safe to share between threads without a lock, and no
-    caller may mutate a block it reads.
+    :func:`mult_blocks`, of its adjoint and of :func:`product_blocks`; all are
+    memoised here, so a realization is not safe to share between threads
+    without a lock, and no caller may mutate a block it reads.
     """
 
     def __init__(
@@ -140,6 +144,8 @@ class ModuleRealization:
         self._adj = _OnDemand(
             lambda p: _OnDemand(partial(_adjoint_block, me, me._mult[p], p.degree))
         )
+        # (p, q) -> (M_p M_q^*, M_q^* M_p), each over the whole window
+        self._prod = _OnDemand(lambda pq: _products(me, *pq))
 
     @property
     def is_full(self) -> bool:
@@ -256,22 +262,23 @@ class GradedOperator:
         return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
 
     def norm(self, k: int) -> float:
-        m = self.onb_block(k)
-        if min(m.shape) == 0:
-            return 0.0
-        return float(np.linalg.norm(m, 2))
+        return spectral_norm(self.onb_block(k))
 
     def singular_values(self, k: int) -> np.ndarray:
         m = self.onb_block(k)
-        if min(m.shape) == 0:
-            return np.zeros(0)
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
 
     def trace(self, k: int):
         """Exact trace of a square block (basis independent)."""
         if self.shift != 0:
             raise WshmError("trace requires a degree-0 operator")
         return ela.trace(self.block(k))
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """The largest singular value, 0.0 for an empty block: the same SVD and
+    maximum as ``np.linalg.norm(m, 2)``, without its axis handling."""
+    return float(np.linalg.svd(m, compute_uv=False).max()) if min(m.shape) else 0.0
 
 
 def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
@@ -384,6 +391,20 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return GradedOperator(r, shift, _OnDemand(block), k_valid)
 
 
+def _products(r: ModuleRealization, p, q) -> tuple[GradedOperator, GradedOperator]:
+    mp = mult_blocks(r, p, r.max_level - p.degree)
+    mq_adj = adjoint_blocks(mult_blocks(r, q, r.max_level - q.degree))
+    return compose(mp, mq_adj), compose(mq_adj, mp)
+
+
+def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> GradedOperator:
+    """M_q^* M_p if ``adj_first`` else M_p M_q^*, over the realization's whole
+    window.  Each block is built once per realization, pair and order and
+    shared by every operator returned here; each call gets its own window."""
+    op = realization._prod[(p, q)][adj_first]
+    return GradedOperator(realization, op.shift, op._blocks, op.k_valid)
+
+
 def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     assert a.realization is b.realization and a.shift == b.shift
 
@@ -410,44 +431,39 @@ def commutator_blocks(
     for q in (f, g):
         if q.is_zero or not q.is_homogeneous:
             raise ModeError(f"commutator arguments must be nonzero homogeneous, got {q}")
-    df, dg = f.degree, g.degree
-    mx = max(df, dg)
+    mx = max(f.degree, g.degree)
     if K + mx > realization.max_level:
         raise WindowError(
             f"commutator to K={K} needs realization levels to {K + mx}, "
             f"have {realization.max_level}"
         )
-    mf = mult_blocks(realization, f, realization.max_level - df)
-    mg = mult_blocks(realization, g, realization.max_level - dg)
-    mg_adj = adjoint_blocks(mg)
-    comm = op_sub(compose(mg_adj, mf), compose(mf, mg_adj))
+    products = partial(product_blocks, realization, f, g)
+    comm = op_sub(products(True), products(False))
     comm.k_valid = min(comm.k_valid, K - mx)
     return comm
 
 
-def _sum_of_squares_defect(
-    realization: ModuleRealization, K: int, product
-) -> GradedOperator:
-    """I - sum_i product(M_{z_i}, M_{z_i}^*), one exact square block per level <= K.
-
-    Needs realization levels to K + 1, which :func:`mult_blocks` checks.
-    """
+def _sum_of_squares_defect(realization: ModuleRealization, K: int, adj_first: bool):
+    """I - sum_i of the products of M_{z_i} and M_{z_i}^*, one exact square
+    block per level <= K; needs realization levels to K + 1."""
+    if not 0 <= K < realization.max_level:
+        raise WindowError(f"defect to K={K} needs levels to {K + 1}, have {realization.max_level}")
     m = realization.space.m
     acc = identity_blocks(realization, K)
     for i in range(m):
-        mi = mult_blocks(realization, GradedPolynomial.variable(m, i), K)
-        acc = op_sub(acc, product(mi, adjoint_blocks(mi)))
+        zi = GradedPolynomial.variable(m, i)
+        acc = op_sub(acc, product_blocks(realization, zi, zi, adj_first))
     return acc
 
 
 def defect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     """I - sum_i M_{z_i}* M_{z_i}, one exact square block per level <= K."""
-    return _sum_of_squares_defect(realization, K, lambda mi, mi_adj: compose(mi_adj, mi))
+    return _sum_of_squares_defect(realization, K, True)
 
 
 def codefect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis."""
-    return _sum_of_squares_defect(realization, K, compose)
+    return _sum_of_squares_defect(realization, K, False)
 
 
 def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela.Row]:
@@ -502,13 +518,5 @@ def schatten_partial(op: GradedOperator, p: float, K: int) -> SchattenPartial:
         raise WshmError(f"Schatten exponent must be >= 1, got {p}")
     if K > op.k_valid:
         raise WindowError(f"schatten_partial to K={K} exceeds window {op.k_valid}")
-    terms: list[float] = []
-    sums: list[float] = []
-    acc = 0.0
-    for k in range(K + 1):
-        sv = op.singular_values(k)
-        t = float(np.sum(sv**p)) if sv.size else 0.0
-        acc += t
-        terms.append(t)
-        sums.append(acc)
-    return SchattenPartial(p, terms, sums)
+    terms = [float(np.sum(op.singular_values(k) ** p)) for k in range(K + 1)]
+    return SchattenPartial(p, terms, list(accumulate(terms)))

@@ -12,6 +12,7 @@ from wshm.diagnostics import (
     DiagnosticsReport,
     Verdict,
     _KoszulModule,
+    _trend_verdict,
     defect_schatten_terms,
     full_defect_eigenvalues,
     koszul_euler,
@@ -32,6 +33,7 @@ from wshm.operators import (
     ModuleRealization,
     adjoint_blocks,
     codefect_blocks,
+    commutator_blocks,
     compose,
     full_realization,
     mult_blocks,
@@ -404,6 +406,78 @@ def test_normality_report_projects_each_reported_multiplier_column_once(monkeypa
     r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
     normality_report(r, K, [2.0])
     assert len(calls) <= m * sum(r.comp_dim(k) for k in range(K + 1))
+
+
+def test_normality_report_builds_each_multiplier_product_once(monkeypatch):
+    # only C(z_i, z_j) with i <= j is built, and the products M_p M_q^* and
+    # M_q^* M_p of each pair once per realization: the defect reuses the
+    # diagonal commutators' M_i^* M_i
+    calls, built = [], []
+    mat_mul, products = ela.mat_mul, operators._products
+    monkeypatch.setattr(ela, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    monkeypatch.setattr(
+        operators, "_products", lambda r, *pq: built.append(pq) or products(r, *pq)
+    )
+    m, K = 3, 2
+    ideal = GradedIdeal(m, [z(0, m) + z(1, m) + z(2, m)])
+    r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
+    first = normality_report(r, K, [2.0]).to_json()
+    assert len(calls) <= 30  # 54 when every pair and the defect built their own
+    assert len(built) == len(set(built)) == m * (m + 1) // 2  # pairs i <= j
+    n_calls = len(calls)
+    assert normality_report(r, K, [2.0]).to_json() == first
+    assert len(calls) == n_calls and len(built) == m * (m + 1) // 2
+
+
+@pytest.mark.parametrize("case", ["hb3-quotient", "polydisk-full"])
+def test_normality_mirrored_commutator_columns(case):
+    # C(z_j, z_i) = C(z_i, z_j)^* in the weighted inner product, so comm_j_i
+    # repeats comm_i_j; both must match a direct SVD of C(z_j, z_i)
+    K = 3
+    if case == "hb3-quotient":
+        gen = parse_polynomial("z1+(2-i)*z2+(1+3i)*z3", 3)
+        r = quotient_realization(builtin_space("hardy-ball", 3), GradedIdeal(3, [gen]), K + 2)
+    else:
+        pd = builtin_space("polydisk-hardy", 2, {"scale2": Fraction(1, 2)})
+        r = full_realization(pd, K + 2)
+    m = r.space.m
+    table = next(t for t in normality_report(r, K).tables if t.name == "commutator_level_norms")
+    names = [c.name for c in table.columns]
+
+    def column(i, j):
+        return [row[names.index(f"comm_{i + 1}_{j + 1}")] for row in table.rows]
+
+    for i in range(m):
+        for j in range(m):
+            assert column(j, i) == column(i, j)
+            comm = commutator_blocks(r, z(j, m), z(i, m), K + 1)
+            for k in range(K + 1):
+                b = comm.onb_block(k)
+                want = float(np.linalg.norm(b, 2))
+                assert comm.norm(k) == want  # bit for bit
+                assert abs(column(j, i)[k] - want) <= 1e-14 * want
+    dop = operators.defect_blocks(r, K)
+    for k in range(K + 1):
+        assert dop.norm(k) == float(np.linalg.norm(dop.onb_block(k), 2))
+
+
+def test_trend_verdict_on_a_series_that_reaches_zero():
+    # the unilateral shift's self commutator is the projection onto the
+    # constants: norms [1, 0, 0] decay to zero and stay there
+    rep = normality_report(full_realization(builtin_space("hardy-ball", 1), 4), 2)
+    v = next(v for v in rep.verdicts if v.name == "cross-commutators")
+    assert (v.status, v.details) == ("trend-consistent", "norm[1]=0, norm[2]=0, loglog_slope=None")
+    assert _trend_verdict("t", [0.5, 0.0, 0.0], False).status == "trend-consistent"
+    assert _trend_verdict("t", [0.0, 0.0, 0.0], True).status == "exact-pass"
+    assert _trend_verdict("t", [0.0, 0.25, 0.5], False).status == "trend-inconsistent"
+    assert _trend_verdict("t", [0.5, 0.5, 0.5], False).status == "trend-inconsistent"
+
+
+def test_normality_report_rejects_exponents_below_one():
+    hb = builtin_space("hardy-ball", 2)
+    for r in (full_realization(hb, 4), quotient_realization(hb, GradedIdeal(2, [z(0) + z(1)]), 4)):
+        with pytest.raises(WshmError):
+            normality_report(r, 2, [2.0, 0.5])
 
 
 def test_full_defect_eigenvalues():
