@@ -265,7 +265,7 @@ def normality_report(
                 [[k, terms[k], float(sums[k])] for k in range(K + 1)],
             )
         )
-        rec = summability_verdict(terms, p, m)
+        rec = summability_verdict(terms, p, m, defect_zero)
         report.verdicts.append(
             Verdict(
                 f"defect-summability-p{p}",
@@ -390,14 +390,14 @@ class SummabilityRecord:
     when the last doubling increment exceeds ``SUMMABILITY_FLOOR``; otherwise a
     geometric tail extrapolation from the increment ratio decides
     convergent-trend against ``SUMMABILITY_TAIL``.  Fewer than four doublings
-    is inconclusive.
-    ``agrees_with_threshold`` compares the observed trend with the
-    claimed dichotomy at p = m (convergent above, divergent at or below).
+    is inconclusive, and a series zero in exact arithmetic is exactly-zero.
+    ``agrees_with_threshold`` compares the trend with the claimed dichotomy
+    at p = m (convergent above, divergent at or below; exactly-zero agrees).
     """
 
     p: float
     m: int
-    status: str  # divergent-trend | convergent-trend | inconclusive
+    status: str  # divergent-trend | convergent-trend | inconclusive | exactly-zero
     checkpoints: list[int]
     increments: list[float]
     tail_estimate: float | None
@@ -405,14 +405,14 @@ class SummabilityRecord:
 
     @property
     def agrees_with_threshold(self) -> bool | None:
-        if self.status == "convergent-trend":
-            return self.exponent_above_m
-        if self.status == "divergent-trend":
-            return not self.exponent_above_m
-        return None
+        above = self.exponent_above_m
+        agrees = {"exactly-zero": True, "convergent-trend": above, "divergent-trend": not above}
+        return agrees.get(self.status)
 
     @property
     def details(self) -> str:
+        if self.status == "exactly-zero":
+            return "identically zero in exact arithmetic, so summable for every p"
         return (
             f"status={self.status}, "
             f"increments={['%.6g' % x for x in self.increments]}, "
@@ -428,8 +428,10 @@ class SummabilityRecord:
         return "trend-consistent" if agreement else "trend-inconsistent"
 
 
-def summability_verdict(series: list[float], p: float, m: int) -> SummabilityRecord:
+def summability_verdict(series: list[float], p: float, m: int, exact_zero=False) -> SummabilityRecord:
     above = p > m
+    if exact_zero:
+        return SummabilityRecord(p, m, "exactly-zero", [], [], 0.0, above)
     if series and all(t == 0.0 for t in series):
         return SummabilityRecord(p, m, "convergent-trend", [], [], 0.0, above)
     n = len(series) - 1

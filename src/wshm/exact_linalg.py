@@ -16,12 +16,12 @@ rows keep their own pivot entries, so a caller that needs the RREF divides
 once.  :func:`rank` stops after forward elimination.  Complement geometry
 runs on integer weights: :func:`complement_kernel` reads a basis of the
 orthogonal complement off the rref rows in closed form, :func:`orthogonalize`
-makes it orthogonal with integer norms, and :func:`project` gives exact
-coordinates against it, one Gaussian rational each.  Blocks stay rational:
-:func:`mat_mul`, :func:`mat_sub` and :func:`trace` work on Gaussian
-rationals, as does :func:`reduce_against`, whose residual is exact.
-:func:`kernel_basis` and :func:`solve` are references that the package no
-longer calls: tests check complement bases and projections against them.
+makes it orthogonal with integer norms, and :func:`back_substitute` reads a
+complement vector's coordinates off its free columns.  Blocks stay rational:
+:func:`mat_mul`, :func:`mat_sub`, :func:`adjoint` and :func:`trace` work on
+Gaussian rationals, as does :func:`reduce_against` (its residual is exact).
+:func:`kernel_basis`, :func:`solve` and :func:`project` are references the
+package no longer calls: tests check complement bases and blocks with them.
 
 Everything here is exact: no tolerances and no floats.  An entry is
 (a + b i) / d over Python ints; the integer kernels here read and build that
@@ -124,6 +124,21 @@ def project(row: Row, den: int, basis: list[Row], norms: list[int], n: list[int]
         if re or im:
             out[s] = _reduced(re, im, g * den)
     return out
+
+
+def back_substitute(x: list[tuple[int, int]], dens: list[int], tri: list[tuple]) -> Row:
+    """Coordinates a (zeros dropped) of sum_r a_r w_r, the vector whose entry
+    at free column f_t is (re + im i) / dens[t] for x[t] = (re, im), where
+    tri[t] = (w_t[f_t], [(r, w_r[f_t]) for later rows r]) is lower triangular."""
+    a: Row = {}
+    for t in range(len(x) - 1, -1, -1):
+        (diag, later), acc = tri[t], _reduced(*x[t], dens[t])
+        for r, y in later:
+            if r in a:
+                acc = acc - a[r] * y
+        if acc:
+            a[t] = acc / diag
+    return a
 
 
 def _echelon(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
@@ -297,6 +312,17 @@ def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:
             for j, bkj in b[k].items():
                 acc[j] = acc.get(j, G_ZERO) + aik * bkj
         out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def adjoint(block: list[Row], t_norms: list[int], t_den: int, s_norms: list[int], s_den: int) -> list[Row]:
+    """Adjoint of a block between orthogonal bases with Gram diagonals s_norms / s_den
+    (source) and t_norms / t_den (target): entry (c, r) is conj(block[r][c]) g_t[r] / g_s[c]."""
+    out: list[Row] = [{} for _ in s_norms]
+    for r, row in enumerate(block):
+        n = t_norms[r] * s_den
+        for c, x in row.items():
+            out[c][r] = _reduced(x._a * n, -x._b * n, x._d * t_den * s_norms[c])
     return out
 
 

@@ -15,13 +15,13 @@ source level ``k_valid``; any composition shrinks the window, and access
 beyond it raises :class:`~wshm.errors.WindowError` -- silent truncation
 artifacts are the main correctness hazard of this whole artifact.
 
-Evaluation is on demand.  Realization levels, multiplier blocks and the
-blocks of every identity, adjoint, composition and difference are built the
-first time they are read and then kept, so a report builds exactly the
-levels it reads, each once per operator, however wide the windows are.
-Multipliers, their adjoints and the products M_q^* M_p and M_p M_q^* of
-multiplier pairs are cached per realization, so every commutator and defect
-that reads the same product shares one build of it.
+Evaluation is on demand.  Levels and the blocks of every multiplier,
+identity, adjoint, composition and difference are built on first read and
+kept, so a report builds exactly the levels it reads, each once per
+operator, however wide the windows are.  Multipliers, their adjoints and
+the products M_q^* M_p and M_p M_q^* are cached per realization, so every
+commutator and defect shares one build of each.  No block projects: on a
+quotient M_p^* leaves S^perp invariant, and its blocks are read off directly.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -37,6 +37,7 @@ projection onto constants with a positive sign).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,6 @@ import numpy as np
 from . import exact_linalg as ela
 from .algebra import (
     G_ONE,
-    G_ZERO,
     GradedPolynomial,
     MultiIndex,
     add_index,
@@ -92,12 +92,15 @@ class _Level:
         """sqrt(gram_diag) split as (x, s) with x * 2**s = sqrt(g), built on first
         read: exact-only reports never round it.  s = 0 while float(g) is a
         normal double; beyond that g is scaled by 2**(-2s) into [1/4, 4) before
-        rounding, so no Gram entry overflows or underflows the crossing."""
+        rounding, so no Gram entry overflows or underflows the crossing.  g is
+        read as int / int (correctly rounded), s from g in lowest terms."""
         xs, ss = [], []
-        for g in self.gram_diag:
-            e = g.numerator.bit_length() - g.denominator.bit_length()
+        for g in self.norms:
+            q = math.gcd(g, self.den)
+            a, b = g // q, self.den // q
+            e = a.bit_length() - b.bit_length()
             s = 0 if -1000 < e < 1000 else e // 2
-            xs.append(float(g * Fraction(2) ** (-2 * s)) ** 0.5)
+            xs.append((a * 4 ** max(-s, 0) / (b * 4 ** max(s, 0))) ** 0.5)
             ss.append(s)
         return np.array(xs), np.array(ss, dtype=int)
 
@@ -114,7 +117,8 @@ class ModuleRealization:
     form (no second elimination), orthogonalised by fraction-free Gram-Schmidt
     so that its Gram matrix is diagonal too.  Each level up to ``max_level``
     is built the first time it is read, and so is each block of
-    :func:`mult_blocks`, of its adjoint and of :func:`product_blocks`; all are
+    :func:`mult_blocks`, of its adjoint (read off by co-invariance on a
+    quotient, no projection) and of :func:`product_blocks`; all are
     memoised here, so a realization is not safe to share between threads
     without a lock, and no caller may mutate a block it reads.
     """
@@ -139,11 +143,15 @@ class ModuleRealization:
         # keep every level alive until the next full garbage collection.
         me = weakref.proxy(self)
         self._levels = _OnDemand(partial(ModuleRealization._build_level, me))
-        # polynomial -> blocks by source level of its multiplier and of that adjoint
-        self._mult = _OnDemand(lambda p: _OnDemand(partial(_mult_block, me, p)))
-        self._adj = _OnDemand(
-            lambda p: _OnDemand(partial(_adjoint_block, me, me._mult[p], p.degree))
-        )
+        # polynomial -> blocks by source level of M_p and of M_p^*: one is built
+        # directly (closed-form M_p, or M_p^* read off), the other as its adjoint
+        if self.is_full:
+            mult = lambda p: _OnDemand(partial(_mult_block, me, p))
+            adj = lambda p: _OnDemand(partial(_adjoint_block, me, me._mult[p], p.degree))
+        else:
+            adj = lambda p: _OnDemand(partial(_coinvariant_block, me, p))
+            mult = lambda p: _OnDemand(partial(_adjoint_block, me, me._adj[p], -p.degree))
+        self._mult, self._adj = _OnDemand(mult), _OnDemand(adj)
         # (p, q) -> (M_p M_q^*, M_q^* M_p), each over the whole window
         self._prod = _OnDemand(lambda pq: _products(me, *pq))
 
@@ -189,11 +197,10 @@ class ModuleRealization:
         return len(self.level(k).ideal_pivots)
 
     def project_to_complement(self, k: int, coords: ela.Row, den: int) -> ela.Row:
-        """Complement coordinates of the orthogonal projection of coords / den,
-        for a sparse Gaussian-integer monomial-coordinate row ``coords`` at
-        level k: <coords, w_s> / (den <w_s, w_s>) (exact, one Gaussian rational
-        per coordinate; the level's weight denominator cancels), with zero
-        coordinates dropped."""
+        """Complement coordinates <coords, w_s> / (den <w_s, w_s>) of the
+        orthogonal projection of a Gaussian-integer monomial-coordinate row
+        ``coords`` / den at level k, zeros dropped: the reference that tests
+        check multiplier blocks against (no block is built by projection)."""
         lv = self.level(k)
         return ela.project(coords, den, lv.comp_rows, lv.norms, lv.weights)
 
@@ -292,34 +299,42 @@ def identity_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     return GradedOperator(realization, 0, _OnDemand(block), K)
 
 
-def _mult_block(
-    realization: ModuleRealization, p: GradedPolynomial, k: int
-) -> list[ela.Row]:
-    """Block k of the compressed M_p: source level k, target k + deg p."""
-    d = p.degree
+def _mult_block(r: ModuleRealization, p: GradedPolynomial, k: int) -> list[ela.Row]:
+    """Block k of M_p on the full space: source level k, target k + deg p."""
     terms = list(p.terms())
-    src = realization.level(k)
-    tgt = realization.level(k + d)
-    if realization.is_full:
-        block: list[ela.Row] = [{} for _ in tgt.monomials]
-        for col, alpha in enumerate(src.monomials):
-            for beta, c in terms:
-                block[tgt.col_of[add_index(alpha, beta)]][col] = c
-        return block
-    block = [{} for _ in tgt.comp_rows]
-    # the image of an integer vector is integral over p's common denominator
-    num, den = ela.over_common_denominator(dict(terms))
-    terms = list(num.items())
-    for ci, w in enumerate(src.comp_rows):
-        image: ela.Row = {}
-        for g, x in w.items():
-            mono = src.monomials[g]
-            for beta, c in terms:
-                j = tgt.col_of[add_index(mono, beta)]
-                image[j] = image.get(j, G_ZERO) + x * c
-        for ri, v in realization.project_to_complement(k + d, image, den).items():
-            block[ri][ci] = v
+    tgt = r.level(k + p.degree)
+    block: list[ela.Row] = [{} for _ in tgt.monomials]
+    for col, alpha in enumerate(r.level(k).monomials):
+        for beta, c in terms:
+            block[tgt.col_of[add_index(alpha, beta)]][col] = c
     return block
+
+
+def _coinvariant_block(r: ModuleRealization, p: GradedPolynomial, j: int) -> list[ela.Row]:
+    """Block j of the compressed M_p^* on a quotient, with no projection: [I]
+    is M_p-invariant, so x = M_p^* w_s lies in S_k^perp, k = j - deg p.  At a
+    free column f, x_f = sum_beta conj(c_beta) w_s[f+beta] n_j[f+beta] d_k /
+    (d_j n_k[f]), in integers over p's common denominator.  Row w_t has free
+    entries at f_0..f_t only, so one back-substitution gives x's coordinates."""
+    k = j - p.degree
+    if k < 0:
+        return _zero_block(r, -p.degree, j)
+    src, tgt = r.level(k), r.level(j)
+    num, den = ela.over_common_denominator(dict(p.terms()))
+    pivots, rows = set(src.ideal_pivots), src.comp_rows
+    free = [c for c in range(len(src.weights)) if c not in pivots]
+    tri = [(rows[t][f], [(i, rows[i][f]) for i in range(t + 1, len(rows)) if f in rows[i]])
+           for t, f in enumerate(free)]
+    # x_f = conj(<reads[f], w_s>) / dens[f], where reads[f] = {f + beta: num_beta d_k}
+    reads = [{tgt.col_of[add_index(src.monomials[f], b)]: c * src.den for b, c in num.items()}
+             for f in free]
+    dens = [den * tgt.den * src.weights[f] for f in free]
+    adj: list[ela.Row] = [{} for _ in free]
+    for s, w in enumerate(tgt.comp_rows):
+        x = [(re, -im) for re, im in (ela.inner(v, w, tgt.weights) for v in reads)]
+        for t, y in ela.back_substitute(x, dens, tri).items():
+            adj[t][s] = y
+    return adj
 
 
 def mult_blocks(
@@ -328,8 +343,8 @@ def mult_blocks(
     """Blocks of the compression of M_p to the realization's module, trusted to K.
 
     On the full space these are the exact monomial-coordinate matrices of
-    multiplication by p; on a quotient each column is the exact orthogonal
-    projection of p * (complement basis vector) onto S_{k+d}^perp.  Each
+    multiplication by p.  On a quotient column c holds the coordinates of the
+    projection of p * w_c onto S_{k+d}^perp, built as the adjoint of M_p^*.  Each
     block is built the first time any operator returned here reads it, once
     per realization and polynomial, and shared by all of them.
     """
@@ -367,12 +382,8 @@ def _adjoint_block(r: ModuleRealization, blocks: dict, d: int, j: int) -> list[e
     k = j - d
     if k < 0:
         return _zero_block(r, -d, j)
-    g_tgt, g_src = r.level(j).gram_diag, r.level(k).gram_diag
-    adj: list[ela.Row] = [{} for _ in g_src]
-    for ri, row in enumerate(blocks[k]):
-        for c, x in row.items():
-            adj[c][ri] = x.conjugate() * (g_tgt[ri] / g_src[c])
-    return adj
+    tgt, src = r.level(j), r.level(k)
+    return ela.adjoint(blocks[k], tgt.norms, tgt.den, src.norms, src.den)
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:

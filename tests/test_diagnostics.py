@@ -128,6 +128,26 @@ def test_summability_zero_and_short_series():
     assert summability_verdict([1.0] * 10, 2.0, 2).status == "inconclusive"
 
 
+def test_exactly_zero_defect_is_summable_for_every_p():
+    # the Hardy ball is a spherical isometry: its defect is zero in exact
+    # arithmetic, so its Schatten series is summable for p <= m as well
+    for p in (1.0, 2.0, 3.0, 4.0):
+        rec = summability_verdict([0.0] * 3, p, 3, exact_zero=True)
+        assert rec.status == "exactly-zero" and rec.agrees_with_threshold is True
+        assert rec.report_status() == "trend-consistent"
+    report = normality_report(full_realization(builtin_space("hardy-ball", 3), 5), 3, [2.0, 4.0])
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["spherical-defect"].status == "exact-pass"
+    for p in (2.0, 4.0):
+        v = verdicts[f"defect-summability-p{p}"]
+        assert v.status == "trend-consistent"  # never exact-*: a float series grades it
+        assert v.details == "identically zero in exact arithmetic, so summable for every p"
+    # a nonzero defect keeps the float grading
+    r = quotient_realization(builtin_space("hardy-ball", 2), GradedIdeal(2, [z(0) + z(1)]), 5)
+    v = {v.name: v for v in normality_report(r, 3, [2.0]).verdicts}["defect-summability-p2.0"]
+    assert v.details.startswith("status=inconclusive")
+
+
 # -- quotient shift weights ---------------------------------------------------
 
 
@@ -391,21 +411,43 @@ def test_each_multiplier_adjoint_block_is_built_once(monkeypatch):
     assert len(calls) <= 2 * (K + 2)
 
 
-def test_normality_report_projects_each_reported_multiplier_column_once(monkeypatch):
-    # one projection per column of M_i at source levels k <= K
+def test_normality_and_section5_reports_never_project(monkeypatch):
+    # a quotient's M_p^* blocks are read off by co-invariance and M_p is their
+    # adjoint, so no report projects onto a complement
     calls = []
     project = ModuleRealization.project_to_complement
-
-    def counted(self, k, *args):
-        calls.append(k)
-        return project(self, k, *args)
-
-    monkeypatch.setattr(ModuleRealization, "project_to_complement", counted)
+    monkeypatch.setattr(
+        ModuleRealization, "project_to_complement",
+        lambda self, *args: calls.append(args) or project(self, *args),
+    )
     m, K = 3, 2
     ideal = GradedIdeal(m, [z(0, m) + z(1, m) + z(2, m)])
     r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
     normality_report(r, K, [2.0])
-    assert len(calls) <= m * sum(r.comp_dim(k) for k in range(K + 1))
+    section5_report(builtin_space("hardy-ball", 2), GradedIdeal(2, [z(0) + z(1)]), 4)
+    assert calls == []
+
+
+def test_each_read_off_block_is_built_once(monkeypatch):
+    # each (p, level) block of M_p^* is read off once per realization, also
+    # when M_p (its adjoint) and M_p^* are both read, and by a second report
+    built = []
+    read_off = operators._coinvariant_block
+    monkeypatch.setattr(
+        operators, "_coinvariant_block",
+        lambda r, p, j: built.append((p, j)) or read_off(r, p, j),
+    )
+    m, K = 3, 2
+    ideal = GradedIdeal(m, [parse_polynomial("z1+(2-i)*z2+z3", m)])
+    r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
+    first = normality_report(r, K, [2.0]).to_json()
+    for i in range(m):
+        op = mult_blocks(r, z(i, m), K + 1)
+        adj = adjoint_blocks(op)
+        for k in range(K + 2):
+            op.block(k), adj.block(k + 1)
+    assert normality_report(r, K, [2.0]).to_json() == first
+    assert len(built) == len(set(built)) == m * (K + 2)  # levels 1..K+2 of each z_i
 
 
 def test_normality_report_builds_each_multiplier_product_once(monkeypatch):

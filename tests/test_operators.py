@@ -433,6 +433,22 @@ def test_onb_scale_splits_gram_entries_beyond_double_range():
 
 
 @pytest.mark.parametrize(
+    "norm, den",
+    [(3, 6), (9 * 2**998, 3), (3, 9 * 2**998), (2**1001, 2), (5 * 2**2100, 7), (7, 2**4200 * 3)],
+)
+def test_onb_scale_is_the_rounded_fraction_bit_for_bit(norm, den):
+    # int / int rounds like float(Fraction), and the exponent split is taken
+    # from g in lowest terms: 9 * 2**998 / 3 has a 1000-bit gap unreduced but
+    # 999 bits reduced, so it stays unsplit
+    g = Fraction(norm, den)
+    e = g.numerator.bit_length() - g.denominator.bit_length()
+    s = 0 if -1000 < e < 1000 else e // 2
+    xs, ss = one_dim_level(norm, den).onb_scale
+    assert int(ss[0]) == s
+    assert xs[0].hex() == (float(g * Fraction(2) ** (-2 * s)) ** 0.5).hex()
+
+
+@pytest.mark.parametrize(
     "src, tgt",
     [((1, 2**2100), (3, 2**2101)), ((2**2100, 1), (5 * 2**2097, 1))],
     ids=["underflow", "overflow"],

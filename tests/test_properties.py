@@ -164,12 +164,28 @@ def test_gaussian_complex_is_the_correctly_rounded_pair(a, b, d, e):
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
-def homogeneous(data, m, d):
-    """A nonzero homogeneous polynomial of degree d with Gaussian integer coefficients."""
+def homogeneous(data, m, d, lead=GaussianRational(Fraction(1))):
+    """A nonzero homogeneous polynomial of degree d with Gaussian integer
+    coefficients, one of them ``lead``."""
     monos = enumerate_level(m, d)
     coeffs = data.draw(st.lists(gaussian_ints, min_size=len(monos), max_size=len(monos)))
-    coeffs[data.draw(st.integers(0, len(monos) - 1))] = GaussianRational(Fraction(1))
+    coeffs[data.draw(st.integers(0, len(monos) - 1))] = lead
     return GradedPolynomial(m, dict(zip(monos, coeffs)))
+
+
+nonzero_gaussian_rationals = gaussian_rationals.filter(bool)
+
+
+def random_space(data, kind, m, top):
+    """A built-in space; ``custom`` draws a positive rational weight for every
+    monomial up to degree ``top``, so its level weights have no closed form."""
+    if kind == "polydisk-hardy":
+        return builtin_space(kind, m, {"scale2": data.draw(st.sampled_from(["1", "1/2", "5/3"]))})
+    if kind == "custom":
+        weight = st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)
+        monos = [a for k in range(top + 1) for a in enumerate_level(m, k)]
+        return builtin_space(kind, m, {"table": {a: data.draw(weight) for a in monos}})
+    return builtin_space(kind, m)
 
 
 def apply(block, x):
@@ -181,22 +197,28 @@ def pairing(x, y, gram):
     return sum((a * b.conjugate() * g for a, b, g in zip(x, y, gram)), G_ZERO)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
-    kind=st.sampled_from(["hardy-ball", "da"]),
+    kind=st.sampled_from(["hardy-ball", "da", "polydisk-hardy", "custom"]),
     m=st.sampled_from([2, 3]),
     ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
     p_degree=st.sampled_from([1, 2]),
 )
-def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, p_degree):
-    # <M_p u, v>_{k+d} = <u, M_p^* v>_k exactly, and each block entry is the
-    # projection coefficient <p w_c, w_r> / <w_r, w_r> computed densely
-    space = builtin_space(kind, m)
-    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree)])
+def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens, p_degree):
+    # <M_p u, v>_{k+d} = <u, M_p^* v>_k exactly, and each block entry, read off
+    # by co-invariance, is the projection coefficient <p w_c, w_r> / <w_r, w_r>
+    # computed densely and by project_to_complement.  Generators and p lead
+    # with a drawn Gaussian rational, so p has a common denominator.
     top = 4 if m == 2 else 3
+    space = random_space(data, kind, m, top)
+    ideal = GradedIdeal(m, [
+        homogeneous(data, m, ideal_degree, data.draw(nonzero_gaussian_rationals))
+        for _ in range(ngens)
+    ])
     r = quotient_realization(space, ideal, top)
-    p = homogeneous(data, m, p_degree)
+    p = homogeneous(data, m, p_degree, data.draw(nonzero_gaussian_rationals))
     op = mult_blocks(r, p, top - p_degree)
     adj = adjoint_blocks(op)
     k = data.draw(st.integers(0, top - p_degree))
@@ -209,19 +231,23 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, p_degr
     assert lhs == rhs
 
     block = op.block(k)
+    num, den = ela.over_common_denominator(dict(p.terms()))
     for c, wc in enumerate(src.comp_rows):
         image = [G_ZERO] * len(tgt.monomials)
         for g, x in wc.items():
-            for beta, coeff in p.terms():
+            for beta, coeff in num.items():
                 j = tgt.col_of[tuple(a + b for a, b in zip(src.monomials[g], beta))]
                 image[j] = image[j] + x * coeff
+        column = {row: y for row, y in enumerate(block) if c in y}
+        projected = r.project_to_complement(k + p_degree, {j: y for j, y in enumerate(image) if y}, den)
+        assert {row: y[c] for row, y in column.items()} == projected
         for row, (wr, gr) in enumerate(zip(tgt.comp_rows, tgt.gram_diag)):
             inner = sum(
                 (image[j] * y.conjugate() * Fraction(tgt.weights[j], tgt.den)
                  for j, y in wr.items()),
                 G_ZERO,
             )
-            assert block[row].get(c, G_ZERO) == inner / gr
+            assert block[row].get(c, G_ZERO) == inner / (gr * den)
 
 
 @settings(max_examples=60, deadline=None)
