@@ -13,7 +13,9 @@ their full configuration so identical configs reproduce byte-identical JSON.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,14 +39,13 @@ from .errors import ScenarioError, StructuralError, WindowError, WshmError
 from .ideals import FIT_WINDOW, GradedIdeal, hilbert_samuel_fit
 from .operators import (
     ModuleRealization,
-    adjoint_blocks,
+    codefect_blocks,
     commutator_blocks,
-    compose,
     defect_blocks,
-    identity_blocks,
     mult_blocks,
     op_sub,
     pn_split,
+    product_blocks,
     quotient_realization,
     spectral_norm,
 )
@@ -88,10 +89,12 @@ class Table:
         }
 
     def to_csv(self) -> str:
-        lines = [",".join(c.name for c in self.columns)]
-        for row in self.rows:
-            lines.append(",".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
+        """Header and rows of ``str`` values; a comma, quote or newline gets quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(c.name for c in self.columns)
+        writer.writerows([str(x) for x in row] for row in self.rows)
+        return out.getvalue()
 
 
 @dataclass
@@ -201,8 +204,9 @@ def normality_report(
             f"normality_report to K={K} needs realization levels to {K + 2}"
         )
     p_list = list(p_list or [])
-    if any(not p >= 1 for p in p_list):
-        raise WshmError(f"Schatten exponents must be >= 1, got {p_list}")
+    # one table and one verdict per exponent, each named after it
+    if any(not 1 <= p < math.inf for p in p_list) or len(set(p_list)) < len(p_list):
+        raise WshmError(f"Schatten exponents must be finite, >= 1 and distinct, got {p_list}")
     m = realization.space.m
     params = {
         "space": realization.space.kind,
@@ -502,7 +506,8 @@ def quotient_shift_weights(
 
     Raises StructuralError unless every level up to K is exactly
     one-dimensional.  The squared modulus is computed exactly as
-    |block|^2 * gram_{k+1} / gram_k before any float enters.
+    |block|^2 * g_{k+1} / g_k, from the integer Gram entries g = norms / den,
+    before any float enters.
     """
     realization = quotient_realization(space, ideal, K + 1)
     for k in range(K + 2):
@@ -517,9 +522,8 @@ def quotient_shift_weights(
     moduli_sq = []
     for k in range(K + 1):
         c = op.block(k)[0].get(0, G_ZERO)
-        g_src = realization.level(k).gram_diag[0]
-        g_tgt = realization.level(k + 1).gram_diag[0]
-        moduli_sq.append(c.abs2() * g_tgt / g_src)
+        src, tgt = realization.level(k), realization.level(k + 1)
+        moduli_sq.append(c.abs2() * Fraction(tgt.norms[0] * src.den, tgt.den * src.norms[0]))
     moduli = [float(q) ** 0.5 for q in moduli_sq]
 
     normalized = deviations = None
@@ -593,37 +597,41 @@ class Section5Record:
 SECTION5_SLACK = 1e-8
 
 
-def section5_check(
-    realization: ModuleRealization, k: int, bounded_dim: int
-) -> Section5Record:
-    """Check Tr(sum P_{i,k}) <= M0 (2||X_k|| + sum ||N_{i,k}||) at level k.
+def section5_checks(
+    realization: ModuleRealization, K: int, bounded_dim: int
+) -> list[Section5Record]:
+    """Check Tr(sum P_{i,k}) <= M0 (2||X_k|| + sum ||N_{i,k}||) at every level k <= K.
 
-    X_k is the level-k block of I - sum_i M_i M_i^*; each self commutator
-    [M_i, M_i^*] (in that order) splits spectrally as P - N.  Exact blocks
-    enter; the split and the norms are float tier with ``SECTION5_SLACK``.  Only
-    level-k blocks are read, and M_i M_i^* serves both X_k and the commutator,
-    so a report over k <= K does two block products per variable and level.
+    X is :func:`codefect_blocks`, I - sum_i M_i M_i^*; each self commutator
+    [M_i, M_i^*] = M_i M_i^* - M_i^* M_i (in that order) splits spectrally as
+    P - N.  Both are built once per report from the realization's shared
+    products, and level k of each is read in one pass; X needs realization
+    levels to K + 1.  Exact blocks enter; the split and the norms are float
+    tier with ``SECTION5_SLACK``.
     """
-    if k + 1 > realization.max_level:
-        raise WindowError(f"section5_check at k={k} needs realization to {k + 1}")
     m = realization.space.m
-    x = identity_blocks(realization, k)
-    lhs = 0.0
-    p_norms: list[float] = []
-    n_norms: list[float] = []
+    x = codefect_blocks(realization, K)
+    h = []
     for i in range(m):
-        mi = mult_blocks(realization, GradedPolynomial.variable(m, i), k)
-        mi_adj = adjoint_blocks(mi)
-        mm = compose(mi, mi_adj)
-        x = op_sub(x, mm)
-        h = op_sub(mm, compose(mi_adj, mi)).onb_block(k)
-        p_part, n_part = pn_split(h)
-        lhs += float(np.trace(p_part).real)
-        p_norms.append(spectral_norm(p_part))
-        n_norms.append(spectral_norm(n_part))
-    x_norm = x.norm(k)
-    rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
-    return Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)
+        zi = GradedPolynomial.variable(m, i)
+        h.append(op_sub(product_blocks(realization, zi, zi, False),
+                        product_blocks(realization, zi, zi, True)))
+    recs = []
+    for k in range(K + 1):
+        lhs = 0.0
+        p_norms: list[float] = []
+        n_norms: list[float] = []
+        for hi in h:
+            p_part, n_part = pn_split(hi.onb_block(k))
+            lhs += float(np.trace(p_part).real)
+            p_norms.append(spectral_norm(p_part))
+            n_norms.append(spectral_norm(n_part))
+        x_norm = x.norm(k)
+        rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
+        recs.append(
+            Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)
+        )
+    return recs
 
 
 def section5_report(
@@ -646,7 +654,7 @@ def section5_report(
             f"(fit degree {fit.degree}, stabilized={fit.stabilized})"
         )
     realization = quotient_realization(space, ideal, K + 1)
-    recs = [section5_check(realization, k, m0) for k in range(K + 1)]
+    recs = section5_checks(realization, K, m0)
     params = {
         "space": space.kind,
         "m": space.m,

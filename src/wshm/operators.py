@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
 
@@ -83,17 +82,13 @@ class _Level:
     ideal_rows: list[ela.Row]
 
     @cached_property
-    def gram_diag(self) -> list[Fraction]:
-        """<w_r, w_r>, exact."""
-        return [Fraction(g, self.den) for g in self.norms]
-
-    @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
-        """sqrt(gram_diag) split as (x, s) with x * 2**s = sqrt(g), built on first
-        read: exact-only reports never round it.  s = 0 while float(g) is a
-        normal double; beyond that g is scaled by 2**(-2s) into [1/4, 4) before
-        rounding, so no Gram entry overflows or underflows the crossing.  g is
-        read as int / int (correctly rounded), s from g in lowest terms."""
+        """sqrt(g) for each Gram entry g = norms[r] / den, split as (x, s) with
+        x * 2**s = sqrt(g), built on first read: exact-only reports never round
+        it.  s = 0 while float(g) is a normal double; beyond that g is scaled by
+        2**(-2s) into [1/4, 4) before rounding, so no Gram entry overflows or
+        underflows the crossing.  g is read as int / int (correctly rounded), s
+        from g in lowest terms."""
         xs, ss = [], []
         for g in self.norms:
             q = math.gcd(g, self.den)

@@ -333,7 +333,7 @@ def test_qweights_short_window_is_inconclusive(capsys):
 
 
 def test_qweights_with_huge_gram_entries_exits_0(capsys):
-    # gram_diag outgrows a double by level 60; qweights reads only exact ratios
+    # Gram entries outgrow a double by level 60; qweights reads only exact ratios
     code, out, err = run(
         capsys,
         "diag", "qweights",
@@ -345,7 +345,7 @@ def test_qweights_with_huge_gram_entries_exits_0(capsys):
 
 @pytest.mark.parametrize("report", ["normality", "section5"])
 def test_float_reports_with_huge_gram_entries_exit_0(capsys, report):
-    # gram_diag leaves the range of a double from level 26 on; the float tier
+    # Gram entries leave the range of a double from level 26 on; the float tier
     # must still read every block in orthonormal coordinates
     code, out, err = run(
         capsys,
@@ -464,7 +464,7 @@ _FUZZ_VALUES = {
     "preview-degree": _LEVELS,
     "poly": ((_PREG, "1/2*z1+1/2*z1^2"), ("z1+z2", "z1 + $")),
     "format": (("json",), ("xml",)),
-    "schatten": (("2", "1,2.5"), ("0.5", "abc", "inf")),
+    "schatten": (("2", "1,2.5"), ("0.5", "abc", "inf", "2,2")),
     "module": (("full", "ideal", "quotient"), ("bogus",)),
     "var": (("1", "2"), ("0", "3")),
 }

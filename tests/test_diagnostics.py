@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -5,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wshm.diagnostics as diagnostics
 import wshm.exact_linalg as ela
 import wshm.operators as operators
-from wshm.algebra import GradedPolynomial
+from wshm import cli
+from wshm.algebra import G_ONE, GradedPolynomial
 from wshm.diagnostics import (
     DiagnosticsReport,
     Verdict,
@@ -20,7 +24,7 @@ from wshm.diagnostics import (
     normality_report,
     qweights_report,
     quotient_shift_weights,
-    section5_check,
+    section5_checks,
     section5_report,
     summability_verdict,
     trace_identity,
@@ -32,7 +36,6 @@ from wshm.operators import (
     GradedOperator,
     ModuleRealization,
     adjoint_blocks,
-    codefect_blocks,
     commutator_blocks,
     compose,
     full_realization,
@@ -227,27 +230,31 @@ def test_section5_n_norms_decay_on_linear_quotient():
     hb = builtin_space("hardy-ball", 2)
     ideal = GradedIdeal(2, [z(0) + z(1)])
     realization = quotient_realization(hb, ideal, 16)
-    recs = [section5_check(realization, k, 1) for k in (2, 14)]
-    assert sum(recs[1].n_norms) < sum(recs[0].n_norms)
-    assert all(p <= 1e-12 for rec in recs for p in rec.p_norms)
+    recs = section5_checks(realization, 14, 1)
+    assert sum(recs[14].n_norms) < sum(recs[2].n_norms)
+    assert all(p <= 1e-12 for rec in recs[2::12] for p in rec.p_norms)
 
 
 @pytest.mark.parametrize("gen", ["z1+z2", "z1^2+(1+i)*z1*z2-z2^2"])
 def test_section5_check_matches_whole_operator_reference(gen):
-    # reference: X_k from codefect_blocks, and [M_i, M_i^*] at level k from
-    # the composed operators over every level <= k
+    # reference, level by level: X_k = I - sum_i (M_i M_i^*)_k and
+    # [M_i, M_i^*]_k from operators composed over every level <= k
     hb = builtin_space("hardy-ball", 2)
     r = quotient_realization(hb, GradedIdeal(2, [parse_polynomial(gen, 2)]), 6)
-    for k in range(6):
-        rec = section5_check(r, k, 2)
-        assert rec.x_norm == codefect_blocks(r, k).norm(k)
+    recs = section5_checks(r, 5, 2)
+    assert [rec.k for rec in recs] == list(range(6))
+    for k, rec in enumerate(recs):
+        xk = [{c: G_ONE} for c in range(r.comp_dim(k))]
         for i in range(2):
             mi = mult_blocks(r, z(i), k)
             adj = adjoint_blocks(mi)
-            hk = ela.mat_sub(compose(mi, adj).block(k), compose(adj, mi).block(k))
+            mm = compose(mi, adj).block(k)
+            xk = ela.mat_sub(xk, mm)
+            hk = ela.mat_sub(mm, compose(adj, mi).block(k))
             p_part, n_part = pn_split(GradedOperator(r, 0, {k: hk}, k).onb_block(k))
             assert rec.p_norms[i] == float(np.linalg.norm(p_part, 2))
             assert rec.n_norms[i] == float(np.linalg.norm(n_part, 2))
+        assert rec.x_norm == GradedOperator(r, 0, {k: xk}, k).norm(k)
 
 
 def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
@@ -258,6 +265,28 @@ def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
     hb = builtin_space("hardy-ball", 2)
     section5_report(hb, GradedIdeal(2, [z(0) + z(1)]), 15)
     assert len(calls) <= 2 * 2 * 16
+
+
+def test_section5_builds_its_operators_once_per_report(monkeypatch):
+    # X and each [M_i, M_i^*] come from the realization's shared products:
+    # at most 2 m compositions per report, however many levels it reads
+    calls = []
+    original = operators.compose
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for mod in (operators, diagnostics):  # wherever a module holds compose
+        if getattr(mod, "compose", None) is original:
+            monkeypatch.setattr(mod, "compose", counted)
+    hb = builtin_space("hardy-ball", 2)
+    counts = []
+    for K in (4, 15):
+        calls.clear()
+        section5_report(hb, GradedIdeal(2, [z(0) + z(1)]), K)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 2
 
 
 def test_section5_requires_bounded_dimension():
@@ -522,6 +551,14 @@ def test_normality_report_rejects_exponents_below_one():
             normality_report(r, 2, [2.0, 0.5])
 
 
+@pytest.mark.parametrize("p_list", [[math.inf], [math.nan], [2.0, 2.0], [1.5, 2.0, 1.5]])
+def test_normality_report_rejects_infinite_or_repeated_exponents(p_list):
+    # each exponent names one table and one verdict, so a repeat would clash
+    r = full_realization(builtin_space("hardy-ball", 2), 4)
+    with pytest.raises(WshmError):
+        normality_report(r, 2, p_list)
+
+
 def test_full_defect_eigenvalues():
     da = builtin_space("da", 3)
     for k in (0, 4, 9):
@@ -553,10 +590,26 @@ def test_report_exact_fail_flag():
     assert rep.has_exact_fail
 
 
-def test_table_csv_roundtrip():
+def test_table_csv_roundtrip(capsys):
     hb = builtin_space("hardy-ball", 2)
     rep = trace_report(hb, 4)
-    csv = rep.tables[0].to_csv()
-    lines = csv.strip().split("\n")
+    lines = rep.tables[0].to_csv().strip().split("\n")
     assert lines[0] == "k,computed,telescoping,binomial_formula,defect_is_zero"
     assert len(lines) == 6
+    # text fields that hold commas are quoted: csv reads each row back whole
+    for argv in (
+        ("space", "describe", "--space", "da", "--m", "2"),
+        ("preg", "delta", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-level", "4"),
+        ("ideal", "decompose", "--m", "2", "--ideal", "z2-z1^2", "--weight", "1,2",
+         "--max-wlevel", "8"),
+    ):
+        assert cli.main([*argv]) == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        assert cli.main([*argv, "--format", "csv"]) == 0
+        blocks = capsys.readouterr().out.split("# table: ")[1:]
+        assert len(blocks) == len(tables)
+        for table, block in zip(tables, blocks):
+            name, header, *rows = csv.reader(io.StringIO(block))
+            assert name == [table["name"]]
+            assert header == [c["name"] for c in table["columns"]]
+            assert rows == [[str(x) for x in row] for row in table["rows"]]

@@ -110,12 +110,12 @@ def test_realization_dim_split_and_gram():
             lv = r.level(k)
             monos = lv.monomials
             comp = dense(lv.comp_rows, len(monos))
-            # the complement basis is orthogonal and gram_diag is its Gram, exactly
+            # the complement basis is orthogonal and norms / den is its Gram, exactly
             for s, ws in enumerate(comp):
                 for t, wt in enumerate(comp):
                     g = exact_inner(hb, ws, wt, monos)
                     if s == t:
-                        assert g == lv.gram_diag[s] and lv.gram_diag[s] > 0
+                        assert g == Fraction(lv.norms[s], lv.den) and lv.norms[s] > 0
                     else:
                         assert not g
             # complement orthogonal to the ideal rows, exactly
@@ -245,7 +245,8 @@ def test_adjoint_pairing_exact_on_quotient():
     # <B u, v>_{k+1} = <u, B* v>_k holds exactly in Gram form:
     # G_{k+1} B == (G_k B*)^dagger
     def gram_apply(k, rows):
-        gram = r.level(k).gram_diag
+        lv = r.level(k)
+        gram = [Fraction(n, lv.den) for n in lv.norms]
         return [{j: v * g for j, v in row.items()} for row, g in zip(rows, gram)]
 
     for k in range(5):
@@ -425,9 +426,10 @@ def test_onb_scale_splits_gram_entries_beyond_double_range():
     # mantissa is finite and nonzero, and x * 2^s is sqrt(g) to rounding
     lv = _Level([(1, 0), (0, 1)], {(1, 0): 0, (0, 1): 1}, [1, 2**4200], 2**2100,
                 [{0: G_ONE}, {1: G_ONE}], [1, 2**4200], [], [])
-    assert lv.gram_diag == [Fraction(1, 2**2100), Fraction(2**2100)]
+    gram = [Fraction(n, lv.den) for n in lv.norms]
+    assert gram == [Fraction(1, 2**2100), Fraction(2**2100)]
     xs, ss = lv.onb_scale
-    for x, s, g in zip(xs, ss, lv.gram_diag):
+    for x, s, g in zip(xs, ss, gram):
         assert np.isfinite(x) and x != 0
         assert abs(Fraction(float(x)) ** 2 * Fraction(4) ** int(s) / g - 1) < 1e-15
 

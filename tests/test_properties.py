@@ -226,8 +226,9 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens,
     u = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k), max_size=r.comp_dim(k)))
     v = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k + p_degree),
                            max_size=r.comp_dim(k + p_degree)))
-    lhs = pairing(apply(op.block(k), u), v, tgt.gram_diag)
-    rhs = pairing(u, apply(adj.block(k + p_degree), v), src.gram_diag)
+    gram_src, gram_tgt = ([Fraction(n, lv.den) for n in lv.norms] for lv in (src, tgt))
+    lhs = pairing(apply(op.block(k), u), v, gram_tgt)
+    rhs = pairing(u, apply(adj.block(k + p_degree), v), gram_src)
     assert lhs == rhs
 
     block = op.block(k)
@@ -241,7 +242,7 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens,
         column = {row: y for row, y in enumerate(block) if c in y}
         projected = r.project_to_complement(k + p_degree, {j: y for j, y in enumerate(image) if y}, den)
         assert {row: y[c] for row, y in column.items()} == projected
-        for row, (wr, gr) in enumerate(zip(tgt.comp_rows, tgt.gram_diag)):
+        for row, (wr, gr) in enumerate(zip(tgt.comp_rows, gram_tgt)):
             inner = sum(
                 (image[j] * y.conjugate() * Fraction(tgt.weights[j], tgt.den)
                  for j, y in wr.items()),
@@ -409,7 +410,7 @@ def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens)
 def test_integer_complement_bases_span_the_reference_kernel(data, kind, m, ideal_degree, ngens):
     # each level's complement basis is primitive Gaussian-integer rows that
     # span the kernel_basis reference of the constraint rows, are exactly
-    # orthogonal in the space's weights, and have gram_diag equal to their
+    # orthogonal in the space's weights, and have norms / den equal to their
     # weighted norms
     space = builtin_space(kind, m)
     ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
@@ -426,7 +427,7 @@ def test_integer_complement_bases_span_the_reference_kernel(data, kind, m, ideal
             for t, wt in enumerate(comp):
                 g = sum((x * wt[c].conjugate() * omega[c] for c, x in ws.items() if c in wt),
                         G_ZERO)
-                assert g == (lv.gram_diag[s] if s == t else 0)
+                assert g == (Fraction(lv.norms[s], lv.den) if s == t else 0)
 
 
 @settings(max_examples=25, deadline=None)
