@@ -39,15 +39,16 @@ from .errors import ScenarioError, StructuralError, WindowError, WshmError
 from .ideals import FIT_WINDOW, GradedIdeal, hilbert_samuel_fit
 from .operators import (
     ModuleRealization,
+    check_schatten_exponents,
     codefect_blocks,
     commutator_blocks,
     defect_blocks,
+    hermitian_eigh,
     mult_blocks,
     op_sub,
-    pn_split,
     product_blocks,
     quotient_realization,
-    spectral_norm,
+    svdvals,
 )
 from .spaces import WeightedShiftSpace
 
@@ -204,9 +205,7 @@ def normality_report(
             f"normality_report to K={K} needs realization levels to {K + 2}"
         )
     p_list = list(p_list or [])
-    # one table and one verdict per exponent, each named after it
-    if any(not 1 <= p < math.inf for p in p_list) or len(set(p_list)) < len(p_list):
-        raise WshmError(f"Schatten exponents must be finite, >= 1 and distinct, got {p_list}")
+    check_schatten_exponents(p_list)
     m = realization.space.m
     params = {
         "space": realization.space.kind,
@@ -219,18 +218,26 @@ def normality_report(
     }
     report = DiagnosticsReport("normality", params)
 
-    # spherical defect: one exact diagonal or one SVD per level
+    # cross commutators C(z_i, z_j) = M_{z_j}^* M_{z_i} - M_{z_i} M_{z_j}^*; as
+    # C(z_j, z_i) = C(z_i, z_j)^* has the same norms and zeros, i <= j suffices
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    z = [GradedPolynomial.variable(m, i) for i in range(m)]
+    comms = {(i, j): commutator_blocks(realization, z[i], z[j], K + 1) for i, j in pairs if i <= j}
+    # each level block of every C(z_i, z_j) and of a quotient's spherical defect
+    # goes to one stacked SVD per block shape; on the full space it is diagonal
+    ops = [*comms.values(), *([] if realization.is_full else [defect_blocks(realization, K)])]
+    flat = svdvals([op.onb_block(k) for op in ops for k in range(K + 1)])
+    svs = [flat[n:n + K + 1] for n in range(0, len(flat), K + 1)]
+    norms = [[float(sv.max(initial=0.0)) for sv in op_svs] for op_svs in svs]
     if realization.is_full:
         diag = [full_defect_eigenvalues(realization.space, k) for k in range(K + 1)]
         defect_norms = [max((abs(float(v)) for v in d), default=0.0) for d in diag]
         defect_zero = all(not v for d in diag for v in d)
         defect_terms = {p: _diagonal_schatten_terms(diag, p) for p in p_list}
     else:
-        dop = defect_blocks(realization, K)
-        svs = [dop.singular_values(k) for k in range(K + 1)]
-        defect_norms = [float(sv.max(initial=0.0)) for sv in svs]
-        defect_zero = not any(row for k in range(K + 1) for row in dop.block(k))
-        defect_terms = {p: [float(np.sum(sv**p)) for sv in svs] for p in p_list}
+        defect_norms = norms[-1]
+        defect_zero = not any(row for k in range(K + 1) for row in ops[-1].block(k))
+        defect_terms = {p: [float(np.sum(sv**p)) for sv in svs[-1]] for p in p_list}
 
     report.tables.append(
         Table(
@@ -241,17 +248,10 @@ def normality_report(
     )
     report.verdicts.append(_trend_verdict("spherical-defect", defect_norms, defect_zero))
 
-    # cross commutators C(z_i, z_j) = M_{z_j}^* M_{z_i} - M_{z_i} M_{z_j}^*; as
-    # C(z_j, z_i) = C(z_i, z_j)^* has the same norms and zeros, i <= j suffices
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    z = [GradedPolynomial.variable(m, i) for i in range(m)]
     pair_norms: dict[tuple[int, int], list[float]] = {}
-    nonzero = False
-    for i, j in pairs:
-        if i <= j:
-            comm = commutator_blocks(realization, z[i], z[j], K + 1)
-            pair_norms[(i, j)] = pair_norms[(j, i)] = [comm.norm(k) for k in range(K + 1)]
-            nonzero = nonzero or any(row for k in range(K + 1) for row in comm.block(k))
+    for (i, j), pair in zip(comms, norms):
+        pair_norms[(i, j)] = pair_norms[(j, i)] = pair
+    nonzero = any(row for comm in comms.values() for k in range(K + 1) for row in comm.block(k))
     cols = [Column("k", "int")] + [Column(f"comm_{i + 1}_{j + 1}", "float") for i, j in pairs]
     rows = [[k] + [pair_norms[ij][k] for ij in pairs] for k in range(K + 1)]
     report.tables.append(Table("commutator_level_norms", cols, rows))
@@ -605,9 +605,11 @@ def section5_checks(
     X is :func:`codefect_blocks`, I - sum_i M_i M_i^*; each self commutator
     [M_i, M_i^*] = M_i M_i^* - M_i^* M_i (in that order) splits spectrally as
     P - N.  Both are built once per report from the realization's shared
-    products, and level k of each is read in one pass; X needs realization
-    levels to K + 1.  Exact blocks enter; the split and the norms are float
-    tier with ``SECTION5_SLACK``.
+    products; X needs realization levels to K + 1.  Exact blocks enter; the
+    norms are float tier with ``SECTION5_SLACK``.  P and N are read off the
+    spectrum lam of [M_i, M_i^*]_k (one stacked eigh per block shape), never
+    formed: Tr P = sum max(lam, 0), ||P|| = max(lam_max, 0) and ||N|| =
+    max(-lam_min, 0); :func:`~wshm.operators.pn_split` is the test reference.
     """
     m = realization.space.m
     x = codefect_blocks(realization, K)
@@ -616,17 +618,16 @@ def section5_checks(
         zi = GradedPolynomial.variable(m, i)
         h.append(op_sub(product_blocks(realization, zi, zi, False),
                         product_blocks(realization, zi, zi, True)))
+    lam = [vals for vals, _ in hermitian_eigh([hi.onb_block(k) for k in range(K + 1) for hi in h])]
+    x_svs = svdvals([x.onb_block(k) for k in range(K + 1)])
     recs = []
     for k in range(K + 1):
-        lhs = 0.0
-        p_norms: list[float] = []
-        n_norms: list[float] = []
-        for hi in h:
-            p_part, n_part = pn_split(hi.onb_block(k))
-            lhs += float(np.trace(p_part).real)
-            p_norms.append(spectral_norm(p_part))
-            n_norms.append(spectral_norm(n_part))
-        x_norm = x.norm(k)
+        pos = [np.clip(v, 0.0, None) for v in lam[k * m:(k + 1) * m]]
+        neg = [np.clip(-v, 0.0, None) for v in lam[k * m:(k + 1) * m]]
+        lhs = sum(float(p.sum()) for p in pos)
+        p_norms = [float(p.max(initial=0.0)) for p in pos]
+        n_norms = [float(n.max(initial=0.0)) for n in neg]
+        x_norm = float(x_svs[k].max(initial=0.0))
         rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
         recs.append(
             Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)

@@ -8,7 +8,9 @@ level.  Two arithmetic tiers are kept strictly apart:
   are Gaussian-rational and never rounded;
 * float tier -- operator norms, singular values and spectral splits go
   through an orthonormal-coordinate conversion (each block scaled by the
-  square roots of the Gram diagonals) into double precision.
+  square roots of the Gram diagonals) into double precision.  A report hands
+  all its blocks to :func:`svdvals` or :func:`hermitian_eigh` at once: one
+  stacked SVD or eigh per block shape per report, bit for bit per block.
 
 Truncation windows are explicit.  An operator records the last trusted
 source level ``k_valid``; any composition shrinks the window, and access
@@ -264,23 +266,16 @@ class GradedOperator:
         return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
 
     def norm(self, k: int) -> float:
-        return spectral_norm(self.onb_block(k))
+        return float(self.singular_values(k).max(initial=0.0))
 
     def singular_values(self, k: int) -> np.ndarray:
-        m = self.onb_block(k)
-        return np.linalg.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
+        return svdvals([self.onb_block(k)])[0]
 
     def trace(self, k: int):
         """Exact trace of a square block (basis independent)."""
         if self.shift != 0:
             raise WshmError("trace requires a degree-0 operator")
         return ela.trace(self.block(k))
-
-
-def spectral_norm(m: np.ndarray) -> float:
-    """The largest singular value, 0.0 for an empty block: the same SVD and
-    maximum as ``np.linalg.norm(m, 2)``, without its axis handling."""
-    return float(np.linalg.svd(m, compute_uv=False).max()) if min(m.shape) else 0.0
 
 
 def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
@@ -482,27 +477,54 @@ def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela
     return mult_blocks(realization, zi, k).block(k)
 
 
-# relative asymmetry pn_split accepts as float rounding of a Hermitian block
+# relative asymmetry hermitian_eigh accepts as float rounding of a Hermitian block
 HERMITIAN_TOL = 1e-10
 
 
-def pn_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral split H = P - N with P, N >= 0 and P N = 0 (float tier).
+def _per_shape(fn, blocks: list[np.ndarray]) -> list:
+    """``fn`` applied once to the stack of each shape's blocks, its results
+    handed back per block in input order.  numpy runs LAPACK on each member
+    of a stack in turn, so each result has the bits of a one-block call."""
+    out = [None] * len(blocks)
+    for shape in dict.fromkeys(b.shape for b in blocks):
+        idx = [n for n, b in enumerate(blocks) if b.shape == shape]
+        for n, res in zip(idx, fn(np.stack([blocks[n] for n in idx]))):
+            out[n] = res
+    return out
 
-    Input must be Hermitian within ``HERMITIAN_TOL`` relative to its size.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.size == 0:
-        return h.copy(), h.copy()
-    scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.conj().T).max()) > HERMITIAN_TOL * scale:
-        raise WshmError("pn_split requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+
+def svdvals(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The singular values of each block, one SVD per block shape (float tier)."""
+    return _per_shape(partial(np.linalg.svd, compute_uv=False), blocks)
+
+
+def hermitian_eigh(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors) of each block, one eigh per block shape
+    (float tier).  Every block must be Hermitian within ``HERMITIAN_TOL``
+    relative to its size; its Hermitian part is decomposed."""
+    def eigh(h: np.ndarray):
+        ht = h.conj().swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+        if (np.abs(h - ht).max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
+            raise WshmError("a Hermitian spectrum requires Hermitian blocks")
+        return zip(*np.linalg.eigh((h + ht) / 2.0))
+
+    return _per_shape(eigh, blocks)
+
+
+def pn_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral split H = P - N with P, N >= 0 and P N = 0 (float tier) from
+    one-block :func:`hermitian_eigh`: the test reference for section5."""
+    [(vals, vecs)] = hermitian_eigh([np.asarray(h, dtype=complex)])
     pos = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T
     neg = vecs @ np.diag(np.clip(-vals, 0.0, None)) @ vecs.conj().T
-    pos = (pos + pos.conj().T) / 2.0
-    neg = (neg + neg.conj().T) / 2.0
-    return pos, neg
+    return (pos + pos.conj().T) / 2.0, (neg + neg.conj().T) / 2.0
+
+
+def check_schatten_exponents(ps: list[float]) -> None:
+    """One table and one verdict per exponent: each finite, >= 1 and distinct."""
+    if any(not 1 <= p < math.inf for p in ps) or len(set(ps)) < len(ps):
+        raise WshmError(f"Schatten exponents must be finite, >= 1 and distinct, got {ps}")
 
 
 @dataclass
@@ -520,9 +542,6 @@ class SchattenPartial:
 
 def schatten_partial(op: GradedOperator, p: float, K: int) -> SchattenPartial:
     """Partial Schatten-p data over levels 0..K (float tier)."""
-    if p < 1:
-        raise WshmError(f"Schatten exponent must be >= 1, got {p}")
-    if K > op.k_valid:
-        raise WindowError(f"schatten_partial to K={K} exceeds window {op.k_valid}")
-    terms = [float(np.sum(op.singular_values(k) ** p)) for k in range(K + 1)]
+    check_schatten_exponents([p])  # a level beyond op's window is a WindowError
+    terms = [float(np.sum(sv**p)) for sv in svdvals([op.onb_block(k) for k in range(K + 1)])]
     return SchattenPartial(p, terms, list(accumulate(terms)))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +25,14 @@ from wshm.operators import (
     compose,
     defect_blocks,
     full_realization,
+    hermitian_eigh,
     identity_blocks,
     mult_blocks,
     op_sub,
     pn_split,
     quotient_realization,
     schatten_partial,
+    svdvals,
 )
 from wshm.parsing import parse_polynomial
 from wshm.spaces import builtin_space
@@ -497,6 +500,47 @@ def test_pn_split_rejects_non_hermitian():
         pn_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+# shapes of a mixed batch: repeats share one stack, empty blocks included
+SHAPES = [(2, 3), (0, 0), (3, 2), (0, 4), (2, 3), (4, 0), (1, 1), (0, 4), (3, 3), (1, 1)]
+
+
+def _random_block(rng, shape, hermitian=False):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (a + a.conj().T) / 2 if hermitian else a
+
+
+def test_stacked_svdvals_match_one_block_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    blocks = [_random_block(rng, s) for s in SHAPES]
+    got = svdvals(blocks)
+    assert len(got) == len(blocks)
+    for b, sv in zip(blocks, got):
+        want = np.linalg.svd(b, compute_uv=False)
+        assert sv.shape == want.shape and sv.dtype == want.dtype
+        assert sv.tobytes() == want.tobytes()
+
+
+def test_stacked_hermitian_eigh_matches_one_block_calls_bit_for_bit():
+    rng = np.random.default_rng(13)
+    shapes = [s for s in SHAPES if s[0] == s[1]] + [(2, 2), (0, 0), (3, 3)]
+    blocks = [_random_block(rng, s, hermitian=True) for s in shapes]
+    got = hermitian_eigh(blocks)
+    assert len(got) == len(blocks)
+    for h, (vals, vecs) in zip(blocks, got):
+        want_vals, want_vecs = np.linalg.eigh(h)  # h is exactly Hermitian
+        assert vals.tobytes() == want_vals.tobytes() and vals.shape == want_vals.shape
+        assert vecs.tobytes() == want_vecs.tobytes() and vecs.shape == want_vecs.shape
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_stacked_hermitian_eigh_rejects_any_non_hermitian_member(where):
+    rng = np.random.default_rng(17)
+    blocks = [_random_block(rng, (2, 2), hermitian=True) for _ in range(5)]
+    blocks[where] = blocks[where] + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(WshmError):
+        hermitian_eigh(blocks)
+
+
 # -- schatten -----------------------------------------------------------------
 
 
@@ -533,8 +577,9 @@ def test_schatten_window_and_exponent_errors():
     dd = defect_blocks(r, 4)
     with pytest.raises(WindowError):
         schatten_partial(dd, 2, 5)
-    with pytest.raises(WshmError):
-        schatten_partial(dd, 0.5, 3)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(WshmError):
+            schatten_partial(dd, p, 3)
 
 
 def test_compose_window_shrinks():

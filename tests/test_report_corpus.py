@@ -41,6 +41,11 @@ CASES = {
         "diag", "normality", "--space", "hardy-ball", "--m", "2",
         "--ideal", "z1^2+(1+i)*z1*z2-z2^2", "--max-level", "6", "--schatten", "2",
     ),
+    # levels of dimension 1, 1, 0, 0, 0: empty blocks reach the stacked SVD
+    "normality-hb-artinian": (
+        "diag", "normality", "--space", "hardy-ball", "--m", "2", "--ideal", "z1^2,z2",
+        "--max-level", "4", "--schatten", "2",
+    ),
     "section5-hb-quadric": (
         "diag", "section5", "--space", "hardy-ball", "--m", "2",
         "--ideal", "z1^2+(1+i)*z1*z2-z2^2", "--max-level", "8",
