@@ -200,22 +200,10 @@ def enumerate_level(m: int, k: int) -> list[MultiIndex]:
     """All degree-k exponent tuples in m variables, in graded-lex order.
 
     The order is identical across runs: the first variable carries the
-    highest power first, e.g. (2,2) -> [(2,0), (1,1), (0,2)].
+    highest power first, e.g. (2,2) -> [(2,0), (1,1), (0,2)].  This is
+    :func:`enumerate_weighted_level` with n = (1,...,1).
     """
-    if m < 1:
-        raise ArityError(f"variable count must be >= 1, got {m}")
-    if k < 0:
-        return []
-
-    def rec(vars_left: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if vars_left == 1:
-            yield (budget,)
-            return
-        for e in range(budget, -1, -1):
-            for rest in rec(vars_left - 1, budget - e):
-                yield (e,) + rest
-
-    return list(rec(m, k))
+    return enumerate_weighted_level(m, (1,) * m, k)
 
 
 def enumerate_weighted_level(m: int, n: WeightVector, ell: int) -> list[MultiIndex]:
@@ -223,21 +211,19 @@ def enumerate_weighted_level(m: int, n: WeightVector, ell: int) -> list[MultiInd
 
     Deterministic order: earlier variables take higher exponents first,
     consistent with :func:`enumerate_level` (which is the n = (1,...,1) case).
+    The tuples are built one variable at a time, each prefix with the budget
+    it leaves; the prefixes of every step are already in that order.
     """
+    if m < 1:
+        raise ArityError(f"variable count must be >= 1, got {m}")
     n = check_weight_vector(n, m)
     if ell < 0:
         return []
-
-    def rec(i: int, budget: int) -> list[tuple[int, ...]]:
-        if i == m - 1:
-            return [(budget // n[i],)] if budget % n[i] == 0 else []
-        return [
-            (e,) + rest
-            for e in range(budget // n[i], -1, -1)
-            for rest in rec(i + 1, budget - e * n[i])
-        ]
-
-    return rec(0, ell)
+    parts = [((), ell)]
+    for w in n[:-1]:
+        parts = [(p + (e,), b - e * w) for p, b in parts for e in range(b // w, -1, -1)]
+    w = n[-1]
+    return [p + (b // w,) for p, b in parts if b % w == 0]
 
 
 def weighted_degree(alpha: MultiIndex, n: WeightVector) -> int:

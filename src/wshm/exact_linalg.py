@@ -11,6 +11,9 @@ reduction, products and adjoints only ever touch stored entries.
 Elimination and orthogonalisation are fraction-free.  Their rows are
 Gaussian-integer rows (every entry has denominator 1) with integer content 1,
 updated only by :func:`combine` (a * dst - b * src, content removed).
+Normalisation does its work once: :func:`integral` skips the lcm for a row
+with no denominator, and the content gcd stops as soon as it reaches 1, so a
+row that is already primitive costs one short scan and comes back as itself.
 :func:`rref` is the one elimination the package runs for ideal levels; its
 rows keep their own pivot entries, so a caller that needs the RREF divides
 once.  :func:`rank` stops after forward elimination.  Complement geometry
@@ -49,11 +52,14 @@ Row = dict[int, GaussianRational]
 
 def _content_free(row: Row) -> Row:
     """A Gaussian-integer row divided by the gcd of its real and imaginary
-    parts (``row`` itself when that gcd is 1)."""
-    g = math.gcd(*[y for x in row.values() for y in (x._a, x._b)])
-    if g == 1:
-        return row
-    return {c: _make(x._a // g, x._b // g, 1) for c, x in row.items()}
+    parts, in one pass that stops as soon as that gcd reaches 1: a primitive
+    (or empty) row is returned as ``row`` itself."""
+    g = 0
+    for x in row.values():
+        g = math.gcd(g, x._a, x._b)
+        if g == 1:
+            return row
+    return {c: _make(x._a // g, x._b // g, 1) for c, x in row.items()} if g else row
 
 
 def over_common_denominator(row: Row) -> tuple[Row, int]:
@@ -68,8 +74,12 @@ def over_common_denominator(row: Row) -> tuple[Row, int]:
 
 def integral(row: Row) -> Row:
     """``row`` times the positive rational that makes it a primitive
-    Gaussian-integer row (``row`` itself if it is one already)."""
-    return _content_free(over_common_denominator(row)[0])
+    Gaussian-integer row (``row`` itself if it is one already).  A row whose
+    entries all have denominator 1 skips the lcm and the copy."""
+    for x in row.values():
+        if x._d != 1:
+            return _content_free(over_common_denominator(row)[0])
+    return _content_free(row)
 
 
 def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row:
@@ -77,7 +87,8 @@ def combine(a: GaussianRational, dst: Row, b: GaussianRational, src: Row) -> Row
     scalars: the one fraction-free row update behind every elimination and
     orthogonalisation.  a and b are divided by their common integer content
     first; a > 0 real keeps the sign of dst, and a = 1 keeps its untouched
-    entries as they are."""
+    entries as they are.  The content gcd of the result stops at its first
+    entries whenever they are already coprime (see :func:`_content_free`)."""
     ar, ai, br, bi = a._a, a._b, b._a, b._b
     g = math.gcd(ar, ai, br, bi)
     if g > 1:

@@ -71,6 +71,8 @@ class GradedIdeal:
                         f"generator not quasi-homogeneous for n={self.weight}: {g}"
                     )
         self._gen_degrees = tuple(g.weighted_degree(self.weight) for g in gens)
+        # each generator's terms as a primitive Gaussian-integer row, made once
+        self._gen_terms = tuple(list(ela.integral(dict(g.terms())).items()) for g in gens)
         self._level_cache: dict[int, tuple[list[int], list[ela.Row], list[MultiIndex]]] = {}
 
     @property
@@ -98,11 +100,10 @@ class GradedIdeal:
         monomials = enumerate_weighted_level(self.m, self.weight, ell)
         col_of = {a: j for j, a in enumerate(monomials)}
         rows: list[ela.Row] = []
-        for g, dg in zip(self.generators, self._gen_degrees):
+        for terms, dg in zip(self._gen_terms, self._gen_degrees):
             rem = ell - dg
             if rem < 0:
                 continue
-            terms = list(ela.integral(dict(g.terms())).items())
             for beta in enumerate_weighted_level(self.m, self.weight, rem):
                 rows.append({col_of[add_index(a, beta)]: c for a, c in terms})
         pivots, red = ela.rref(rows, len(monomials))

@@ -81,7 +81,6 @@ class _Level:
     comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis
     norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
     ideal_pivots: list[int]
-    ideal_rows: list[ela.Row]
 
     @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,14 +159,14 @@ class ModuleRealization:
         if self.is_full:
             monomials = enumerate_level(self.space.m, k)
             n, den = self.space.level_weights(monomials)
-            comp, norms, pivots, red = [{j: G_ONE} for j in range(len(n))], n, [], []
+            comp, norms, pivots = [{j: G_ONE} for j in range(len(n))], n, []
         else:
             # a plain ideal's level columns are enumerate_level's monomials
             pivots, red, monomials = self.ideal.level_data(k)
             n, den = self.space.level_weights(monomials)
             comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
         col_of = {a: j for j, a in enumerate(monomials)}
-        return _Level(monomials, col_of, n, den, comp, norms, pivots, red)
+        return _Level(monomials, col_of, n, den, comp, norms, pivots)
 
     # -- level geometry -------------------------------------------------
 

@@ -157,17 +157,26 @@ class _KernelPowerSpace(WeightedShiftSpace):
         w, r = _factorial_weights(m, shift)
         super().__init__(kind, m, w, params={}, ratio_fn=r)
         self._shift = shift
+        self._fact = [1]  # _fact[j] = j!, extended to the highest level read
 
     def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """Closed form for one level k: the ints alpha! (shift-1)! over
-        D = (k+shift-1)!.  It builds no Fraction, where the generic path
-        builds one per monomial and spends most of its time doing so."""
-        k = sum(monomials[0]) if monomials else 0
-        fact = [1]  # fact[j] = j! for j < k + shift
-        for j in range(1, k + self._shift):
-            fact.append(fact[-1] * j)
-        top = fact[self._shift - 1]
-        return [math.prod([fact[a] for a in alpha]) * top for alpha in monomials], fact[-1]
+        """Closed form: n[j] = alpha! (shift-1)! (K+shift-1)! / (|alpha|+shift-1)!
+        over D = (K+shift-1)!, K the highest degree of ``monomials``, so mixed
+        degrees keep omega(alpha_j) = n[j] / D and one level k has D =
+        (k+shift-1)!.  The factorials come from one table per space, replaced
+        by a longer copy (never extended in place, so a concurrent reader
+        sees a whole table) when a higher level is read; no Fraction is built."""
+        degrees = list(map(sum, monomials))
+        shift, top = self._shift, max(degrees, default=0) + self._shift - 1
+        fact = self._fact
+        if len(fact) <= top:
+            fact = list(fact)
+            for j in range(len(fact), top + 1):
+                fact.append(fact[-1] * j)
+            self._fact = fact
+        d, get = fact[top], fact.__getitem__
+        scale = {k: d // fact[k + shift - 1] * fact[shift - 1] for k in set(degrees)}
+        return [math.prod(map(get, alpha)) * scale[k] for alpha, k in zip(monomials, degrees)], d
 
 
 # the only parameter keys each kind reads; any other key is an input error

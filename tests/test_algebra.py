@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,27 @@ def test_enumerate_weighted_level():
     assert enumerate_weighted_level(2, (1, 2), 2) == [(2, 0), (0, 1)]
     assert enumerate_weighted_level(2, (1, 1), 3) == enumerate_level(2, 3)
     assert enumerate_weighted_level(1, (2,), 3) == []
+    for bad in (lambda: enumerate_level(0, 2), lambda: enumerate_weighted_level(0, (), 2)):
+        with pytest.raises(ArityError):
+            bad()
     for a in enumerate_weighted_level(3, (1, 2, 3), 9):
         assert weighted_degree(a, (1, 2, 3)) == 9
+
+
+def brute_force_weighted_level(n, ell):
+    """Oracle: every tuple of the box 0 <= a_i <= ell // n_i whose weighted
+    degree is ell, sorted with earlier variables' exponents highest first."""
+    box = itertools.product(*[range(ell // w + 1) for w in n]) if ell >= 0 else ()
+    return sorted((a for a in box if weighted_degree(a, n) == ell), reverse=True)
+
+
+def test_enumerate_weighted_level_order_matches_brute_force():
+    for m in range(1, 5):
+        for n in itertools.product(range(1, 4), repeat=m):
+            for ell in range(-1, 11):
+                assert enumerate_weighted_level(m, n, ell) == brute_force_weighted_level(n, ell)
+        for k in range(-1, 11):
+            assert enumerate_level(m, k) == enumerate_weighted_level(m, (1,) * m, k)
 
 
 def test_weighted_degree():

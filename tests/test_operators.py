@@ -123,7 +123,7 @@ def test_realization_dim_split_and_gram():
                         assert not g
             # complement orthogonal to the ideal rows, exactly
             for w in comp:
-                for u in dense(lv.ideal_rows, len(monos)):
+                for u in dense(r.ideal.level_data(k)[1], len(monos)):
                     assert not exact_inner(hb, w, u, monos)
 
 
@@ -139,7 +139,7 @@ def test_projection_matches_normal_equations(gen):
         monos = lv.monomials
         dim = len(monos)
         omega = [hb.weight(a) for a in monos]
-        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in lv.ideal_rows]
+        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in r.ideal.level_data(k)[1]]
         v = dense(ela.kernel_basis(constraint, dim), dim)
         n = len(v)
         gram = [[exact_inner(hb, v[j], v[i], monos) for j in range(n)] for i in range(n)]
@@ -421,14 +421,14 @@ def test_block_shift_data_z1_ideal_gives_z2_shift():
 
 def one_dim_level(norm, den):
     """A full one-coordinate level of weight (and Gram entry) norm / den."""
-    return _Level([(0,)], {(0,): 0}, [norm], den, [{0: G_ONE}], [norm], [], [])
+    return _Level([(0,)], {(0,): 0}, [norm], den, [{0: G_ONE}], [norm], [])
 
 
 def test_onb_scale_splits_gram_entries_beyond_double_range():
     # Gram entries 2^-2100 and 2^2100 neither underflow nor overflow: each
     # mantissa is finite and nonzero, and x * 2^s is sqrt(g) to rounding
     lv = _Level([(1, 0), (0, 1)], {(1, 0): 0, (0, 1): 1}, [1, 2**4200], 2**2100,
-                [{0: G_ONE}, {1: G_ONE}], [1, 2**4200], [], [])
+                [{0: G_ONE}, {1: G_ONE}], [1, 2**4200], [])
     gram = [Fraction(n, lv.den) for n in lv.norms]
     assert gram == [Fraction(1, 2**2100), Fraction(2**2100)]
     xs, ss = lv.onb_scale
