@@ -37,7 +37,7 @@ from .diagnostics import (
 )
 from .errors import ParseError, WshmError
 from .ideals import GradedIdeal, hilbert_samuel_fit, residue_decompose
-from .operators import full_realization, quotient_realization
+from .operators import ModuleRealization
 from .parsing import parse_polynomial, parse_polynomial_list
 from .posreg import (
     PositiveRegularPoly,
@@ -95,6 +95,11 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
+def _no_constant(name: str):
+    """``json.loads`` hook for Infinity, -Infinity and NaN: none is a weight."""
+    raise ValueError(f"{name} is not a weight")
+
+
 def _space_from_args(args) -> object:
     params = _parse_params(args.param)
     if "table" in params:
@@ -102,7 +107,9 @@ def _space_from_args(args) -> object:
         if not path:
             raise WshmError("--param table: the path is empty")
         try:
-            table_raw = json.loads(Path(path).read_text())
+            table_raw = json.loads(
+                Path(path).read_text(), parse_float=Fraction, parse_constant=_no_constant
+            )
             if not isinstance(table_raw, dict):
                 raise ValueError("expected a JSON object")
             params["table"] = {
@@ -257,12 +264,8 @@ def _run_ideal_decompose(args) -> DiagnosticsReport:
 
 def _run_normality(args) -> DiagnosticsReport:
     space = _space_from_args(args)
-    ideal = _ideal_from_args(args)
     K = args.max_level
-    if ideal is None:
-        realization = full_realization(space, K + 2)
-    else:
-        realization = quotient_realization(space, ideal, K + 2)
+    realization = ModuleRealization(space, _ideal_from_args(args), K + 2)
     return normality_report(realization, K, _schatten_from_args(args))
 
 

@@ -1,36 +1,31 @@
 """Positive regular polynomials and the modules they generate.
 
-A positive regular polynomial in m variables is
+A positive regular polynomial in m variables is P(z) = sum_t a_t z^{alpha_t},
+stored as its term list ``PositiveRegularPoly.terms``: the pairs (a_t,
+alpha_t) in graded-lex order, so the m linear terms a_t z_t (a_t > 0) come
+first, in variable order, and the higher terms (a_t >= 0, |alpha_t| >= 2)
+follow.  Every sum over P's terms reads that one list.  H_P has monomial
+weights ||z^beta||^2 = 1 / delta_beta, where delta is the coefficient table
+of (1 - P)^{-1}, computed by the exact recurrence
 
-    P(z) = sum_{i<=m} a_i z_i + sum_{j} a_{m+j} z^{alpha_j},
-
-with a_i > 0 for the linear terms, a_{m+j} >= 0 and |alpha_j| >= 2.  Its
-Hilbert module H_P has monomial weights ||z^beta||^2 = 1 / delta_beta, where
-delta is the coefficient table of the series (1 - sum of all terms)^{-1},
-computed by the exact recurrence
-
-    delta_0 = 1,
-    delta_beta = sum_i a_i delta_{beta - e_i} + sum_j a_{m+j} delta_{beta - alpha_j}
+    delta_0 = 1,    delta_beta = sum_t a_t delta_{beta - alpha_t}
 
 (terms with a negative index dropped).  All-minus signs are used inside the
 inverted series: with a plus on the higher-order part the deltas go
 nonpositive and the rank-one projection identity fails, which is surfaced as
 a SignConventionError rather than silently accepted.
 
-The comparison module lives in the Drury-Arveson space on m + K variables
-(one variable Z_i per term of P), graded by the weight
-
-    n = (1, ..., 1, |alpha_{m+1}|, ..., |alpha_{m+K}|),
-
-and the comparison map sends Z^beta to sqrt(a)^beta z^{sigma(beta)} where
-sigma replaces each higher variable by its exponent pattern.  The associated
-ideal is generated by Q_j = Z_{m+j} - lambda_j Z^{alpha_j} with lambda_j^2 =
-a_{m+j} / prod_t a_t^{alpha_{j,t}} always rational even when lambda_j is not.
+The comparison module lives in the Drury-Arveson space with one variable per
+term: term t is Z_t.  It is graded by n_t = |alpha_t|, and the comparison map
+sends Z^beta to sqrt(c(beta)) z^{sigma(beta)}, with sigma(beta) = sum_t
+beta_t alpha_t and c(beta) = prod_t a_t^{beta_t}.  The associated ideal is
+generated by Q_t = Z_t - lambda_t Z^{alpha_t} for the higher terms, with
+lambda_t^2 = a_t / c(alpha_t) always rational even when lambda_t is not.
 Level dimensions of the ideal are computed on the rescaled generators
-Z_{m+j} -> lambda_j Z_{m+j} (a diagonal, grading-preserving change of
-variables, so every weighted level dimension is unchanged), and kernel
-membership is checked on squared coefficient data; both paths are exact
-rational arithmetic, no radicals needed.
+Z_t -> lambda_t Z_t (a diagonal, grading-preserving change of variables, so
+every weighted level dimension is unchanged), and kernel membership is
+checked on squared coefficient data; both paths are exact rational
+arithmetic, no radicals needed.
 """
 
 from __future__ import annotations
@@ -57,61 +52,60 @@ from .spaces import WeightedShiftSpace, builtin_space
 
 @dataclass(frozen=True)
 class PositiveRegularPoly:
-    """Exact data of a positive regular polynomial."""
+    """Exact data of a positive regular polynomial P = sum_t a_t z^{alpha_t}.
+
+    ``terms`` holds the pairs (a_t, alpha_t) in graded-lex order, as the
+    parsed polynomial lists them: the m linear terms first, in variable
+    order, then the higher ones.  Term t is the comparison variable Z_t.
+    """
 
     m: int
-    linear: tuple[Fraction, ...]
-    higher: tuple[tuple[Fraction, MultiIndex], ...]
+    terms: tuple[tuple[Fraction, MultiIndex], ...]
 
     def __post_init__(self):
-        if self.m < 1 or len(self.linear) != self.m:
+        m = self.m
+        if m < 1:
             raise WshmError("need one positive linear coefficient per variable")
+        if [alpha for _, alpha in self.terms[:m]] != [unit_index(m, i) for i in range(m)]:
+            raise WshmError("every variable needs a positive linear term")
         if any(a <= 0 for a in self.linear):
             raise WshmError(f"linear coefficients must be positive, got {self.linear}")
         seen = set()
         for a, alpha in self.higher:
             if a < 0:
                 raise WshmError(f"higher coefficients must be >= 0, got {a}")
-            if len(alpha) != self.m or sum(alpha) < 2:
+            if len(alpha) != m or sum(alpha) < 2:
                 raise WshmError(f"higher multi-index must have degree >= 2, got {alpha}")
             if alpha in seen:
                 raise WshmError(f"duplicate higher multi-index {alpha}")
             seen.add(alpha)
 
     @property
-    def num_higher(self) -> int:
-        return len(self.higher)
+    def linear(self) -> tuple[Fraction, ...]:
+        return tuple(a for a, _ in self.terms[: self.m])
+
+    @property
+    def higher(self) -> tuple[tuple[Fraction, MultiIndex], ...]:
+        return self.terms[self.m :]
 
     @staticmethod
     def from_polynomial(p: GradedPolynomial) -> "PositiveRegularPoly":
         """Build from a parsed polynomial with rational coefficients."""
-        linear = [None] * p.m
-        higher = []
+        terms = []
         for alpha, c in p.terms():
             if not c.is_real():
                 raise WshmError(f"coefficients must be real rationals, got {c}")
-            a = c.re
-            deg = sum(alpha)
-            if deg == 1:
-                linear[alpha.index(1)] = a
-            elif deg >= 2:
-                higher.append((a, alpha))
-            else:
+            if not sum(alpha):
                 raise WshmError("constant terms are not allowed")
-        if any(v is None for v in linear):
-            raise WshmError("every variable needs a positive linear term")
-        return PositiveRegularPoly(p.m, tuple(linear), tuple(sorted(higher, key=lambda t: grlex_key(t[1]))))
+            terms.append((c.re, alpha))
+        return PositiveRegularPoly(p.m, tuple(terms))
 
     def __str__(self) -> str:
-        parts = [f"{a}*z{i + 1}" for i, a in enumerate(self.linear)]
-        for a, alpha in self.higher:
-            mono = "*".join(
-                f"z{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(alpha)
-                if e
-            )
-            parts.append(f"{a}*{mono}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"{a}*"
+            + "*".join(f"z{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
+            for a, alpha in self.terms
+        )
 
 
 class DeltaTable:
@@ -123,18 +117,11 @@ class DeltaTable:
         self._level = 0
 
     def ensure(self, degree: int) -> None:
-        m = self.poly.m
         while self._level < degree:
             k = self._level + 1
-            for beta in enumerate_level(m, k):
+            for beta in enumerate_level(self.poly.m, k):
                 acc = Fraction(0)
-                for i, a in enumerate(self.poly.linear):
-                    prev = sub_index(beta, unit_index(m, i))
-                    if prev is not None:
-                        acc += a * self._delta[prev]
-                for a, alpha in self.poly.higher:
-                    if not a:
-                        continue
+                for a, alpha in self.poly.terms:
                     prev = sub_index(beta, alpha)
                     if prev is not None:
                         acc += a * self._delta[prev]
@@ -164,15 +151,10 @@ def delta_coefficients(poly: PositiveRegularPoly, degree: int) -> dict[MultiInde
     return DeltaTable(poly).table(degree)
 
 
-def hp_space(poly: PositiveRegularPoly, degree_hint: int = 0) -> WeightedShiftSpace:
-    """The module H_P with weights omega(beta) = 1/delta_beta.
-
-    The table grows on demand, so the space answers weight queries beyond
-    ``degree_hint``; the hint just pre-fills the recurrence.
-    """
+def hp_space(poly: PositiveRegularPoly) -> WeightedShiftSpace:
+    """The module H_P with weights omega(beta) = 1/delta_beta, its delta
+    table grown on demand."""
     table = DeltaTable(poly)
-    if degree_hint:
-        table.ensure(degree_hint)
 
     def weight(beta: MultiIndex) -> Fraction:
         return 1 / table.delta(beta)
@@ -192,25 +174,20 @@ class ProjectionCheck:
 
 
 def defect_projection_check(poly: PositiveRegularPoly, degree: int) -> ProjectionCheck:
-    """Verify I - sum_i a_i M_i M_i^* - sum_j a_j M^{alpha_j} M^{*alpha_j} = P_0.
+    """Verify I - sum_t a_t M^{alpha_t} M^{alpha_t *} = P_0.
 
     The operator is diagonal in the monomial basis; the eigenvalue at z^beta
     is checked exactly via weight ratios: 1 on the constant, 0 for every
     0 < |beta| <= degree.
     """
-    space = hp_space(poly, degree)
-    m = poly.m
+    space = hp_space(poly)
     failures: list[tuple[MultiIndex, Fraction]] = []
     for k in range(degree + 1):
-        for beta in enumerate_level(m, k):
+        for beta in enumerate_level(poly.m, k):
             val = Fraction(1)
-            for i, a in enumerate(poly.linear):
-                prev = sub_index(beta, unit_index(m, i))
-                if prev is not None:
-                    val -= a * (space.weight(beta) / space.weight(prev))
-            for a, alpha in poly.higher:
+            for a, alpha in poly.terms:
                 prev = sub_index(beta, alpha)
-                if a and prev is not None:
+                if prev is not None:
                     val -= a * (space.weight(beta) / space.weight(prev))
             expected = Fraction(1) if k == 0 else Fraction(0)
             if val != expected:
@@ -223,10 +200,10 @@ class JPData:
     """Generators and weight of the comparison ideal J_P.
 
     ``lambda_sq`` is always exact; ``lambda_exact`` holds the rational square
-    root when one exists (None otherwise).  ``generators`` are the literal
-    Q_j when every lambda is rational; ``rescaled_generators`` (Z_{m+j} -
-    Z^{alpha_j}) span an ideal with identical weighted level dimensions and
-    are what the exact row reduction consumes.
+    root when one exists (None otherwise), one entry per higher term.
+    ``generators`` are the literal Q_t when every lambda is rational;
+    ``rescaled_generators`` (Z_t - Z^{alpha_t}) span an ideal with identical
+    weighted level dimensions and are what the exact row reduction consumes.
     """
 
     poly: PositiveRegularPoly
@@ -257,23 +234,19 @@ def _embed(alpha: MultiIndex, total: int) -> MultiIndex:
 
 
 def jp_data(poly: PositiveRegularPoly) -> JPData:
-    """Generators Q_j = Z_{m+j} - lambda_j Z^{alpha_j} and the ideal weight."""
-    m, kk = poly.m, poly.num_higher
-    total = m + kk
-    weight = tuple([1] * m + [sum(alpha) for _, alpha in poly.higher])
-    lam_sq = []
-    lam = []
-    resc = []
+    """Generators Q_t = Z_t - lambda_t Z^{alpha_t}, one per higher term t, and
+    the grading n_t = |alpha_t|."""
+    total = len(poly.terms)
+    weight = tuple(sum(alpha) for _, alpha in poly.terms)
+    lam_sq, lam, resc = [], [], []
     literal: list[GradedPolynomial] | None = []
-    for j, (a, alpha) in enumerate(poly.higher):
-        denom = Fraction(1)
-        for t, e in enumerate(alpha):
-            denom *= poly.linear[t] ** e
-        l2 = a / denom
+    for t in range(poly.m, total):
+        a, alpha = poly.terms[t]
+        l2 = a / _sqrt_coeff_sq(poly, alpha)
         lam_sq.append(l2)
         root = fraction_sqrt(l2)
         lam.append(root)
-        var = unit_index(total, m + j)
+        var = unit_index(total, t)
         emb = _embed(alpha, total)
         gen = GradedPolynomial(total, {var: 1, emb: -1})
         if not gen.is_quasi_homogeneous(weight):
@@ -284,37 +257,28 @@ def jp_data(poly: PositiveRegularPoly) -> JPData:
         else:
             literal = None
     return JPData(
-        poly,
-        total,
-        weight,
-        tuple(lam_sq),
-        tuple(lam),
-        tuple(resc),
+        poly, total, weight, tuple(lam_sq), tuple(lam), tuple(resc),
         tuple(literal) if literal is not None else None,
     )
 
 
 def _sqrt_coeff_sq(poly: PositiveRegularPoly, beta: MultiIndex) -> Fraction:
-    """Squared magnitude prod a^beta of the comparison map on Z^beta."""
+    """Squared magnitude c(beta) = prod_t a_t^{beta_t} of the comparison map
+    on Z^beta; a beta shorter than the term list reads the first terms."""
     acc = Fraction(1)
-    for i, a in enumerate(poly.linear):
-        if beta[i]:
-            acc *= a ** beta[i]
-    for j, (a, _) in enumerate(poly.higher):
-        e = beta[poly.m + j]
+    for e, (a, _) in zip(beta, poly.terms):
         if e:
             acc *= a**e
     return acc
 
 
 def _sigma(poly: PositiveRegularPoly, beta: MultiIndex) -> MultiIndex:
-    """Image exponent: higher variables expand to their exponent patterns."""
-    out = list(beta[: poly.m])
-    for j, (_, alpha) in enumerate(poly.higher):
-        e = beta[poly.m + j]
+    """Image exponent sigma(beta) = sum_t beta_t alpha_t."""
+    out = [0] * poly.m
+    for e, (_, alpha) in zip(beta, poly.terms):
         if e:
-            for t, at in enumerate(alpha):
-                out[t] += e * at
+            for i, ai in enumerate(alpha):
+                out[i] += e * ai
     return tuple(out)
 
 
@@ -409,8 +373,7 @@ def kernel_vs_ideal(
         ok = True
         witness = None
         for j, (_, alpha) in enumerate(poly.higher):
-            wgen = data.weight[m + j]
-            rem = ell - wgen
+            rem = ell - data.weight[m + j]
             if rem < 0:
                 continue
             for beta in enumerate_weighted_level(data.total_vars, data.weight, rem):
@@ -447,11 +410,8 @@ def xp_module_map_check(poly: PositiveRegularPoly, ell_max: int) -> ModuleMapChe
     """
     data = jp_data(poly)
     total = data.total_vars
-    for i in range(total):
-        wi = data.weight[i]
-        gen_sigma = _sigma(poly, unit_index(total, i))
-        gen_sq = _sqrt_coeff_sq(poly, unit_index(total, i))
-        for ell in range(ell_max - wi + 1):
+    for i, (gen_sq, gen_sigma) in enumerate(poly.terms):
+        for ell in range(ell_max - data.weight[i] + 1):
             for beta in enumerate_weighted_level(total, data.weight, ell):
                 lifted = add_index(beta, unit_index(total, i))
                 lhs = (_sigma(poly, lifted), _sqrt_coeff_sq(poly, lifted))

@@ -423,6 +423,33 @@ def test_empty_table_path_names_the_flag(capsys):
     assert err == "error: --param table: the path is empty\n"
 
 
+def _describe_table(capsys, tmp_path, value):
+    path = tmp_path / "table.json"
+    path.write_text(f'{{"0": 1, "1": {value}}}')
+    return run(
+        capsys, "space", "describe", "--space", "custom", "--m", "1",
+        "--param", f"table={path}", "--preview-degree", "1",
+    )
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_weight_table_constants_exit_2(tmp_path, capsys, value):
+    code, out, err = _describe_table(capsys, tmp_path, value)
+    assert code == 2 and not out
+    assert err.startswith("error: cannot read weight table") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, omega", [("0.1", "1/10"), ("1e400", str(10**400)), ('"1/3"', "1/3"), ("2", "2")]
+)
+def test_weight_table_numbers_are_read_exactly(tmp_path, capsys, value, omega):
+    # a decimal is the rational it spells, not the nearest binary double
+    code, out, _ = _describe_table(capsys, tmp_path, value)
+    assert code == 0
+    assert json.loads(out)["tables"][0]["rows"] == [["0", "1"], ["1", omega]]
+
+
 def test_ideal_hilbert_default_level_is_accepted(capsys):
     code, out, _ = run(capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1")
     assert code == 0

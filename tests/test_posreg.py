@@ -41,8 +41,18 @@ def test_positive_regular_validation():
     with pytest.raises(WshmError):
         preg("z1+i*z2", 2)  # non-real coefficient
     p = preg(P_FLAG, 2)
+    assert p.terms == ((Fraction(1, 2), (1, 0)), (Fraction(1, 2), (0, 1)), (Fraction(1, 4), (1, 1)))
     assert p.linear == (Fraction(1, 2), Fraction(1, 2))
     assert p.higher == ((Fraction(1, 4), (1, 1)),)
+
+
+def test_terms_are_graded_lex_with_linear_terms_first():
+    p = preg("1/8*z2^3+1/8*z1*z2+1/4*z1^2+1/4*z2+1/4*z1", 2)
+    assert [alpha for _, alpha in p.terms] == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 3)]
+    assert str(p) == "1/4*z1 + 1/4*z2 + 1/4*z1^2 + 1/8*z1*z2 + 1/8*z2^3"
+    data = jp_data(p)
+    assert data.weight == (1, 1, 2, 2, 3)  # n_t = |alpha_t|
+    assert data.lambda_sq == (Fraction(4), Fraction(2), Fraction(8))
 
 
 def test_delta_geometric_series():
@@ -76,7 +86,7 @@ def test_delta_all_positive():
 
 
 def test_hp_space_reproduces_drury_arveson():
-    hp = hp_space(preg(P_DA2, 2), 20)
+    hp = hp_space(preg(P_DA2, 2))
     da = builtin_space("drury-arveson", 2)
     for k in range(21):
         for alpha in enumerate_level(2, k):

@@ -1,8 +1,9 @@
 """Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
 weighted adjoint pairing of compressed multipliers, closed-form complement
 bases, kernel bases, elimination against a sympy oracle, sparse rows that
-never store a zero, the Koszul homology of a principal ideal, and the
-polynomial text round trip."""
+never store a zero, the Koszul homology of a principal ideal, the
+polynomial text round trip, and the positive regular pipeline (delta table,
+P-defect, kernel of the comparison map, co-isometry, module map)."""
 
 import math
 from fractions import Fraction
@@ -19,6 +20,14 @@ from wshm.diagnostics import koszul_euler
 from wshm.ideals import GradedIdeal
 from wshm.operators import adjoint_blocks, mult_blocks, quotient_realization
 from wshm.parsing import parse_polynomial
+from wshm.posreg import (
+    PositiveRegularPoly,
+    defect_projection_check,
+    delta_coefficients,
+    kernel_vs_ideal,
+    xp_blocks,
+    xp_module_map_check,
+)
 from wshm.spaces import builtin_space
 
 small_ints = st.integers(-3, 3)
@@ -500,3 +509,37 @@ def test_parse_polynomial_round_trip(m, data):
     terms = data.draw(st.dictionaries(index, gaussian_rationals, max_size=5))
     p = GradedPolynomial(m, terms)
     assert parse_polynomial(str(p), m) == p
+
+
+def _truncate(p: GradedPolynomial, degree: int) -> GradedPolynomial:
+    return GradedPolynomial(p.m, {a: c for a, c in p.terms() if sum(a) <= degree})
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 4), st.integers(1, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(1, 3), data=st.data())
+def test_positive_regular_pipeline_on_random_polynomials(m, data):
+    higher = data.draw(
+        st.lists(
+            st.sampled_from(enumerate_level(m, 2) + enumerate_level(m, 3)), max_size=3, unique=True
+        )
+    )
+    terms = {a: data.draw(positive_rationals) for a in enumerate_level(m, 1) + higher}
+    P = GradedPolynomial(m, terms)
+    poly = PositiveRegularPoly.from_polynomial(P)
+    # delta is the coefficient table of (1 - P)^{-1} = sum_n P^n, truncated
+    degree, ell_max = 5, 4
+    series, power = GradedPolynomial.constant(m, 1), GradedPolynomial.constant(m, 1)
+    for _ in range(degree):
+        power = _truncate(power * P, degree)
+        series = series + power
+    delta = delta_coefficients(poly, degree)
+    assert {b: GaussianRational(v) for b, v in delta.items()} == {
+        b: series.coefficient(b) for b in delta
+    }
+    assert defect_projection_check(poly, degree).passed
+    assert all(lv.equal and lv.containment_ok for lv in kernel_vs_ideal(poly, ell_max))
+    assert all(s == 1 for lv in xp_blocks(poly, ell_max) for s in lv.singular_sq)
+    assert xp_module_map_check(poly, ell_max).passed

@@ -53,6 +53,12 @@ CASES = {
     "preg-check": (
         "preg", "check", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-wlevel", "6",
     ),
+    # three higher terms of mixed degree, two irrational lambda: pins the
+    # order of the comparison variables Z_{m+j}
+    "preg-check-multi": (
+        "preg", "check", "--poly", "1/4*z1+1/4*z2+1/4*z1^2+1/8*z1*z2+1/8*z2^3", "--m", "2",
+        "--max-wlevel", "6",
+    ),
     "preg-kernel": ("preg", "kernel", "--poly", "1/2*z1+1/2*z1^2", "--m", "1", "--max-wlevel", "8"),
     "ideal-hilbert": ("ideal", "hilbert", "--m", "3", "--ideal", "z1^2+z2*z3", "--max-level", "14"),
     "ideal-decompose": (
