@@ -309,10 +309,6 @@ class GradedPolynomial:
             raise DimensionError(f"variable index {i} out of range for m={m}")
         return GradedPolynomial(m, {unit_index(m, i): 1})
 
-    @staticmethod
-    def monomial(m: int, alpha: MultiIndex, coeff: ScalarLike = 1) -> "GradedPolynomial":
-        return GradedPolynomial(m, {tuple(alpha): coeff})
-
     # -- inspection ----------------------------------------------------
 
     @property

@@ -40,7 +40,9 @@ from .ideals import GradedIdeal, hilbert_samuel_fit, residue_decompose
 from .operators import ModuleRealization
 from .parsing import parse_polynomial, parse_polynomial_list
 from .posreg import (
+    JPData,
     PositiveRegularPoly,
+    XpLevel,
     defect_projection_check,
     delta_coefficients,
     jp_data,
@@ -112,6 +114,8 @@ def _space_from_args(args) -> object:
             )
             if not isinstance(table_raw, dict):
                 raise ValueError("expected a JSON object")
+            if any(isinstance(val, bool) for val in table_raw.values()):
+                raise ValueError("a boolean is not a weight")  # Fraction(True) is 1
             params["table"] = {
                 tuple(int(x) for x in key.split(",")): Fraction(val)
                 for key, val in table_raw.items()
@@ -216,6 +220,10 @@ def _run_ideal_hilbert(args) -> DiagnosticsReport:
     return report
 
 
+def _exact_verdict(name: str, passed: bool, details: str) -> Verdict:
+    return Verdict(name, "exact-pass" if passed else "exact-fail", details)
+
+
 def _run_ideal_decompose(args) -> DiagnosticsReport:
     weight = _weight_from_args(args)
     ideal = _required_ideal(args, weight)
@@ -253,9 +261,9 @@ def _run_ideal_decompose(args) -> DiagnosticsReport:
         )
     )
     report.verdicts.append(
-        Verdict(
+        _exact_verdict(
             "decomposition-defect",
-            "exact-pass" if all(lv.defect >= 0 for lv in dec.levels) else "exact-fail",
+            all(lv.defect >= 0 for lv in dec.levels),
             f"max defect {dec.max_defect} (reported, not asserted against the splitting)",
         )
     )
@@ -303,16 +311,22 @@ def _run_preg_delta(args) -> DiagnosticsReport:
     return report
 
 
-def _kernel_report(args, poly: PositiveRegularPoly) -> DiagnosticsReport:
+def _comparison_map(args) -> tuple[JPData, list[XpLevel]]:
+    """J_P of ``--poly`` and its comparison map's levels to ``--max-wlevel``,
+    built once per report."""
+    data = jp_data(_preg_poly(args))
+    return data, xp_blocks(data, args.max_wlevel)
+
+
+def _kernel_report(args, data: JPData, xp_levels: list[XpLevel]) -> DiagnosticsReport:
     """The kernel-vs-ideal report that ``preg kernel`` prints and ``preg
     check`` extends."""
     ell_max = args.max_wlevel
     report = DiagnosticsReport(
-        f"preg-{args.sub}", {"poly": str(poly), "m": args.m, "max_wlevel": ell_max}
+        f"preg-{args.sub}", {"poly": str(data.poly), "m": args.m, "max_wlevel": ell_max}
     )
-    data = jp_data(poly)
     report.params["jp"] = data.to_json_dict()
-    levels = kernel_vs_ideal(poly, ell_max, data)
+    levels = kernel_vs_ideal(data, xp_levels)
     report.tables.append(
         Table(
             "kernel_vs_ideal",
@@ -329,52 +343,26 @@ def _kernel_report(args, poly: PositiveRegularPoly) -> DiagnosticsReport:
             ],
         )
     )
-    report.verdicts.append(
-        Verdict(
+    witnesses = "; ".join(lv.witness for lv in levels if lv.witness)
+    report.verdicts += [
+        _exact_verdict(
             "kernel-contains-ideal",
-            "exact-pass" if all(lv.containment_ok for lv in levels) else "exact-fail",
-            "; ".join(lv.witness for lv in levels if lv.witness) or "all spanning elements in kernel",
-        )
-    )
-    report.verdicts.append(
-        Verdict(
-            "kernel-equals-ideal",
-            "exact-pass" if all(lv.equal for lv in levels) else "exact-fail",
-            f"levels 0..{ell_max}",
-        )
-    )
+            all(lv.containment_ok for lv in levels),
+            witnesses or "all spanning elements in kernel",
+        ),
+        _exact_verdict("kernel-equals-ideal", all(lv.equal for lv in levels), f"levels 0..{ell_max}"),
+    ]
     return report
 
 
 def _run_preg_check(args) -> DiagnosticsReport:
-    poly = _preg_poly(args)
-    report = _kernel_report(args, poly)
-    ell_max = args.max_wlevel
-    deg = max(ell_max, 8)
-    proj = defect_projection_check(poly, deg)
-    report.verdicts.append(
-        Verdict(
-            "defect-projection-identity",
-            "exact-pass" if proj.passed else "exact-fail",
-            f"rank-one identity on all |beta| <= {deg}"
-            if proj.passed
-            else f"failed at {proj.failures[0]}",
-        )
-    )
-    mm = xp_module_map_check(poly, ell_max)
-    report.verdicts.append(
-        Verdict(
-            "module-map-intertwining",
-            "exact-pass" if mm.passed else "exact-fail",
-            mm.witness or "exact on squared data",
-        )
-    )
-    svmax = 0.0
-    sq_max = Fraction(0)
-    for xl in xp_blocks(poly, ell_max):
-        if xl.singular_values:
-            svmax = max(svmax, xl.singular_values[0])
-        sq_max = max([sq_max, *xl.singular_sq])
+    data, xp_levels = _comparison_map(args)
+    report = _kernel_report(args, data, xp_levels)
+    deg = max(args.max_wlevel, 8)
+    proj = defect_projection_check(data.poly, deg)
+    mm = xp_module_map_check(data, args.max_wlevel)
+    svmax = max([0.0, *(s for xl in xp_levels for s in xl.singular_values)])
+    sq_max = max([Fraction(0), *(s for xl in xp_levels for s in xl.singular_sq)])
     report.tables.append(
         Table(
             "contractivity",
@@ -382,13 +370,17 @@ def _run_preg_check(args) -> DiagnosticsReport:
             [[svmax]],
         )
     )
-    report.verdicts.append(
-        Verdict(
-            "contractivity",
-            "exact-pass" if sq_max <= 1 else "exact-fail",
-            f"max singular value {svmax}",
-        )
-    )
+    report.verdicts += [
+        _exact_verdict(
+            "defect-projection-identity",
+            proj.passed,
+            f"rank-one identity on all |beta| <= {deg}"
+            if proj.passed
+            else f"failed at {proj.failures[0]}",
+        ),
+        _exact_verdict("module-map-intertwining", mm.passed, mm.witness or "exact on squared data"),
+        _exact_verdict("contractivity", sq_max <= 1, f"max singular value {svmax}"),
+    ]
     return report
 
 
@@ -421,7 +413,7 @@ COMMANDS = {
     "preg delta": _Command(("poly", "max-level"), _run_preg_delta),
     "preg check": _Command(("poly", "max-wlevel"), _run_preg_check),
     "preg kernel": _Command(
-        ("poly", "max-wlevel"), lambda args: _kernel_report(args, _preg_poly(args))
+        ("poly", "max-wlevel"), lambda args: _kernel_report(args, *_comparison_map(args))
     ),
 }
 _USAGE = f"usage: wshm {{{' | '.join(COMMANDS)}}} [flags], or wshm --config FILE"

@@ -39,7 +39,6 @@ from .errors import ScenarioError, StructuralError, WindowError, WshmError
 from .ideals import FIT_WINDOW, GradedIdeal, hilbert_samuel_fit
 from .operators import (
     ModuleRealization,
-    check_schatten_exponents,
     codefect_blocks,
     commutator_blocks,
     defect_blocks,
@@ -146,16 +145,6 @@ def full_defect_eigenvalues(space: WeightedShiftSpace, k: int) -> list[Fraction]
     return [space.spherical_defect(a) for a in enumerate_level(space.m, k)]
 
 
-def defect_schatten_terms(space: WeightedShiftSpace, p: float, K: int) -> list[float]:
-    """Per-level Schatten-p terms of the full-module defect, from the exact
-    diagonal (multiplicities included)."""
-    return _diagonal_schatten_terms([full_defect_eigenvalues(space, k) for k in range(K + 1)], p)
-
-
-def _diagonal_schatten_terms(diag: list[list[Fraction]], p: float) -> list[float]:
-    return [float(sum(abs(float(v)) ** p for v in d)) for d in diag]
-
-
 # ---------------------------------------------------------------------------
 # normality report
 # ---------------------------------------------------------------------------
@@ -205,7 +194,9 @@ def normality_report(
             f"normality_report to K={K} needs realization levels to {K + 2}"
         )
     p_list = list(p_list or [])
-    check_schatten_exponents(p_list)
+    # one table and one verdict per exponent: each finite, >= 1 and distinct
+    if any(not 1 <= p < math.inf for p in p_list) or len(set(p_list)) < len(p_list):
+        raise WshmError(f"Schatten exponents must be finite, >= 1 and distinct, got {p_list}")
     m = realization.space.m
     params = {
         "space": realization.space.kind,
@@ -233,7 +224,7 @@ def normality_report(
         diag = [full_defect_eigenvalues(realization.space, k) for k in range(K + 1)]
         defect_norms = [max((abs(float(v)) for v in d), default=0.0) for d in diag]
         defect_zero = all(not v for d in diag for v in d)
-        defect_terms = {p: _diagonal_schatten_terms(diag, p) for p in p_list}
+        defect_terms = {p: [float(sum(abs(float(v)) ** p for v in d)) for d in diag] for p in p_list}
     else:
         defect_norms = norms[-1]
         defect_zero = not any(row for k in range(K + 1) for row in ops[-1].block(k))

@@ -21,7 +21,7 @@ runs on integer weights: :func:`complement_kernel` reads a basis of the
 orthogonal complement off the rref rows in closed form, :func:`orthogonalize`
 makes it orthogonal with integer norms, and :func:`back_substitute` reads a
 complement vector's coordinates off its free columns.  Blocks stay rational:
-:func:`mat_mul`, :func:`mat_sub`, :func:`adjoint` and :func:`trace` work on
+:func:`mat_mul`, :func:`mat_sub` and :func:`adjoint` work on
 Gaussian rationals, as does :func:`reduce_against` (its residual is exact).
 :func:`kernel_basis`, :func:`solve` and :func:`project` are references the
 package no longer calls: tests check complement bases and blocks with them.
@@ -335,16 +335,6 @@ def adjoint(block: list[Row], t_norms: list[int], t_den: int, s_norms: list[int]
         for c, x in row.items():
             out[c][r] = _reduced(x._a * n, -x._b * n, x._d * t_den * s_norms[c])
     return out
-
-
-def trace(a: list[Row]) -> GaussianRational:
-    """Trace of a square block."""
-    t = G_ZERO
-    for i, row in enumerate(a):
-        v = row.get(i)
-        if v is not None:
-            t = t + v
-    return t
 
 
 def solve(a: list[list], b: list[list]) -> list[list]:

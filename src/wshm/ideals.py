@@ -117,29 +117,15 @@ class GradedIdeal:
         return f"GradedIdeal<{gens}>{tag}"
 
 
-def _rows_to_polys(
-    pivots: list[int], red: list[ela.Row], monomials: list[MultiIndex], m: int
-) -> list[GradedPolynomial]:
-    """The RREF rows as polynomials, each divided by its pivot entry."""
-    return [
-        GradedPolynomial(m, {monomials[c]: v / row[p] for c, v in row.items()})
-        for p, row in zip(pivots, red)
-    ]
-
-
 def graded_basis(ideal: GradedIdeal, k: int) -> list[GradedPolynomial]:
-    """Echelon basis of I_k = span{z^beta g_j : |beta| + deg g_j = k}."""
+    """Echelon basis of I_k = span{z^beta g_j : |beta| + deg g_j = k}, each
+    row divided by its pivot entry."""
     ideal._require_plain()
     pivots, red, monomials = ideal.level_data(k)
-    return _rows_to_polys(pivots, red, monomials, ideal.m)
-
-
-def weighted_graded_basis(ideal: GradedIdeal, ell: int) -> list[GradedPolynomial]:
-    """Echelon basis of the weighted-degree-ell component J_ell."""
-    if ideal.mode != "quasi":
-        raise ModeError("weighted_graded_basis requires quasi mode")
-    pivots, red, monomials = ideal.level_data(ell)
-    return _rows_to_polys(pivots, red, monomials, ideal.m)
+    return [
+        GradedPolynomial(ideal.m, {monomials[c]: v / row[p] for c, v in row.items()})
+        for p, row in zip(pivots, red)
+    ]
 
 
 def ideal_level_dimension(ideal: GradedIdeal, ell: int) -> int:
@@ -319,19 +305,3 @@ def residue_decompose(ideal: GradedIdeal, ell_max: int) -> ResidueDecomposition:
         defect = dim_total - sum(class_dims.values())
         out.levels.append(ResidueLevel(ell, dim_total, class_dims, defect))
     return out
-
-
-def reduce_polynomial(ideal: GradedIdeal, p: GradedPolynomial) -> GradedPolynomial:
-    """Residue of a (quasi-)homogeneous p modulo the ideal's level component.
-
-    Used to express quotient-module multiplication in standard monomials and
-    to test span closure; the residue is supported off the pivot monomials.
-    """
-    if p.is_zero:
-        return p
-    ell = p.weighted_degree(ideal.weight)
-    pivots, red, monomials = ideal.level_data(ell)
-    col_of = {a: j for j, a in enumerate(monomials)}
-    row = {col_of[a]: c for a, c in p.terms()}
-    _, residual = ela.reduce_against(row, pivots, red)
-    return GradedPolynomial(ideal.m, {monomials[c]: v for c, v in residual.items()})

@@ -43,7 +43,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -187,11 +186,6 @@ class ModuleRealization:
         self._check_level(k)
         return len(self._levels[k].comp_rows)
 
-    def ideal_dim(self, k: int) -> int:
-        if k < 0:
-            return 0
-        return len(self.level(k).ideal_pivots)
-
     def project_to_complement(self, k: int, coords: ela.Row, den: int) -> ela.Row:
         """Complement coordinates <coords, w_s> / (den <w_s, w_s>) of the
         orthogonal projection of a Gaussian-integer monomial-coordinate row
@@ -269,12 +263,6 @@ class GradedOperator:
 
     def singular_values(self, k: int) -> np.ndarray:
         return svdvals([self.onb_block(k)])[0]
-
-    def trace(self, k: int):
-        """Exact trace of a square block (basis independent)."""
-        if self.shift != 0:
-            raise WshmError("trace requires a degree-0 operator")
-        return ela.trace(self.block(k))
 
 
 def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
@@ -466,16 +454,6 @@ def codefect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
     return _sum_of_squares_defect(realization, K, False)
 
 
-def block_shift_data(realization: ModuleRealization, i: int, k: int) -> list[ela.Row]:
-    """The block A_{i,k} : S_k^perp -> S_{k+1}^perp of the compressed shift."""
-    if k + 1 > realization.max_level:
-        raise WindowError(
-            f"A_{{i,{k}}} needs realization level {k + 1}, have {realization.max_level}"
-        )
-    zi = GradedPolynomial.variable(realization.space.m, i)
-    return mult_blocks(realization, zi, k).block(k)
-
-
 # relative asymmetry hermitian_eigh accepts as float rounding of a Hermitian block
 HERMITIAN_TOL = 1e-10
 
@@ -518,29 +496,3 @@ def pn_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pos = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T
     neg = vecs @ np.diag(np.clip(-vals, 0.0, None)) @ vecs.conj().T
     return (pos + pos.conj().T) / 2.0, (neg + neg.conj().T) / 2.0
-
-
-def check_schatten_exponents(ps: list[float]) -> None:
-    """One table and one verdict per exponent: each finite, >= 1 and distinct."""
-    if any(not 1 <= p < math.inf for p in ps) or len(set(ps)) < len(ps):
-        raise WshmError(f"Schatten exponents must be finite, >= 1 and distinct, got {ps}")
-
-
-@dataclass
-class SchattenPartial:
-    """Per-level Schatten-p terms sum_j s_j(block_k)^p and their partial sums."""
-
-    p: float
-    terms: list[float]
-    partial_sums: list[float]
-
-    @property
-    def total(self) -> float:
-        return self.partial_sums[-1] if self.partial_sums else 0.0
-
-
-def schatten_partial(op: GradedOperator, p: float, K: int) -> SchattenPartial:
-    """Partial Schatten-p data over levels 0..K (float tier)."""
-    check_schatten_exponents([p])  # a level beyond op's window is a WindowError
-    terms = [float(np.sum(sv**p)) for sv in svdvals([op.onb_block(k) for k in range(K + 1)])]
-    return SchattenPartial(p, terms, list(accumulate(terms)))

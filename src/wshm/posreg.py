@@ -299,14 +299,14 @@ class XpLevel:
         return len(self.domain) - self.rank
 
 
-def xp_blocks(poly: PositiveRegularPoly, ell_max: int) -> list[XpLevel]:
-    """Per-weighted-level matrices of the comparison map.
+def xp_blocks(data: JPData, ell_max: int) -> list[XpLevel]:
+    """Per-weighted-level matrices of the comparison map of ``data.poly``.
 
     Each domain monomial maps to a single image monomial, so the squared
     singular values are the per-image column sums of the squared entries --
     exact rationals; the float tier only takes their square roots.
     """
-    data = jp_data(poly)
+    poly = data.poly
     table = DeltaTable(poly)
     table.ensure(ell_max)
     da_weight = builtin_space("drury-arveson", data.total_vars).weight
@@ -346,12 +346,9 @@ class KernelLevel:
     witness: str | None
 
 
-def kernel_vs_ideal(
-    poly: PositiveRegularPoly,
-    ell_max: int,
-    data: JPData | None = None,
-) -> list[KernelLevel]:
-    """Compare ker(comparison map) with the ideal level by weighted level.
+def kernel_vs_ideal(data: JPData, levels: list[XpLevel]) -> list[KernelLevel]:
+    """Compare ker(comparison map) with the ideal level at each weighted level
+    of ``levels``, the :func:`xp_blocks` of ``data``.
 
     Kernel dimension: exact, as (level dimension) - (number of distinct image
     monomials hit with a nonzero coefficient).  Ideal dimension: exact row
@@ -360,14 +357,10 @@ def kernel_vs_ideal(
     spanning element Z^beta Q_j maps both its terms to the same image
     monomial, and membership says the squared magnitudes cancel.
     """
-    if data is None:
-        data = jp_data(poly)
-    ideal = data.rescaled_ideal()
-    levels = xp_blocks(poly, ell_max)
+    poly, ideal = data.poly, data.rescaled_ideal()
     m = poly.m
     out = []
-    for ell in range(ell_max + 1):
-        xl = levels[ell]
+    for ell, xl in enumerate(levels):
         dim_ker = xl.kernel_dim
         dim_ideal = ideal_level_dimension(ideal, ell)
         ok = True
@@ -401,15 +394,14 @@ class ModuleMapCheck:
     witness: str | None
 
 
-def xp_module_map_check(poly: PositiveRegularPoly, ell_max: int) -> ModuleMapCheck:
-    """Verify the comparison map intertwines multiplication, exactly.
+def xp_module_map_check(data: JPData, ell_max: int) -> ModuleMapCheck:
+    """Verify the comparison map of ``data.poly`` intertwines multiplication, exactly.
 
     For every variable Z_i and every domain monomial, the image of Z_i Z^beta
     must equal (image of Z_i) * (image of Z^beta) both in target exponent and
     in squared coefficient.
     """
-    data = jp_data(poly)
-    total = data.total_vars
+    poly, total = data.poly, data.total_vars
     for i, (gen_sq, gen_sigma) in enumerate(poly.terms):
         for ell in range(ell_max - data.weight[i] + 1):
             for beta in enumerate_weighted_level(total, data.weight, ell):

@@ -31,7 +31,6 @@ from .algebra import (
     check_multiindex,
     check_weight_vector,
     enumerate_level,
-    level_dimension,
     residue_of,
     unit_index,
 )
@@ -269,29 +268,3 @@ def weighted_piece(
         params={"n": n, "alpha": a, "base": space.kind, **space.params},
         ratio_fn=r,
     )
-
-
-def piece_partition_check(space: WeightedShiftSpace, n: WeightVector, K: int) -> dict:
-    """Verify residue classes partition the monomials of degree <= K.
-
-    Returns per-class counts, the total, and a ``balanced`` flag asserting
-    the counts sum to sum_{k<=K} dim H_k.
-    """
-    n = check_weight_vector(n, space.m)
-    if K < 0:
-        raise DimensionError(f"K must be >= 0, got {K}")
-    counts: dict[MultiIndex, int] = {}
-    total = 0
-    for k in range(K + 1):
-        for a in enumerate_level(space.m, k):
-            counts[residue_of(a, n)] = counts.get(residue_of(a, n), 0) + 1
-            total += 1
-    expected = sum(level_dimension(space.m, k) for k in range(K + 1))
-    return {
-        "n": list(n),
-        "K": K,
-        "class_sizes": {",".join(map(str, cls)): c for cls, c in sorted(counts.items())},
-        "total": total,
-        "expected_total": expected,
-        "balanced": total == expected,
-    }

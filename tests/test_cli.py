@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wshm import cli
+from wshm import cli, posreg
 from wshm.diagnostics import DiagnosticsReport, Verdict
-from wshm.posreg import XpLevel
 
 
 def run(capsys, *argv):
@@ -432,7 +433,7 @@ def _describe_table(capsys, tmp_path, value):
     )
 
 
-@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "true", "false"])
 def test_weight_table_constants_exit_2(tmp_path, capsys, value):
     code, out, err = _describe_table(capsys, tmp_path, value)
     assert code == 2 and not out
@@ -462,11 +463,16 @@ def test_ideal_hilbert_default_level_is_accepted(capsys):
 
 
 def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
-    # one squared singular value 1 + 1e-12: its float square root rounds to
-    # within 1e-10 of 1, but the exact verdict must fail
+    # level 0's squared singular value raised to 1 + 1e-12: its float square
+    # root rounds to within 1e-10 of 1, but the exact verdict must fail
     sq = Fraction(1) + Fraction(1, 10**12)
-    level = XpLevel(0, [(0, 0)], [(0, 0)], [sq], [sq], [float(sq) ** 0.5], 1)
-    monkeypatch.setattr(cli, "xp_blocks", lambda poly, ell_max: [level])
+
+    def raised(data, ell_max):
+        first, *rest = posreg.xp_blocks(data, ell_max)
+        assert first.singular_sq == [1]
+        return [dataclasses.replace(first, singular_sq=[sq], singular_values=[float(sq) ** 0.5]), *rest]
+
+    monkeypatch.setattr(cli, "xp_blocks", raised)
     code, out, _ = run(
         capsys,
         "preg", "check",
@@ -475,6 +481,20 @@ def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
     statuses = {v["name"]: v["status"] for v in json.loads(out)["verdicts"]}
     assert statuses["contractivity"] == "exact-fail"
     assert code == 1
+
+
+def test_preg_check_builds_the_comparison_map_once(monkeypatch, capsys):
+    # one J_P and one list of comparison-map levels serve the whole report
+    calls = Counter()
+    for name in ("jp_data", "xp_blocks"):
+        def counted(*args, _real=getattr(posreg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (posreg, cli):
+            monkeypatch.setattr(module, name, counted)
+    argv = ("preg", "check", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-wlevel", "4")
+    assert run(capsys, *argv)[0] == 0 and calls == {"jp_data": 1, "xp_blocks": 1}
 
 
 _LEVEL_FLAGS = ("max-level", "max-wlevel", "preview-degree")

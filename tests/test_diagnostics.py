@@ -17,7 +17,6 @@ from wshm.diagnostics import (
     Verdict,
     _KoszulModule,
     _trend_verdict,
-    defect_schatten_terms,
     full_defect_eigenvalues,
     koszul_euler,
     koszul_report,
@@ -30,7 +29,7 @@ from wshm.diagnostics import (
     trace_identity,
     trace_report,
 )
-from wshm.errors import ScenarioError, StructuralError, WshmError
+from wshm.errors import ScenarioError, StructuralError, WindowError, WshmError
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
     GradedOperator,
@@ -96,9 +95,8 @@ def test_trace_report_verdicts():
 # -- summability --------------------------------------------------------------
 
 
-def test_summability_da_defect_p2_divergent():
-    da = builtin_space("da", 2)
-    series = defect_schatten_terms(da, 2.0, 128)
+def test_summability_da_defect_p2_divergent(da_defect_terms):
+    series = da_defect_terms[2.0]
     # oracle: level terms are exactly 1/(k+1)
     for k in (0, 5, 64, 128):
         assert abs(series[k] - 1.0 / (k + 1)) < 1e-12
@@ -117,13 +115,6 @@ def test_summability_da_defect_p25_convergent():
     # honest estimate: the true tail is 2/sqrt(4098) ~ 0.0312
     assert abs(rec.tail_estimate - 0.0312) < 0.005
     assert rec.report_status() == "trend-consistent"
-
-
-def test_summability_production_matches_oracle():
-    da = builtin_space("da", 2)
-    series = defect_schatten_terms(da, 2.5, 64)
-    for k, t in enumerate(series):
-        assert abs(t - (k + 1) ** (-1.5)) < 1e-12
 
 
 def test_summability_zero_and_short_series():
@@ -572,6 +563,14 @@ def test_normality_report_rejects_exponents_below_one():
     for r in (full_realization(hb, 4), quotient_realization(hb, GradedIdeal(2, [z(0) + z(1)]), 4)):
         with pytest.raises(WshmError):
             normality_report(r, 2, [2.0, 0.5])
+
+
+def test_normality_report_rejects_a_window_short_of_two_levels():
+    # every reported level k <= K needs realization levels to K + 2
+    r = full_realization(builtin_space("da", 2), 5)
+    assert len(normality_report(r, 3, [2.0]).tables) == 3
+    with pytest.raises(WindowError, match="normality_report to K=4 needs realization levels to 6"):
+        normality_report(r, 4, [2.0])
 
 
 @pytest.mark.parametrize("p_list", [[math.inf], [math.nan], [2.0, 2.0], [1.5, 2.0, 1.5]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wshm.exact_linalg as ela
 from wshm.algebra import G_I, GradedPolynomial, enumerate_level, level_dimension
 from wshm.errors import ModeError, WshmError
 from wshm.ideals import (
@@ -11,9 +12,7 @@ from wshm.ideals import (
     hilbert_function,
     hilbert_samuel_fit,
     ideal_level_dimension,
-    reduce_polynomial,
     residue_decompose,
-    weighted_graded_basis,
 )
 from wshm.parsing import parse_polynomial
 
@@ -52,6 +51,8 @@ def test_graded_basis_examples():
 def test_graded_basis_mode_error():
     with pytest.raises(ModeError):
         GradedIdeal(2, [z(0) + z(1) * z(1)])
+    with pytest.raises(ModeError):
+        graded_basis(GradedIdeal(2, [z(0)], weight=(1, 2)), 2)
 
 
 def test_graded_basis_deterministic_and_span_closed():
@@ -59,9 +60,13 @@ def test_graded_basis_deterministic_and_span_closed():
     for k in range(2, 8):
         b1 = graded_basis(ideal, k)
         assert b1 == graded_basis(ideal, k)
+        # z_i p lies in I_{k+1}: it reduces to zero against that level's echelon rows
+        pivots, red, monomials = ideal.level_data(k + 1)
+        col_of = {a: j for j, a in enumerate(monomials)}
         for p in b1:
             for i in range(2):
-                assert reduce_polynomial(ideal, z(i) * p).is_zero
+                row = {col_of[a]: c for a, c in (z(i) * p).terms()}
+                assert ela.reduce_against(row, pivots, red)[1] == {}
 
 
 def test_exact_rank_agrees_with_float_rank_oracle():
@@ -175,24 +180,22 @@ def test_residue_decompose_mode_error():
 
 
 def test_weighted_graded_basis_examples():
+    def weighted_basis(ideal, ell):  # J_ell's echelon rows, each over its pivot entry
+        pivots, red, monomials = ideal.level_data(ell)
+        return [GradedPolynomial(2, {monomials[c]: v / row[p] for c, v in row.items()})
+                for p, row in zip(pivots, red)]
+
     g = parse_polynomial("z2 - z1^2", 2)
     ideal = GradedIdeal(2, [g], weight=(1, 2))
-    b3 = weighted_graded_basis(ideal, 3)
+    b3 = weighted_basis(ideal, 3)
     assert len(b3) == 1
     expected = parse_polynomial("z1*z2 - z1^3", 2)
     # same one-dimensional span
     assert b3[0].scale(-1) == expected or b3[0] == expected
 
-    assert weighted_graded_basis(ideal, 1) == []
+    assert weighted_basis(ideal, 1) == []
 
     lin = GradedIdeal(2, [z(0) + z(1)], weight=(1, 1))
     plain = GradedIdeal(2, [z(0) + z(1)])
     for k in range(6):
-        assert weighted_graded_basis(lin, k) == graded_basis(plain, k)
-
-
-def test_weighted_graded_basis_mode_error():
-    with pytest.raises(ModeError):
-        weighted_graded_basis(GradedIdeal(2, [z(0)]), 2)
-    with pytest.raises(ModeError):
-        graded_basis(GradedIdeal(2, [z(0)], weight=(1, 2)), 2)
+        assert weighted_basis(lin, k) == graded_basis(plain, k)

@@ -134,7 +134,7 @@ def test_jp_data_no_higher_terms():
 
 def test_xp_blocks_level_two_example():
     # domain {Z1^2, Z2}; squared image coefficients 1/4 and 1/2
-    xb = xp_blocks(preg(P_ONE, 1), 4)
+    xb = xp_blocks(jp_data(preg(P_ONE, 1)), 4)
     lvl = xb[2]
     assert lvl.domain == [(2, 0), (0, 1)]
     assert lvl.images == [(2,), (2,)]
@@ -145,14 +145,14 @@ def test_xp_blocks_level_two_example():
 
 
 def test_xp_blocks_level_zero_identity():
-    xb = xp_blocks(preg(P_FLAG, 2), 0)
+    xb = xp_blocks(jp_data(preg(P_FLAG, 2)), 0)
     assert xb[0].domain == [(0, 0, 0)]
     assert xb[0].singular_values == [1.0]
 
 
 @pytest.mark.parametrize("text,m", [(P_FLAG, 2), (P_ONE, 1), (P_DA2, 2)])
 def test_xp_blocks_exact_coisometry_and_contractivity(text, m):
-    for lvl in xp_blocks(preg(text, m), 8):
+    for lvl in xp_blocks(jp_data(preg(text, m)), 8):
         assert all(s == 1 for s in lvl.singular_sq)
         if lvl.singular_values:
             assert lvl.singular_values[0] <= 1.0 + 1e-10
@@ -182,7 +182,7 @@ def brute_force_kernel_dim(poly, data, ell):
 def test_kernel_vs_ideal_equality(text, m):
     poly = preg(text, m)
     data = jp_data(poly)
-    levels = kernel_vs_ideal(poly, 8, data)
+    levels = kernel_vs_ideal(data, xp_blocks(data, 8))
     for lv in levels:
         assert lv.containment_ok
         assert lv.equal, (lv.ell, lv.dim_kernel, lv.dim_ideal)
@@ -190,7 +190,8 @@ def test_kernel_vs_ideal_equality(text, m):
 
 
 def test_kernel_vs_ideal_hand_example():
-    levels = kernel_vs_ideal(preg(P_ONE, 1), 2)
+    data = jp_data(preg(P_ONE, 1))
+    levels = kernel_vs_ideal(data, xp_blocks(data, 2))
     assert [(lv.dim_kernel, lv.dim_ideal) for lv in levels] == [(0, 0), (0, 0), (1, 1)]
 
 
@@ -198,14 +199,14 @@ def test_kernel_containment_negative_control():
     poly = preg(P_ONE, 1)
     data = jp_data(poly)
     corrupted = dataclasses.replace(data, lambda_sq=(data.lambda_sq[0] + 1,))
-    levels = kernel_vs_ideal(poly, 4, corrupted)
+    levels = kernel_vs_ideal(corrupted, xp_blocks(corrupted, 4))
     bad = [lv for lv in levels if not lv.containment_ok]
     assert bad and bad[0].witness is not None
 
 
 @pytest.mark.parametrize("text,m", [(P_DA2, 2), (P_FLAG, 2), (P_ONE, 1)])
 def test_module_map_intertwining(text, m):
-    assert xp_module_map_check(preg(text, m), 8).passed
+    assert xp_module_map_check(jp_data(preg(text, m)), 8).passed
 
 
 def test_delta_table_is_lazy_and_consistent():

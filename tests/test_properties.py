@@ -24,6 +24,7 @@ from wshm.posreg import (
     PositiveRegularPoly,
     defect_projection_check,
     delta_coefficients,
+    jp_data,
     kernel_vs_ideal,
     xp_blocks,
     xp_module_map_check,
@@ -540,6 +541,8 @@ def test_positive_regular_pipeline_on_random_polynomials(m, data):
         b: series.coefficient(b) for b in delta
     }
     assert defect_projection_check(poly, degree).passed
-    assert all(lv.equal and lv.containment_ok for lv in kernel_vs_ideal(poly, ell_max))
-    assert all(s == 1 for lv in xp_blocks(poly, ell_max) for s in lv.singular_sq)
-    assert xp_module_map_check(poly, ell_max).passed
+    jp = jp_data(poly)
+    levels = xp_blocks(jp, ell_max)
+    assert all(lv.equal and lv.containment_ok for lv in kernel_vs_ideal(jp, levels))
+    assert all(s == 1 for lv in levels for s in lv.singular_sq)
+    assert xp_module_map_check(jp, ell_max).passed

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wshm.algebra import GradedPolynomial, enumerate_level, level_dimension
+from wshm.algebra import GradedPolynomial, enumerate_level, level_dimension, residue_of
 from wshm.errors import ArityError, DimensionError, WshmError
-from wshm.spaces import builtin_space, piece_partition_check, weighted_piece
+from wshm.spaces import builtin_space, weighted_piece
 
 
 def kernel_series_weights(m, power, degree):
@@ -162,17 +163,16 @@ def test_weighted_piece_positive_and_ratio_consistent():
 
 
 def test_piece_partition_check():
-    pd1 = builtin_space("polydisk-hardy", 1)
-    rep = piece_partition_check(pd1, (2,), 5)
-    assert rep["class_sizes"] == {"0": 3, "1": 3} and rep["total"] == 6 and rep["balanced"]
+    def class_sizes(m, n, K):
+        """Residue class -> number of monomials of degree <= K in it."""
+        return Counter(residue_of(a, n) for k in range(K + 1) for a in enumerate_level(m, k))
 
-    da = builtin_space("da", 2)
-    rep_triv = piece_partition_check(da, (1, 1), 4)
-    assert rep_triv["class_sizes"] == {"0,0": sum(level_dimension(2, k) for k in range(5))}
-
-    rep2 = piece_partition_check(da, (1, 2), 2)
-    assert rep2["class_sizes"] == {"0,0": 4, "0,1": 2} and rep2["total"] == 6
-    assert rep2["balanced"]
+    assert class_sizes(1, (2,), 5) == {(0,): 3, (1,): 3}
+    assert class_sizes(2, (1, 1), 4) == {(0, 0): sum(level_dimension(2, k) for k in range(5))}
+    sizes = class_sizes(2, (1, 2), 2)
+    assert sizes == {(0, 0): 4, (0, 1): 2}
+    # the classes partition the monomials: their sizes sum to sum_{k<=K} dim H_k
+    assert sum(sizes.values()) == sum(level_dimension(2, k) for k in range(3)) == 6
 
 
 def test_describe_serializes():
