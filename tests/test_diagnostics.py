@@ -117,6 +117,12 @@ def test_summability_da_defect_p25_convergent():
     assert rec.report_status() == "trend-consistent"
 
 
+def test_summability_production_matches_oracle(da_defect_terms):
+    series = da_defect_terms[2.5]
+    for k, t in enumerate(series[:65]):
+        assert abs(t - (k + 1) ** (-1.5)) < 1e-12
+
+
 def test_summability_zero_and_short_series():
     assert summability_verdict([0.0] * 40, 2.0, 2).status == "convergent-trend"
     assert summability_verdict([1.0] * 10, 2.0, 2).status == "inconclusive"

@@ -51,8 +51,13 @@ def test_graded_basis_examples():
 def test_graded_basis_mode_error():
     with pytest.raises(ModeError):
         GradedIdeal(2, [z(0) + z(1) * z(1)])
+
+
+def test_weighted_graded_basis_mode_error():
     with pytest.raises(ModeError):
         graded_basis(GradedIdeal(2, [z(0)], weight=(1, 2)), 2)
+    with pytest.raises(ModeError):
+        GradedIdeal(2, [z(0) + z(1)], weight=(1, 2))
 
 
 def test_graded_basis_deterministic_and_span_closed():
