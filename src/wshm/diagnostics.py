@@ -44,8 +44,6 @@ from .operators import (
     defect_blocks,
     hermitian_eigh,
     mult_blocks,
-    op_sub,
-    product_blocks,
     quotient_realization,
     svdvals,
 )
@@ -186,8 +184,8 @@ def normality_report(
     """Per-level norms of every cross commutator and of the spherical defect,
     decay trends, and Schatten partial sums of the defect.
 
-    Requires realization bases to level K + 2 so that every reported level
-    k <= K lies inside a trusted window.
+    Requires realization bases to level K + 2, so that every block of every
+    reported level k <= K can be built.
     """
     if realization.max_level < K + 2:
         raise WindowError(
@@ -213,10 +211,10 @@ def normality_report(
     # C(z_j, z_i) = C(z_i, z_j)^* has the same norms and zeros, i <= j suffices
     pairs = [(i, j) for i in range(m) for j in range(m)]
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
-    comms = {(i, j): commutator_blocks(realization, z[i], z[j], K + 1) for i, j in pairs if i <= j}
+    comms = {(i, j): commutator_blocks(realization, z[i], z[j]) for i, j in pairs if i <= j}
     # each level block of every C(z_i, z_j) and of a quotient's spherical defect
     # goes to one stacked SVD per block shape; on the full space it is diagonal
-    ops = [*comms.values(), *([] if realization.is_full else [defect_blocks(realization, K)])]
+    ops = [*comms.values(), *([] if realization.is_full else [defect_blocks(realization)])]
     flat = svdvals([op.onb_block(k) for op in ops for k in range(K + 1)])
     svs = [flat[n:n + K + 1] for n in range(0, len(flat), K + 1)]
     norms = [[float(sv.max(initial=0.0)) for sv in op_svs] for op_svs in svs]
@@ -473,9 +471,9 @@ class QuotientShiftWeights:
     are all one-dimensional.
 
     ``moduli_sq`` are exact; moduli are their square roots (float tier).  For
-    the ball Hardy scenario with ideal <z1 + alpha z2> the moduli normalized
-    by |alpha| / sqrt(1 + |alpha|^2) are reported together with their
-    deviations from the limit 1.
+    the ball Hardy scenario with ideal <z1 + alpha z2>, alpha != 0, the moduli
+    normalized by their limit, |alpha| (z1) or 1 (z2) over sqrt(1 + |alpha|^2),
+    are reported together with their deviations from 1.
     """
 
     var: int
@@ -521,8 +519,8 @@ def quotient_shift_weights(
     alpha = _principal_linear_alpha(ideal)
     alpha_abs2 = alpha.abs2() if alpha is not None else None
     if space.kind == "hardy-ball" and alpha is not None and alpha_abs2:
-        # limit of |w_k| is |alpha| / sqrt(1 + |alpha|^2) on the Hardy ball
-        limit = (float(alpha_abs2) / (1.0 + float(alpha_abs2))) ** 0.5
+        # the quotient identifies z1 with -alpha z2, so z1's limit is |alpha| times z2's
+        limit = ((float(alpha_abs2) if var == 0 else 1.0) / (1.0 + float(alpha_abs2))) ** 0.5
         normalized = [w / limit for w in moduli]
         deviations = [abs(x - 1.0) for x in normalized]
     return QuotientShiftWeights(
@@ -594,22 +592,22 @@ def section5_checks(
     """Check Tr(sum P_{i,k}) <= M0 (2||X_k|| + sum ||N_{i,k}||) at every level k <= K.
 
     X is :func:`codefect_blocks`, I - sum_i M_i M_i^*; each self commutator
-    [M_i, M_i^*] = M_i M_i^* - M_i^* M_i (in that order) splits spectrally as
-    P - N.  Both are built once per report from the realization's shared
-    products; X needs realization levels to K + 1.  Exact blocks enter; the
-    norms are float tier with ``SECTION5_SLACK``.  P and N are read off the
-    spectrum lam of [M_i, M_i^*]_k (one stacked eigh per block shape), never
-    formed: Tr P = sum max(lam, 0), ||P|| = max(lam_max, 0) and ||N|| =
-    max(-lam_min, 0); :func:`~wshm.operators.pn_split` is the test reference.
+    [M_i, M_i^*] = M_i M_i^* - M_i^* M_i = -C(z_i, z_i) splits spectrally as
+    P - N.  Both share the realization's products and need its levels to
+    K + 1.  Exact blocks enter; the norms are float tier with
+    ``SECTION5_SLACK``.  P and N are read off the spectrum lam of
+    [M_i, M_i^*]_k (one stacked eigh per block shape), never formed: Tr P =
+    sum max(lam, 0), ||P|| = max(lam_max, 0) and ||N|| = max(-lam_min, 0);
+    :func:`~wshm.operators.pn_split` is the test reference.
     """
     m = realization.space.m
-    x = codefect_blocks(realization, K)
-    h = []
-    for i in range(m):
-        zi = GradedPolynomial.variable(m, i)
-        h.append(op_sub(product_blocks(realization, zi, zi, False),
-                        product_blocks(realization, zi, zi, True)))
-    lam = [vals for vals, _ in hermitian_eigh([hi.onb_block(k) for k in range(K + 1) for hi in h])]
+    x = codefect_blocks(realization)
+    z = [GradedPolynomial.variable(m, i) for i in range(m)]
+    c = [commutator_blocks(realization, zi, zi) for zi in z]
+    # eigh(C) negated differs from eigh(-C) in the last bit on blocks past
+    # 25 x 25; 0.0 - C_k, unlike -C_k, keeps zeros +0.0: the bits of M M^* - M^* M
+    h = [0.0 - ci.onb_block(k) for k in range(K + 1) for ci in c]
+    lam = [vals for vals, _ in hermitian_eigh(h)]
     x_svs = svdvals([x.onb_block(k) for k in range(K + 1)])
     recs = []
     for k in range(K + 1):

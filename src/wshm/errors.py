@@ -20,7 +20,8 @@ class ModeError(WshmError, ValueError):
 
 
 class WindowError(WshmError, ValueError):
-    """Raised on access to operator blocks beyond the trusted truncation window.
+    """Raised on access to a realization level, or to an operator block that
+    reads one, outside the realization's levels 0..max_level.
 
     Out-of-window access is a hard error, never silent truncation garbage.
     """

@@ -12,18 +12,20 @@ level.  Two arithmetic tiers are kept strictly apart:
   all its blocks to :func:`svdvals` or :func:`hermitian_eigh` at once: one
   stacked SVD or eigh per block shape per report, bit for bit per block.
 
-Truncation windows are explicit.  An operator records the last trusted
-source level ``k_valid``; any composition shrinks the window, and access
-beyond it raises :class:`~wshm.errors.WindowError` -- silent truncation
-artifacts are the main correctness hazard of this whole artifact.
+Truncation windows are explicit, and the realization is their one source.
+Every block is exact on the levels it reads; reading a block at a level
+outside [0, max_level], or one whose build reads such a level, raises
+:class:`~wshm.errors.WindowError` -- silent truncation artifacts are the
+main correctness hazard of this whole artifact.
 
 Evaluation is on demand.  Levels and the blocks of every multiplier,
 identity, adjoint, composition and difference are built on first read and
 kept, so a report builds exactly the levels it reads, each once per
-operator, however wide the windows are.  Multipliers, their adjoints and
-the products M_q^* M_p and M_p M_q^* are cached per realization, so every
-commutator and defect shares one build of each.  No block projects: on a
-quotient M_p^* leaves S^perp invariant, and its blocks are read off directly.
+operator, however many levels the realization has.  Multipliers, their
+adjoints and the products M_q^* M_p and M_p M_q^* are cached per
+realization, so every commutator and defect shares one build of each.  No
+block projects: on a quotient M_p^* leaves S^perp invariant, and its blocks
+are read off directly.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -147,7 +149,7 @@ class ModuleRealization:
             adj = lambda p: _OnDemand(partial(_coinvariant_block, me, p))
             mult = lambda p: _OnDemand(partial(_adjoint_block, me, me._adj[p], -p.degree))
         self._mult, self._adj = _OnDemand(mult), _OnDemand(adj)
-        # (p, q) -> (M_p M_q^*, M_q^* M_p), each over the whole window
+        # (p, q) -> (M_p M_q^*, M_q^* M_p), each over every level
         self._prod = _OnDemand(lambda pq: _products(me, *pq))
 
     @property
@@ -210,12 +212,13 @@ class GradedOperator:
     """A graded operator as a family of per-level exact blocks.
 
     ``blocks[k]`` maps level-k complement coordinates to level-(k + shift)
-    coordinates, for 0 <= k <= k_valid: one sparse row per target coordinate,
-    its shape given by :meth:`block_shape`.  Blocks whose target level is
-    negative have no rows (the operator kills those levels).  ``blocks`` may
-    be a plain dict or a cache that builds each block on first read.  Blocks
-    may be shared with other operators and must not be mutated; ``adjoint``
-    optionally holds the adjoint's blocks, shared the same way.
+    coordinates: one sparse row per target coordinate, its shape given by
+    :meth:`block_shape`.  Blocks whose target level is negative have no rows
+    (the operator kills those levels).  :meth:`block` raises WindowError when
+    k, or a level its build reads, lies outside the realization's levels.
+    ``blocks`` may be a plain dict or a cache that builds each block on first
+    read.  Blocks may be shared with other operators and must not be mutated;
+    ``adjoint`` optionally holds the adjoint's blocks, shared the same way.
     """
 
     def __init__(
@@ -223,20 +226,15 @@ class GradedOperator:
         realization: ModuleRealization,
         shift: int,
         blocks: dict[int, list[ela.Row]],
-        k_valid: int,
         adjoint: dict[int, list[ela.Row]] | None = None,
     ):
         self.realization = realization
         self.shift = shift
-        self.k_valid = k_valid
         self._blocks = blocks
         self._adjoint = adjoint
 
     def block(self, k: int) -> list[ela.Row]:
-        if k < 0 or k > self.k_valid:
-            raise WindowError(
-                f"block {k} outside trusted window [0, {self.k_valid}]"
-            )
+        self.realization._check_level(k)
         return self._blocks[k]
 
     def block_shape(self, k: int) -> tuple[int, int]:
@@ -269,11 +267,11 @@ def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.
     return [{} for _ in range(realization.comp_dim(k + shift))]
 
 
-def identity_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
+def identity_blocks(realization: ModuleRealization) -> GradedOperator:
     def block(k: int) -> list[ela.Row]:
         return [{i: G_ONE} for i in range(realization.comp_dim(k))]
 
-    return GradedOperator(realization, 0, _OnDemand(block), K)
+    return GradedOperator(realization, 0, _OnDemand(block))
 
 
 def _mult_block(r: ModuleRealization, p: GradedPolynomial, k: int) -> list[ela.Row]:
@@ -317,13 +315,14 @@ def _coinvariant_block(r: ModuleRealization, p: GradedPolynomial, j: int) -> lis
 def mult_blocks(
     realization: ModuleRealization, p: GradedPolynomial, K: int
 ) -> GradedOperator:
-    """Blocks of the compression of M_p to the realization's module, trusted to K.
+    """Blocks of the compression of M_p to the realization's module.
 
     On the full space these are the exact monomial-coordinate matrices of
     multiplication by p.  On a quotient column c holds the coordinates of the
     projection of p * w_c onto S_{k+d}^perp, built as the adjoint of M_p^*.  Each
     block is built the first time any operator returned here reads it, once
-    per realization and polynomial, and shared by all of them.
+    per realization and polynomial, and shared by all of them.  K only checks
+    that the realization has levels to K + d; block k reads levels k and k + d.
     """
     if p.is_zero or not p.is_homogeneous:
         raise ModeError(f"multiplier must be nonzero homogeneous, got {p}")
@@ -335,7 +334,7 @@ def mult_blocks(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
             f"have {realization.max_level}"
         )
-    return GradedOperator(realization, d, realization._mult[p], K, realization._adj[p])
+    return GradedOperator(realization, d, realization._mult[p], realization._adj[p])
 
 
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
@@ -344,18 +343,18 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     With diagonal Grams each block is one pass over the stored entries: entry
     (c, r) of block j is conj(B[r][c]) * g_j[r] / g_{j-d}[c] for the block B
     of op at source level j - d.  A source below the degree shift d maps into
-    a negative level and gets a zero-row block.  The adjoint's window extends
-    to k_valid + shift; a multiplier's adjoint is built once per realization.
+    a negative level and gets a zero-row block.  Block j reads levels j and
+    j - d; a multiplier's adjoint is built once per realization.
     """
     r, d = op.realization, op.shift
     blocks = op._adjoint
     if blocks is None:
         blocks = _OnDemand(partial(_adjoint_block, r, op._blocks, d))
-    return GradedOperator(r, -d, blocks, min(op.k_valid + d, r.max_level))
+    return GradedOperator(r, -d, blocks)
 
 
 def _adjoint_block(r: ModuleRealization, blocks: dict, d: int, j: int) -> list[ela.Row]:
-    """Block j of the adjoint of a degree-d operator; its window bounds j - d."""
+    """Block j of the adjoint of a degree-d operator."""
     k = j - d
     if k < 0:
         return _zero_block(r, -d, j)
@@ -364,7 +363,7 @@ def _adjoint_block(r: ModuleRealization, blocks: dict, d: int, j: int) -> list[e
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """a after b; the window shrinks by b's shift."""
+    """a after b: block j is a's block j + b.shift times b's block j."""
     assert a.realization is b.realization
     r = a.realization
     shift = a.shift + b.shift
@@ -375,8 +374,7 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
             return _zero_block(r, shift, j)
         return ela.mat_mul(a.block(mid), b.block(j))
 
-    k_valid = min(b.k_valid, a.k_valid - b.shift)
-    return GradedOperator(r, shift, _OnDemand(block), k_valid)
+    return GradedOperator(r, shift, _OnDemand(block))
 
 
 def _products(r: ModuleRealization, p, q) -> tuple[GradedOperator, GradedOperator]:
@@ -386,11 +384,12 @@ def _products(r: ModuleRealization, p, q) -> tuple[GradedOperator, GradedOperato
 
 
 def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> GradedOperator:
-    """M_q^* M_p if ``adj_first`` else M_p M_q^*, over the realization's whole
-    window.  Each block is built once per realization, pair and order and
-    shared by every operator returned here; each call gets its own window."""
+    """M_q^* M_p if ``adj_first`` else M_p M_q^*.  Each block is built once
+    per realization, pair and order and shared by every operator returned
+    here.  The cached operator refers to the realization by a weak proxy, so
+    each call wraps its blocks in one that refers to ``realization`` itself."""
     op = realization._prod[(p, q)][adj_first]
-    return GradedOperator(realization, op.shift, op._blocks, op.k_valid)
+    return GradedOperator(realization, op.shift, op._blocks)
 
 
 def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -399,59 +398,45 @@ def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     def block(k: int) -> list[ela.Row]:
         return ela.mat_sub(a.block(k), b.block(k))
 
-    k_valid = min(a.k_valid, b.k_valid)
-    return GradedOperator(a.realization, a.shift, _OnDemand(block), k_valid)
+    return GradedOperator(a.realization, a.shift, _OnDemand(block))
 
 
 def commutator_blocks(
-    realization: ModuleRealization,
-    f: GradedPolynomial,
-    g: GradedPolynomial,
-    K: int,
+    realization: ModuleRealization, f: GradedPolynomial, g: GradedPolynomial
 ) -> GradedOperator:
     """Blocks of the cross commutator M_g^* M_f - M_f M_g^*.
 
-    Degree shift deg f - deg g.  The trusted window is K - max(deg f, deg g)
-    given realization bases to K + max(deg f, deg g); exceeding it is a hard
-    error, never silently truncated garbage.  For f = g each block is
-    Hermitian (and on the unilateral shift the level-0 block is [1]).
+    Degree shift deg f - deg g; block k reads levels up to k + deg f.  For
+    f = g each block is Hermitian (and on the unilateral shift the level-0
+    block is [1]).
     """
     for q in (f, g):
         if q.is_zero or not q.is_homogeneous:
             raise ModeError(f"commutator arguments must be nonzero homogeneous, got {q}")
-    mx = max(f.degree, g.degree)
-    if K + mx > realization.max_level:
-        raise WindowError(
-            f"commutator to K={K} needs realization levels to {K + mx}, "
-            f"have {realization.max_level}"
-        )
     products = partial(product_blocks, realization, f, g)
-    comm = op_sub(products(True), products(False))
-    comm.k_valid = min(comm.k_valid, K - mx)
-    return comm
+    return op_sub(products(True), products(False))
 
 
-def _sum_of_squares_defect(realization: ModuleRealization, K: int, adj_first: bool):
+def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool):
     """I - sum_i of the products of M_{z_i} and M_{z_i}^*, one exact square
-    block per level <= K; needs realization levels to K + 1."""
-    if not 0 <= K < realization.max_level:
-        raise WindowError(f"defect to K={K} needs levels to {K + 1}, have {realization.max_level}")
+    block per level."""
     m = realization.space.m
-    acc = identity_blocks(realization, K)
+    acc = identity_blocks(realization)
     for i in range(m):
         zi = GradedPolynomial.variable(m, i)
         acc = op_sub(acc, product_blocks(realization, zi, zi, adj_first))
     return acc
 
 
-def defect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
-    """I - sum_i M_{z_i}* M_{z_i}, one exact square block per level <= K."""
-    return _sum_of_squares_defect(realization, K, True)
+def defect_blocks(realization: ModuleRealization) -> GradedOperator:
+    """I - sum_i M_{z_i}* M_{z_i}; block k reads levels k and k + 1."""
+    return _sum_of_squares_defect(realization, True)
 
 
-def codefect_blocks(realization: ModuleRealization, K: int) -> GradedOperator:
-    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis."""
-    return _sum_of_squares_defect(realization, K, False)
+def codefect_blocks(realization: ModuleRealization) -> GradedOperator:
+    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis;
+    block k reads levels k - 1 and k."""
+    return _sum_of_squares_defect(realization, False)
 
 
 # relative asymmetry hermitian_eigh accepts as float rounding of a Hermitian block

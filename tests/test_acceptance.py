@@ -70,7 +70,7 @@ def test_criterion_04_polydisk_counterexample_signature():
     pd = builtin_space("polydisk-hardy", 2, {"scale2": Fraction(1, 2)})
     r = full_realization(pd, 32)
     z1 = GradedPolynomial.variable(2, 0)
-    comm = commutator_blocks(r, z1, z1, 31)
+    comm = commutator_blocks(r, z1, z1)
     for k in range(31):
         t = sum((row.get(i, G_ZERO) for i, row in enumerate(comm.block(k))), G_ZERO)
         assert t.re == Fraction(1, 2) and not t.im  # exact trace

@@ -147,6 +147,27 @@ def test_diag_qweights(capsys):
     assert doc["verdicts"][0]["status"] == "trend-consistent"
 
 
+def test_qweights_normalises_each_variable_by_its_own_limit(capsys):
+    # z1 = -alpha z2 on the quotient, so z1's limit is |alpha| times z2's and
+    # both normalized columns are sqrt((k+1)/(k+2))
+    normalized = []
+    for var in ("1", "2"):
+        code, out, _ = run(
+            capsys,
+            "diag", "qweights", "--space", "hardy-ball", "--m", "2", "--ideal", "z1+2i*z2",
+            "--max-level", "40", "--var", var,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdicts"][0]["status"] == "trend-consistent"
+        table = doc["tables"][0]
+        j = [c["name"] for c in table["columns"]].index("normalized")
+        normalized.append([row[j] for row in table["rows"]])
+    for k, (x1, x2) in enumerate(zip(*normalized)):
+        assert abs(x2 - x1) <= 1e-15
+        assert abs(x1 - ((k + 1) / (k + 2)) ** 0.5) <= 1e-15
+
+
 def test_preg_delta(capsys):
     code, out, _ = run(
         capsys, "preg", "delta", "--poly", "1/2*z1+1/2*z1^2", "--m", "1", "--max-level", "3"

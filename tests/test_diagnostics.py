@@ -248,13 +248,30 @@ def test_section5_check_matches_whole_operator_reference(gen):
             mm = compose(mi, adj).block(k)
             xk = ela.mat_sub(xk, mm)
             hk = ela.mat_sub(mm, compose(adj, mi).block(k))
-            h_onb = GradedOperator(r, 0, {k: hk}, k).onb_block(k)
+            h_onb = GradedOperator(r, 0, {k: hk}).onb_block(k)
             p_part, n_part = pn_split(h_onb)
             # P and N are read off the spectrum, not reconstructed
             tol = 1e-12 * max(1.0, float(np.linalg.norm(h_onb, 2)))
             assert abs(rec.p_norms[i] - float(np.linalg.norm(p_part, 2))) <= tol
             assert abs(rec.n_norms[i] - float(np.linalg.norm(n_part, 2))) <= tol
-        assert rec.x_norm == GradedOperator(r, 0, {k: xk}, k).norm(k)
+        assert rec.x_norm == GradedOperator(r, 0, {k: xk}).norm(k)
+
+
+def test_section5_spectrum_is_the_self_commutators_bit_for_bit():
+    # section5 reads [M_i, M_i^*] = M_i M_i^* - M_i^* M_i as 0.0 - C(z_i, z_i)
+    # in float: the same bits, also for blocks past 25 x 25, where eigh(-C)
+    # is not exactly eigh(C) negated and reversed; levels >= 26 are 27 x 27
+    K = 30
+    ideal = GradedIdeal(2, [parse_polynomial("z1^27+(1+i)*z1^3*z2^24-z2^27", 2)])
+    r = quotient_realization(builtin_space("da", 2), ideal, K + 1)
+    recs = section5_checks(r, K, 27)
+    for i in range(2):
+        h = operators.op_sub(*(operators.product_blocks(r, z(i), z(i), f) for f in (False, True)))
+        spectra = operators.hermitian_eigh([h.onb_block(k) for k in range(K + 1)])
+        pos = [float(np.clip(v, 0.0, None).max(initial=0.0)) for v, _ in spectra]
+        neg = [float(np.clip(-v, 0.0, None).max(initial=0.0)) for v, _ in spectra]
+        assert [rec.p_norms[i] for rec in recs] == pos
+        assert [rec.n_norms[i] for rec in recs] == neg
 
 
 def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
@@ -507,7 +524,7 @@ def test_normality_columns_equal_one_block_norms_bit_for_bit():
     ideal = GradedIdeal(m, [z(0, m) + z(1, m) + z(2, m)])
     r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
     tables = {t.name: t for t in normality_report(r, K, [2.0]).tables}
-    dop = operators.defect_blocks(r, K)
+    dop = operators.defect_blocks(r)
     assert [row[1] for row in tables["defect_level_norms"].rows] == [
         dop.norm(k) for k in range(K + 1)
     ]
@@ -515,7 +532,7 @@ def test_normality_columns_equal_one_block_norms_bit_for_bit():
     names = [c.name for c in comm.columns]
     for i in range(m):
         for j in range(i, m):
-            op = commutator_blocks(r, z(i, m), z(j, m), K + 1)
+            op = commutator_blocks(r, z(i, m), z(j, m))
             col = names.index(f"comm_{i + 1}_{j + 1}")
             assert [row[col] for row in comm.rows] == [op.norm(k) for k in range(K + 1)]
 
@@ -541,13 +558,13 @@ def test_normality_mirrored_commutator_columns(case):
     for i in range(m):
         for j in range(m):
             assert column(j, i) == column(i, j)
-            comm = commutator_blocks(r, z(j, m), z(i, m), K + 1)
+            comm = commutator_blocks(r, z(j, m), z(i, m))
             for k in range(K + 1):
                 b = comm.onb_block(k)
                 want = float(np.linalg.norm(b, 2))
                 assert comm.norm(k) == want  # bit for bit
                 assert abs(column(j, i)[k] - want) <= 1e-14 * want
-    dop = operators.defect_blocks(r, K)
+    dop = operators.defect_blocks(r)
     for k in range(K + 1):
         assert dop.norm(k) == float(np.linalg.norm(dop.onb_block(k), 2))
 

@@ -203,7 +203,51 @@ def test_mult_blocks_errors():
     with pytest.raises(ModeError):
         mult_blocks(r, z(0) + z(0) * z(0), 2)
     with pytest.raises(WindowError):
-        mult_blocks(r, z(0), 3)  # needs level 4
+        mult_blocks(r, z(0), 3)  # K checks the levels to K + 1 up front
+
+
+# -- windows -----------------------------------------------------------------
+
+
+def _window_cases(r):
+    """Each kind of operator on r, with the highest level whose block reads
+    only levels <= r.max_level."""
+    n = r.max_level
+    m1 = mult_blocks(r, z(0), n - 1)
+    sq = compose(m1, m1)
+    return {
+        "identity": (identity_blocks(r), n),
+        "mult": (m1, n - 1),
+        "adjoint": (adjoint_blocks(m1), n),
+        "compose": (sq, n - 2),
+        "op_sub": (op_sub(sq, sq), n - 2),
+        "commutator": (commutator_blocks(r, z(0), z(1)), n - 1),
+        "defect": (defect_blocks(r), n - 1),
+        "codefect": (codefect_blocks(r), n),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "mult", "adjoint", "compose", "op_sub", "commutator", "defect", "codefect"]
+)
+@pytest.mark.parametrize("kind", ["full", "quotient"])
+def test_operator_window_is_the_realization(kind, name):
+    # the realization's levels are the one window: the highest level an
+    # operator can build returns a block, the next one up and k = -1 raise,
+    # and a level that raised raises again, so nothing was cached for it
+    if kind == "full":
+        r = full_realization(builtin_space("da", 2), 5)
+    else:
+        ideal = GradedIdeal(2, [parse_polynomial("z1^2 + (1+i)*z1*z2 - z2^2", 2)])
+        r = quotient_realization(builtin_space("hardy-ball", 2), ideal, 5)
+    op, top = _window_cases(r)[name]
+    block = op.block(top)
+    assert len(block) == op.block_shape(top)[0]
+    if name == "op_sub":
+        assert block == [{}] * r.comp_dim(top + 2)
+    for k in (top + 1, -1, top + 1, -1):
+        with pytest.raises(WindowError):
+            op.block(k)
 
 
 # -- adjoints ---------------------------------------------------------------
@@ -231,7 +275,7 @@ def test_adjoint_full_space_formula():
 def test_adjoint_of_identity():
     da = builtin_space("da", 2)
     r = full_realization(da, 3)
-    ident = identity_blocks(r, 3)
+    ident = identity_blocks(r)
     adj = adjoint_blocks(ident)
     for k in range(4):
         assert adj.block(k) == sparse_identity(level_dimension(2, k))
@@ -262,7 +306,7 @@ def test_adjoint_pairing_exact_on_quotient():
 def test_commutator_unilateral_shift():
     disk = builtin_space("polydisk-hardy", 1)
     r = full_realization(disk, 12)
-    comm = commutator_blocks(r, z(0, 1), z(0, 1), 11)
+    comm = commutator_blocks(r, z(0, 1), z(0, 1))
     assert comm.block(0) == [{0: G_ONE}]
     for k in range(1, 11):
         assert comm.block(k) == [{}]
@@ -271,7 +315,7 @@ def test_commutator_unilateral_shift():
 def test_commutator_scaled_polydisk_constant_half():
     pd = builtin_space("polydisk-hardy", 2, {"scale2": Fraction(1, 2)})
     r = full_realization(pd, 14)
-    comm = commutator_blocks(r, z(0), z(0), 13)
+    comm = commutator_blocks(r, z(0), z(0))
     for k in range(13):
         t = sum((row.get(i, G_ZERO) for i, row in enumerate(comm.block(k))), G_ZERO)
         assert t.re == Fraction(1, 2) and not t.im
@@ -281,7 +325,7 @@ def test_commutator_scaled_polydisk_constant_half():
 def test_commutator_hardy_norms_decreasing():
     hb = builtin_space("hardy-ball", 2)
     r = full_realization(hb, 32)
-    comm = commutator_blocks(r, z(0), z(0), 31)
+    comm = commutator_blocks(r, z(0), z(0))
     norms = [comm.norm(k) for k in range(31)]
     assert all(norms[k + 1] < norms[k] for k in range(30))
     assert norms[30] < 0.04  # 1/(k+2) at k=30
@@ -290,7 +334,7 @@ def test_commutator_hardy_norms_decreasing():
 def test_commutator_hermitian_when_f_equals_g():
     da = builtin_space("da", 2)
     r = full_realization(da, 8)
-    comm = commutator_blocks(r, z(0), z(0), 7)
+    comm = commutator_blocks(r, z(0), z(0))
     for k in range(7):
         b = comm.block(k)
         assert b == conj_transpose(b, len(b))
@@ -301,40 +345,31 @@ def test_commutator_adjoint_symmetry():
     da = builtin_space("da", 2)
     r = full_realization(da, 8)
     f, g = z(0), z(1)
-    cfg = commutator_blocks(r, f, g, 7)
-    cgf = commutator_blocks(r, g, f, 7)
+    cfg = commutator_blocks(r, f, g)
+    cgf = commutator_blocks(r, g, f)
     adj = adjoint_blocks(cfg)
     for k in range(6):
         assert adj.block(k) == cgf.block(k)
 
 
 def test_commutator_mixed_degrees():
-    # f = z1^2, g = z2: degree shift +1, window K - max(2, 1)
+    # f = z1^2, g = z2: degree shift +1, and block k reads levels to k + deg f
     da = builtin_space("da", 2)
     r = full_realization(da, 10)
     f = z(0) * z(0)
-    comm = commutator_blocks(r, f, z(1), 8)
-    assert comm.shift == 1 and comm.k_valid == 6
-    for k in range(7):
+    comm = commutator_blocks(r, f, z(1))
+    assert comm.shift == 1
+    for k in range(9):
         nr, nc = comm.block_shape(k)
         assert nr == level_dimension(2, k + 1) and nc == level_dimension(2, k)
         assert len(comm.block(k)) == nr
+    with pytest.raises(WindowError):
+        comm.block(9)  # needs level 11
     # the adjoint symmetry survives the degree shift: C(f,g)^* = C(g,f)
-    cgf = commutator_blocks(r, z(1), f, 8)
+    cgf = commutator_blocks(r, z(1), f)
     adj = adjoint_blocks(comm)
-    for k in range(6):
+    for k in range(10):
         assert adj.block(k) == cgf.block(k)
-
-
-def test_commutator_window_semantics():
-    da = builtin_space("da", 2)
-    r = full_realization(da, 6)
-    with pytest.raises(WindowError):
-        commutator_blocks(r, z(0), z(0), 6)  # needs level 7
-    comm = commutator_blocks(r, z(0), z(0), 5)
-    assert comm.k_valid == 4
-    with pytest.raises(WindowError):
-        comm.block(5)
 
 
 def test_defect_identity_blockwise():
@@ -342,9 +377,9 @@ def test_defect_identity_blockwise():
     da = builtin_space("da", 2)
     r = full_realization(da, 9)
     K = 7
-    dd = defect_blocks(r, K)
-    cd = codefect_blocks(r, K)
-    c0, c1 = (commutator_blocks(r, z(i), z(i), K + 1) for i in range(2))
+    dd = defect_blocks(r)
+    cd = codefect_blocks(r)
+    c0, c1 = (commutator_blocks(r, z(i), z(i)) for i in range(2))
     for k in range(K):
         assert ela.mat_sub(ela.mat_sub(cd.block(k), dd.block(k)), c0.block(k)) == c1.block(k)
 
@@ -352,7 +387,7 @@ def test_defect_identity_blockwise():
 def test_defect_blocks_match_diagonal():
     da = builtin_space("da", 2)
     r = full_realization(da, 7)
-    dd = defect_blocks(r, 6)
+    dd = defect_blocks(r)
     for k in range(7):
         block = dense(dd.block(k), level_dimension(2, k))
         for j, alpha in enumerate(enumerate_level(2, k)):
@@ -378,7 +413,7 @@ def test_quotient_defect_norm_closed_form():
     hb = builtin_space("hardy-ball", 3)
     ideal = GradedIdeal(3, [z(0, 3) + z(1, 3) + z(2, 3)])
     r = quotient_realization(hb, ideal, 9)
-    dd = defect_blocks(r, 8)
+    dd = defect_blocks(r)
     for k in range(9):
         want = 1.0 / (k + 3)
         assert abs(dd.norm(k) - want) <= 1e-13 * want
@@ -459,7 +494,7 @@ def test_onb_block_between_levels_beyond_double_range(src, tgt):
     r = full_realization(builtin_space("polydisk-hardy", 1), 1)
     r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
     b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
-    got = GradedOperator(r, 1, {0: [{0: b}]}, 0).onb_block(0)
+    got = GradedOperator(r, 1, {0: [{0: b}]}).onb_block(0)
     ratio = Fraction(*tgt) / Fraction(*src)
     want = complex(b) * float(ratio) ** 0.5
     assert got.shape == (1, 1) and abs(got[0, 0] - want) <= 1e-15 * abs(want)
@@ -564,12 +599,3 @@ def test_schatten_zero_operator():
     # the hardy defect is identically zero
     _, sums = schatten_table(builtin_space("hardy-ball", 2), 5, 2.0)
     assert sums[5] == 0.0
-
-
-def test_compose_window_shrinks():
-    da = builtin_space("da", 2)
-    r = full_realization(da, 6)
-    m1 = mult_blocks(r, z(0), 5)
-    sq = compose(m1, m1)
-    assert sq.shift == 2 and sq.k_valid == 4
-    assert op_sub(sq, sq).block(3) == [{}] * level_dimension(2, 5)
