@@ -29,6 +29,7 @@ from .diagnostics import (
     DiagnosticsReport,
     Table,
     Verdict,
+    exact_verdict,
     koszul_report,
     normality_report,
     qweights_report,
@@ -220,10 +221,6 @@ def _run_ideal_hilbert(args) -> DiagnosticsReport:
     return report
 
 
-def _exact_verdict(name: str, passed: bool, details: str) -> Verdict:
-    return Verdict(name, "exact-pass" if passed else "exact-fail", details)
-
-
 def _run_ideal_decompose(args) -> DiagnosticsReport:
     weight = _weight_from_args(args)
     ideal = _required_ideal(args, weight)
@@ -261,7 +258,7 @@ def _run_ideal_decompose(args) -> DiagnosticsReport:
         )
     )
     report.verdicts.append(
-        _exact_verdict(
+        exact_verdict(
             "decomposition-defect",
             all(lv.defect >= 0 for lv in dec.levels),
             f"max defect {dec.max_defect} (reported, not asserted against the splitting)",
@@ -345,12 +342,12 @@ def _kernel_report(args, data: JPData, xp_levels: list[XpLevel]) -> DiagnosticsR
     )
     witnesses = "; ".join(lv.witness for lv in levels if lv.witness)
     report.verdicts += [
-        _exact_verdict(
+        exact_verdict(
             "kernel-contains-ideal",
             all(lv.containment_ok for lv in levels),
             witnesses or "all spanning elements in kernel",
         ),
-        _exact_verdict("kernel-equals-ideal", all(lv.equal for lv in levels), f"levels 0..{ell_max}"),
+        exact_verdict("kernel-equals-ideal", all(lv.equal for lv in levels), f"levels 0..{ell_max}"),
     ]
     return report
 
@@ -371,15 +368,15 @@ def _run_preg_check(args) -> DiagnosticsReport:
         )
     )
     report.verdicts += [
-        _exact_verdict(
+        exact_verdict(
             "defect-projection-identity",
             proj.passed,
             f"rank-one identity on all |beta| <= {deg}"
             if proj.passed
             else f"failed at {proj.failures[0]}",
         ),
-        _exact_verdict("module-map-intertwining", mm.passed, mm.witness or "exact on squared data"),
-        _exact_verdict("contractivity", sq_max <= 1, f"max singular value {svmax}"),
+        exact_verdict("module-map-intertwining", mm.passed, mm.witness or "exact on squared data"),
+        exact_verdict("contractivity", sq_max <= 1, f"max singular value {svmax}"),
     ]
     return report
 

@@ -31,7 +31,6 @@ from .algebra import (
     G_ZERO,
     GradedPolynomial,
     add_index,
-    enumerate_level,
     level_dimension,
     unit_index,
 )
@@ -42,6 +41,7 @@ from .operators import (
     codefect_blocks,
     commutator_blocks,
     defect_blocks,
+    full_realization,
     hermitian_eigh,
     mult_blocks,
     quotient_realization,
@@ -106,6 +106,11 @@ class Verdict:
             raise WshmError(f"unknown verdict status {self.status}")
 
 
+def exact_verdict(name: str, passed: bool, details: str) -> Verdict:
+    """The verdict of a check decided in exact arithmetic."""
+    return Verdict(name, "exact-pass" if passed else "exact-fail", details)
+
+
 @dataclass
 class DiagnosticsReport:
     scenario: str
@@ -132,15 +137,6 @@ class DiagnosticsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# spherical defect series
-# ---------------------------------------------------------------------------
-
-def full_defect_eigenvalues(space: WeightedShiftSpace, k: int) -> list[Fraction]:
-    """Exact diagonal of I - sum_i M_i* M_i on the degree-k level."""
-    return [space.spherical_defect(a) for a in enumerate_level(space.m, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +210,19 @@ def normality_report(
     comms = {(i, j): commutator_blocks(realization, z[i], z[j]) for i, j in pairs if i <= j}
     # each level block of every C(z_i, z_j) and of a quotient's spherical defect
     # goes to one stacked SVD per block shape; on the full space it is diagonal
-    ops = [*comms.values(), *([] if realization.is_full else [defect_blocks(realization)])]
+    defect = defect_blocks(realization)
+    ops = [*comms.values(), *([] if realization.is_full else [defect])]
     flat = svdvals([op.onb_block(k) for op in ops for k in range(K + 1)])
     svs = [flat[n:n + K + 1] for n in range(0, len(flat), K + 1)]
     norms = [[float(sv.max(initial=0.0)) for sv in op_svs] for op_svs in svs]
+    defect_zero = not any(row for k in range(K + 1) for row in defect.block(k))
     if realization.is_full:
-        diag = [full_defect_eigenvalues(realization.space, k) for k in range(K + 1)]
-        defect_norms = [max((abs(float(v)) for v in d), default=0.0) for d in diag]
-        defect_zero = all(not v for d in diag for v in d)
-        defect_terms = {p: [float(sum(abs(float(v)) ** p for v in d)) for d in diag] for p in p_list}
+        # the full space's defect is diagonal, its products those of C(z_i, z_i)
+        diag = [[abs(float(v.re)) for v in defect.diagonal(k)] for k in range(K + 1)]
+        defect_norms = [max(d, default=0.0) for d in diag]
+        defect_terms = {p: [float(sum(v**p for v in d)) for d in diag] for p in p_list}
     else:
         defect_norms = norms[-1]
-        defect_zero = not any(row for k in range(K + 1) for row in ops[-1].block(k))
         defect_terms = {p: [float(np.sum(sv**p)) for sv in svs[-1]] for p in p_list}
 
     report.tables.append(
@@ -298,23 +295,16 @@ class TraceIdentityRecord:
     exact_match: bool
 
 
-def trace_identity(space: WeightedShiftSpace, k: int) -> TraceIdentityRecord:
-    m = space.m
-    total = Fraction(0)
-    for alpha in enumerate_level(m, k):
-        for i in range(m):
-            total += space.shift_ratio(alpha, i)
-            if alpha[i] > 0:
-                below = list(alpha)
-                below[i] -= 1
-                total -= space.shift_ratio(tuple(below), i)
-    telescoping = level_dimension(m, k) - (level_dimension(m, k - 1) if k > 0 else 0)
+def trace_identity(realization: ModuleRealization, k: int) -> TraceIdentityRecord:
+    """The level-k record, read off the exact blocks of a full realization with
+    levels to k + 1: the trace of sum_i [M_{z_i}^*, M_{z_i}] = X - D, X the
+    codefect and D the defect, and D's blocks k - 1 and k for ``defect_is_zero``."""
+    m = realization.space.m
+    d, x = defect_blocks(realization), codefect_blocks(realization)
+    total = (sum(x.diagonal(k), G_ZERO) - sum(d.diagonal(k), G_ZERO)).re
+    telescoping = realization.comp_dim(k) - realization.comp_dim(k - 1)
     binomial = _binom(m + k - 1, k - 1) - _binom(m + k - 2, k - 2)
-    defect_zero = all(
-        not space.spherical_defect(a)
-        for kk in ([k - 1, k] if k > 0 else [k])
-        for a in enumerate_level(m, kk)
-    )
+    defect_zero = not any(row for j in range(max(k - 1, 0), k + 1) for row in d.block(j))
     return TraceIdentityRecord(
         k, total, telescoping, binomial, defect_zero, total == telescoping
     )
@@ -323,17 +313,10 @@ def trace_identity(space: WeightedShiftSpace, k: int) -> TraceIdentityRecord:
 def trace_report(space: WeightedShiftSpace, K: int) -> DiagnosticsReport:
     params = {"space": space.kind, "m": space.m, "max_level": K}
     report = DiagnosticsReport("trace", params)
-    rows = []
-    all_match = True
-    any_asserted = False
-    for k in range(K + 1):
-        rec = trace_identity(space, k)
-        rows.append(
-            [k, str(rec.computed), rec.telescoping, rec.binomial_formula, rec.defect_is_zero]
-        )
-        if rec.defect_is_zero:
-            any_asserted = True
-            all_match = all_match and rec.exact_match
+    realization = full_realization(space, K + 1)
+    recs = [trace_identity(realization, k) for k in range(K + 1)]
+    rows = [[r.k, str(r.computed), r.telescoping, r.binomial_formula, r.defect_is_zero] for r in recs]
+    asserted = [r.exact_match for r in recs if r.defect_is_zero]
     report.tables.append(
         Table(
             "trace_identity",
@@ -347,21 +330,11 @@ def trace_report(space: WeightedShiftSpace, K: int) -> DiagnosticsReport:
             rows,
         )
     )
-    if any_asserted:
-        report.verdicts.append(
-            Verdict(
-                "trace-telescoping",
-                "exact-pass" if all_match else "exact-fail",
-                "computed trace equals dim H_k - dim H_{k-1} on defect-free levels",
-            )
-        )
-    report.verdicts.append(
-        Verdict(
-            "trace-binomial-formula",
-            "reported-only",
-            "binomial column emitted without assertion",
-        )
-    )
+    if asserted:
+        detail = "computed trace equals dim H_k - dim H_{k-1} on defect-free levels"
+        report.verdicts.append(exact_verdict("trace-telescoping", all(asserted), detail))
+    detail = "binomial column emitted without assertion"
+    report.verdicts.append(Verdict("trace-binomial-formula", "reported-only", detail))
     return report
 
 
@@ -838,11 +811,7 @@ def koszul_report(
         )
     )
     report.verdicts.append(
-        Verdict(
-            "koszul-dd-zero",
-            "exact-pass" if rec.dd_zero else "exact-fail",
-            "differential squares to zero exactly",
-        )
+        exact_verdict("koszul-dd-zero", rec.dd_zero, "differential squares to zero exactly")
     )
     report.verdicts.append(
         Verdict(

@@ -51,10 +51,13 @@ import numpy as np
 from . import exact_linalg as ela
 from .algebra import (
     G_ONE,
+    G_ZERO,
+    GaussianRational,
     GradedPolynomial,
     MultiIndex,
     add_index,
     enumerate_level,
+    unit_index,
 )
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
@@ -151,6 +154,8 @@ class ModuleRealization:
         self._mult, self._adj = _OnDemand(mult), _OnDemand(adj)
         # (p, q) -> (M_p M_q^*, M_q^* M_p), each over every level
         self._prod = _OnDemand(lambda pq: _products(me, *pq))
+        # adj_first -> the m-shift's defect (True) or codefect (False)
+        self._defect = _OnDemand(partial(_sum_of_squares_defect, me))
 
     @property
     def is_full(self) -> bool:
@@ -240,6 +245,10 @@ class GradedOperator:
     def block_shape(self, k: int) -> tuple[int, int]:
         r = self.realization
         return (r.comp_dim(k + self.shift), r.comp_dim(k))
+
+    def diagonal(self, k: int) -> list[GaussianRational]:
+        """The exact diagonal of block k of a degree-0 operator."""
+        return [row.get(j, G_ZERO) for j, row in enumerate(self.block(k))]
 
     # -- float tier -----------------------------------------------------
 
@@ -378,18 +387,26 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 
 def _products(r: ModuleRealization, p, q) -> tuple[GradedOperator, GradedOperator]:
-    mp = mult_blocks(r, p, r.max_level - p.degree)
-    mq_adj = adjoint_blocks(mult_blocks(r, q, r.max_level - q.degree))
+    """(M_p M_q^*, M_q^* M_p) on the multiplier caches: a block raises
+    WindowError only when it reads a level the realization lacks."""
+    if p.m != r.space.m or q.m != r.space.m:
+        raise ModeError("multiplier variable count disagrees with realization")
+    mp = GradedOperator(r, p.degree, r._mult[p])
+    mq_adj = adjoint_blocks(GradedOperator(r, q.degree, r._mult[q], r._adj[q]))
     return compose(mp, mq_adj), compose(mq_adj, mp)
+
+
+def _own(realization: ModuleRealization, op: GradedOperator) -> GradedOperator:
+    """The shared blocks of ``op``, cached on ``realization`` and so referring
+    to it by a weak proxy, in an operator that refers to ``realization`` itself."""
+    return GradedOperator(realization, op.shift, op._blocks)
 
 
 def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> GradedOperator:
     """M_q^* M_p if ``adj_first`` else M_p M_q^*.  Each block is built once
     per realization, pair and order and shared by every operator returned
-    here.  The cached operator refers to the realization by a weak proxy, so
-    each call wraps its blocks in one that refers to ``realization`` itself."""
-    op = realization._prod[(p, q)][adj_first]
-    return GradedOperator(realization, op.shift, op._blocks)
+    here."""
+    return _own(realization, realization._prod[(p, q)][adj_first])
 
 
 def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -417,26 +434,33 @@ def commutator_blocks(
     return op_sub(products(True), products(False))
 
 
-def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool):
-    """I - sum_i of the products of M_{z_i} and M_{z_i}^*, one exact square
-    block per level."""
+def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, terms=None):
+    """I - sum_t a_t M_t^* M_t if ``adj_first`` else I - sum_t a_t M_t M_t^*,
+    M_t = M_{z^{alpha_t}}, over the terms (a_t, alpha_t) of a positive regular
+    P, by default the m-shift's (a_t = 1, alpha_t = e_i): one exact square
+    block per level.  Term t is the product of M_p and M_q^*, p = a_t
+    z^{alpha_t} and q = z^{alpha_t}, so the m-shift shares C(z_i, z_i)'s."""
     m = realization.space.m
     acc = identity_blocks(realization)
-    for i in range(m):
-        zi = GradedPolynomial.variable(m, i)
-        acc = op_sub(acc, product_blocks(realization, zi, zi, adj_first))
+    if terms is None:
+        terms = [(1, unit_index(m, i)) for i in range(m)]
+    for a, alpha in terms:
+        if a:
+            q = GradedPolynomial(m, {alpha: 1})
+            acc = op_sub(acc, product_blocks(realization, q.scale(a), q, adj_first))
     return acc
 
 
 def defect_blocks(realization: ModuleRealization) -> GradedOperator:
-    """I - sum_i M_{z_i}* M_{z_i}; block k reads levels k and k + 1."""
-    return _sum_of_squares_defect(realization, True)
+    """I - sum_i M_{z_i}* M_{z_i}, built once per realization; block k reads
+    levels k and k + 1."""
+    return _own(realization, realization._defect[True])
 
 
 def codefect_blocks(realization: ModuleRealization) -> GradedOperator:
-    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis;
-    block k reads levels k - 1 and k."""
-    return _sum_of_squares_defect(realization, False)
+    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis,
+    built once per realization; block k reads levels k - 1 and k."""
+    return _own(realization, realization._defect[False])
 
 
 # relative asymmetry hermitian_eigh accepts as float rounding of a Hermitian block

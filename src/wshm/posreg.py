@@ -26,6 +26,10 @@ Z_t -> lambda_t Z_t (a diagonal, grading-preserving change of variables, so
 every weighted level dimension is unchanged), and kernel membership is
 checked on squared coefficient data; both paths are exact rational
 arithmetic, no radicals needed.
+
+The rank-one identity I - sum_t a_t M^{alpha_t} M^{alpha_t *} = P_0 is read
+off H_P's exact blocks, from the one defect function of ``operators`` given
+P's term list.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .algebra import (
 from .errors import SignConventionError, WshmError
 from .exact_linalg import fraction_sqrt
 from .ideals import GradedIdeal, ideal_level_dimension
+from .operators import _sum_of_squares_defect, full_realization
 from .spaces import WeightedShiftSpace, builtin_space
 
 
@@ -174,24 +179,21 @@ class ProjectionCheck:
 
 
 def defect_projection_check(poly: PositiveRegularPoly, degree: int) -> ProjectionCheck:
-    """Verify I - sum_t a_t M^{alpha_t} M^{alpha_t *} = P_0.
+    """Verify I - sum_t a_t M^{alpha_t} M^{alpha_t *} = P_0 on H_P.
 
-    The operator is diagonal in the monomial basis; the eigenvalue at z^beta
-    is checked exactly via weight ratios: 1 on the constant, 0 for every
+    The operator is the sum-of-squares defect of P's term list, in exact
+    blocks on the levels 0..degree of H_P.  It is diagonal in the monomial
+    basis; its eigenvalue at z^beta must be 1 on the constant and 0 for every
     0 < |beta| <= degree.
     """
-    space = hp_space(poly)
+    realization = full_realization(hp_space(poly), degree)
+    defect = _sum_of_squares_defect(realization, False, poly.terms)
     failures: list[tuple[MultiIndex, Fraction]] = []
     for k in range(degree + 1):
-        for beta in enumerate_level(poly.m, k):
-            val = Fraction(1)
-            for a, alpha in poly.terms:
-                prev = sub_index(beta, alpha)
-                if prev is not None:
-                    val -= a * (space.weight(beta) / space.weight(prev))
-            expected = Fraction(1) if k == 0 else Fraction(0)
+        expected = 1 if k == 0 else 0
+        for beta, val in zip(realization.level(k).monomials, defect.diagonal(k)):
             if val != expected:
-                failures.append((beta, val))
+                failures.append((beta, val.re))
     return ProjectionCheck(degree, not failures, failures)
 
 

@@ -12,10 +12,6 @@ orthogonal.  Built-in weights:
 ``polydisk-hardy`` takes a rational ``scale2`` parameter, the squared scale
 of the generator tuple: only squared quantities enter any computation, so the
 1/sqrt(m)-scaled tuple stays in exact rational arithmetic via scale2 = 1/m.
-
-Built-ins also carry a closed-form successor ratio omega(alpha+e_i) /
-omega(alpha); this keeps the diagonal defect data cheap at high degree, where
-the raw factorial weights would be enormous integers.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from .algebra import (
 from .errors import ArityError, DimensionError, WshmError
 
 WeightFn = Callable[[MultiIndex], Fraction]
-RatioFn = Callable[[MultiIndex, int], Fraction]
 
 BUILTIN_KINDS = ("drury-arveson", "hardy-ball", "bergman-ball", "polydisk-hardy", "custom")
 
@@ -67,7 +62,6 @@ class WeightedShiftSpace:
         m: int,
         weight_fn: WeightFn,
         params: dict | None = None,
-        ratio_fn: RatioFn | None = None,
     ):
         if m < 1:
             raise ArityError(f"variable count must be >= 1, got {m}")
@@ -75,7 +69,6 @@ class WeightedShiftSpace:
         self.m = m
         self.params = dict(params or {})
         self._weight_fn = weight_fn
-        self._ratio_fn = ratio_fn
         self._cache: dict[MultiIndex, Fraction] = {}
 
     def weight(self, alpha: Iterable[int]) -> Fraction:
@@ -101,12 +94,12 @@ class WeightedShiftSpace:
         a = check_multiindex(alpha, self.m)
         if not 0 <= i < self.m:
             raise DimensionError(f"variable index {i} out of range for m={self.m}")
-        if self._ratio_fn is not None:
-            return self._ratio_fn(a, i)
         return self.weight(add_index(a, unit_index(self.m, i))) / self.weight(a)
 
     def spherical_defect(self, alpha: Iterable[int]) -> Fraction:
-        """Eigenvalue of I - sum_i M_{z_i}* M_{z_i} at z^alpha (exact).
+        """Eigenvalue of I - sum_i M_{z_i}* M_{z_i} at z^alpha (exact), from
+        the weights alone: the reference for the diagonal of
+        :func:`~wshm.operators.defect_blocks`.
 
         The operator is diagonal in the monomial basis because monomials of
         distinct exponents are orthogonal.
@@ -131,30 +124,20 @@ class WeightedShiftSpace:
         return f"WeightedShiftSpace({self.kind}, m={self.m}, params={self.params})"
 
 
-def _factorial_weights(m: int, shift: int) -> tuple[WeightFn, RatioFn]:
-    """Weights alpha! (shift-1)! / (|alpha|+shift-1)! and their ratios.
+class _KernelPowerSpace(WeightedShiftSpace):
+    """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, whose level weights
+    have a closed form.
 
     shift = 1 gives Drury-Arveson, shift = m the Hardy ball, shift = m+1 the
     Bergman ball (these are the kernel powers of the respective spaces).
     """
 
-    def weight(alpha: MultiIndex) -> Fraction:
-        num = math.prod(math.factorial(a) for a in alpha) * math.factorial(shift - 1)
-        return Fraction(num, math.factorial(sum(alpha) + shift - 1))
-
-    def ratio(alpha: MultiIndex, i: int) -> Fraction:
-        return Fraction(alpha[i] + 1, sum(alpha) + shift)
-
-    return weight, ratio
-
-
-class _KernelPowerSpace(WeightedShiftSpace):
-    """A kernel-power space of :func:`_factorial_weights`, whose level weights
-    have a closed form."""
-
     def __init__(self, kind: str, m: int, shift: int):
-        w, r = _factorial_weights(m, shift)
-        super().__init__(kind, m, w, params={}, ratio_fn=r)
+        def weight(alpha: MultiIndex) -> Fraction:
+            num = math.prod(math.factorial(a) for a in alpha) * math.factorial(shift - 1)
+            return Fraction(num, math.factorial(sum(alpha) + shift - 1))
+
+        super().__init__(kind, m, weight)
         self._shift = shift
         self._fact = [1]  # _fact[j] = j!, extended to the highest level read
 
@@ -217,10 +200,7 @@ def builtin_space(kind: str, m: int, params: dict | None = None) -> WeightedShif
         def w(alpha: MultiIndex, _s=scale2) -> Fraction:
             return _s ** sum(alpha)
 
-        def r(alpha: MultiIndex, i: int, _s=scale2) -> Fraction:
-            return _s
-
-        return WeightedShiftSpace(canonical, m, w, params={"scale2": scale2}, ratio_fn=r)
+        return WeightedShiftSpace(canonical, m, w, params={"scale2": scale2})
 
     table = params.get("table")
     if not isinstance(table, dict):
@@ -252,19 +232,9 @@ def weighted_piece(
     def w(beta: MultiIndex) -> Fraction:
         return space.weight(tuple(x + ni * b for x, ni, b in zip(a, n, beta)))
 
-    def r(beta: MultiIndex, i: int) -> Fraction:
-        # n_i single steps of the underlying ratio, avoiding huge raw weights
-        base = list(x + ni * b for x, ni, b in zip(a, n, beta))
-        out = Fraction(1)
-        for _ in range(n[i]):
-            out *= space.shift_ratio(tuple(base), i)
-            base[i] += 1
-        return out
-
     return WeightedShiftSpace(
         f"{space.kind}^piece",
         space.m,
         w,
         params={"n": n, "alpha": a, "base": space.kind, **space.params},
-        ratio_fn=r,
     )

@@ -53,15 +53,16 @@ def test_criterion_02_drury_arveson_defect_law():
 
 def test_criterion_03_telescoping_trace():
     for m in (2, 3):
-        hb = builtin_space("hardy-ball", m)
+        hb = full_realization(builtin_space("hardy-ball", m), 21)
         for k in range(21):
             rec = trace_identity(hb, k)
             assert rec.defect_is_zero
             assert rec.computed == rec.telescoping  # exact equality
-    rec = trace_identity(builtin_space("hardy-ball", 2), 1)
+    hb2 = full_realization(builtin_space("hardy-ball", 2), 11)
+    rec = trace_identity(hb2, 1)
     assert rec.computed == 1 and rec.binomial_formula == 1
     # k <= 10: the binomial column is emitted without assertion
-    reported = [trace_identity(builtin_space("hardy-ball", 2), k).binomial_formula for k in range(11)]
+    reported = [trace_identity(hb2, k).binomial_formula for k in range(11)]
     assert len(reported) == 11
     ok(3, "hardy-ball m in {2,3}, k <= 20: trace == dim H_k - dim H_{k-1} exactly; m=2,k=1 equals binomial value 1")
 

@@ -17,7 +17,6 @@ from wshm.diagnostics import (
     Verdict,
     _KoszulModule,
     _trend_verdict,
-    full_defect_eigenvalues,
     koszul_euler,
     koszul_report,
     normality_report,
@@ -54,7 +53,7 @@ def z(i, m=2):
 
 
 def test_trace_identity_hardy_m2():
-    hb = builtin_space("hardy-ball", 2)
+    hb = full_realization(builtin_space("hardy-ball", 2), 3)
     rec1 = trace_identity(hb, 1)
     assert (rec1.computed, rec1.telescoping, rec1.binomial_formula) == (1, 1, 1)
     rec2 = trace_identity(hb, 2)
@@ -66,7 +65,7 @@ def test_trace_identity_unilateral_shift():
     # Direct computation for the disk: [M*, M] is the projection onto the
     # constants, so the level trace is 1 at k = 0 and 0 for every k >= 1
     # (consistent with telescoping: dim H_k - dim H_{k-1} = 0 for k >= 1).
-    disk = builtin_space("polydisk-hardy", 1)
+    disk = full_realization(builtin_space("polydisk-hardy", 1), 8)
     assert trace_identity(disk, 0).computed == 1
     for k in range(1, 8):
         rec = trace_identity(disk, k)
@@ -75,12 +74,12 @@ def test_trace_identity_unilateral_shift():
 
 def test_trace_identity_matches_telescoping_when_defect_zero():
     for m in (2, 3):
-        hb = builtin_space("hardy-ball", m)
+        hb = full_realization(builtin_space("hardy-ball", m), 11)
         for k in range(11):
             rec = trace_identity(hb, k)
             assert rec.defect_is_zero and rec.exact_match
     # Drury-Arveson has nonzero defect; the record must say so
-    da = builtin_space("da", 2)
+    da = full_realization(builtin_space("da", 2), 4)
     assert not trace_identity(da, 3).defect_is_zero
 
 
@@ -602,13 +601,6 @@ def test_normality_report_rejects_infinite_or_repeated_exponents(p_list):
     r = full_realization(builtin_space("hardy-ball", 2), 4)
     with pytest.raises(WshmError):
         normality_report(r, 2, p_list)
-
-
-def test_full_defect_eigenvalues():
-    da = builtin_space("da", 3)
-    for k in (0, 4, 9):
-        vals = full_defect_eigenvalues(da, k)
-        assert all(v == Fraction(1 - 3, k + 1) for v in vals)
 
 
 # -- report plumbing ----------------------------------------------------------

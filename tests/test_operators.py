@@ -384,16 +384,41 @@ def test_defect_identity_blockwise():
         assert ela.mat_sub(ela.mat_sub(cd.block(k), dd.block(k)), c0.block(k)) == c1.block(k)
 
 
-def test_defect_blocks_match_diagonal():
-    da = builtin_space("da", 2)
-    r = full_realization(da, 7)
+@pytest.mark.parametrize(
+    "kind,m,params,levels",
+    [
+        pytest.param("da", 2, {}, range(7), id="drury-arveson-m2"),
+        pytest.param("da", 3, {}, (0, 4, 9), id="drury-arveson-m3"),
+        pytest.param("bergman-ball", 2, {}, range(7), id="bergman-m2"),
+        pytest.param("polydisk-hardy", 2, {"scale2": Fraction(1, 2)}, range(7), id="polydisk-half-m2"),
+    ],
+)
+def test_defect_blocks_match_diagonal(kind, m, params, levels):
+    # the exact blocks against the weight-only reference, entry by entry
+    space = builtin_space(kind, m, params)
+    r = full_realization(space, max(levels) + 1)
     dd = defect_blocks(r)
-    for k in range(7):
-        block = dense(dd.block(k), level_dimension(2, k))
-        for j, alpha in enumerate(enumerate_level(2, k)):
-            expected = da.spherical_defect(alpha)
+    for k in levels:
+        block = dense(dd.block(k), level_dimension(m, k))
+        for j, alpha in enumerate(enumerate_level(m, k)):
+            expected = space.spherical_defect(alpha)
             for i in range(len(block)):
                 assert block[i][j] == (ela.G_ONE * expected if i == j else G_ZERO)
+
+
+def test_products_have_no_window_of_their_own():
+    # a product block raises only when it reads a missing level: on levels
+    # 0..0 the codefect's block 0 is the identity, the defect's needs level 1
+    r = full_realization(builtin_space("hardy-ball", 2), 0)
+    assert codefect_blocks(r).block(0) == [{0: G_ONE}]
+    with pytest.raises(WindowError, match="level 1 outside realization window"):
+        defect_blocks(r).block(0)
+
+
+def test_commutator_blocks_reject_a_variable_count_mismatch():
+    r = full_realization(builtin_space("hardy-ball", 2), 3)
+    with pytest.raises(ModeError, match="variable count"):
+        commutator_blocks(r, z(0, 3), z(0, 3))
 
 
 def test_quotient_compressions_commute():

@@ -105,6 +105,20 @@ def test_defect_projection_identity(text, m):
     assert chk.passed and not chk.failures
 
 
+def test_defect_projection_identity_below_a_term_degree():
+    # the z1^9 term has no product block below level 9; levels 0..8 still pass
+    chk = defect_projection_check(preg("1/2*z1+1/2*z1^9", 1), 8)
+    assert chk.passed and chk.degree == 8
+
+
+def test_defect_projection_identity_skips_a_zero_term():
+    # a higher coefficient may be 0; its term adds no product to the defect
+    poly = PositiveRegularPoly(
+        2, ((Fraction(1, 2), (1, 0)), (Fraction(1, 2), (0, 1)), (Fraction(0), (1, 1)))
+    )
+    assert defect_projection_check(poly, 6).passed
+
+
 def test_jp_data_flagship():
     data = jp_data(preg(P_FLAG, 2))
     assert data.total_vars == 3

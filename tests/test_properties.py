@@ -15,15 +15,22 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 import wshm.exact_linalg as ela
-from wshm.algebra import G_ZERO, GaussianRational, GradedPolynomial, enumerate_level
+from wshm.algebra import G_ZERO, GaussianRational, GradedPolynomial, enumerate_level, sub_index
 from wshm.diagnostics import koszul_euler
 from wshm.ideals import GradedIdeal
-from wshm.operators import adjoint_blocks, mult_blocks, quotient_realization
+from wshm.operators import (
+    _sum_of_squares_defect,
+    adjoint_blocks,
+    full_realization,
+    mult_blocks,
+    quotient_realization,
+)
 from wshm.parsing import parse_polynomial
 from wshm.posreg import (
     PositiveRegularPoly,
     defect_projection_check,
     delta_coefficients,
+    hp_space,
     jp_data,
     kernel_vs_ideal,
     xp_blocks,
@@ -541,6 +548,15 @@ def test_positive_regular_pipeline_on_random_polynomials(m, data):
         b: series.coefficient(b) for b in delta
     }
     assert defect_projection_check(poly, degree).passed
+    # the P-defect's exact diagonal against H_P's weight ratios, entry by entry
+    weight = hp_space(poly).weight
+    r = full_realization(hp_space(poly), degree)
+    p_defect = _sum_of_squares_defect(r, False, poly.terms)
+    for k in range(degree + 1):
+        for beta, got in zip(r.level(k).monomials, p_defect.diagonal(k)):
+            below = [(a, sub_index(beta, alpha)) for a, alpha in poly.terms]
+            want = 1 - sum(a * weight(beta) / weight(b) for a, b in below if b is not None)
+            assert got == want, (beta, got, want)
     jp = jp_data(poly)
     levels = xp_blocks(jp, ell_max)
     assert all(lv.equal and lv.containment_ok for lv in kernel_vs_ideal(jp, levels))

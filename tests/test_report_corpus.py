@@ -46,6 +46,11 @@ CASES = {
         "diag", "normality", "--space", "hardy-ball", "--m", "2", "--ideal", "z1^2,z2",
         "--max-level", "4", "--schatten", "2",
     ),
+    # a nonzero spherical defect on the full space
+    "normality-da-full": (
+        "diag", "normality", "--space", "da", "--m", "3", "--max-level", "8",
+        "--schatten", "1,2.5",
+    ),
     "section5-hb-quadric": (
         "diag", "section5", "--space", "hardy-ball", "--m", "2",
         "--ideal", "z1^2+(1+i)*z1*z2-z2^2", "--max-level", "8",
@@ -59,7 +64,13 @@ CASES = {
         "preg", "check", "--poly", "1/4*z1+1/4*z2+1/4*z1^2+1/8*z1*z2+1/8*z2^3", "--m", "2",
         "--max-wlevel", "6",
     ),
+    # a term of degree 9 above the check's weighted level 2
+    "preg-check-high-term": (
+        "preg", "check", "--poly", "1/2*z1+1/2*z1^9", "--m", "1", "--max-wlevel", "2",
+    ),
     "preg-kernel": ("preg", "kernel", "--poly", "1/2*z1+1/2*z1^2", "--m", "1", "--max-wlevel", "8"),
+    "trace-hb3": ("diag", "trace", "--space", "hardy-ball", "--m", "3", "--max-level", "12"),
+    "trace-da": ("diag", "trace", "--space", "da", "--m", "2", "--max-level", "8"),
     "ideal-hilbert": ("ideal", "hilbert", "--m", "3", "--ideal", "z1^2+z2*z3", "--max-level", "14"),
     "ideal-decompose": (
         "ideal", "decompose", "--m", "2", "--ideal", "z1*z2-z1^3,z2^2", "--weight", "1,2",
