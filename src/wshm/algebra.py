@@ -267,7 +267,7 @@ class GradedPolynomial:
     equality of term maps is equality of polynomials.
     """
 
-    __slots__ = ("m", "_terms", "_degree")
+    __slots__ = ("m", "_terms", "_degree", "_hash")
 
     def __init__(self, m: int, terms: Mapping[MultiIndex, ScalarLike] | None = None):
         if m < 1:
@@ -289,6 +289,7 @@ class GradedPolynomial:
         object.__setattr__(
             self, "_degree", max((sum(a) for a in clean), default=None)
         )
+        object.__setattr__(self, "_hash", None)  # set on first hash
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GradedPolynomial is immutable")
@@ -409,7 +410,9 @@ class GradedPolynomial:
         )
 
     def __hash__(self):
-        return hash((self.m, frozenset(self._terms.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.m, frozenset(self._terms.items()))))
+        return self._hash
 
     def __str__(self) -> str:
         if self.is_zero:

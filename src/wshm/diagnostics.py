@@ -44,6 +44,7 @@ from .operators import (
     full_realization,
     hermitian_eigh,
     mult_blocks,
+    onb_map,
     quotient_realization,
     svdvals,
 )
@@ -208,13 +209,17 @@ def normality_report(
     pairs = [(i, j) for i in range(m) for j in range(m)]
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
     comms = {(i, j): commutator_blocks(realization, z[i], z[j]) for i, j in pairs if i <= j}
-    # each level block of every C(z_i, z_j) and of a quotient's spherical defect
-    # goes to one stacked SVD per block shape; on the full space it is diagonal
+    # every level block of each C(z_i, z_j) and of a quotient's spherical defect
+    # goes to floats and SVD stacked by shape; norms and Schatten terms reduce
+    # the stacked singular values.  On the full space the defect is diagonal
     defect = defect_blocks(realization)
     ops = [*comms.values(), *([] if realization.is_full else [defect])]
-    flat = svdvals([op.onb_block(k) for op in ops for k in range(K + 1)])
-    svs = [flat[n:n + K + 1] for n in range(0, len(flat), K + 1)]
-    norms = [[float(sv.max(initial=0.0)) for sv in op_svs] for op_svs in svs]
+    def norm_and_terms(stack):
+        sv = svdvals(stack)
+        terms = ((sv**p).sum(axis=-1).tolist() for p in p_list)
+        return zip(sv.max(axis=-1, initial=0.0).tolist(), *terms)
+    flat = onb_map(norm_and_terms, [(op, k) for op in ops for k in range(K + 1)])
+    norms = [[t[0] for t in flat[n:n + K + 1]] for n in range(0, len(flat), K + 1)]
     defect_zero = not any(row for k in range(K + 1) for row in defect.block(k))
     if realization.is_full:
         # the full space's defect is diagonal, its products those of C(z_i, z_i)
@@ -223,7 +228,7 @@ def normality_report(
         defect_terms = {p: [float(sum(v**p for v in d)) for d in diag] for p in p_list}
     else:
         defect_norms = norms[-1]
-        defect_terms = {p: [float(np.sum(sv**p)) for sv in svs[-1]] for p in p_list}
+        defect_terms = {p: [t[n] for t in flat[-K - 1:]] for n, p in enumerate(p_list, 1)}
 
     report.tables.append(
         Table(
@@ -568,29 +573,29 @@ def section5_checks(
     [M_i, M_i^*] = M_i M_i^* - M_i^* M_i = -C(z_i, z_i) splits spectrally as
     P - N.  Both share the realization's products and need its levels to
     K + 1.  Exact blocks enter; the norms are float tier with
-    ``SECTION5_SLACK``.  P and N are read off the spectrum lam of
-    [M_i, M_i^*]_k (one stacked eigh per block shape), never formed: Tr P =
-    sum max(lam, 0), ||P|| = max(lam_max, 0) and ||N|| = max(-lam_min, 0);
+    ``SECTION5_SLACK``.  P and N are never formed: Tr P = sum max(lam, 0),
+    ||P|| = max(lam_max, 0) and ||N|| = max(-lam_min, 0) reduce the spectra
+    lam of one stacked eigh per block shape of [M_i, M_i^*]_k;
     :func:`~wshm.operators.pn_split` is the test reference.
     """
     m = realization.space.m
     x = codefect_blocks(realization)
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
     c = [commutator_blocks(realization, zi, zi) for zi in z]
-    # eigh(C) negated differs from eigh(-C) in the last bit on blocks past
-    # 25 x 25; 0.0 - C_k, unlike -C_k, keeps zeros +0.0: the bits of M M^* - M^* M
-    h = [0.0 - ci.onb_block(k) for k in range(K + 1) for ci in c]
-    lam = [vals for vals, _ in hermitian_eigh(h)]
-    x_svs = svdvals([x.onb_block(k) for k in range(K + 1)])
+    def trace_and_norms(stack):
+        # eigh(C) negated differs from eigh(-C) in the last bit on blocks past
+        # 25 x 25; 0.0 - C, unlike -C, keeps zeros +0.0: the bits of M M^* - M^* M
+        lam = hermitian_eigh(0.0 - stack)[0]
+        pos, neg = np.clip(lam, 0.0, None), np.clip(-lam, 0.0, None)
+        return zip(pos.sum(axis=-1).tolist(), pos.max(axis=-1, initial=0.0).tolist(),
+                   neg.max(axis=-1, initial=0.0).tolist())
+    pn = onb_map(trace_and_norms, [(ci, k) for k in range(K + 1) for ci in c])
+    x_norms = onb_map(lambda stack: svdvals(stack).max(axis=-1, initial=0.0).tolist(),
+                      [(x, k) for k in range(K + 1)])
     recs = []
-    for k in range(K + 1):
-        pos = [np.clip(v, 0.0, None) for v in lam[k * m:(k + 1) * m]]
-        neg = [np.clip(-v, 0.0, None) for v in lam[k * m:(k + 1) * m]]
-        lhs = sum(float(p.sum()) for p in pos)
-        p_norms = [float(p.max(initial=0.0)) for p in pos]
-        n_norms = [float(n.max(initial=0.0)) for n in neg]
-        x_norm = float(x_svs[k].max(initial=0.0))
-        rhs = bounded_dim * (2.0 * x_norm + sum(n_norms))
+    for k, x_norm in enumerate(x_norms):
+        traces, p_norms, n_norms = map(list, zip(*pn[k * m:(k + 1) * m]))
+        lhs, rhs = sum(traces), bounded_dim * (2.0 * x_norm + sum(n_norms))
         recs.append(
             Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)
         )

@@ -31,7 +31,8 @@ Everything here is exact: no tolerances and no floats.  An entry is
 triple directly (the only module besides ``algebra`` that does), so row
 operations create no Fraction.  Rank and dimension counts feed every
 downstream claim, so this module never rounds.  Float conversion for the
-numeric tier happens in one place, :func:`to_complex_array`.
+numeric tier happens in one place, :func:`to_complex_array`, one scatter per
+stack of same-shape blocks.
 """
 
 from __future__ import annotations
@@ -364,12 +365,15 @@ def solve(a: list[list], b: list[list]) -> list[list]:
     return [aug[i][n : n + ncols] for i in range(n)]
 
 
-def to_complex_array(a: list[Row], ncols: int) -> np.ndarray:
-    """The single exact-to-float crossing point (numeric tier)."""
-    out = np.zeros((len(a), ncols), dtype=complex)
-    for i, row in enumerate(a):
-        for j, v in row.items():
-            out[i, j] = complex(v)
+def to_complex_array(blocks: list[list[Row]], nrows: int, ncols: int) -> np.ndarray:
+    """The single exact-to-float crossing (numeric tier): B blocks of one
+    shape as one (B, nrows, ncols) array, filled by one scatter."""
+    out = np.zeros((len(blocks), nrows, ncols), dtype=complex)
+    at, vals = [], []
+    for i, row in enumerate(r for block in blocks for r in block):
+        at += [i * ncols + j for j in row]
+        vals += map(complex, row.values())
+    out.reshape(-1)[at] = vals
     return out
 
 

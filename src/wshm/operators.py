@@ -6,11 +6,11 @@ level.  Two arithmetic tiers are kept strictly apart:
 
 * exact tier -- bases, Gram diagonals, block entries, traces and dimensions
   are Gaussian-rational and never rounded;
-* float tier -- operator norms, singular values and spectral splits go
-  through an orthonormal-coordinate conversion (each block scaled by the
-  square roots of the Gram diagonals) into double precision.  A report hands
-  all its blocks to :func:`svdvals` or :func:`hermitian_eigh` at once: one
-  stacked SVD or eigh per block shape per report, bit for bit per block.
+* float tier -- norms, singular values and spectra go through an
+  orthonormal-coordinate conversion (each block scaled by the square roots of
+  the Gram diagonals) into double precision.  :func:`onb_map` groups a
+  report's (operator, level) items by block shape once: each shape goes to
+  floats, to SVD or eigh and through its reductions as one stacked array.
 
 Truncation windows are explicit, and the realization is their one source.
 Every block is exact on the levels it reads; reading a block at a level
@@ -253,23 +253,42 @@ class GradedOperator:
     # -- float tier -----------------------------------------------------
 
     def onb_block(self, k: int) -> np.ndarray:
-        """The block in orthonormal coordinates (norms become honest)."""
-        b = self.block(k)
-        nr, nc = self.block_shape(k)
-        f = ela.to_complex_array(b, nc)
-        if nr == 0 or nc == 0:
-            return f.reshape(nr, nc)
-        r = self.realization
-        xt, st = r.level(k + self.shift).onb_scale
-        xs, ss = r.level(k).onb_scale
-        # power-of-two scaling is exact: with every s = 0 the factor is 1.0
-        return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
+        """The block in orthonormal coordinates (norms become honest): the
+        one-item case of :func:`onb_map`."""
+        return onb_map(lambda stack: stack, [(self, k)])[0]
 
     def norm(self, k: int) -> float:
         return float(self.singular_values(k).max(initial=0.0))
 
     def singular_values(self, k: int) -> np.ndarray:
-        return svdvals([self.onb_block(k)])[0]
+        return svdvals(self.onb_block(k)[None])[0]
+
+
+def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
+    """``fn`` applied once per block shape to the (B, nr, nc) stack of the
+    items' blocks (operator, level) in orthonormal coordinates, its results
+    handed back per item in input order.  A shape's blocks cross to floats in
+    one :func:`~wshm.exact_linalg.to_complex_array` call and are scaled by
+    sqrt(g_t) / sqrt(g_s) in a one-block scaling's elementwise order, so each
+    member keeps its bits; numpy runs LAPACK on each member of a stack in
+    turn, so ``fn`` hands the stack to SVD or eigh as it is."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for n, (op, k) in enumerate(items):
+        groups.setdefault(op.block_shape(k), []).append(n)
+    out = [None] * len(items)
+    for (nr, nc), idx in groups.items():
+        group = [items[n] for n in idx]
+        f = ela.to_complex_array([op.block(k) for op, k in group], nr, nc)
+        if nr and nc:
+            xt, st = map(np.array, zip(*(op.realization.level(k + op.shift).onb_scale
+                                         for op, k in group)))
+            xs, ss = map(np.array, zip(*(op.realization.level(k).onb_scale for op, k in group)))
+            # power-of-two scaling is exact: with every s = 0 the factor is 1.0
+            f = (f * xt[:, :, None] * (1.0 / xs[:, None, :])
+                 * np.ldexp(1.0, st[:, :, None] - ss[:, None, :]))
+        for n, res in zip(idx, fn(f)):
+            out[n] = res
+    return out
 
 
 def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
@@ -409,11 +428,13 @@ def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> Gra
     return _own(realization, realization._prod[(p, q)][adj_first])
 
 
-def op_sub(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+def op_sub(a: GradedOperator, b: GradedOperator, c=1) -> GradedOperator:
+    """a - c b for an exact scalar c."""
     assert a.realization is b.realization and a.shift == b.shift
 
     def block(k: int) -> list[ela.Row]:
-        return ela.mat_sub(a.block(k), b.block(k))
+        bk = b.block(k) if c == 1 else [{j: v * c for j, v in row.items()} for row in b.block(k)]
+        return ela.mat_sub(a.block(k), bk)
 
     return GradedOperator(a.realization, a.shift, _OnDemand(block))
 
@@ -438,8 +459,9 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
     """I - sum_t a_t M_t^* M_t if ``adj_first`` else I - sum_t a_t M_t M_t^*,
     M_t = M_{z^{alpha_t}}, over the terms (a_t, alpha_t) of a positive regular
     P, by default the m-shift's (a_t = 1, alpha_t = e_i): one exact square
-    block per level.  Term t is the product of M_p and M_q^*, p = a_t
-    z^{alpha_t} and q = z^{alpha_t}, so the m-shift shares C(z_i, z_i)'s."""
+    block per level.  Term t is a_t times the product of M_q and M_q^*, q =
+    z^{alpha_t}, so each term builds one multiplier and the m-shift shares
+    C(z_i, z_i)'s products."""
     m = realization.space.m
     acc = identity_blocks(realization)
     if terms is None:
@@ -447,7 +469,7 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
     for a, alpha in terms:
         if a:
             q = GradedPolynomial(m, {alpha: 1})
-            acc = op_sub(acc, product_blocks(realization, q.scale(a), q, adj_first))
+            acc = op_sub(acc, product_blocks(realization, q, q, adj_first), a)
     return acc
 
 
@@ -467,41 +489,27 @@ def codefect_blocks(realization: ModuleRealization) -> GradedOperator:
 HERMITIAN_TOL = 1e-10
 
 
-def _per_shape(fn, blocks: list[np.ndarray]) -> list:
-    """``fn`` applied once to the stack of each shape's blocks, its results
-    handed back per block in input order.  numpy runs LAPACK on each member
-    of a stack in turn, so each result has the bits of a one-block call."""
-    out = [None] * len(blocks)
-    for shape in dict.fromkeys(b.shape for b in blocks):
-        idx = [n for n, b in enumerate(blocks) if b.shape == shape]
-        for n, res in zip(idx, fn(np.stack([blocks[n] for n in idx]))):
-            out[n] = res
-    return out
+def svdvals(stack: np.ndarray) -> np.ndarray:
+    """The singular values of each member of a (B, nr, nc) stack, one SVD
+    call (float tier)."""
+    return np.linalg.svd(stack, compute_uv=False)
 
 
-def svdvals(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The singular values of each block, one SVD per block shape (float tier)."""
-    return _per_shape(partial(np.linalg.svd, compute_uv=False), blocks)
-
-
-def hermitian_eigh(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors) of each block, one eigh per block shape
-    (float tier).  Every block must be Hermitian within ``HERMITIAN_TOL``
-    relative to its size; its Hermitian part is decomposed."""
-    def eigh(h: np.ndarray):
-        ht = h.conj().swapaxes(-1, -2)
-        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
-        if (np.abs(h - ht).max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
-            raise WshmError("a Hermitian spectrum requires Hermitian blocks")
-        return zip(*np.linalg.eigh((h + ht) / 2.0))
-
-    return _per_shape(eigh, blocks)
+def hermitian_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of each member of a (B, n, n) stack, one
+    eigh call (float tier).  Every member must be Hermitian within
+    ``HERMITIAN_TOL`` relative to its size; its Hermitian part is decomposed."""
+    ht = stack.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(stack - ht).max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
+        raise WshmError("a Hermitian spectrum requires Hermitian blocks")
+    return np.linalg.eigh((stack + ht) / 2.0)
 
 
 def pn_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral split H = P - N with P, N >= 0 and P N = 0 (float tier) from
-    one-block :func:`hermitian_eigh`: the test reference for section5."""
-    [(vals, vecs)] = hermitian_eigh([np.asarray(h, dtype=complex)])
+    one-member :func:`hermitian_eigh`: the test reference for section5."""
+    vals, vecs = (a[0] for a in hermitian_eigh(np.asarray(h, dtype=complex)[None]))
     pos = vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T
     neg = vecs @ np.diag(np.clip(-vals, 0.0, None)) @ vecs.conj().T
     return (pos + pos.conj().T) / 2.0, (neg + neg.conj().T) / 2.0

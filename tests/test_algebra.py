@@ -168,6 +168,25 @@ def test_polynomial_degrees_and_homogeneity():
     assert GradedPolynomial.zero(2).degree is None
 
 
+def test_polynomial_hash_is_kept_and_matches_the_term_formula(monkeypatch):
+    # equal polynomials built apart hash equal, to the value of the term-set
+    # formula; the hash is taken once per object, so a second lookup hashes
+    # no coefficient again
+    p, q = sample_polys()
+    built = [(p + q, q + p), (p * q, q * p), ((p + q) - q, p)]
+    for a, b in built:
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((a.m, frozenset(a._terms.items())))
+    calls = []
+    coeff_hash = GaussianRational.__hash__
+    monkeypatch.setattr(GaussianRational, "__hash__", lambda g: calls.append(1) or coeff_hash(g))
+    r = p * q + p
+    h = hash(r)
+    assert calls and hash(r) == h and {r: 1}[r * GradedPolynomial.constant(2, 1)] == 1
+    first = len(calls)
+    assert hash(r) == h and len(calls) == first
+
+
 def test_polynomial_times_monomial():
     p, _ = sample_polys()
     shifted = p.times_monomial((0, 3))

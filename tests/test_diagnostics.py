@@ -259,18 +259,49 @@ def test_section5_check_matches_whole_operator_reference(gen):
 def test_section5_spectrum_is_the_self_commutators_bit_for_bit():
     # section5 reads [M_i, M_i^*] = M_i M_i^* - M_i^* M_i as 0.0 - C(z_i, z_i)
     # in float: the same bits, also for blocks past 25 x 25, where eigh(-C)
-    # is not exactly eigh(C) negated and reversed; levels >= 26 are 27 x 27
+    # is not exactly eigh(C) negated and reversed; levels >= 26 are 27 x 27.
+    # Its stacked reductions Tr P, ||P||, ||N|| and ||X|| are those of one
+    # block at a time, bit for bit
     K = 30
     ideal = GradedIdeal(2, [parse_polynomial("z1^27+(1+i)*z1^3*z2^24-z2^27", 2)])
     r = quotient_realization(builtin_space("da", 2), ideal, K + 1)
     recs = section5_checks(r, K, 27)
+    traces = [0] * (K + 1)
     for i in range(2):
         h = operators.op_sub(*(operators.product_blocks(r, z(i), z(i), f) for f in (False, True)))
-        spectra = operators.hermitian_eigh([h.onb_block(k) for k in range(K + 1)])
-        pos = [float(np.clip(v, 0.0, None).max(initial=0.0)) for v, _ in spectra]
-        neg = [float(np.clip(-v, 0.0, None).max(initial=0.0)) for v, _ in spectra]
+        spectra = [operators.hermitian_eigh(h.onb_block(k)[None])[0][0] for k in range(K + 1)]
+        pos = [float(np.clip(v, 0.0, None).max(initial=0.0)) for v in spectra]
+        neg = [float(np.clip(-v, 0.0, None).max(initial=0.0)) for v in spectra]
         assert [rec.p_norms[i] for rec in recs] == pos
         assert [rec.n_norms[i] for rec in recs] == neg
+        traces = [t + float(np.clip(v, 0.0, None).sum()) for t, v in zip(traces, spectra)]
+    assert [rec.lhs for rec in recs] == traces
+    x = operators.codefect_blocks(r)
+    assert [rec.x_norm for rec in recs] == [x.norm(k) for k in range(K + 1)]
+    assert max(h.block_shape(k) for k in range(K + 1)) == (27, 27)
+
+
+def test_reports_cross_to_floats_once_per_block_shape(monkeypatch):
+    # every block of one shape crosses in one scatter: the normality report
+    # stacks all its blocks, section5 its self commutators (for eigh) and its
+    # X (for SVD) apart; hb2 z1^2+(1+i)z1z2-z2^2 has levels of dimension 1, 2, 2, ...
+    calls = []
+    crossing = ela.to_complex_array
+
+    def counted(blocks, nr, nc):
+        calls.append(len(blocks))
+        return crossing(blocks, nr, nc)
+
+    monkeypatch.setattr(ela, "to_complex_array", counted)
+    hb = builtin_space("hardy-ball", 2)
+    ideal = GradedIdeal(2, [parse_polynomial("z1^2+(1+i)*z1*z2-z2^2", 2)])
+    K = 8
+    normality_report(quotient_realization(hb, ideal, K + 2), K, [2.0])
+    # C(z1, z1), C(z1, z2), C(z2, z2) and the defect; shapes (1, 1) and (2, 2)
+    assert len(calls) == 2 and sum(calls) == 4 * (K + 1)
+    calls.clear()
+    section5_report(hb, ideal, K)
+    assert len(calls) == 4 and sum(calls) == 3 * (K + 1)
 
 
 def test_section5_report_block_work_is_linear_in_levels(monkeypatch):

@@ -27,6 +27,7 @@ from wshm.operators import (
     hermitian_eigh,
     identity_blocks,
     mult_blocks,
+    onb_map,
     op_sub,
     pn_split,
     quotient_realization,
@@ -508,11 +509,15 @@ def test_onb_scale_is_the_rounded_fraction_bit_for_bit(norm, den):
     assert xs[0].hex() == (float(g * Fraction(2) ** (-2 * s)) ** 0.5).hex()
 
 
-@pytest.mark.parametrize(
+# (src, tgt) Gram entries of two one-coordinate levels, far outside double range
+BEYOND_DOUBLE_RANGE = pytest.mark.parametrize(
     "src, tgt",
     [((1, 2**2100), (3, 2**2101)), ((2**2100, 1), (5 * 2**2097, 1))],
     ids=["underflow", "overflow"],
 )
+
+
+@BEYOND_DOUBLE_RANGE
 def test_onb_block_between_levels_beyond_double_range(src, tgt):
     # a 1x1 block between two levels whose Gram entries lie far outside the
     # range of a double matches the exact ratio b * sqrt(g_tgt / g_src)
@@ -523,6 +528,65 @@ def test_onb_block_between_levels_beyond_double_range(src, tgt):
     ratio = Fraction(*tgt) / Fraction(*src)
     want = complex(b) * float(ratio) ** 0.5
     assert got.shape == (1, 1) and abs(got[0, 0] - want) <= 1e-15 * abs(want)
+
+
+def one_block_crossing(op, k):
+    """Reference: block k crossed to floats entry by entry, then scaled by
+    sqrt(g_t) / sqrt(g_s) on its own, in the stacked crossing's order."""
+    nr, nc = op.block_shape(k)
+    f = np.zeros((nr, nc), dtype=complex)
+    for i, row in enumerate(op.block(k)):
+        for j, v in row.items():
+            f[i, j] = complex(v)
+    if nr == 0 or nc == 0:
+        return f
+    xt, st = op.realization.level(k + op.shift).onb_scale
+    xs, ss = op.realization.level(k).onb_scale
+    return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
+
+
+def assert_stacked_crossing_is_per_block(items):
+    got = onb_map(lambda stack: stack, items)
+    assert len(got) == len(items)
+    for (op, k), f in zip(items, got):
+        want = one_block_crossing(op, k)
+        assert f.shape == want.shape and f.tobytes() == want.tobytes()
+        assert op.onb_block(k).tobytes() == want.tobytes()
+
+
+def test_stacked_crossing_is_per_block_on_a_mixed_shape_report():
+    # every block the hb3 z1+z2+z3 normality report crosses at K=4: the six
+    # C(z_i, z_j), i <= j, and the defect, levels 0..4, five shapes interleaved
+    K = 4
+    gen = parse_polynomial("z1+z2+z3", 3)
+    r = quotient_realization(builtin_space("hardy-ball", 3), GradedIdeal(3, [gen]), K + 2)
+    ops = [commutator_blocks(r, z(i, 3), z(j, 3)) for i in range(3) for j in range(i, 3)]
+    items = [(op, k) for op in [*ops, defect_blocks(r)] for k in range(K + 1)]
+    assert len({op.block_shape(k) for op, k in items}) == K + 1
+    assert_stacked_crossing_is_per_block(items)
+
+
+@BEYOND_DOUBLE_RANGE
+def test_stacked_crossing_with_empty_blocks_and_gram_beyond_double_range(src, tgt):
+    # 1x1 blocks between levels whose Gram entries lie far outside the range
+    # of a double stack with members of other levels, next to 0 x 1 and 1 x 0
+    # blocks into and out of an empty level 2
+    r = full_realization(builtin_space("polydisk-hardy", 1), 2)
+    r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
+    r._levels[2] = _Level([(2,)], {(2,): 0}, [1], 1, [], [], [0])
+    b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    up = GradedOperator(r, 1, {0: [{0: b}], 1: []})
+    down = GradedOperator(r, -1, {1: [{0: -b}], 2: [{}]})
+    same = GradedOperator(r, 0, {0: [{0: G_ONE}], 1: [{0: b}], 2: []})
+    items = [(up, 0), (up, 1), (down, 1), (same, 2), (down, 2), (same, 0), (same, 1)]
+    assert [op.block_shape(k) for op, k in items] == [
+        (1, 1), (0, 1), (1, 1), (0, 0), (1, 0), (1, 1), (1, 1)]
+    assert_stacked_crossing_is_per_block(items)
+    got = onb_map(lambda stack: stack, items)
+    ratio = Fraction(*tgt) / Fraction(*src)
+    want = complex(b) * float(ratio) ** 0.5
+    assert abs(got[0][0, 0] - want) <= 1e-15 * abs(want)
+    assert abs(got[2][0, 0] + complex(b) / float(ratio) ** 0.5) <= 1e-15 * abs(want / ratio)
 
 
 # -- pn split -----------------------------------------------------------------
@@ -564,27 +628,35 @@ def _random_block(rng, shape, hermitian=False):
     return (a + a.conj().T) / 2 if hermitian else a
 
 
+def _by_shape(blocks):
+    """The blocks grouped by shape, each group stacked as one (B, nr, nc) array."""
+    shapes = dict.fromkeys(b.shape for b in blocks)
+    return [np.stack([b for b in blocks if b.shape == s]) for s in shapes]
+
+
 def test_stacked_svdvals_match_one_block_calls_bit_for_bit():
     rng = np.random.default_rng(11)
     blocks = [_random_block(rng, s) for s in SHAPES]
-    got = svdvals(blocks)
-    assert len(got) == len(blocks)
-    for b, sv in zip(blocks, got):
-        want = np.linalg.svd(b, compute_uv=False)
-        assert sv.shape == want.shape and sv.dtype == want.dtype
-        assert sv.tobytes() == want.tobytes()
+    for stack in _by_shape(blocks):
+        got = svdvals(stack)
+        assert len(got) == len(stack)
+        for b, sv in zip(stack, got):
+            want = np.linalg.svd(b, compute_uv=False)
+            assert sv.shape == want.shape and sv.dtype == want.dtype
+            assert sv.tobytes() == want.tobytes()
 
 
 def test_stacked_hermitian_eigh_matches_one_block_calls_bit_for_bit():
     rng = np.random.default_rng(13)
     shapes = [s for s in SHAPES if s[0] == s[1]] + [(2, 2), (0, 0), (3, 3)]
     blocks = [_random_block(rng, s, hermitian=True) for s in shapes]
-    got = hermitian_eigh(blocks)
-    assert len(got) == len(blocks)
-    for h, (vals, vecs) in zip(blocks, got):
-        want_vals, want_vecs = np.linalg.eigh(h)  # h is exactly Hermitian
-        assert vals.tobytes() == want_vals.tobytes() and vals.shape == want_vals.shape
-        assert vecs.tobytes() == want_vecs.tobytes() and vecs.shape == want_vecs.shape
+    for stack in _by_shape(blocks):
+        vals, vecs = hermitian_eigh(stack)
+        assert len(vals) == len(vecs) == len(stack)
+        for h, v, u in zip(stack, vals, vecs):
+            want_vals, want_vecs = np.linalg.eigh(h)  # h is exactly Hermitian
+            assert v.tobytes() == want_vals.tobytes() and v.shape == want_vals.shape
+            assert u.tobytes() == want_vecs.tobytes() and u.shape == want_vecs.shape
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])
@@ -593,7 +665,7 @@ def test_stacked_hermitian_eigh_rejects_any_non_hermitian_member(where):
     blocks = [_random_block(rng, (2, 2), hermitian=True) for _ in range(5)]
     blocks[where] = blocks[where] + np.array([[0.0, 1e-6], [0.0, 0.0]])
     with pytest.raises(WshmError):
-        hermitian_eigh(blocks)
+        hermitian_eigh(np.stack(blocks))
 
 
 # -- schatten -----------------------------------------------------------------

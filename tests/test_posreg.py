@@ -119,6 +119,21 @@ def test_defect_projection_identity_skips_a_zero_term():
     assert defect_projection_check(poly, 6).passed
 
 
+def test_p_defect_builds_one_multiplier_per_term(monkeypatch):
+    # term t is a_t M_q M_q^* with q = z^{alpha_t}: a scaled term builds no
+    # second multiplier beside M_q, so each check builds M_q's blocks k with
+    # k + |alpha_t| <= 8 once: 8 + 8 + 7 for z1, z2 and z1*z2
+    from wshm import operators
+
+    calls = []
+    mult_block = operators._mult_block
+    monkeypatch.setattr(operators, "_mult_block", lambda *a: calls.append(1) or mult_block(*a))
+    poly = preg(P_FLAG, 2)
+    for _ in range(50):
+        assert defect_projection_check(poly, 8).passed
+    assert len(calls) == 1150
+
+
 def test_jp_data_flagship():
     data = jp_data(preg(P_FLAG, 2))
     assert data.total_vars == 3
