@@ -93,8 +93,10 @@ def _parse_params(pairs: list[str]) -> dict:
     for pair in pairs:
         if "=" not in pair:
             raise WshmError(f"--param needs K=V, got {pair!r}")
-        k, v = pair.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in pair.split("=", 1))
+        if k in out:
+            raise WshmError(f"--param {k} given twice")
+        out[k] = v
     return out
 
 

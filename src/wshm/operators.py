@@ -18,14 +18,13 @@ outside [0, max_level], or one whose build reads such a level, raises
 :class:`~wshm.errors.WindowError` -- silent truncation artifacts are the
 main correctness hazard of this whole artifact.
 
-Evaluation is on demand.  Levels and the blocks of every multiplier,
-identity, adjoint, composition and difference are built on first read and
-kept, so a report builds exactly the levels it reads, each once per
-operator, however many levels the realization has.  Multipliers, their
-adjoints and the products M_q^* M_p and M_p M_q^* are cached per
-realization, so every commutator and defect shares one build of each.  No
-block projects: on a quotient M_p^* leaves S^perp invariant, and its blocks
-are read off directly.
+Evaluation is on demand.  An operator is its realization plus a hashable
+recipe (shift, builder, arguments), and the realization keeps one block cache
+keyed by recipe, so equal recipes share every block: a report builds the
+levels and blocks it reads, each once per realization however often it is
+assembled, and every commutator, defect and codefect shares one build of
+each multiplier, adjoint and product.  No block projects: on a quotient
+M_p^* leaves S^perp invariant, and its blocks are read off directly.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -42,9 +41,8 @@ projection onto constants with a positive sign).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -62,18 +60,6 @@ from .algebra import (
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
 from .spaces import WeightedShiftSpace
-
-
-class _OnDemand(dict):
-    """A cache whose missing key k is built by ``build(k)`` on first read and
-    kept, so that only the levels (or multipliers) some caller reads are built."""
-
-    def __init__(self, build):
-        self._build = build  # the dict itself starts empty
-
-    def __missing__(self, k):
-        value = self[k] = self._build(k)
-        return value
 
 
 @dataclass
@@ -115,12 +101,13 @@ class ModuleRealization:
     level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
     S_k}: Gaussian-integer kernel vectors read off that echelon form in closed
     form (no second elimination), orthogonalised by fraction-free Gram-Schmidt
-    so that its Gram matrix is diagonal too.  Each level up to ``max_level``
-    is built the first time it is read, and so is each block of
-    :func:`mult_blocks`, of its adjoint (read off by co-invariance on a
-    quotient, no projection) and of :func:`product_blocks`; all are
-    memoised here, so a realization is not safe to share between threads
-    without a lock, and no caller may mutate a block it reads.
+    so that its Gram matrix is diagonal too.  Two plain dicts memoise the
+    work: ``_levels`` holds each level up to ``max_level`` from its first
+    read, ``_blocks`` the blocks built so far of each
+    :class:`GradedOperator` recipe, by source level.  Neither refers to the
+    realization, so there is no reference cycle.  A realization is not safe
+    to share between threads without a lock, and no caller may mutate a
+    block it reads.
     """
 
     def __init__(
@@ -139,23 +126,8 @@ class ModuleRealization:
         self.space = space
         self.ideal = ideal
         self.max_level = max_level
-        # The caches refer to the realization weakly: a reference cycle would
-        # keep every level alive until the next full garbage collection.
-        me = weakref.proxy(self)
-        self._levels = _OnDemand(partial(ModuleRealization._build_level, me))
-        # polynomial -> blocks by source level of M_p and of M_p^*: one is built
-        # directly (closed-form M_p, or M_p^* read off), the other as its adjoint
-        if self.is_full:
-            mult = lambda p: _OnDemand(partial(_mult_block, me, p))
-            adj = lambda p: _OnDemand(partial(_adjoint_block, me, me._mult[p], p.degree))
-        else:
-            adj = lambda p: _OnDemand(partial(_coinvariant_block, me, p))
-            mult = lambda p: _OnDemand(partial(_adjoint_block, me, me._adj[p], -p.degree))
-        self._mult, self._adj = _OnDemand(mult), _OnDemand(adj)
-        # (p, q) -> (M_p M_q^*, M_q^* M_p), each over every level
-        self._prod = _OnDemand(lambda pq: _products(me, *pq))
-        # adj_first -> the m-shift's defect (True) or codefect (False)
-        self._defect = _OnDemand(partial(_sum_of_squares_defect, me))
+        self._levels: dict[int, _Level] = {}
+        self._blocks: dict[tuple, dict[int, list[ela.Row]]] = {}
 
     @property
     def is_full(self) -> bool:
@@ -184,14 +156,14 @@ class ModuleRealization:
 
     def level(self, k: int) -> _Level:
         self._check_level(k)
-        return self._levels[k]
+        lv = self._levels.get(k)
+        if lv is None:
+            lv = self._levels[k] = self._build_level(k)
+        return lv
 
     def comp_dim(self, k: int) -> int:
         """dim S_k^perp; zero below level 0."""
-        if k < 0:
-            return 0
-        self._check_level(k)
-        return len(self._levels[k].comp_rows)
+        return len(self.level(k).comp_rows) if k >= 0 else 0
 
     def project_to_complement(self, k: int, coords: ela.Row, den: int) -> ela.Row:
         """Complement coordinates <coords, w_s> / (den <w_s, w_s>) of the
@@ -216,31 +188,33 @@ def quotient_realization(
 class GradedOperator:
     """A graded operator as a family of per-level exact blocks.
 
-    ``blocks[k]`` maps level-k complement coordinates to level-(k + shift)
+    Block k maps level-k complement coordinates to level-(k + shift)
     coordinates: one sparse row per target coordinate, its shape given by
     :meth:`block_shape`.  Blocks whose target level is negative have no rows
-    (the operator kills those levels).  :meth:`block` raises WindowError when
-    k, or a level its build reads, lies outside the realization's levels.
-    ``blocks`` may be a plain dict or a cache that builds each block on first
-    read.  Blocks may be shared with other operators and must not be mutated;
-    ``adjoint`` optionally holds the adjoint's blocks, shared the same way.
+    (the operator kills those levels).  Block k is ``build(realization, k,
+    *args)``, built on first read and kept in the realization's cache under
+    ``recipe = (shift, build, *args)``, each operator argument entering as
+    its own recipe; operators with equal recipes share every block, so no
+    caller may mutate one.  :meth:`block` raises WindowError when k, or a
+    level its build reads, lies outside the realization's levels.
     """
 
-    def __init__(
-        self,
-        realization: ModuleRealization,
-        shift: int,
-        blocks: dict[int, list[ela.Row]],
-        adjoint: dict[int, list[ela.Row]] | None = None,
-    ):
+    def __init__(self, realization: ModuleRealization, shift: int, build, *args):
         self.realization = realization
         self.shift = shift
-        self._blocks = blocks
-        self._adjoint = adjoint
+        self.build = build
+        self.args = args
+        self.recipe = (shift, build, *(a.recipe if isinstance(a, GradedOperator) else a
+                                       for a in args))
+        # fetched once: a block read hashes no recipe
+        self._cache = realization._blocks.setdefault(self.recipe, {})
 
     def block(self, k: int) -> list[ela.Row]:
         self.realization._check_level(k)
-        return self._blocks[k]
+        block = self._cache.get(k)
+        if block is None:
+            block = self._cache[k] = self.build(self.realization, k, *self.args)
+        return block
 
     def block_shape(self, k: int) -> tuple[int, int]:
         r = self.realization
@@ -295,14 +269,15 @@ def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.
     return [{} for _ in range(realization.comp_dim(k + shift))]
 
 
+def _identity_block(r: ModuleRealization, k: int) -> list[ela.Row]:
+    return [{i: G_ONE} for i in range(r.comp_dim(k))]
+
+
 def identity_blocks(realization: ModuleRealization) -> GradedOperator:
-    def block(k: int) -> list[ela.Row]:
-        return [{i: G_ONE} for i in range(realization.comp_dim(k))]
-
-    return GradedOperator(realization, 0, _OnDemand(block))
+    return GradedOperator(realization, 0, _identity_block)
 
 
-def _mult_block(r: ModuleRealization, p: GradedPolynomial, k: int) -> list[ela.Row]:
+def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial) -> list[ela.Row]:
     """Block k of M_p on the full space: source level k, target k + deg p."""
     terms = list(p.terms())
     tgt = r.level(k + p.degree)
@@ -313,7 +288,7 @@ def _mult_block(r: ModuleRealization, p: GradedPolynomial, k: int) -> list[ela.R
     return block
 
 
-def _coinvariant_block(r: ModuleRealization, p: GradedPolynomial, j: int) -> list[ela.Row]:
+def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial) -> list[ela.Row]:
     """Block j of the compressed M_p^* on a quotient, with no projection: [I]
     is M_p-invariant, so x = M_p^* w_s lies in S_k^perp, k = j - deg p.  At a
     free column f, x_f = sum_beta conj(c_beta) w_s[f+beta] n_j[f+beta] d_k /
@@ -340,6 +315,14 @@ def _coinvariant_block(r: ModuleRealization, p: GradedPolynomial, j: int) -> lis
     return adj
 
 
+def _multiplier(r: ModuleRealization, p: GradedPolynomial) -> GradedOperator:
+    """M_p: closed-form on the full space, the adjoint of M_p^* on a quotient."""
+    if r.is_full:
+        return GradedOperator(r, p.degree, _mult_block, p)
+    return GradedOperator(r, p.degree, _adjoint_block,
+                          GradedOperator(r, -p.degree, _coinvariant_block, p))
+
+
 def mult_blocks(
     realization: ModuleRealization, p: GradedPolynomial, K: int
 ) -> GradedOperator:
@@ -347,10 +330,11 @@ def mult_blocks(
 
     On the full space these are the exact monomial-coordinate matrices of
     multiplication by p.  On a quotient column c holds the coordinates of the
-    projection of p * w_c onto S_{k+d}^perp, built as the adjoint of M_p^*.  Each
-    block is built the first time any operator returned here reads it, once
-    per realization and polynomial, and shared by all of them.  K only checks
-    that the realization has levels to K + d; block k reads levels k and k + d.
+    projection of p * w_c onto S_{k+d}^perp, built as the adjoint of M_p^*,
+    whose blocks are read off by co-invariance.  Every operator returned here
+    for one realization and polynomial has the same recipe, so each block is
+    built once and shared.  K only checks that the realization has levels to
+    K + d; block k reads levels k and k + d.
     """
     if p.is_zero or not p.is_homogeneous:
         raise ModeError(f"multiplier must be nonzero homogeneous, got {p}")
@@ -362,7 +346,7 @@ def mult_blocks(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
             f"have {realization.max_level}"
         )
-    return GradedOperator(realization, d, realization._mult[p], realization._adj[p])
+    return _multiplier(realization, p)
 
 
 def adjoint_blocks(op: GradedOperator) -> GradedOperator:
@@ -372,71 +356,57 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     (c, r) of block j is conj(B[r][c]) * g_j[r] / g_{j-d}[c] for the block B
     of op at source level j - d.  A source below the degree shift d maps into
     a negative level and gets a zero-row block.  Block j reads levels j and
-    j - d; a multiplier's adjoint is built once per realization.
+    j - d.  The adjoint of an adjoint is the operator itself, so M_p and
+    M_p^* map to each other's recipes: on the full space M_p^* is the
+    adjoint of the closed-form M_p, on a quotient M_p that of the read-off
+    M_p^*, and each is built once per realization, whichever is read first.
     """
-    r, d = op.realization, op.shift
-    blocks = op._adjoint
-    if blocks is None:
-        blocks = _OnDemand(partial(_adjoint_block, r, op._blocks, d))
-    return GradedOperator(r, -d, blocks)
+    if op.build is _adjoint_block:
+        return op.args[0]
+    return GradedOperator(op.realization, -op.shift, _adjoint_block, op)
 
 
-def _adjoint_block(r: ModuleRealization, blocks: dict, d: int, j: int) -> list[ela.Row]:
-    """Block j of the adjoint of a degree-d operator."""
-    k = j - d
+def _adjoint_block(r: ModuleRealization, j: int, op: GradedOperator) -> list[ela.Row]:
+    """Block j of the adjoint of ``op``."""
+    d, k = op.shift, j - op.shift
     if k < 0:
         return _zero_block(r, -d, j)
     tgt, src = r.level(j), r.level(k)
-    return ela.adjoint(blocks[k], tgt.norms, tgt.den, src.norms, src.den)
+    return ela.adjoint(op.block(k), tgt.norms, tgt.den, src.norms, src.den)
 
 
 def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     """a after b: block j is a's block j + b.shift times b's block j."""
     assert a.realization is b.realization
-    r = a.realization
-    shift = a.shift + b.shift
-
-    def block(j: int) -> list[ela.Row]:
-        mid = j + b.shift
-        if mid < 0:
-            return _zero_block(r, shift, j)
-        return ela.mat_mul(a.block(mid), b.block(j))
-
-    return GradedOperator(r, shift, _OnDemand(block))
+    return GradedOperator(a.realization, a.shift + b.shift, _compose_block, a, b)
 
 
-def _products(r: ModuleRealization, p, q) -> tuple[GradedOperator, GradedOperator]:
-    """(M_p M_q^*, M_q^* M_p) on the multiplier caches: a block raises
-    WindowError only when it reads a level the realization lacks."""
-    if p.m != r.space.m or q.m != r.space.m:
-        raise ModeError("multiplier variable count disagrees with realization")
-    mp = GradedOperator(r, p.degree, r._mult[p])
-    mq_adj = adjoint_blocks(GradedOperator(r, q.degree, r._mult[q], r._adj[q]))
-    return compose(mp, mq_adj), compose(mq_adj, mp)
-
-
-def _own(realization: ModuleRealization, op: GradedOperator) -> GradedOperator:
-    """The shared blocks of ``op``, cached on ``realization`` and so referring
-    to it by a weak proxy, in an operator that refers to ``realization`` itself."""
-    return GradedOperator(realization, op.shift, op._blocks)
+def _compose_block(r: ModuleRealization, j: int, a: GradedOperator, b: GradedOperator):
+    mid = j + b.shift
+    if mid < 0:
+        return _zero_block(r, a.shift + b.shift, j)
+    return ela.mat_mul(a.block(mid), b.block(j))
 
 
 def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> GradedOperator:
-    """M_q^* M_p if ``adj_first`` else M_p M_q^*.  Each block is built once
-    per realization, pair and order and shared by every operator returned
-    here."""
-    return _own(realization, realization._prod[(p, q)][adj_first])
+    """M_q^* M_p if ``adj_first`` else M_p M_q^*.  A block raises WindowError
+    only when it reads a level the realization lacks; equal products share
+    their blocks."""
+    if p.m != realization.space.m or q.m != realization.space.m:
+        raise ModeError("multiplier variable count disagrees with realization")
+    mp, mq_adj = _multiplier(realization, p), adjoint_blocks(_multiplier(realization, q))
+    return compose(mq_adj, mp) if adj_first else compose(mp, mq_adj)
 
 
 def op_sub(a: GradedOperator, b: GradedOperator, c=1) -> GradedOperator:
     """a - c b for an exact scalar c."""
     assert a.realization is b.realization and a.shift == b.shift
+    return GradedOperator(a.realization, a.shift, _sub_block, a, b, c)
 
-    def block(k: int) -> list[ela.Row]:
-        bk = b.block(k) if c == 1 else [{j: v * c for j, v in row.items()} for row in b.block(k)]
-        return ela.mat_sub(a.block(k), bk)
 
-    return GradedOperator(a.realization, a.shift, _OnDemand(block))
+def _sub_block(r: ModuleRealization, k: int, a: GradedOperator, b: GradedOperator, c):
+    bk = b.block(k) if c == 1 else [{j: v * c for j, v in row.items()} for row in b.block(k)]
+    return ela.mat_sub(a.block(k), bk)
 
 
 def commutator_blocks(
@@ -451,8 +421,7 @@ def commutator_blocks(
     for q in (f, g):
         if q.is_zero or not q.is_homogeneous:
             raise ModeError(f"commutator arguments must be nonzero homogeneous, got {q}")
-    products = partial(product_blocks, realization, f, g)
-    return op_sub(products(True), products(False))
+    return op_sub(*(product_blocks(realization, f, g, t) for t in (True, False)))
 
 
 def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, terms=None):
@@ -474,15 +443,14 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
 
 
 def defect_blocks(realization: ModuleRealization) -> GradedOperator:
-    """I - sum_i M_{z_i}* M_{z_i}, built once per realization; block k reads
-    levels k and k + 1."""
-    return _own(realization, realization._defect[True])
+    """I - sum_i M_{z_i}* M_{z_i}; block k reads levels k and k + 1."""
+    return _sum_of_squares_defect(realization, True)
 
 
 def codefect_blocks(realization: ModuleRealization) -> GradedOperator:
-    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis,
-    built once per realization; block k reads levels k - 1 and k."""
-    return _own(realization, realization._defect[False])
+    """I - sum_i M_{z_i} M_{z_i}*, the X operator of the block-shift analysis;
+    block k reads levels k - 1 and k."""
+    return _sum_of_squares_defect(realization, False)
 
 
 # relative asymmetry hermitian_eigh accepts as float rounding of a Hermitian block

@@ -421,6 +421,8 @@ def _raise_linalg_error(space, max_level):
         (("space", "describe", "--space", "da", "--param", "scale2=2"), None),
         (("diag", "koszul", "--m", "2", "--max-level", "4", "--module", "full",
           "--ideal", "z1^5"), None),
+        (("space", "describe", "--space", "polydisk", "--m", "1", "--param", "scale2=1/2",
+          "--param", "scale2=3"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
@@ -428,7 +430,8 @@ def _raise_linalg_error(space, max_level):
          "negative-wlevel-preg-check", "negative-level-koszul",
          "negative-preview-degree", "var-zero", "var-above-m",
          "scale2-not-a-number", "scale2-zero-denominator", "empty-table-path",
-         "custom-weight-key", "param-not-read-by-space", "koszul-full-with-ideal"],
+         "custom-weight-key", "param-not-read-by-space", "koszul-full-with-ideal",
+         "param-given-twice"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -247,13 +249,13 @@ def test_section5_check_matches_whole_operator_reference(gen):
             mm = compose(mi, adj).block(k)
             xk = ela.mat_sub(xk, mm)
             hk = ela.mat_sub(mm, compose(adj, mi).block(k))
-            h_onb = GradedOperator(r, 0, {k: hk}).onb_block(k)
+            h_onb = GradedOperator(r, 0, lambda _, j: hk).onb_block(k)
             p_part, n_part = pn_split(h_onb)
             # P and N are read off the spectrum, not reconstructed
             tol = 1e-12 * max(1.0, float(np.linalg.norm(h_onb, 2)))
             assert abs(rec.p_norms[i] - float(np.linalg.norm(p_part, 2))) <= tol
             assert abs(rec.n_norms[i] - float(np.linalg.norm(n_part, 2))) <= tol
-        assert rec.x_norm == GradedOperator(r, 0, {k: xk}).norm(k)
+        assert rec.x_norm == GradedOperator(r, 0, lambda _, j: xk).norm(k)
 
 
 def test_section5_spectrum_is_the_self_commutators_bit_for_bit():
@@ -316,13 +318,14 @@ def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
 
 def test_section5_builds_its_operators_once_per_report(monkeypatch):
     # X and each [M_i, M_i^*] come from the realization's shared products:
-    # at most 2 m compositions per report, however many levels it reads
+    # at most 2 m distinct compositions per report, however many levels it reads
     calls = []
     original = operators.compose
 
     def counted(a, b):
-        calls.append(1)
-        return original(a, b)
+        op = original(a, b)
+        calls.append(op.recipe)
+        return op
 
     for mod in (operators, diagnostics):  # wherever a module holds compose
         if getattr(mod, "compose", None) is original:
@@ -332,7 +335,7 @@ def test_section5_builds_its_operators_once_per_report(monkeypatch):
     for K in (4, 15):
         calls.clear()
         section5_report(hb, GradedIdeal(2, [z(0) + z(1)]), K)
-        counts.append(len(calls))
+        counts.append(len(set(calls)))
     assert counts[0] == counts[1] <= 2 * 2
 
 
@@ -511,7 +514,7 @@ def test_each_read_off_block_is_built_once(monkeypatch):
     read_off = operators._coinvariant_block
     monkeypatch.setattr(
         operators, "_coinvariant_block",
-        lambda r, p, j: built.append((p, j)) or read_off(r, p, j),
+        lambda r, j, p: built.append((p, j)) or read_off(r, j, p),
     )
     m, K = 3, 2
     ideal = GradedIdeal(m, [parse_polynomial("z1+(2-i)*z2+z3", m)])
@@ -529,22 +532,61 @@ def test_each_read_off_block_is_built_once(monkeypatch):
 def test_normality_report_builds_each_multiplier_product_once(monkeypatch):
     # only C(z_i, z_j) with i <= j is built, and the products M_p M_q^* and
     # M_q^* M_p of each pair once per realization: the defect reuses the
-    # diagonal commutators' M_i^* M_i
-    calls, built = [], []
-    mat_mul, products = ela.mat_mul, operators._products
+    # diagonal commutators' M_i^* M_i.  A second report builds nothing
+    calls, subs, built = [], [], []
+    mat_mul, mat_sub, compose_block = ela.mat_mul, ela.mat_sub, operators._compose_block
     monkeypatch.setattr(ela, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    monkeypatch.setattr(ela, "mat_sub", lambda a, b: subs.append(1) or mat_sub(a, b))
     monkeypatch.setattr(
-        operators, "_products", lambda r, *pq: built.append(pq) or products(r, *pq)
+        operators, "_compose_block",
+        lambda r, j, a, b: built.append((a.recipe, b.recipe, j)) or compose_block(r, j, a, b),
     )
     m, K = 3, 2
     ideal = GradedIdeal(m, [z(0, m) + z(1, m) + z(2, m)])
     r = quotient_realization(builtin_space("hardy-ball", m), ideal, K + 2)
     first = normality_report(r, K, [2.0]).to_json()
     assert len(calls) <= 30  # 54 when every pair and the defect built their own
-    assert len(built) == len(set(built)) == m * (m + 1) // 2  # pairs i <= j
-    n_calls = len(calls)
+    assert len(built) == len(set(built))
+    assert len({(a, b) for a, b, _ in built}) == 2 * m * (m + 1) // 2  # pairs i <= j
+    n_calls, n_subs, n_built = len(calls), len(subs), len(built)
     assert normality_report(r, K, [2.0]).to_json() == first
-    assert len(calls) == n_calls and len(built) == m * (m + 1) // 2
+    assert (len(calls), len(subs), len(built)) == (n_calls, n_subs, n_built)
+
+
+def test_repeated_section5_checks_build_nothing_new(monkeypatch):
+    # every block of C(z_i, z_i) and of X is built by the first check: a
+    # later check on the same realization subtracts nothing again
+    subs = []
+    mat_sub = ela.mat_sub
+    monkeypatch.setattr(ela, "mat_sub", lambda a, b: subs.append(1) or mat_sub(a, b))
+    K = 15
+    r = quotient_realization(builtin_space("hardy-ball", 2), GradedIdeal(2, [z(0) + z(1)]), K + 1)
+    first = section5_checks(r, K, 1)
+    assert len(subs) == 2 * 2 * (K + 1)  # C(z_i, z_i) and X's two terms, per level
+    for _ in range(5):
+        assert section5_checks(r, K, 1) == first
+    assert len(subs) == 2 * 2 * (K + 1)
+
+
+@pytest.mark.parametrize("kind", ["full", "quotient"])
+def test_reports_leave_no_reference_cycle(kind):
+    # the level and block caches do not refer to the realization, so it dies
+    # with its last reference, without the cycle collector
+    hb, K = builtin_space("hardy-ball", 2), 3
+    if kind == "full":
+        r = full_realization(hb, K + 2)
+    else:
+        r = quotient_realization(hb, GradedIdeal(2, [z(0) + z(1)]), K + 2)
+    gc.collect()
+    gc.disable()
+    try:
+        normality_report(r, K, [2.0])
+        section5_checks(r, K, 1)
+        ref = weakref.ref(r)
+        del r
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_normality_columns_equal_one_block_norms_bit_for_bit():

@@ -434,6 +434,27 @@ def test_quotient_compressions_commute():
         assert ab.block(k) == ba.block(k)
 
 
+@pytest.mark.parametrize("kind", ["full", "quotient"])
+def test_equal_recipes_share_their_blocks(kind):
+    # an operator is its realization and a recipe: equal recipes read the
+    # same block objects, and the adjoint of M_p's adjoint is M_p itself
+    hb, K = builtin_space("hardy-ball", 2), 4
+    if kind == "full":
+        r = full_realization(hb, K + 2)
+    else:
+        r = quotient_realization(hb, GradedIdeal(2, [parse_polynomial("z1+(2-i)*z2", 2)]), K + 2)
+    f, g = z(0), z(0) * z(1)
+    first, second = commutator_blocks(r, f, g), commutator_blocks(r, f, g)
+    assert first.recipe == second.recipe
+    op = mult_blocks(r, g, K)
+    back = adjoint_blocks(adjoint_blocks(op))
+    assert back.recipe == op.recipe
+    for k in range(K + 1):
+        assert second.block(k) is first.block(k)
+        assert back.block(k) is op.block(k)
+    assert defect_blocks(r).block(K) is defect_blocks(r).block(K)
+
+
 def test_quotient_defect_norm_closed_form():
     # z1 + z2 + z3 on the m=3 Hardy ball: ||defect_k|| = 1/(k+3)
     hb = builtin_space("hardy-ball", 3)
@@ -473,6 +494,11 @@ def test_block_shift_data_z1_ideal_gives_z2_shift():
         onb = op2.onb_block(k)
         ratio = hb.shift_ratio((0, k), 1)
         assert abs(abs(onb[0, 0]) ** 2 - float(ratio)) < 1e-13
+
+
+def given(r, shift, blocks):
+    """An operator on r whose block k is blocks[k]."""
+    return GradedOperator(r, shift, lambda _, k: blocks[k])
 
 
 def one_dim_level(norm, den):
@@ -524,7 +550,7 @@ def test_onb_block_between_levels_beyond_double_range(src, tgt):
     r = full_realization(builtin_space("polydisk-hardy", 1), 1)
     r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
     b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
-    got = GradedOperator(r, 1, {0: [{0: b}]}).onb_block(0)
+    got = given(r, 1, {0: [{0: b}]}).onb_block(0)
     ratio = Fraction(*tgt) / Fraction(*src)
     want = complex(b) * float(ratio) ** 0.5
     assert got.shape == (1, 1) and abs(got[0, 0] - want) <= 1e-15 * abs(want)
@@ -575,9 +601,9 @@ def test_stacked_crossing_with_empty_blocks_and_gram_beyond_double_range(src, tg
     r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
     r._levels[2] = _Level([(2,)], {(2,): 0}, [1], 1, [], [], [0])
     b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
-    up = GradedOperator(r, 1, {0: [{0: b}], 1: []})
-    down = GradedOperator(r, -1, {1: [{0: -b}], 2: [{}]})
-    same = GradedOperator(r, 0, {0: [{0: G_ONE}], 1: [{0: b}], 2: []})
+    up = given(r, 1, {0: [{0: b}], 1: []})
+    down = given(r, -1, {1: [{0: -b}], 2: [{}]})
+    same = given(r, 0, {0: [{0: G_ONE}], 1: [{0: b}], 2: []})
     items = [(up, 0), (up, 1), (down, 1), (same, 2), (down, 2), (same, 0), (same, 1)]
     assert [op.block_shape(k) for op, k in items] == [
         (1, 1), (0, 1), (1, 1), (0, 0), (1, 0), (1, 1), (1, 1)]
