@@ -14,15 +14,16 @@ updated only by :func:`combine` (a * dst - b * src, content removed).
 Normalisation does its work once: :func:`integral` skips the lcm for a row
 with no denominator, and the content gcd stops as soon as it reaches 1, so a
 row that is already primitive costs one short scan and comes back as itself.
-:func:`rref` is the one elimination the package runs for ideal levels; its
-rows keep their own pivot entries, so a caller that needs the RREF divides
-once.  :func:`rank` stops after forward elimination.  Complement geometry
-runs on integer weights: :func:`complement_kernel` reads a basis of the
-orthogonal complement off the rref rows in closed form, :func:`orthogonalize`
-makes it orthogonal with integer norms, and :func:`back_substitute` reads a
-complement vector's coordinates off its free columns.  Blocks stay rational:
-:func:`mat_mul`, :func:`mat_sub` and :func:`adjoint` work on
-Gaussian rationals, as does :func:`reduce_against` (its residual is exact).
+:func:`rref` eliminates ideal levels up to a certified Groebner degree (past
+it, levels clear tails by :func:`combine` alone); its rows keep their own
+pivot entries, so a caller that needs the RREF divides once.  :func:`rank`
+stops after forward elimination.  Complement geometry runs on integer
+weights: :func:`complement_kernel` reads a basis of the orthogonal complement
+off reduced rows in closed form, :func:`orthogonalize` makes it orthogonal
+with integer norms, and :func:`back_substitute` reads a complement vector's
+coordinates off its free columns.  Blocks stay rational: :func:`mat_mul`,
+:func:`mat_sub` and :func:`adjoint` work on Gaussian rationals, as does
+:func:`reduce_against` (its residual is exact).
 :func:`kernel_basis`, :func:`solve` and :func:`project` are references the
 package no longer calls: tests check complement bases and blocks with them.
 
@@ -235,15 +236,15 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
 
 
 def complement_kernel(pivots: list[int], red: list[Row], n: list[int]) -> list[Row]:
-    """Basis of {v : <v, u_i> = 0 for every row u_i of :func:`rref`} under the
+    """Basis of {v : <v, u_i> = 0 for every reduced row u_i} under the
     integer weights ``n``: one primitive Gaussian-integer vector per free
     column f, in ascending order, with a positive entry at f.
 
     The constraint rows conj(u_i) * n need no elimination: u_i has its pivot
     entry at p_i and zeros in every other pivot column, so the kernel vector
-    for f with v_f = 1 is v_{p_i} = -conj(u_i[f]) u_i[p_i] n_f / (|u_i[p_i]|^2
-    n_{p_i}), exactly :func:`kernel_basis` of the constraint rows.  Each is
-    then scaled by the least L > 0 that makes it integral.
+    for f with v_f = 1 is v_{p_i} = -conj(u_i[f] / u_i[p_i]) n_f / n_{p_i} (a
+    row's scale cancels), exactly :func:`kernel_basis` of the constraint rows.
+    Each is then scaled by the least L > 0 that makes it integral.
     """
     pivot_set = set(pivots)
     basis = {f: {f: G_ONE} for f in range(len(n)) if f not in pivot_set}

@@ -2,9 +2,9 @@
 
 An ideal is *plain* homogeneous (every generator has a single total degree)
 or *quasi-homogeneous* for a weight vector n (every generator has a single
-weighted degree).  All level dimensions are computed by exact row reduction
-over the Gaussian rationals -- span dimension is field-linear and independent
-of any space's weights, so no tolerance can corrupt a count.
+weighted degree).  Levels are exact over the Gaussian rationals (see
+:meth:`GradedIdeal.level_data`) -- span dimension is field-linear and
+independent of any space's weights, so no tolerance can corrupt a count.
 
 The level-ell component of an ideal J in quasi(n) mode is
 
@@ -74,6 +74,8 @@ class GradedIdeal:
         # each generator's terms as a primitive Gaussian-integer row, made once
         self._gen_terms = tuple(list(ela.integral(dict(g.terms())).items()) for g in gens)
         self._level_cache: dict[int, tuple[list[int], list[ela.Row], list[MultiIndex]]] = {}
+        self.groebner_leads: list[MultiIndex] = []
+        self.k0: int | None = None
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -89,27 +91,62 @@ class GradedIdeal:
     def level_data(self, ell: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
         """(pivot columns, reduced rows, monomial column order) at level ell.
 
-        The reduced rows are the fraction-free ones of :func:`ela.rref`:
-        primitive Gaussian-integer rows, each with its own pivot entry.  The
-        cache fills idempotently; concurrent re-computation produces the
-        identical value.
+        Each row is primitive, nonzero at its pivot and zero in every other
+        pivot column; divided by its pivot entry it is the RREF row.  Quasi
+        levels and plain levels up to ``k0`` are :func:`ela.rref` of the
+        products z^beta g_j.  Plain levels fill in ascending order; k0 is the
+        first k >= D*(k), the top generator degree or deg lcm over pairs of
+        ``groebner_leads`` (pivots of levels <= k not e_i plus one of the level
+        below).  Their S-pairs then reduce to 0 in the eliminated levels, so
+        they lead a Groebner basis (Buchberger's criterion), and each level
+        past k0 is :meth:`_extend` of the one below (rows need not have rref's scale).
         """
-        cached = self._level_cache.get(ell)
-        if cached is not None:
-            return cached
-        monomials = enumerate_weighted_level(self.m, self.weight, ell)
+        if ell >= 0 and ell not in self._level_cache:
+            for k in range(len(self._level_cache) if self.mode == "plain" else ell, ell + 1):
+                self._level_cache[k] = self._eliminate(k) if self.k0 is None else self._extend(k)
+        return self._level_cache.get(ell, ([], [], []))
+
+    def _eliminate(self, k: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
+        monomials = enumerate_weighted_level(self.m, self.weight, k)
         col_of = {a: j for j, a in enumerate(monomials)}
-        rows: list[ela.Row] = []
-        for terms, dg in zip(self._gen_terms, self._gen_degrees):
-            rem = ell - dg
-            if rem < 0:
-                continue
-            for beta in enumerate_weighted_level(self.m, self.weight, rem):
-                rows.append({col_of[add_index(a, beta)]: c for a, c in terms})
+        rows = [{col_of[add_index(a, beta)]: c for a, c in terms}
+                for terms, dg in zip(self._gen_terms, self._gen_degrees)
+                for beta in enumerate_weighted_level(self.m, self.weight, k - dg)]
         pivots, red = ela.rref(rows, len(monomials))
-        result = (pivots, red, monomials)
-        self._level_cache[ell] = result
-        return result
+        if self.mode == "plain":
+            parent, leads = self._parents(k, monomials), self.groebner_leads
+            leads += [monomials[p] for p in pivots if p not in parent]
+            pairs = [sum(map(max, a, b)) for a in leads for b in leads]
+            if k >= max([*self._gen_degrees, *pairs], default=0):
+                self.k0 = k
+        return pivots, red, monomials
+
+    def _parents(self, k: int, monomials: list[MultiIndex]) -> dict[int, tuple[list[int], ela.Row]]:
+        """{column of gamma: (up, row of gamma - e_i at level k - 1)} over leading
+        monomials gamma - e_i, for the last such i (so tails stay standard); up
+        maps level k - 1's columns to level k's under multiplication by z_i."""
+        pivots_p, red_p, monos_p = self._level_cache.get(k - 1, ([], [], []))
+        col_of = {a: j for j, a in enumerate(monomials)}
+        parent = {}
+        for i in range(self.m):  # a later variable overwrites an earlier one
+            up = [col_of[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in monos_p]
+            parent.update((up[p], (up, row)) for p, row in zip(pivots_p, red_p))
+        return parent
+
+    def _extend(self, k: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
+        """Level k > k0 by rref's back phase alone: each parent row times z_i,
+        its tail pivots cleared against the rows of smaller leading monomials."""
+        monomials = enumerate_weighted_level(self.m, self.weight, k)
+        parent = self._parents(k, monomials)
+        red: dict[int, ela.Row] = {}
+        for p in sorted(parent, reverse=True):
+            up, row = parent[p]
+            row = {up[c]: v for c, v in row.items()}
+            for c in [c for c in row if c in red]:
+                row = ela.combine(red[c][c], row, row[c], red[c])
+            red[p] = row
+        pivots = sorted(red)
+        return pivots, [red[p] for p in pivots], monomials
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"

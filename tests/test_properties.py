@@ -1,21 +1,31 @@
 """Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
 weighted adjoint pairing of compressed multipliers, closed-form complement
 bases, kernel bases, elimination against a sympy oracle, sparse rows that
-never store a zero, the Koszul homology of a principal ideal, the
-polynomial text round trip, and the positive regular pipeline (delta table,
-P-defect, kernel of the comparison map, co-isometry, module map)."""
+never store a zero, ideal levels past a certified Groebner degree against
+from-scratch elimination and sympy's Groebner bases, the Koszul homology of
+a principal ideal, the polynomial text round trip, and the positive regular
+pipeline (delta table, P-defect, kernel of the comparison map, co-isometry,
+module map)."""
 
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 import wshm.exact_linalg as ela
-from wshm.algebra import G_ZERO, GaussianRational, GradedPolynomial, enumerate_level, sub_index
+from wshm.algebra import (
+    G_ZERO,
+    GaussianRational,
+    GradedPolynomial,
+    add_index,
+    enumerate_level,
+    sub_index,
+)
 from wshm.diagnostics import koszul_euler
 from wshm.ideals import GradedIdeal
 from wshm.operators import (
@@ -424,6 +434,82 @@ def test_fraction_free_rows_are_primitive_and_reduced(ncols, data):
         assert row[p] and not set(row) & (set(pivots) - {p})
     echelon = ela._echelon(rows, ncols)[1]
     assert no_zero_stored(echelon) and all(map(is_primitive, echelon))
+
+
+def generator_rows(ideal, k):
+    """(rows, ncols): level k's spanning products z^beta g_j, from scratch."""
+    monos = enumerate_level(ideal.m, k)
+    col = {a: j for j, a in enumerate(monos)}
+    rows = [{col[add_index(a, beta)]: c for a, c in g.terms()}
+            for g in ideal.generators for beta in enumerate_level(ideal.m, k - g.degree)]
+    return rows, len(monos)
+
+
+def over_pivots(pivots, red):
+    return [{c: v / row[p] for c, v in row.items()} for p, row in zip(pivots, red)]
+
+
+def certify(ideal):
+    k = 0
+    while ideal.k0 is None:
+        ideal.level_data(k)
+        k += 1
+
+
+# at m = 4 a level of dense generators takes the from-scratch reference
+# seconds (its coefficients grow), so m = 4 draws binomials
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.integers(2, 4))
+def test_ideal_levels_equal_from_scratch_rref(data, m):
+    # every level up to k0 + 8 -- eliminated up to the certified degree k0,
+    # then built from the level below -- is primitive and reduced, equals
+    # rref of its products z^beta g_j once each row is divided by its pivot,
+    # and is the same whichever order the levels are asked for in
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        monos = enumerate_level(m, data.draw(st.integers(1, 3)))
+        terms = st.dictionaries(st.sampled_from(monos), gaussian_ints.filter(bool),
+                                min_size=1, max_size=3 if m < 4 else 2)
+        gens.append(GradedPolynomial(m, data.draw(terms)))
+    ideal, shuffled = GradedIdeal(m, gens), GradedIdeal(m, gens)
+    certify(ideal)
+    levels = range(ideal.k0 + 9)
+    by_shuffle = {k: shuffled.level_data(k) for k in data.draw(st.permutations(levels))}
+    for k in levels:
+        pivots, red, monomials = ideal.level_data(k)
+        assert by_shuffle[k] == (pivots, red, monomials) and monomials == enumerate_level(m, k)
+        ref = ela.rref(*generator_rows(ideal, k))
+        assert pivots == ref[0] and over_pivots(pivots, red) == over_pivots(*ref)
+        assert no_zero_stored(red) and all(map(is_primitive, red))
+        for p, row in zip(pivots, red):
+            assert row[p] and not set(row) & (set(pivots) - {p})
+
+
+@pytest.mark.parametrize("gens, k0, nleads", [
+    ("z1*z2-z3^2,z1*z3-z2^2", 5, 3),
+    ("z1^2+(1+i)*z2*z3,z2^2-z1*z3,z3^3", 7, 6),
+])
+def test_certified_leading_monomials_match_sympy_groebner(gens, k0, nleads):
+    ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in gens.split(",")])
+    certify(ideal)
+    assert ideal.k0 == k0 and len(ideal.groebner_leads) == nleads
+    zs = sympy.symbols("z1 z2 z3")
+    polys = [
+        sum((sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))
+            * sympy.prod([x**e for x, e in zip(zs, a)]) for a, c in g.terms())
+        for g in ideal.generators
+    ]
+    basis = sympy.groebner(polys, *zs, order="grlex", domain=QQ_I)
+    assert set(ideal.groebner_leads) == {p.monoms(order="grlex")[0] for p in basis.polys}
+
+
+def test_an_uncertified_ideal_stays_on_rref():
+    # its pair z1*z2^10, z3^22 has lcm degree 33, so through level 26 no
+    # level is certified and every level is rref's own
+    ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in ("z1^2", "z1*z2^10-z3^11")])
+    for k in range(27):
+        assert ideal.level_data(k)[:2] == ela.rref(*generator_rows(ideal, k))
+    assert ideal.k0 is None and (0, 0, 22) in ideal.groebner_leads
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,6 +25,12 @@ CASES = {
         "diag", "koszul", "--m", "2", "--ideal", "z1^2,z1*z2", "--module", "ideal",
         "--max-level", "8",
     ),
+    # certified Groebner degree 5: the ideal module's basis past it is built
+    # from the level below, at another row scale than rref's
+    "koszul-ideal-twisted-cubic": (
+        "diag", "koszul", "--m", "3", "--ideal", "z1*z2-z3^2,z1*z3-z2^2", "--module", "ideal",
+        "--max-level", "9",
+    ),
     "koszul-quotient": (
         "diag", "koszul", "--m", "3", "--ideal", "z1+z2,z3^2", "--module", "quotient",
         "--max-level", "7",
