@@ -16,14 +16,17 @@ with no denominator, and the content gcd stops as soon as it reaches 1, so a
 row that is already primitive costs one short scan and comes back as itself.
 :func:`rref` eliminates ideal levels up to a certified Groebner degree (past
 it, levels clear tails by :func:`combine` alone); its rows keep their own
-pivot entries, so a caller that needs the RREF divides once.  :func:`rank`
-stops after forward elimination.  Complement geometry runs on integer
-weights: :func:`complement_kernel` reads a basis of the orthogonal complement
-off reduced rows in closed form, :func:`orthogonalize` makes it orthogonal
-with integer norms, and :func:`back_substitute` reads a complement vector's
-coordinates off its free columns.  Blocks stay rational: :func:`mat_mul`,
-:func:`mat_sub` and :func:`adjoint` work on Gaussian rationals, as does
-:func:`reduce_against` (its residual is exact).
+pivot entries, so a caller that needs the RREF divides once.  Its back phase
+removes each row's Gaussian-integer content, so pivot entries' Gaussian
+factors do not pile up.  :func:`rank` stops after forward elimination.
+Complement geometry runs on integer weights: :func:`complement_kernel` reads
+a basis of the orthogonal complement off reduced rows in closed form,
+:func:`orthogonalize` makes it orthogonal with integer norms, and
+:func:`back_substitute` reads a complement vector's coordinates off its free
+columns.  The block kernels :func:`mat_mul`, :func:`mat_sub` and
+:func:`back_substitute` sum integer triples over the lcm of their
+denominators and reduce once per output entry; :func:`adjoint` and
+:func:`reduce_against` (its residual is exact) work entry by entry.
 :func:`kernel_basis`, :func:`solve` and :func:`project` are references the
 package no longer calls: tests check complement bases and blocks with them.
 
@@ -62,6 +65,23 @@ def _content_free(row: Row) -> Row:
         if g == 1:
             return row
     return {c: _make(x._a // g, x._b // g, 1) for c, x in row.items()} if g else row
+
+
+def _gaussian_content_free(row: Row) -> Row:
+    """A Gaussian-integer row divided by the gcd in Z[i] of its entries (Euclid,
+    folded entry by entry until a unit, when ``row`` itself is returned)."""
+    ga = gb = 0
+    for x in row.values():
+        a, b = x._a, x._b
+        while a or b:  # (g, x) <- (x, g - q x), q the Gaussian integer nearest g / x
+            n2, re, im = 2 * (a * a + b * b), ga * a + gb * b, gb * a - ga * b
+            qr, qi = (2 * re + n2 // 2) // n2, (2 * im + n2 // 2) // n2
+            ga, gb, a, b = a, b, ga - qr * a + qi * b, gb - qr * b - qi * a
+        if ga * ga + gb * gb == 1:
+            return row
+    n = ga * ga + gb * gb
+    return {c: _make((x._a * ga + x._b * gb) // n, (x._b * ga - x._a * gb) // n, 1)
+            for c, x in row.items()} if n else row
 
 
 def over_common_denominator(row: Row) -> tuple[Row, int]:
@@ -145,12 +165,15 @@ def back_substitute(x: list[tuple[int, int]], dens: list[int], tri: list[tuple])
     tri[t] = (w_t[f_t], [(r, w_r[f_t]) for later rows r]) is lower triangular."""
     a: Row = {}
     for t in range(len(x) - 1, -1, -1):
-        (diag, later), acc = tri[t], _reduced(*x[t], dens[t])
+        (diag, later), (re, im), d = tri[t], x[t], dens[t]
         for r, y in later:
-            if r in a:
-                acc = acc - a[r] * y
-        if acc:
-            a[t] = acc / diag
+            z = a.get(r)
+            if z is not None:
+                za, zb, ya, yb = z._a, z._b, y._a, y._b
+                re, im, d = _sum_triple(re, im, d, zb * yb - za * ya, -za * yb - zb * ya, z._d * y._d)
+        if re or im:
+            c, e, f = diag._a, diag._b, diag._d
+            a[t] = _reduced((re * c + im * e) * f, (im * c - re * e) * f, d * (c * c + e * e))
     return a
 
 
@@ -185,15 +208,16 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
     """Fraction-free reduced row echelon form of the span of ``rows``.
 
     Returns (pivot columns ascending, reduced rows) where reduced row ``i`` is
-    a primitive Gaussian-integer row with a nonzero entry at ``pivots[i]`` and
-    zeros in every other pivot column.  Divided by that entry it is row ``i``
-    of the (unique) RREF.  Deterministic: identical input gives identical
-    output.
+    a Gaussian-integer row whose entries have a unit gcd in Z[i], with a
+    nonzero entry at ``pivots[i]`` and zeros in every other pivot column.
+    Divided by that entry it is row ``i`` of the (unique) RREF.
+    Deterministic: identical input gives identical output.
     """
     pivots, red = _echelon(rows, ncols)
     # Clear each pivot column above its row, last pivot row first.  Row i is
     # then zero in every later pivot column, so clearing it from a row above
     # adds entries in free columns only: the rows to clear are known upfront.
+    # Row i is final when its turn comes; its Gaussian content goes first.
     index = {p: i for i, p in enumerate(pivots)}
     above: list[list[int]] = [[] for _ in pivots]
     for j, row in enumerate(red):
@@ -201,7 +225,8 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[int], list[Row]]:
             if index.get(c, j) > j:
                 above[index[c]].append(j)
     for i in range(len(red) - 1, -1, -1):
-        p, row = pivots[i], red[i]
+        p, row = pivots[i], _gaussian_content_free(red[i])
+        red[i] = row
         for j in above[i]:
             red[j] = combine(row[p], red[j], red[j][p], row)
     return pivots, red
@@ -301,30 +326,44 @@ def reduce_against(row: Row, pivots: list[int], red: list[Row]) -> tuple[list[Ga
 # sparse blocks
 # ---------------------------------------------------------------------------
 
+def _sum_triple(a: int, b: int, d: int, c: int, e: int, f: int) -> tuple[int, int, int]:
+    """(a + b i) / d + (c + e i) / f as an unreduced triple over lcm(d, f)."""
+    if d == f:
+        return a + c, b + e, d
+    l = math.lcm(d, f)
+    s, t = l // d, l // f
+    return a * s + c * t, b * s + e * t, l
+
+
 def mat_sub(a: list[Row], b: list[Row]) -> list[Row]:
     """Row-wise a - b; entries that cancel are dropped."""
     out: list[Row] = []
     for ra, rb in zip(a, b):
         row = dict(ra)
-        for j, v in rb.items():
-            s = row.get(j, G_ZERO) - v
-            if s:
-                row[j] = s
+        for j, y in rb.items():
+            x = row.get(j, G_ZERO)
+            re, im, d = _sum_triple(x._a, x._b, x._d, -y._a, -y._b, y._d)
+            if re or im:
+                row[j] = _reduced(re, im, d)
             else:
-                row.pop(j, None)
+                del row[j]
         out.append(row)
     return out
 
 
 def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:
-    """Product a @ b, row by row (Gustavson): row i is sum_k a[i][k] * b[k]."""
+    """Product a @ b, row by row (Gustavson): row i is sum_k a[i][k] * b[k],
+    each entry summed as an integer triple and reduced once."""
     out: list[Row] = []
     for arow in a:
-        acc: Row = {}
-        for k, aik in arow.items():
-            for j, bkj in b[k].items():
-                acc[j] = acc.get(j, G_ZERO) + aik * bkj
-        out.append({j: v for j, v in acc.items() if v})
+        acc: dict[int, tuple[int, int, int]] = {}
+        for k, x in arow.items():
+            xa, xb, xd = x._a, x._b, x._d
+            for j, y in b[k].items():
+                re, im, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
+                t = acc.get(j)
+                acc[j] = (re, im, d) if t is None else _sum_triple(*t, re, im, d)
+        out.append({j: _reduced(*t) for j, t in acc.items() if t[0] or t[1]})
     return out
 
 

@@ -124,12 +124,13 @@ class GradedIdeal:
     def _parents(self, k: int, monomials: list[MultiIndex]) -> dict[int, tuple[list[int], ela.Row]]:
         """{column of gamma: (up, row of gamma - e_i at level k - 1)} over leading
         monomials gamma - e_i, for the last such i (so tails stay standard); up
-        maps level k - 1's columns to level k's under multiplication by z_i."""
-        pivots_p, red_p, monos_p = self._level_cache.get(k - 1, ([], [], []))
-        col_of = {a: j for j, a in enumerate(monomials)}
+        maps level k - 1's columns to level k's under multiplication by z_i.
+        Levels are in lex order and z_i keeps that order, mapping level k - 1
+        one to one onto the monomials with a_i >= 1: up is their column list."""
+        pivots_p, red_p, _ = self._level_cache.get(k - 1, ([], [], []))
         parent = {}
         for i in range(self.m):  # a later variable overwrites an earlier one
-            up = [col_of[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in monos_p]
+            up = [j for j, a in enumerate(monomials) if a[i]]
             parent.update((up[p], (up, row)) for p, row in zip(pivots_p, red_p))
         return parent
 

@@ -1,24 +1,27 @@
 """Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
 weighted adjoint pairing of compressed multipliers, closed-form complement
-bases, kernel bases, elimination against a sympy oracle, sparse rows that
-never store a zero, ideal levels past a certified Groebner degree against
-from-scratch elimination and sympy's Groebner bases, the Koszul homology of
-a principal ideal, the polynomial text round trip, and the positive regular
-pipeline (delta table, P-defect, kernel of the comparison map, co-isometry,
-module map)."""
+bases, kernel bases, elimination against a sympy oracle, Gaussian-integer
+content of reduced rows, sparse rows that never store a zero, ideal levels
+past a certified Groebner degree against from-scratch elimination and sympy's
+Groebner bases, the block kernels against entry-by-entry references, the
+Koszul homology of a principal ideal, the polynomial text round trip, and the
+positive regular pipeline (delta table, P-defect, kernel of the comparison
+map, co-isometry, module map)."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
 import wshm.exact_linalg as ela
 from wshm.algebra import (
+    G_ONE,
     G_ZERO,
     GaussianRational,
     GradedPolynomial,
@@ -378,6 +381,18 @@ def is_primitive(row):
     return all(x.denominator == 1 for x in parts) and math.gcd(*map(int, parts)) == 1
 
 
+def gaussian_content(row):
+    """sympy's gcd in Z[i] of a Gaussian-integer row's entries."""
+    g = ZZ_I.zero
+    for v in row.values():
+        g = ZZ_I.gcd(g, ZZ_I(int(v.re), int(v.im)))
+    return g
+
+
+def is_unit(g):
+    return g.x * g.x + g.y * g.y == 1
+
+
 def rows_of(entries):
     return st.lists(st.tuples(st.integers(0, 7), entries), max_size=5).map(
         lambda es: {c: v for c, v in es if v}
@@ -422,14 +437,16 @@ def test_one_pass_normalisation_matches_two_pass_reference(row):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ncols=st.integers(1, 8), data=st.data())
-def test_fraction_free_rows_are_primitive_and_reduced(ncols, data):
+@given(ncols=st.integers(1, 8), data=st.data(), factor=gaussian_ints.filter(bool))
+def test_fraction_free_rows_are_primitive_and_reduced(ncols, data, factor):
     # every rref row is a primitive Gaussian-integer row that stores no zero,
-    # keeps its pivot entry and is zero in every other pivot column; so are
-    # the echelon rows behind rank
-    rows = sparse_rows(data, ncols)
+    # keeps its pivot entry and is zero in every other pivot column, and its
+    # gcd in Z[i] is a unit even when every input row shares a Gaussian
+    # factor; the echelon rows behind rank are primitive too
+    rows = [{c: v * factor for c, v in row.items()} for row in sparse_rows(data, ncols)]
     pivots, red = ela.rref(rows, ncols)
     assert no_zero_stored(red) and all(map(is_primitive, red))
+    assert all(is_unit(gaussian_content(row)) for row in red)
     for p, row in zip(pivots, red):
         assert row[p] and not set(row) & (set(pivots) - {p})
     echelon = ela._echelon(rows, ncols)[1]
@@ -512,6 +529,51 @@ def test_an_uncertified_ideal_stays_on_rref():
     assert ideal.k0 is None and (0, 0, 22) in ideal.groebner_leads
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 4), k=st.integers(1, 10))
+def test_level_extension_index_maps_are_multiplication_by_z_i(m, k):
+    # in the unit ideal every monomial leads, so the parents of level k use
+    # every variable's index map; up_i[t] is the column of monos_{k-1}[t] + e_i
+    ideal = GradedIdeal(m, [GradedPolynomial(m, {(0,) * m: G_ONE})])
+    ideal.level_data(k - 1)
+    monos, below = enumerate_level(m, k), enumerate_level(m, k - 1)
+    col = {a: j for j, a in enumerate(monos)}
+    maps = {tuple(up) for up, _ in ideal._parents(k, monos).values()}
+    assert maps == {tuple(col[add_index(a, e)] for a in below) for e in enumerate_level(m, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=rows_of(gaussian_ints), factor=gaussian_ints.filter(bool))
+def test_gaussian_content_free_divides_by_the_gcd_in_z_i(row, factor):
+    # the result is the row over its gcd in Z[i], up to a unit: its own gcd
+    # is a unit and it is a constant multiple of the row, by a factor whose
+    # norm is the gcd's; a row whose gcd is a unit comes back as itself
+    scaled = {c: v * factor for c, v in row.items()}
+    got, g = ela._gaussian_content_free(scaled), gaussian_content(scaled)
+    assert (got is scaled) == (not scaled or is_unit(g)) and list(got) == list(scaled)
+    if scaled:
+        assert is_unit(gaussian_content(got))
+        ratio = next(iter(scaled.values())) / next(iter(got.values()))
+        assert {c: v * ratio for c, v in got.items()} == scaled
+        assert ratio.abs2() == g.x * g.x + g.y * g.y
+
+
+def test_rref_of_a_dense_gaussian_level_stays_small():
+    # from-scratch rref of level 13 once reached 410,412-bit entries and took
+    # seconds, as the back phase piled up the pivot entries' Gaussian factors
+    gens = "(3+i)*z1*z3+3i*z2*z3+(-1+i)*z3^2,(-2+i)*z1^2+(-3+i)*z2^2+(3-i)*z2*z3"
+    ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in gens.split(",")])
+    rows, ncols = generator_rows(ideal, 13)
+    start = time.perf_counter()
+    pivots, red = ela.rref(rows, ncols)
+    assert time.perf_counter() - start < 1.0
+    parts = [x.numerator for row in red for v in row.values() for x in (v.re, v.im)]
+    assert max(abs(x).bit_length() for x in parts) < 128
+    assert all(is_unit(gaussian_content(row)) for row in red)
+    level = ideal.level_data(13)
+    assert pivots == level[0] and over_pivots(pivots, red) == over_pivots(*level[:2])
+
+
 @settings(max_examples=150, deadline=None)
 @given(ncols=st.integers(1, 8), data=st.data())
 def test_reduced_rows_never_store_a_zero(ncols, data):
@@ -528,6 +590,97 @@ def test_reduced_rows_never_store_a_zero(ncols, data):
         for col, v in row.items():
             rebuilt[col] = rebuilt.get(col, G_ZERO) + c * v
     assert {col: v for col, v in rebuilt.items() if v} == target
+
+
+# Entry-by-entry references for the block kernels: one GaussianRational
+# operation per term.
+def reference_mat_sub(a, b):
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, v in rb.items():
+            s = row.get(j, G_ZERO) - v
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+        out.append(row)
+    return out
+
+
+def reference_mat_mul(a, b):
+    out = []
+    for arow in a:
+        acc = {}
+        for k, aik in arow.items():
+            for j, bkj in b[k].items():
+                acc[j] = acc.get(j, G_ZERO) + aik * bkj
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def reference_back_substitute(x, dens, tri):
+    a = {}
+    for t in range(len(x) - 1, -1, -1):
+        (diag, later), (re, im) = tri[t], x[t]
+        acc = GaussianRational(Fraction(re, dens[t]), Fraction(im, dens[t]))
+        for r, y in later:
+            if r in a:
+                acc = acc - a[r] * y
+        if acc:
+            a[t] = acc / diag
+    return a
+
+
+# a few values with mixed denominators, each with its negative, so that sums
+# of products often cancel to exactly zero
+block_entries = st.sampled_from([
+    GaussianRational(Fraction(s * re, d), Fraction(s * im, d))
+    for re, im, d in [(1, 0, 2), (0, 1, 3), (1, 1, 6), (2, 0, 1), (3, -1, 4)] for s in (1, -1)
+]) | gaussian_rationals
+
+
+def sparse_block(data, nrows, ncols):
+    entry = st.tuples(st.integers(0, max(ncols - 1, 0)), block_entries)
+    return [{c: v for c, v in data.draw(st.lists(entry, max_size=ncols + 1 if ncols else 0)) if v}
+            for _ in range(nrows)]
+
+
+def as_items(block):
+    return [list(row.items()) for row in block]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4), k=st.integers(0, 4), ncols=st.integers(1, 4))
+def test_block_kernels_match_entry_by_entry_references(data, n, k, ncols):
+    # mat_mul and mat_sub sum integer triples and reduce once per entry; the
+    # result equals the one-GaussianRational-per-term reference entry for
+    # entry, in the same key order, and stores no zero
+    a, b = sparse_block(data, n, k), sparse_block(data, k, ncols)
+    if k >= 2 and data.draw(st.booleans()):  # columns 0 and 1 of a cancel
+        b[1] = dict(b[0])
+        a = [{**row, 1: -row[0]} if 0 in row else row for row in a]
+    product = ela.mat_mul(a, b)
+    assert as_items(product) == as_items(reference_mat_mul(a, b)) and no_zero_stored(product)
+    c = sparse_block(data, n, ncols)
+    if data.draw(st.booleans()):  # c shares entries with the product
+        c = [{**row, **other} for row, other in zip(c, product)]
+    for x, y in ((product, c), (c, product), (c, c)):
+        diff = ela.mat_sub(x, y)
+        assert as_items(diff) == as_items(reference_mat_sub(x, y)) and no_zero_stored(diff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_back_substitute_matches_entry_by_entry_reference(data, n):
+    x = data.draw(st.lists(st.tuples(small_ints, small_ints), min_size=n, max_size=n))
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    tri = [(data.draw(block_entries.filter(bool)),
+            [(r, data.draw(block_entries)) for r in range(t + 1, n) if data.draw(st.booleans())])
+           for t in range(n)]
+    got = ela.back_substitute(x, dens, tri)
+    assert list(got.items()) == list(reference_back_substitute(x, dens, tri).items())
+    assert no_zero_stored([got])
 
 
 @settings(max_examples=30, deadline=None)
