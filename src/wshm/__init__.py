@@ -17,7 +17,7 @@ from .algebra import (
     weighted_degree,
 )
 from .errors import WshmError
-from .ideals import GradedIdeal, graded_basis, hilbert_function, hilbert_samuel_fit
+from .ideals import GradedIdeal, graded_basis, hilbert_function, hilbert_series
 from .parsing import parse_polynomial, parse_polynomial_list
 from .spaces import WeightedShiftSpace, builtin_space, weighted_piece
 from .posreg import PositiveRegularPoly
@@ -37,7 +37,7 @@ __all__ = [
     "enumerate_weighted_level",
     "graded_basis",
     "hilbert_function",
-    "hilbert_samuel_fit",
+    "hilbert_series",
     "level_dimension",
     "parse_polynomial",
     "parse_polynomial_list",

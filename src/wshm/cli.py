@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import check_weight_vector
+from .algebra import check_weight_vector, level_dimension
 from .diagnostics import (
     Column,
     DiagnosticsReport,
@@ -37,7 +37,7 @@ from .diagnostics import (
     trace_report,
 )
 from .errors import ParseError, WshmError
-from .ideals import GradedIdeal, hilbert_samuel_fit, residue_decompose
+from .ideals import GradedIdeal, hilbert_series, ideal_level_dimension, residue_decompose
 from .operators import ModuleRealization
 from .parsing import parse_polynomial, parse_polynomial_list
 from .posreg import (
@@ -191,33 +191,32 @@ def _run_space_describe(args) -> DiagnosticsReport:
 
 def _run_ideal_hilbert(args) -> DiagnosticsReport:
     ideal = _required_ideal(args)
-    data = hilbert_samuel_fit(ideal, args.max_level)
+    series = hilbert_series(ideal)
+    dims = [(ideal_level_dimension(ideal, k), level_dimension(args.m, k))
+            for k in range(args.max_level + 1)]
+    table = [[k, di, dh, dh - di] for k, (di, dh) in enumerate(dims)]
     report = DiagnosticsReport(
         "ideal-hilbert",
         {
             "m": args.m,
             "ideal": [str(g) for g in ideal.generators],
-            "max_level": data.table[-1][0],
-            "fit": data.to_json_dict(),
+            "max_level": args.max_level,
+            "series": series.to_json_dict(),
         },
     )
     report.tables.append(
         Table(
             "hilbert_function",
-            [
-                Column("k", "int"),
-                Column("dim_ideal", "int"),
-                Column("dim_level", "int"),
-                Column("dim_quotient", "int"),
-            ],
-            [list(r) for r in data.table],
+            [Column(c, "int") for c in ("k", "dim_ideal", "dim_level", "dim_quotient")],
+            table,
         )
     )
     report.verdicts.append(
-        Verdict(
-            "hilbert-samuel-fit",
-            "reported-only",
-            f"stabilized={data.stabilized}, degree={data.degree}, K={data.stabilization_degree}",
+        exact_verdict(
+            "hilbert-series",
+            all(series.hf(k) == row[3] for k, row in enumerate(table)),
+            f"d={series.dimension}, e={series.multiplicity}, K={series.stabilization_degree}; "
+            f"HF against dim_quotient at levels 0..{args.max_level}",
         )
     )
     return report
@@ -386,13 +385,11 @@ def _run_preg_check(args) -> DiagnosticsReport:
 class _Command(NamedTuple):
     flags: tuple[str, ...]  # keys of _FLAGS, besides _EVERY_COMMAND_FLAGS
     run: Callable[[argparse.Namespace], DiagnosticsReport]
-    defaults: dict = {}  # parser defaults that override a flag's own
 
 
 COMMANDS = {
     "space describe": _Command(("space", "param", "preview-degree"), _run_space_describe),
-    # without --max-level: the smallest level the fit accepts
-    "ideal hilbert": _Command(("ideal", "max-level"), _run_ideal_hilbert, {"max_level": None}),
+    "ideal hilbert": _Command(("ideal", "max-level"), _run_ideal_hilbert),
     "ideal decompose": _Command(("ideal", "weight", "max-wlevel"), _run_ideal_decompose),
     "diag normality": _Command(
         ("space", "param", "ideal", "max-level", "schatten"), _run_normality
@@ -424,7 +421,7 @@ def _parser(name: str, entry: _Command) -> argparse.ArgumentParser:
         if flag in entry.flags or flag in _EVERY_COMMAND_FLAGS:
             parser.add_argument(f"--{flag}", **keywords)
     command, sub = name.split()
-    parser.set_defaults(command=command, sub=sub, **entry.defaults)
+    parser.set_defaults(command=command, sub=sub)
     return parser
 
 

@@ -35,7 +35,7 @@ from .algebra import (
     unit_index,
 )
 from .errors import ScenarioError, StructuralError, WindowError, WshmError
-from .ideals import FIT_WINDOW, GradedIdeal, hilbert_samuel_fit
+from .ideals import GradedIdeal, hilbert_series
 from .operators import (
     ModuleRealization,
     codefect_blocks,
@@ -609,18 +609,15 @@ def section5_report(
 ) -> DiagnosticsReport:
     """Run the trace inequality at every level k <= K.
 
-    The bounded dimension M0 comes from the Hilbert-Samuel fit; a fit of
-    positive degree is a scenario error (the inequality needs dim S_k^perp
-    eventually constant).
+    The bounded dimension M0 is read off the exact Hilbert series; a zero
+    variety of dimension d > 1 is a scenario error (the inequality needs
+    dim S_k^perp eventually constant).
     """
-    min_level = 2 * FIT_WINDOW + (ideal.max_generator_degree() or 0)
-    fit = hilbert_samuel_fit(ideal, max(min_level, K + 1))
-    m0 = fit.bounded_dimension
+    series = hilbert_series(ideal)
+    m0 = series.bounded_dimension
     if m0 is None:
-        raise ScenarioError(
-            "section5 requires a bounded-dimension quotient "
-            f"(fit degree {fit.degree}, stabilized={fit.stabilized})"
-        )
+        raise ScenarioError("section5 requires a bounded-dimension quotient "
+                            f"(zero variety of dimension {series.dimension})")
     realization = quotient_realization(space, ideal, K + 1)
     recs = section5_checks(realization, K, m0)
     params = {
@@ -721,8 +718,9 @@ class KoszulReport:
     ``homology[d][j]`` is dim H_j in total degree d (exterior degree j);
     ``chi`` sums (-1)^j over everything computed and ``index`` is -chi.
     ``dd_zero`` certifies the differential squares to zero exactly;
-    ``conclusive`` applies the stabilization heuristic (the last three
-    computed degrees carry no homology).
+    ``conclusive`` is exact: the degree-d Euler characteristic is the t^d
+    coefficient of the numerator K_mod(t) of the module's Hilbert series
+    over (1 - t)^m, so chi is complete once ``d_max`` >= deg K_mod.
     """
 
     module: str
@@ -790,9 +788,10 @@ def koszul_euler(
         chain_chi = sum((-1) ** j * chain_dim(d, j) for j in range(m + 1))
         assert chi_d == chain_chi, "homology Euler sum disagrees with chain sum"
         chi += chi_d
-    gen_deg = mod.ideal.max_generator_degree() or 0
-    tail = [sum(homology[d]) for d in range(max(0, d_max - 2), d_max + 1)]
-    conclusive = d_max >= gen_deg + m and len(tail) == 3 and all(t == 0 for t in tail)
+    # deg K_mod: K = Q (1 - t)^(m - d) for R/I (and the full module, R/0), and
+    # 1 - K for I, which has K's degree or is 0
+    series = hilbert_series(mod.ideal)
+    conclusive = d_max >= len(series.numerator) - 1 + m - series.dimension
     return KoszulReport(module, d_max, homology, chi, -chi, dd_zero, conclusive)
 
 

@@ -1,10 +1,15 @@
-"""Graded ideals: per-level bases, Hilbert functions, residue decompositions.
+"""Graded ideals: per-level bases, Hilbert functions and series, residue
+decompositions.
 
 An ideal is *plain* homogeneous (every generator has a single total degree)
 or *quasi-homogeneous* for a weight vector n (every generator has a single
 weighted degree).  Levels are exact over the Gaussian rationals (see
 :meth:`GradedIdeal.level_data`) -- span dimension is field-linear and
 independent of any space's weights, so no tolerance can corrupt a count.
+
+The Hilbert series of a plain quotient R/I is read off the leading monomials
+that the levels certify (see :func:`hilbert_series`), so its dimension,
+multiplicity and Hilbert polynomial are exact and need no window of levels.
 
 The level-ell component of an ideal J in quasi(n) mode is
 
@@ -22,6 +27,9 @@ a direct sum inside J_ell, but a generator may straddle residue classes.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -38,7 +46,7 @@ from .algebra import (
     level_dimension,
     residue_of,
 )
-from .errors import ModeError, WshmError
+from .errors import ModeError
 
 
 class GradedIdeal:
@@ -80,9 +88,6 @@ class GradedIdeal:
     @property
     def is_zero_ideal(self) -> bool:
         return not self.generators
-
-    def max_generator_degree(self) -> int | None:
-        return max(self._gen_degrees, default=None)
 
     def _require_plain(self) -> None:
         if self.mode != "plain":
@@ -176,124 +181,87 @@ def hilbert_function(ideal: GradedIdeal, k: int) -> int:
     return level_dimension(ideal.m, k) - ideal_level_dimension(ideal, k)
 
 
-@dataclass
-class HilbertData:
-    """Level dimension table and the fitted eventual polynomial.
+def _numerator(leads: list[MultiIndex]) -> list[int]:
+    """K(t), constant first, with HS(R/J) = K(t) / (1 - t)^m for J = (leads):
+    N(J + (z^a)) = N(J) - t^|a| N(J : z^a) (Bayer-Stillman), on minimal
+    generators."""
+    gens = set(leads)
+    gens = [a for a in gens if not any(b != a and all(map(operator.le, b, a)) for b in gens)]
+    if not gens:
+        return [1]
+    a, rest = gens[0], gens[1:]
+    colon = _numerator([tuple(max(x - y, 0) for x, y in zip(b, a)) for b in rest])
+    shift = sum(a)
+    out = _numerator(rest) + [0] * (shift + len(colon))
+    for j, c in enumerate(colon):
+        out[shift + j] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    ``table`` rows are (k, dim I_k, dim H_k, dim S_k^perp).  When the Newton
-    fit over the final window+1 values reproduces the preceding window
-    values, ``stabilized`` is set, ``coefficients`` holds the power-basis
-    coefficients (constant first) and ``stabilization_degree`` is the least K
-    from which the polynomial matches every computed value.
+
+@dataclass(frozen=True)
+class HilbertSeries:
+    """HS(t) = sum_k HF(k) t^k = Q(t) / (1 - t)^d of R/I, with Q(1) != 0.
+
+    ``numerator`` holds Q's coefficients (constant first), ``dimension`` is
+    d = dim Z(I) and ``multiplicity`` is e = Q(1); ``coefficients`` are the
+    Hilbert polynomial's in powers of k (constant first).
     """
 
-    window: int
-    table: list[tuple[int, int, int, int]]
-    stabilized: bool
-    coefficients: tuple[Fraction, ...] | None
-    stabilization_degree: int | None
-
-    @property
-    def degree(self) -> int | None:
-        if self.coefficients is None:
-            return None
-        return len(self.coefficients) - 1
+    numerator: tuple[int, ...]
+    dimension: int
+    multiplicity: int
+    coefficients: tuple[Fraction, ...]
 
     @property
     def bounded_dimension(self) -> int | None:
-        """M_0 when the fit is a degree-0 polynomial, else None."""
-        if self.stabilized and self.degree == 0:
-            return int(self.coefficients[0])
-        return None
+        """M_0 = the eventual dim S_k^perp when HP is constant, else None."""
+        return {0: 0, 1: self.multiplicity}.get(self.dimension)
+
+    def hf(self, k: int) -> int:
+        """HF(k) = dim S_k^perp, the t^k coefficient of HS."""
+        d, q = self.dimension, self.numerator[:k + 1]
+        if d == 0:
+            return q[k] if k < len(q) else 0
+        return sum(c * math.comb(k - j + d - 1, d - 1) for j, c in enumerate(q))
+
+    @property
+    def stabilization_degree(self) -> int:
+        """The least K with HF(k) = HP(k) for every k >= K.  Q = R (1 - t)^d + S
+        with deg S < d, and S / (1 - t)^d has HP's values at every k >= 0, so
+        HF - HP is R's coefficients: zero past deg R = deg Q - d, not at it."""
+        return max(len(self.numerator) - self.dimension, 0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "table": [list(r) for r in self.table],
-            "stabilized": self.stabilized,
-            "coefficients": [str(c) for c in self.coefficients]
-            if self.coefficients is not None
-            else None,
-            "stabilization_degree": self.stabilization_degree,
-        }
+        return {**vars(self), "coefficients": [str(c) for c in self.coefficients],
+                "stabilization_degree": self.stabilization_degree}
 
 
-def _newton_fit(xs: list[int], ys: list[Fraction]) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of the Newton forward-difference polynomial
-    through the equally spaced points (xs[i], ys[i])."""
-    n = len(xs)
-    diffs = list(ys)
-    layers = [diffs[0]]
-    for level in range(1, n):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        layers.append(diffs[0])
-    x0 = xs[0]
-    # poly = sum_j layers[j] * C(x - x0, j), expanded exactly
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # C(x-x0, 0) = 1
-    for j in range(n):
-        for t, b in enumerate(basis):
-            coeffs[t] += layers[j] * b
-        # multiply basis by (x - x0 - j) / (j + 1)
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, b in enumerate(basis):
-            nxt[t + 1] += b
-            nxt[t] += b * (-(x0 + j))
-        basis = [b / (j + 1) for b in nxt]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def hilbert_series(ideal: GradedIdeal) -> HilbertSeries:
+    """The exact Hilbert series of R/I, read off the certified staircase.
 
-
-# levels in each half of the Hilbert-Samuel fit's double window
-FIT_WINDOW = 5
-
-
-def hilbert_samuel_fit(ideal: GradedIdeal, k_max: int | None = None) -> HilbertData:
-    """Fit the eventual polynomial of k -> dim S_k^perp over levels 0..k_max.
-
-    Newton forward differences on the last window+1 values (window =
-    ``FIT_WINDOW``); the fit is accepted only if it also reproduces the
-    preceding window values (double-window confirmation).  A failed
-    confirmation is a reported outcome (stabilized=False), not an error.
-    ``k_max`` defaults to the smallest level the fit accepts, 2 * FIT_WINDOW +
-    max generator degree.
+    R/I and R/LM(I) share their Hilbert function (Macaulay), and
+    ``groebner_leads`` generate LM(I) once ``k0`` is set, so levels are
+    eliminated up to k0 and no further.
     """
     ideal._require_plain()
-    maxdeg = ideal.max_generator_degree() or 0
-    if k_max is None:
-        k_max = 2 * FIT_WINDOW + maxdeg
-    if k_max < 2 * FIT_WINDOW + maxdeg:
-        raise WshmError(
-            f"k_max={k_max} too small: need >= 2*window + max generator degree "
-            f"= {2 * FIT_WINDOW + maxdeg}"
-        )
-    table = []
-    perp: list[Fraction] = []
-    for k in range(k_max + 1):
-        di = ideal_level_dimension(ideal, k)
-        dh = level_dimension(ideal.m, k)
-        table.append((k, di, dh, dh - di))
-        perp.append(Fraction(dh - di))
-
-    base = k_max - FIT_WINDOW
-    xs = list(range(base, k_max + 1))
-    coeffs = _newton_fit(xs, perp[base:])
-
-    def fits(k: int) -> bool:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * k + c
-        return acc == perp[k]
-
-    confirm = range(k_max - 2 * FIT_WINDOW, base)
-    if not all(fits(k) for k in confirm):
-        return HilbertData(FIT_WINDOW, table, False, None, None)
-
-    K = base
-    while K > 0 and fits(K - 1):
-        K -= 1
-    return HilbertData(FIT_WINDOW, table, True, coeffs, K)
+    k = 0
+    while ideal.k0 is None:
+        ideal.level_data(k)
+        k += 1
+    q, d = _numerator(ideal.groebner_leads), ideal.m
+    while d and not sum(q):  # divide by 1 - t: prefix sums, the last is q(1) = 0
+        q, d = list(itertools.accumulate(q))[:-1], d - 1
+    # HP(k) = sum_j q_j C(k - j + d - 1, d - 1), each binomial a product of
+    # the d - 1 factors (k - j + i) / (d - 1)!
+    coeffs = [Fraction(0)] * max(d, 1)
+    for j, c in enumerate(q if d else ()):
+        basis = [Fraction(c, math.factorial(d - 1))]
+        for i in range(1, d):
+            basis = [x * (i - j) + y for x, y in zip(basis + [0], [0] + basis)]
+        coeffs = [x + y for x, y in zip(coeffs, basis)]
+    return HilbertSeries(tuple(q), d, sum(q), tuple(coeffs))
 
 
 @dataclass

@@ -170,9 +170,9 @@ def test_criterion_11_trace_inequality():
     for text in ("z1+z2", "z1"):
         ideal = GradedIdeal(2, [parse_polynomial(text, 2)])
         rep = section5_report(hb, ideal, 40)
-        assert rep.params["M0"] == 1  # from the Hilbert-Samuel fit
+        assert rep.params["M0"] == 1  # the multiplicity of a d = 1 zero variety
         assert all(row[-1] for row in rep.tables[0].rows), text
-    ok(11, "trace inequality holds at every level k <= 40 for <z1+z2> and <z1> (slack 1e-8, fitted M0=1)")
+    ok(11, "trace inequality holds at every level k <= 40 for <z1+z2> and <z1> (slack 1e-8, exact M0=1)")
 
 
 def test_criterion_12_decomposition_defect():

@@ -74,7 +74,12 @@ def test_ideal_hilbert_roundtrip(capsys):
     doc = json.loads(out)
     table = doc["tables"][0]
     assert table["rows"][5] == [5, 5, 6, 1]
-    assert doc["params"]["fit"]["coefficients"] == ["1"]
+    assert doc["params"]["series"] == {
+        "numerator": [1], "dimension": 1, "multiplicity": 1, "coefficients": ["1"],
+        "stabilization_degree": 0,
+    }
+    assert doc["verdicts"][0]["name"] == "hilbert-series"
+    assert doc["verdicts"][0]["status"] == "exact-pass"
 
 
 def test_ideal_decompose(capsys):
@@ -479,11 +484,29 @@ def test_ideal_hilbert_default_level_is_accepted(capsys):
     code, out, _ = run(capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1")
     assert code == 0
     doc = json.loads(out)
-    assert doc["params"]["max_level"] == 11  # 2 * window + max generator degree
-    assert len(doc["tables"][0]["rows"]) == 12
-    # an explicit level below the smallest accepted one is still refused
-    too_small = ("ideal", "hilbert", "--m", "2", "--ideal", "z1", "--max-level", "10")
-    assert run(capsys, *too_small)[0] == 2
+    assert doc["params"]["max_level"] == 10  # the shared default
+    assert len(doc["tables"][0]["rows"]) == 11
+    # the series reads no window, so every level >= 0 runs
+    code, out, _ = run(capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1", "--max-level", "0")
+    assert code == 0 and json.loads(out)["params"]["series"]["coefficients"] == ["1"]
+
+
+def test_section5_on_an_artinian_quotient_runs_at_any_level(capsys):
+    # M0 = 0 is exact at K = 12, below the level the old fit's window needed,
+    # and the rows are those of a deeper run
+    argv = ("diag", "section5", "--space", "hardy-ball", "--m", "2", "--ideal", "z1^6,z2^6")
+    code, out, _ = run(capsys, *argv, "--max-level", "12")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["M0"] == 0
+    code, deep, _ = run(capsys, *argv, "--max-level", "20")
+    assert code == 0
+    deep_rows = json.loads(deep)["tables"][0]["rows"][:13]
+    rows = doc["tables"][0]["rows"]
+    assert len(rows) == 13
+    for row, want in zip(rows, deep_rows):
+        assert row[0] == want[0] and row[-1] == want[-1]
+        assert row[1:-1] == pytest.approx(want[1:-1], rel=1e-12, abs=0)
 
 
 def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
@@ -544,14 +567,11 @@ _FUZZ_VALUES = {
 @st.composite
 def _fuzz_argv(draw):
     """A subcommand, a subset of its flags and a value for each, malformed one
-    time in eight.  Every level flag is given, so that each run stays small;
-    ``ideal hilbert`` may leave its own out, whose default is the smallest
-    level its fit accepts."""
+    time in eight.  Every level flag is given, so that each run stays small."""
     name = draw(st.sampled_from(sorted(cli.COMMANDS)))
     flags = (*cli.COMMANDS[name].flags, "m", "format")
     chosen = draw(st.lists(st.sampled_from(flags), unique=True))
-    if name != "ideal hilbert":
-        chosen += [f for f in flags if f in _LEVEL_FLAGS and f not in chosen]
+    chosen += [f for f in flags if f in _LEVEL_FLAGS and f not in chosen]
     argv = name.split()
     for flag in chosen:
         good, bad = _FUZZ_VALUES[flag]

@@ -414,6 +414,15 @@ def test_koszul_inconclusive_when_too_shallow():
     assert not rep.conclusive
 
 
+def test_koszul_index_is_conclusive_from_the_numerator_degree_on():
+    # <z1^6, z2^6>: K(t) = (1 - t^6)^2 has degree 12.  Degrees 9..11 carry no
+    # homology, yet chi is still 2 there and 1 only from degree 12 on
+    ideal = GradedIdeal(2, [parse_polynomial("z1^6", 2), parse_polynomial("z2^6", 2)])
+    for d_max, chi, conclusive in ((9, 2, False), (11, 2, False), (12, 1, True), (13, 1, True)):
+        rep = koszul_euler(2, ideal, "ideal", d_max)
+        assert (rep.chi, rep.conclusive) == (chi, conclusive), d_max
+
+
 def test_koszul_report_verdicts():
     rep = koszul_report(2, GradedIdeal(2, [z(0) + z(1)]), "ideal", 8)
     statuses = {v.name: v.status for v in rep.verdicts}

@@ -5,12 +5,12 @@ import pytest
 
 import wshm.exact_linalg as ela
 from wshm.algebra import G_I, GradedPolynomial, enumerate_level, level_dimension
-from wshm.errors import ModeError, WshmError
+from wshm.errors import ModeError
 from wshm.ideals import (
     GradedIdeal,
     graded_basis,
     hilbert_function,
-    hilbert_samuel_fit,
+    hilbert_series,
     ideal_level_dimension,
     residue_decompose,
 )
@@ -107,43 +107,61 @@ def test_hilbert_dimension_identity():
 
 def test_hilbert_samuel_constant_one():
     for alpha in (1, G_I * 2, Fraction(-3, 7)):
-        ideal = GradedIdeal(2, [z(0) + z(1).scale(alpha)])
-        data = hilbert_samuel_fit(ideal, 12)
-        assert data.stabilized and data.coefficients == (Fraction(1),)
-        assert data.stabilization_degree <= 1
-        assert data.bounded_dimension == 1
+        series = hilbert_series(GradedIdeal(2, [z(0) + z(1).scale(alpha)]))
+        assert series.coefficients == (Fraction(1),)
+        assert series.stabilization_degree <= 1
+        assert series.bounded_dimension == 1
 
 
 def test_hilbert_samuel_zero_ideal_linear():
-    data = hilbert_samuel_fit(GradedIdeal(2, []), 11)
-    assert data.stabilized and data.coefficients == (Fraction(1), Fraction(1))
-    assert data.degree == 1 and data.bounded_dimension is None
+    series = hilbert_series(GradedIdeal(2, []))
+    assert series.coefficients == (Fraction(1), Fraction(1))
+    assert series.dimension == 2 and series.bounded_dimension is None
 
 
 def test_hilbert_samuel_z1_squared():
-    data = hilbert_samuel_fit(GradedIdeal(2, [z(0) * z(0)]), 13)
-    assert data.stabilized and data.coefficients == (Fraction(2),)
-    assert data.stabilization_degree == 1
+    ideal = GradedIdeal(2, [z(0) * z(0)])
+    series = hilbert_series(ideal)
+    assert series.coefficients == (Fraction(2),)
+    assert series.stabilization_degree == 1
     # dim I_k = k-1 for k >= 2 (frozen from direct monomial count)
-    assert [r[1] for r in data.table[:6]] == [0, 0, 1, 2, 3, 4]
+    assert [ideal_level_dimension(ideal, k) for k in range(6)] == [0, 0, 1, 2, 3, 4]
 
 
-def test_hilbert_samuel_window_precondition():
-    with pytest.raises(WshmError):
-        hilbert_samuel_fit(GradedIdeal(2, [z(0) * z(0)]), 8)
+def test_hilbert_series_needs_no_window():
+    # the series reads levels up to the certified degree k0 = 2 only, so it
+    # is the same whether levels 0..k_max were read before it or not
+    for k_max in range(-1, 9):
+        ideal = GradedIdeal(2, [z(0) * z(0)])
+        for k in range(k_max + 1):
+            ideal.level_data(k)
+        assert hilbert_series(ideal).coefficients == (Fraction(2),)
+        assert len(ideal._level_cache) == max(k_max + 1, 3)
 
 
-def test_hilbert_samuel_not_stabilized_is_reported():
-    # <z1^6, z2^6>: dim S_k^perp is 11-k on 6 <= k <= 10, then 0.  At
-    # k_max=16 the transient overlaps the confirmation window, so the
-    # double-window check must refuse the fit rather than extrapolate.
-    gens = [parse_polynomial("z1^6", 2), parse_polynomial("z2^6", 2)]
-    ideal = GradedIdeal(2, gens)
-    data = hilbert_samuel_fit(ideal, 16)
-    assert not data.stabilized and data.coefficients is None
-    deeper = hilbert_samuel_fit(ideal, 21)
-    assert deeper.stabilized and deeper.coefficients == (Fraction(0),)
-    assert deeper.stabilization_degree == 11
+def test_hilbert_series_of_an_artinian_quotient():
+    # <z1^6, z2^6>: dim S_k^perp is 11-k on 6 <= k <= 10, then 0, so
+    # d = 0, e = 36 and HF = HP = 0 from k = 11 on
+    ideal = GradedIdeal(2, [parse_polynomial("z1^6", 2), parse_polynomial("z2^6", 2)])
+    for k in range(17):
+        ideal.level_data(k)
+    series = hilbert_series(ideal)
+    assert (series.dimension, series.multiplicity) == (0, 36)
+    assert series.coefficients == (Fraction(0),) and series.stabilization_degree == 11
+    assert series.bounded_dimension == 0
+
+
+@pytest.mark.parametrize("m, gens, d, e", [
+    (2, "z1+z2", 1, 1),
+    (3, "z1^2+z2*z3", 2, 2),
+    (3, "z1*z2-z3^2,z1*z3-z2^2", 1, 4),  # the twisted cubic
+    (3, "z1^2+(1+i)*z2*z3,z2^2-z1*z3,z3^3", 0, 12),
+    # a Groebner basis element of degree 22, twice the top generator degree
+    (3, "z1^2,z1*z2^10-z3^11", 1, 22),
+])
+def test_hilbert_series_dimension_and_multiplicity(m, gens, d, e):
+    series = hilbert_series(GradedIdeal(m, [parse_polynomial(g, m) for g in gens.split(",")]))
+    assert (series.dimension, series.multiplicity) == (d, e)
 
 
 def test_residue_decompose_single_variable():

@@ -3,8 +3,9 @@ weighted adjoint pairing of compressed multipliers, closed-form complement
 bases, kernel bases, elimination against a sympy oracle, Gaussian-integer
 content of reduced rows, sparse rows that never store a zero, ideal levels
 past a certified Groebner degree against from-scratch elimination and sympy's
-Groebner bases, the block kernels against entry-by-entry references, the
-Koszul homology of a principal ideal, the polynomial text round trip, and the
+Groebner bases, the exact Hilbert series against from-scratch level
+dimensions, the block kernels against entry-by-entry references, the Koszul
+homology of a principal ideal, the polynomial text round trip, and the
 positive regular pipeline (delta table, P-defect, kernel of the comparison
 map, co-isometry, module map)."""
 
@@ -30,7 +31,7 @@ from wshm.algebra import (
     sub_index,
 )
 from wshm.diagnostics import koszul_euler
-from wshm.ideals import GradedIdeal
+from wshm.ideals import GradedIdeal, hilbert_series
 from wshm.operators import (
     _sum_of_squares_defect,
     adjoint_blocks,
@@ -527,6 +528,35 @@ def test_an_uncertified_ideal_stays_on_rref():
     for k in range(27):
         assert ideal.level_data(k)[:2] == ela.rref(*generator_rows(ideal, k))
     assert ideal.k0 is None and (0, 0, 22) in ideal.groebner_leads
+
+
+# with a cubic, an m = 4 ideal can need levels past 17 before its Groebner
+# degree is certified (tens of seconds), so m = 4 draws degree <= 2
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_hilbert_series_equals_from_scratch_level_dimensions(data, m):
+    # HF read off the series equals dim H_k - rank of level k's products
+    # z^beta g_j by a from-scratch rref, up to 10 levels past the
+    # stabilization degree K; HF = HP from K on and not at K - 1
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        monos = enumerate_level(m, data.draw(st.integers(1, 3 if m < 4 else 2)))
+        terms = st.dictionaries(st.sampled_from(monos), gaussian_ints.filter(bool),
+                                min_size=1, max_size=3)
+        gens.append(GradedPolynomial(m, data.draw(terms)))
+    ideal = GradedIdeal(m, gens)
+    series = hilbert_series(ideal)
+    K = series.stabilization_degree
+
+    def hp(k):
+        return sum(c * k**t for t, c in enumerate(series.coefficients))
+
+    for k in range(K + 11):
+        rows, ncols = generator_rows(ideal, k)
+        assert series.hf(k) == ncols - len(ela.rref(rows, ncols)[0]), k
+    assert K == 0 or series.hf(K - 1) != hp(K - 1)
+    assert all(series.hf(k) == hp(k) for k in range(K, K + 11))
+    assert series.multiplicity > 0 and len(series.coefficients) == max(series.dimension, 1)
 
 
 @settings(max_examples=40, deadline=None)

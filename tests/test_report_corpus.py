@@ -78,6 +78,10 @@ CASES = {
     "trace-hb3": ("diag", "trace", "--space", "hardy-ball", "--m", "3", "--max-level", "12"),
     "trace-da": ("diag", "trace", "--space", "da", "--m", "2", "--max-level", "8"),
     "ideal-hilbert": ("ideal", "hilbert", "--m", "3", "--ideal", "z1^2+z2*z3", "--max-level", "14"),
+    # d = 0: the series is exact below the level the old fit's window reached
+    "ideal-hilbert-artinian": (
+        "ideal", "hilbert", "--m", "2", "--ideal", "z1^6,z2^6", "--max-level", "16",
+    ),
     "ideal-decompose": (
         "ideal", "decompose", "--m", "2", "--ideal", "z1*z2-z1^3,z2^2", "--weight", "1,2",
         "--max-wlevel", "9",
