@@ -3,21 +3,21 @@ decompositions.
 
 An ideal is *plain* homogeneous (every generator has a single total degree)
 or *quasi-homogeneous* for a weight vector n (every generator has a single
-weighted degree).  Levels are exact over the Gaussian rationals (see
-:meth:`GradedIdeal.level_data`) -- span dimension is field-linear and
+weighted degree); plain is n = (1, ..., 1).  Its level-ell component
+
+    J_ell = span{ z^beta g_j : wdeg(beta) + wdeg(g_j) = ell }
+
+has a deterministic echelon basis, exact over the Gaussian rationals, with
+pivots in weighted-degree-then-lex order: eliminated up to a certified
+Groebner degree and built from the levels below past it, one way for every n
+(see :meth:`GradedIdeal.level_data`).  Span dimension is field-linear and
 independent of any space's weights, so no tolerance can corrupt a count.
 
 The Hilbert series of a plain quotient R/I is read off the leading monomials
 that the levels certify (see :func:`hilbert_series`), so its dimension,
 multiplicity and Hilbert polynomial are exact and need no window of levels.
-
-The level-ell component of an ideal J in quasi(n) mode is
-
-    J_ell = span{ z^beta g_j : wdeg(beta) + wdeg(g_j) = ell },
-
-reduced to a deterministic echelon basis with graded-lex pivots.  The residue
-decomposition reports, per level, the dimensions of the intersections with
-the residue pieces H^n(alpha) and the defect
+The residue decomposition of a quasi ideal reports, per level, the dimensions
+of the intersections with the residue pieces H^n(alpha) and the defect
 
     defect(ell) = dim J_ell - sum_alpha dim(J_ell ^ H^n(alpha)) >= 0,
 
@@ -97,17 +97,17 @@ class GradedIdeal:
         """(pivot columns, reduced rows, monomial column order) at level ell.
 
         Each row is primitive, nonzero at its pivot and zero in every other
-        pivot column; divided by its pivot entry it is the RREF row.  Quasi
-        levels and plain levels up to ``k0`` are :func:`ela.rref` of the
-        products z^beta g_j.  Plain levels fill in ascending order; k0 is the
-        first k >= D*(k), the top generator degree or deg lcm over pairs of
-        ``groebner_leads`` (pivots of levels <= k not e_i plus one of the level
-        below).  Their S-pairs then reduce to 0 in the eliminated levels, so
-        they lead a Groebner basis (Buchberger's criterion), and each level
-        past k0 is :meth:`_extend` of the one below (rows need not have rref's scale).
+        pivot column; divided by its pivot entry it is the RREF row.  Levels
+        fill in ascending order, up to ``k0`` as :func:`ela.rref` of the products
+        z^beta g_j.  k0 is the first k >= D*(k), the top generator degree or
+        n.lcm(a, b) over pairs of ``groebner_leads`` (pivots of levels <= k not
+        e_i plus one of level k - n_i) that share a variable.  Their S-pairs
+        reduce to 0 (in the eliminated levels, or alone if coprime), so they
+        lead a Groebner basis (Buchberger's criteria), and each level past k0
+        is :meth:`_extend` of the levels below (rows need not have rref's scale).
         """
         if ell >= 0 and ell not in self._level_cache:
-            for k in range(len(self._level_cache) if self.mode == "plain" else ell, ell + 1):
+            for k in range(len(self._level_cache), ell + 1):
                 self._level_cache[k] = self._eliminate(k) if self.k0 is None else self._extend(k)
         return self._level_cache.get(ell, ([], [], []))
 
@@ -118,30 +118,30 @@ class GradedIdeal:
                 for terms, dg in zip(self._gen_terms, self._gen_degrees)
                 for beta in enumerate_weighted_level(self.m, self.weight, k - dg)]
         pivots, red = ela.rref(rows, len(monomials))
-        if self.mode == "plain":
-            parent, leads = self._parents(k, monomials), self.groebner_leads
-            leads += [monomials[p] for p in pivots if p not in parent]
-            pairs = [sum(map(max, a, b)) for a in leads for b in leads]
-            if k >= max([*self._gen_degrees, *pairs], default=0):
-                self.k0 = k
+        parent, leads = self._parents(k, monomials), self.groebner_leads
+        leads += [monomials[p] for p in pivots if p not in parent]
+        pairs = [sum(map(operator.mul, self.weight, map(max, a, b)))
+                 for a, b in itertools.combinations(leads, 2) if any(map(min, a, b))]
+        if k >= max([*self._gen_degrees, *pairs], default=0):
+            self.k0 = k
         return pivots, red, monomials
 
     def _parents(self, k: int, monomials: list[MultiIndex]) -> dict[int, tuple[list[int], ela.Row]]:
-        """{column of gamma: (up, row of gamma - e_i at level k - 1)} over leading
-        monomials gamma - e_i, for the last such i (so tails stay standard); up
-        maps level k - 1's columns to level k's under multiplication by z_i.
-        Levels are in lex order and z_i keeps that order, mapping level k - 1
-        one to one onto the monomials with a_i >= 1: up is their column list."""
-        pivots_p, red_p, _ = self._level_cache.get(k - 1, ([], [], []))
+        """{column of gamma: (up, row of gamma - e_i at level k - n_i)} over
+        leading monomials gamma - e_i, for the last such i (so tails stay
+        standard); up maps level k - n_i's columns to level k's under z_i, which
+        keeps the levels' lex order and maps level k - n_i one to one onto the
+        monomials with a_i >= 1: up is their column list."""
         parent = {}
-        for i in range(self.m):  # a later variable overwrites an earlier one
+        for i, w in enumerate(self.weight):  # a later variable overwrites an earlier one
+            pivots_p, red_p, _ = self._level_cache.get(k - w, ([], [], []))
             up = [j for j, a in enumerate(monomials) if a[i]]
             parent.update((up[p], (up, row)) for p, row in zip(pivots_p, red_p))
         return parent
 
     def _extend(self, k: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
-        """Level k > k0 by rref's back phase alone: each parent row times z_i,
-        its tail pivots cleared against the rows of smaller leading monomials."""
+        """Level k > k0 by rref's back phase alone: each parent row (level k - n_i)
+        times z_i, its tail pivots cleared against rows of smaller leading monomials."""
         monomials = enumerate_weighted_level(self.m, self.weight, k)
         parent = self._parents(k, monomials)
         red: dict[int, ela.Row] = {}

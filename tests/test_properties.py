@@ -28,6 +28,7 @@ from wshm.algebra import (
     GradedPolynomial,
     add_index,
     enumerate_level,
+    enumerate_weighted_level,
     sub_index,
 )
 from wshm.diagnostics import koszul_euler
@@ -455,11 +456,14 @@ def test_fraction_free_rows_are_primitive_and_reduced(ncols, data, factor):
 
 
 def generator_rows(ideal, k):
-    """(rows, ncols): level k's spanning products z^beta g_j, from scratch."""
-    monos = enumerate_level(ideal.m, k)
+    """(rows, ncols): weighted level k's spanning products z^beta g_j, from
+    scratch, in the ideal's own grading."""
+    m, n = ideal.m, ideal.weight
+    monos = enumerate_weighted_level(m, n, k)
     col = {a: j for j, a in enumerate(monos)}
     rows = [{col[add_index(a, beta)]: c for a, c in g.terms()}
-            for g in ideal.generators for beta in enumerate_level(ideal.m, k - g.degree)]
+            for g in ideal.generators
+            for beta in enumerate_weighted_level(m, n, k - g.weighted_degree(n))]
     return rows, len(monos)
 
 
@@ -479,23 +483,27 @@ def certify(ideal):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), m=st.integers(2, 4))
 def test_ideal_levels_equal_from_scratch_rref(data, m):
-    # every level up to k0 + 8 -- eliminated up to the certified degree k0,
-    # then built from the level below -- is primitive and reduced, equals
-    # rref of its products z^beta g_j once each row is divided by its pivot,
-    # and is the same whichever order the levels are asked for in
+    # for plain and weighted gradings n alike, every level up to k0 + 8 --
+    # eliminated up to the certified degree k0, then built from the levels
+    # below -- is primitive and reduced, equals rref of its products
+    # z^beta g_j once each row is divided by its pivot, and is the same
+    # whichever order the levels are asked for in
+    n = data.draw(st.just((1,) * m) | st.tuples(*[st.integers(1, 3)] * m))
+    degrees = [d for d in range(1, max(n) + 3) if enumerate_weighted_level(m, n, d)]
     gens = []
     for _ in range(data.draw(st.integers(1, 3))):
-        monos = enumerate_level(m, data.draw(st.integers(1, 3)))
+        monos = enumerate_weighted_level(m, n, data.draw(st.sampled_from(degrees)))
         terms = st.dictionaries(st.sampled_from(monos), gaussian_ints.filter(bool),
                                 min_size=1, max_size=3 if m < 4 else 2)
         gens.append(GradedPolynomial(m, data.draw(terms)))
-    ideal, shuffled = GradedIdeal(m, gens), GradedIdeal(m, gens)
+    ideal, shuffled = GradedIdeal(m, gens, weight=n), GradedIdeal(m, gens, weight=n)
     certify(ideal)
     levels = range(ideal.k0 + 9)
     by_shuffle = {k: shuffled.level_data(k) for k in data.draw(st.permutations(levels))}
     for k in levels:
         pivots, red, monomials = ideal.level_data(k)
-        assert by_shuffle[k] == (pivots, red, monomials) and monomials == enumerate_level(m, k)
+        assert by_shuffle[k] == (pivots, red, monomials)
+        assert monomials == enumerate_weighted_level(m, n, k)
         ref = ela.rref(*generator_rows(ideal, k))
         assert pivots == ref[0] and over_pivots(pivots, red) == over_pivots(*ref)
         assert no_zero_stored(red) and all(map(is_primitive, red))
@@ -503,31 +511,40 @@ def test_ideal_levels_equal_from_scratch_rref(data, m):
             assert row[p] and not set(row) & (set(pivots) - {p})
 
 
-@pytest.mark.parametrize("gens, k0, nleads", [
-    ("z1*z2-z3^2,z1*z3-z2^2", 5, 3),
-    ("z1^2+(1+i)*z2*z3,z2^2-z1*z3,z3^3", 7, 6),
+@pytest.mark.parametrize("m, gens, weight, k0, nleads", [
+    (3, "z1*z2-z3^2,z1*z3-z2^2", None, 4, 3),
+    (3, "z1^2+(1+i)*z2*z3,z2^2-z1*z3,z3^3", None, 6, 6),
+    (2, "z1*z2-z1^3,z2^2", (1, 2), 4, 2),
+    (3, "z1*z3-z2^3,z1-z2^2+z3^2", (2, 1, 1), 3, 2),
+    (2, "z1^4-z2^2", (1, 2), 4, 1),
 ])
-def test_certified_leading_monomials_match_sympy_groebner(gens, k0, nleads):
-    ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in gens.split(",")])
+def test_certified_leading_monomials_match_sympy_groebner(m, gens, weight, k0, nleads):
+    # z_i -> y_i^(n_i) turns the weighted order (weighted degree, then lex)
+    # into grlex, and a Groebner basis into one of the image's ideal
+    ideal = GradedIdeal(m, [parse_polynomial(g, m) for g in gens.split(",")], weight=weight)
     certify(ideal)
     assert ideal.k0 == k0 and len(ideal.groebner_leads) == nleads
-    zs = sympy.symbols("z1 z2 z3")
+    n, ys = ideal.weight, sympy.symbols(f"y1:{m + 1}")
     polys = [
         sum((sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im))
-            * sympy.prod([x**e for x, e in zip(zs, a)]) for a, c in g.terms())
+            * sympy.prod([y**(e * w) for y, e, w in zip(ys, a, n)]) for a, c in g.terms())
         for g in ideal.generators
     ]
-    basis = sympy.groebner(polys, *zs, order="grlex", domain=QQ_I)
-    assert set(ideal.groebner_leads) == {p.monoms(order="grlex")[0] for p in basis.polys}
+    basis = sympy.groebner(polys, *ys, order="grlex", domain=QQ_I)
+    leads = {tuple(e * w for e, w in zip(a, n)) for a in ideal.groebner_leads}
+    assert leads == {p.monoms(order="grlex")[0] for p in basis.polys}
 
 
 def test_an_uncertified_ideal_stays_on_rref():
-    # its pair z1*z2^10, z3^22 has lcm degree 33, so through level 26 no
-    # level is certified and every level is rref's own
+    # the coprime pair z1*z2^10, z3^22 (lcm degree 33) is skipped, but the
+    # pair z1*z3^11, z3^22 has lcm degree 23, so through level 22 no level is
+    # certified and every level is rref's own; level 23 certifies
     ideal = GradedIdeal(3, [parse_polynomial(g, 3) for g in ("z1^2", "z1*z2^10-z3^11")])
-    for k in range(27):
+    for k in range(23):
         assert ideal.level_data(k)[:2] == ela.rref(*generator_rows(ideal, k))
     assert ideal.k0 is None and (0, 0, 22) in ideal.groebner_leads
+    ideal.level_data(23)
+    assert ideal.k0 == 23
 
 
 # with a cubic, an m = 4 ideal can need levels past 17 before its Groebner

@@ -25,7 +25,7 @@ CASES = {
         "diag", "koszul", "--m", "2", "--ideal", "z1^2,z1*z2", "--module", "ideal",
         "--max-level", "8",
     ),
-    # certified Groebner degree 5: the ideal module's basis past it is built
+    # certified Groebner degree 4: the ideal module's basis past it is built
     # from the level below, at another row scale than rref's
     "koszul-ideal-twisted-cubic": (
         "diag", "koszul", "--m", "3", "--ideal", "z1*z2-z3^2,z1*z3-z2^2", "--module", "ideal",
@@ -85,6 +85,12 @@ CASES = {
     "ideal-decompose": (
         "ideal", "decompose", "--m", "2", "--ideal", "z1*z2-z1^3,z2^2", "--weight", "1,2",
         "--max-wlevel", "9",
+    ),
+    # certified Groebner degree 3 for n = (2, 1, 1): levels 4 to 16 are built
+    # from the levels below, as plain ones are
+    "ideal-decompose-weighted": (
+        "ideal", "decompose", "--m", "3", "--ideal", "z1*z3-z2^3,z1-z2^2+z3^2",
+        "--weight", "2,1,1", "--max-wlevel", "16",
     ),
 }
 
