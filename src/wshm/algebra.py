@@ -109,6 +109,10 @@ class GaussianRational:
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return _make(*_parts(other)) / self
 
+    def scaled(self, num: int, den: int) -> "GaussianRational":
+        """self * num / den for ints num and den > 0, reduced once."""
+        return _reduced(self._a * num, self._b * num, self._d * den)
+
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
 

@@ -222,7 +222,7 @@ def normality_report(
     norms = [[t[0] for t in flat[n:n + K + 1]] for n in range(0, len(flat), K + 1)]
     defect_zero = not any(row for k in range(K + 1) for row in defect.block(k))
     if realization.is_full:
-        # the full space's defect is diagonal, its products those of C(z_i, z_i)
+        # the full space's defect is diagonal: norm and Schatten terms from its entries
         diag = [[abs(float(v.re)) for v in defect.diagonal(k)] for k in range(K + 1)]
         defect_norms = [max(d, default=0.0) for d in diag]
         defect_terms = {p: [float(sum(v**p for v in d)) for d in diag] for p in p_list}

@@ -101,10 +101,13 @@ class GradedIdeal:
         fill in ascending order, up to ``k0`` as :func:`ela.rref` of the products
         z^beta g_j.  k0 is the first k >= D*(k), the top generator degree or
         n.lcm(a, b) over pairs of ``groebner_leads`` (pivots of levels <= k not
-        e_i plus one of level k - n_i) that share a variable.  Their S-pairs
-        reduce to 0 (in the eliminated levels, or alone if coprime), so they
-        lead a Groebner basis (Buchberger's criteria), and each level past k0
-        is :meth:`_extend` of the levels below (rows need not have rref's scale).
+        e_i plus one of level k - n_i) that share a variable and whose lcm l
+        no third lead c divides with lcm(a, c) and lcm(b, c) both proper
+        divisors of l.  Their S-pairs reduce to 0 (in the eliminated levels,
+        alone if coprime, or by induction on l through (a, c) and (b, c)), so
+        they lead a Groebner basis (Buchberger's criteria), and each level
+        past k0 is :meth:`_extend` of the levels below (rows need not have
+        rref's scale).
         """
         if ell >= 0 and ell not in self._level_cache:
             for k in range(len(self._level_cache), ell + 1):
@@ -120,8 +123,12 @@ class GradedIdeal:
         pivots, red = ela.rref(rows, len(monomials))
         parent, leads = self._parents(k, monomials), self.groebner_leads
         leads += [monomials[p] for p in pivots if p not in parent]
-        pairs = [sum(map(operator.mul, self.weight, map(max, a, b)))
-                 for a, b in itertools.combinations(leads, 2) if any(map(min, a, b))]
+        # the pairs Buchberger's product and chain criteria leave (see level_data)
+        pairs = [sum(map(operator.mul, self.weight, l))
+                 for a, b in itertools.combinations(leads, 2) for l in [tuple(map(max, a, b))]
+                 if any(map(min, a, b)) and not any(
+                     all(map(operator.le, c, l)) and tuple(map(max, a, c)) != l != tuple(map(max, b, c))
+                     for c in leads)]
         if k >= max([*self._gen_degrees, *pairs], default=0):
             self.k0 = k
         return pivots, red, monomials

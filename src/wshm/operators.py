@@ -22,9 +22,12 @@ Evaluation is on demand.  An operator is its realization plus a hashable
 recipe (shift, builder, arguments), and the realization keeps one block cache
 keyed by recipe, so equal recipes share every block: a report builds the
 levels and blocks it reads, each once per realization however often it is
-assembled, and every commutator, defect and codefect shares one build of
-each multiplier, adjoint and product.  No block projects: on a quotient
-M_p^* leaves S^perp invariant, and its blocks are read off directly.
+assembled.  On the full space a commutator of monomials is a weighted
+partial permutation and a sum-of-squares defect is diagonal, both read off
+the level weights; on a quotient every commutator, defect and codefect
+shares one build of each multiplier, adjoint and product.  No block
+projects: on a quotient M_p^* leaves S^perp invariant, and its blocks are
+read off directly.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -41,6 +44,7 @@ projection onto constants with a positive sign).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -392,8 +396,6 @@ def product_blocks(realization: ModuleRealization, p, q, adj_first: bool) -> Gra
     """M_q^* M_p if ``adj_first`` else M_p M_q^*.  A block raises WindowError
     only when it reads a level the realization lacks; equal products share
     their blocks."""
-    if p.m != realization.space.m or q.m != realization.space.m:
-        raise ModeError("multiplier variable count disagrees with realization")
     mp, mq_adj = _multiplier(realization, p), adjoint_blocks(_multiplier(realization, q))
     return compose(mq_adj, mp) if adj_first else compose(mp, mq_adj)
 
@@ -416,29 +418,86 @@ def commutator_blocks(
 
     Degree shift deg f - deg g; block k reads levels up to k + deg f.  For
     f = g each block is Hermitian (and on the unilateral shift the level-0
-    block is [1]).
+    block is [1]).  On the full space the blocks are read off the level
+    weights (:func:`_commutator_block`); on a quotient they are the
+    difference of the two products.
     """
     for q in (f, g):
-        if q.is_zero or not q.is_homogeneous:
-            raise ModeError(f"commutator arguments must be nonzero homogeneous, got {q}")
+        if q.is_zero or not q.is_homogeneous or q.m != realization.space.m:
+            raise ModeError(f"commutator arguments must be nonzero homogeneous in the "
+                            f"realization's variable count, got {q}")
+    if realization.is_full:
+        pairs = tuple((c * d.conjugate(), a, b) for a, c in f.terms() for b, d in g.terms())
+        return GradedOperator(realization, f.degree - g.degree, _commutator_block, pairs)
     return op_sub(*(product_blocks(realization, f, g, t) for t in (True, False)))
+
+
+def _commutator_block(r: ModuleRealization, k: int, pairs) -> list[ela.Row]:
+    """Block k of C(f, g) on the full space: e_x -> sum c conj(d) (w(x + a, b)
+    - w(x, b)) e_{x+a-b} over the ``pairs`` (c conj(d), a, b) of terms c z^a
+    of f and d z^b of g, where w(y, b) = omega(y) / omega(y - b) for y >= b
+    and 0 otherwise, read as ints off the level weights.  One pair is a
+    weighted partial permutation."""
+    da, db = sum(pairs[0][1]), sum(pairs[0][2])
+    src, hi = r.level(k), r.level(k + da)
+    tgt, lo = (r.level(j) if j >= 0 else None for j in (k + da - db, k - db))
+    block: list[ela.Row] = [{} for _ in range(r.comp_dim(k + da - db))]
+    for c, a, b in pairs:
+        for col, x in enumerate(src.monomials):
+            y = add_index(x, a)
+            t = tgt.col_of.get(tuple(map(operator.sub, y, b))) if tgt else None
+            if t is not None:
+                num, den = hi.weights[hi.col_of[y]] * tgt.den, hi.den * tgt.weights[t]
+                s = lo.col_of.get(tuple(map(operator.sub, x, b))) if lo else None
+                if s is not None:
+                    n, d = src.weights[col] * lo.den, src.den * lo.weights[s]
+                    num, den = num * d - n * den, den * d
+                if num:  # pairs with equal a - b meet here: add exactly
+                    v, row = c.scaled(num, den), block[t]
+                    row[col] = row[col] + v if col in row else v
+    return block if len(pairs) == 1 else [{j: v for j, v in row.items() if v} for row in block]
+
+
+def _defect_block(r: ModuleRealization, k: int, adj_first: bool, terms) -> list[ela.Row]:
+    """Block k of a sum-of-squares defect on the full space: diagonal, with
+    entry 1 - sum_t a_t w(x + alpha_t, alpha_t) if ``adj_first``, else
+    1 - sum_t a_t w(x, alpha_t) (w as in :func:`_commutator_block`), each
+    summed as one integer ratio."""
+    src = r.level(k)
+    acc = [(1, 1)] * len(src.monomials)
+    for a, alpha in terms:
+        deg = sum(alpha)
+        # w = omega(y) / omega(z): y = x + alpha over z = x, or y = x over z = x - alpha
+        hi, lo = (r.level(k + deg), src) if adj_first else (src, r.level(k - deg) if k >= deg else None)
+        for col, x in enumerate(src.monomials):
+            y, z = (add_index(x, alpha), x) if adj_first else (x, tuple(map(operator.sub, x, alpha)))
+            s = lo.col_of.get(z) if lo else None
+            if s is not None:  # subtract a_t w = wn / wd
+                wn = a.numerator * hi.weights[hi.col_of[y]] * lo.den
+                wd = a.denominator * hi.den * lo.weights[s]
+                n, d = acc[col]
+                acc[col] = (n * wd - wn * d, d * wd)
+    return [{c: G_ONE.scaled(n, d)} if n else {} for c, (n, d) in enumerate(acc)]
 
 
 def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, terms=None):
     """I - sum_t a_t M_t^* M_t if ``adj_first`` else I - sum_t a_t M_t M_t^*,
     M_t = M_{z^{alpha_t}}, over the terms (a_t, alpha_t) of a positive regular
     P, by default the m-shift's (a_t = 1, alpha_t = e_i): one exact square
-    block per level.  Term t is a_t times the product of M_q and M_q^*, q =
-    z^{alpha_t}, so each term builds one multiplier and the m-shift shares
-    C(z_i, z_i)'s products."""
+    block per level, diagonal and read off the weights on the full space
+    (:func:`_defect_block`).  On a quotient term t is a_t times the product
+    of M_q and M_q^*, q = z^{alpha_t}, so each term builds one multiplier and
+    the m-shift shares C(z_i, z_i)'s products."""
     m = realization.space.m
-    acc = identity_blocks(realization)
     if terms is None:
         terms = [(1, unit_index(m, i)) for i in range(m)]
+    terms = tuple(t for t in terms if t[0])  # a term with a_t = 0 adds nothing
+    if realization.is_full:
+        return GradedOperator(realization, 0, _defect_block, adj_first, terms)
+    acc = identity_blocks(realization)
     for a, alpha in terms:
-        if a:
-            q = GradedPolynomial(m, {alpha: 1})
-            acc = op_sub(acc, product_blocks(realization, q, q, adj_first), a)
+        q = GradedPolynomial(m, {alpha: 1})
+        acc = op_sub(acc, product_blocks(realization, q, q, adj_first), a)
     return acc
 
 

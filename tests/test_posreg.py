@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from wshm import exact_linalg as ela
+from wshm import operators
 from wshm.algebra import enumerate_level, enumerate_weighted_level
+from wshm.diagnostics import normality_report, trace_identity
 from wshm.errors import WshmError
 from wshm.ideals import ideal_level_dimension
+from wshm.operators import full_realization
 from wshm.parsing import parse_polynomial
 from wshm.posreg import (
     DeltaTable,
@@ -119,19 +123,24 @@ def test_defect_projection_identity_skips_a_zero_term():
     assert defect_projection_check(poly, 6).passed
 
 
-def test_p_defect_builds_one_multiplier_per_term(monkeypatch):
-    # term t is a_t M_q M_q^* with q = z^{alpha_t}: a scaled term builds no
-    # second multiplier beside M_q, so each check builds M_q's blocks k with
-    # k + |alpha_t| <= 8 once: 8 + 8 + 7 for z1, z2 and z1*z2
-    from wshm import operators
-
+def test_full_space_defects_and_commutators_build_no_product(monkeypatch):
+    # on the full space the P-defect, the m-shift's defect and codefect and
+    # every C(z_i, z_j) are read off the level weights: no check or report
+    # builds a multiplier, adjoint, product or difference block
     calls = []
-    mult_block = operators._mult_block
-    monkeypatch.setattr(operators, "_mult_block", lambda *a: calls.append(1) or mult_block(*a))
+    for mod, name in [(operators, "_mult_block"), (operators, "_adjoint_block"),
+                      (operators, "_compose_block"), (operators, "_sub_block"),
+                      (ela, "mat_mul"), (ela, "mat_sub")]:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     poly = preg(P_FLAG, 2)
     for _ in range(50):
         assert defect_projection_check(poly, 8).passed
-    assert len(calls) == 1150
+    for m in (2, 3):
+        r = full_realization(builtin_space("hardy-ball", m), 7)
+        normality_report(r, 5, [2.0, 4.0])
+        assert all(trace_identity(r, k).exact_match for k in range(7))  # defect and codefect
+    assert calls == []
 
 
 def test_jp_data_flagship():

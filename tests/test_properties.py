@@ -4,10 +4,11 @@ bases, kernel bases, elimination against a sympy oracle, Gaussian-integer
 content of reduced rows, sparse rows that never store a zero, ideal levels
 past a certified Groebner degree against from-scratch elimination and sympy's
 Groebner bases, the exact Hilbert series against from-scratch level
-dimensions, the block kernels against entry-by-entry references, the Koszul
-homology of a principal ideal, the polynomial text round trip, and the
-positive regular pipeline (delta table, P-defect, kernel of the comparison
-map, co-isometry, module map)."""
+dimensions, the block kernels against entry-by-entry references, the
+full-space commutators and defects read off the weights against the product
+path, the Koszul homology of a principal ideal, the polynomial text round
+trip, and the positive regular pipeline (delta table, P-defect, kernel of the
+comparison map, co-isometry, module map)."""
 
 import math
 import time
@@ -32,12 +33,19 @@ from wshm.algebra import (
     sub_index,
 )
 from wshm.diagnostics import koszul_euler
+from wshm.errors import WindowError
 from wshm.ideals import GradedIdeal, hilbert_series
 from wshm.operators import (
     _sum_of_squares_defect,
     adjoint_blocks,
+    codefect_blocks,
+    commutator_blocks,
+    defect_blocks,
     full_realization,
+    identity_blocks,
     mult_blocks,
+    op_sub,
+    product_blocks,
     quotient_realization,
 )
 from wshm.parsing import parse_polynomial
@@ -517,6 +525,11 @@ def test_ideal_levels_equal_from_scratch_rref(data, m):
     (2, "z1*z2-z1^3,z2^2", (1, 2), 4, 2),
     (3, "z1*z3-z2^3,z1-z2^2+z3^2", (2, 1, 1), 3, 2),
     (2, "z1^4-z2^2", (1, 2), 4, 1),
+    # the chain criterion skips the pair z2*z3*z4^5, z3^9 (lcm degree 15): the
+    # lead z2*z3^4 divides its lcm, and both of its pairs have lcm degree 10
+    (4, "(1-3i)*z1+(-2-i)*z2+(2+i)*z3+(i)*z4,"
+        "-3*z2^3+(2+2i)*z2^2*z4+(1+2i)*z2*z3^2+(3+i)*z3*z4^2,(2-2i)*z1^3+(2i)*z1*z4^2",
+     None, 10, 10),
 ])
 def test_certified_leading_monomials_match_sympy_groebner(m, gens, weight, k0, nleads):
     # z_i -> y_i^(n_i) turns the weighted order (weighted degree, then lex)
@@ -810,6 +823,53 @@ def _truncate(p: GradedPolynomial, degree: int) -> GradedPolynomial:
 
 
 positive_rationals = st.builds(Fraction, st.integers(1, 4), st.integers(1, 6))
+
+
+def block_or_window_error(op, k):
+    try:
+        return op.block(k)
+    except WindowError:
+        return WindowError
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["da", "hardy-ball", "bergman-ball", "polydisk-hardy"]),
+    m=st.integers(1, 4),
+    top=st.integers(0, 5),
+)
+def test_full_space_blocks_equal_the_product_path(data, kind, m, top):
+    # on the full space commutators, defects, codefects and P-defects are read
+    # off the weights; each block equals the product path's exactly, and each
+    # raises WindowError exactly where the product path does
+    scale2 = data.draw(st.sampled_from(["1", f"1/{m}"]))
+    params = {"scale2": scale2} if kind == "polydisk-hardy" else None
+    r = full_realization(builtin_space(kind, m, params), top)
+    f, g = (homogeneous(data, m, data.draw(st.integers(1, 2))) for _ in range(2))
+    alphas = [a for d in (1, 2) for a in enumerate_level(m, d)]
+    terms = tuple(data.draw(st.lists(
+        st.tuples(positive_rationals, st.sampled_from(alphas)), min_size=1, max_size=3)))
+
+    def product_path_defect(adj_first, terms):
+        acc = identity_blocks(r)
+        for a, alpha in terms:
+            q = GradedPolynomial(m, {alpha: 1})
+            acc = op_sub(acc, product_blocks(r, q, q, adj_first), a)
+        return acc
+
+    unit = tuple((1, a) for a in enumerate_level(m, 1))
+    pairs = [
+        (commutator_blocks(r, f, g),
+         op_sub(product_blocks(r, f, g, True), product_blocks(r, f, g, False))),
+        (defect_blocks(r), product_path_defect(True, unit)),
+        (codefect_blocks(r), product_path_defect(False, unit)),
+        (_sum_of_squares_defect(r, True, terms), product_path_defect(True, terms)),
+        (_sum_of_squares_defect(r, False, terms), product_path_defect(False, terms)),
+    ]
+    for closed, product in pairs:
+        for k in range(top + 1):
+            assert block_or_window_error(closed, k) == block_or_window_error(product, k), k
 
 
 @settings(max_examples=120, deadline=None)
