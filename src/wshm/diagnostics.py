@@ -31,11 +31,10 @@ from .algebra import (
     G_ZERO,
     GradedPolynomial,
     add_index,
-    level_dimension,
     unit_index,
 )
 from .errors import ScenarioError, StructuralError, WindowError, WshmError
-from .ideals import GradedIdeal, hilbert_series
+from .ideals import GradedIdeal, hilbert_function, hilbert_series, ideal_level_dimension
 from .operators import (
     ModuleRealization,
     codefect_blocks,
@@ -181,13 +180,12 @@ def normality_report(
     """Per-level norms of every cross commutator and of the spherical defect,
     decay trends, and Schatten partial sums of the defect.
 
-    Requires realization bases to level K + 2, so that every block of every
-    reported level k <= K can be built.
+    Requires realization bases to level K + 1 + max n (K + 2 when plain), so
+    that every block of every reported level k <= K can be built.
     """
-    if realization.max_level < K + 2:
-        raise WindowError(
-            f"normality_report to K={K} needs realization levels to {K + 2}"
-        )
+    top = K + 1 + max(realization.weight)
+    if realization.max_level < top:
+        raise WindowError(f"normality_report to K={K} needs realization levels to {top}")
     p_list = list(p_list or [])
     # one table and one verdict per exponent: each finite, >= 1 and distinct
     if any(not 1 <= p < math.inf for p in p_list) or len(set(p_list)) < len(p_list):
@@ -667,8 +665,8 @@ class _KoszulModule:
             raise WshmError(f"module kind {kind!r} needs an ideal")
         if kind == "full" and ideal is not None:
             raise WshmError("module kind 'full' takes no ideal")
-        if ideal is not None and ideal.mode != "plain":
-            raise WshmError("Koszul module needs a plain-homogeneous ideal")
+        if ideal is not None:
+            ideal._require_plain()  # chain spaces are graded by total degree
         if kind == "full":
             ideal = GradedIdeal(m, [])  # the full module is the quotient by 0
         self.m = m
@@ -676,11 +674,7 @@ class _KoszulModule:
         self.kind = kind
 
     def dim(self, d: int) -> int:
-        if d < 0:
-            return 0
-        if self.kind == "ideal":
-            return len(self.ideal.level_data(d)[0])
-        return level_dimension(self.m, d) - len(self.ideal.level_data(d)[0])
+        return (ideal_level_dimension if self.kind == "ideal" else hilbert_function)(self.ideal, d)
 
     def _standard(self, d: int) -> list[int]:
         pivots, _, monomials = self.ideal.level_data(d)

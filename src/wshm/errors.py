@@ -16,7 +16,7 @@ class DimensionError(WshmError, ValueError):
 
 
 class ModeError(WshmError, ValueError):
-    """Raised when an ideal operation is called in the wrong homogeneity mode."""
+    """Raised when a polynomial or ideal does not fit the grading an operation needs."""
 
 
 class WindowError(WshmError, ValueError):

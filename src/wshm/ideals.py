@@ -1,9 +1,9 @@
 """Graded ideals: per-level bases, Hilbert functions and series, residue
 decompositions.
 
-An ideal is *plain* homogeneous (every generator has a single total degree)
-or *quasi-homogeneous* for a weight vector n (every generator has a single
-weighted degree); plain is n = (1, ..., 1).  Its level-ell component
+An ideal's one grading is its weight vector n, all ones by default (plain):
+every generator must be quasi-homogeneous for n, with a single weighted
+degree n.alpha over its terms.  Its level-ell component
 
     J_ell = span{ z^beta g_j : wdeg(beta) + wdeg(g_j) = ell }
 
@@ -16,13 +16,14 @@ independent of any space's weights, so no tolerance can corrupt a count.
 The Hilbert series of a plain quotient R/I is read off the leading monomials
 that the levels certify (see :func:`hilbert_series`), so its dimension,
 multiplicity and Hilbert polynomial are exact and need no window of levels.
-The residue decomposition of a quasi ideal reports, per level, the dimensions
-of the intersections with the residue pieces H^n(alpha) and the defect
+The residue decomposition reports, per level, the dimensions of the
+intersections with the residue pieces H^n(alpha) and the defect
 
     defect(ell) = dim J_ell - sum_alpha dim(J_ell ^ H^n(alpha)) >= 0,
 
 which is reported as data and never asserted to vanish: the class-wise sum is
-a direct sum inside J_ell, but a generator may straddle residue classes.
+a direct sum inside J_ell, but a generator may straddle residue classes.  A
+plain ideal has the one class alpha = 0 and defect 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .algebra import (
     check_weight_vector,
     enumerate_weighted_level,
     grlex_key,
-    level_dimension,
     residue_of,
 )
 from .errors import ModeError
@@ -59,25 +59,14 @@ class GradedIdeal:
         weight: WeightVector | None = None,
     ):
         gens = tuple(g for g in generators if not g.is_zero)
+        self.m = m
+        self.generators = gens
+        self.weight: WeightVector = check_weight_vector((1,) * m if weight is None else weight, m)
         for g in gens:
             if g.m != m:
                 raise ModeError(f"generator over {g.m} variables in an m={m} ideal")
-        self.m = m
-        self.generators = gens
-        if weight is None:
-            self.mode = "plain"
-            self.weight: WeightVector = tuple([1] * m)
-            for g in gens:
-                if not g.is_homogeneous:
-                    raise ModeError(f"non-homogeneous generator in plain mode: {g}")
-        else:
-            self.mode = "quasi"
-            self.weight = check_weight_vector(weight, m)
-            for g in gens:
-                if not g.is_quasi_homogeneous(self.weight):
-                    raise ModeError(
-                        f"generator not quasi-homogeneous for n={self.weight}: {g}"
-                    )
+            if not g.is_quasi_homogeneous(self.weight):
+                raise ModeError(f"generator not quasi-homogeneous for n={self.weight}: {g}")
         self._gen_degrees = tuple(g.weighted_degree(self.weight) for g in gens)
         # each generator's terms as a primitive Gaussian-integer row, made once
         self._gen_terms = tuple(list(ela.integral(dict(g.terms())).items()) for g in gens)
@@ -90,8 +79,9 @@ class GradedIdeal:
         return not self.generators
 
     def _require_plain(self) -> None:
-        if self.mode != "plain":
-            raise ModeError("operation requires a plain-homogeneous ideal")
+        """For formulas that assume unit degrees, n = (1, ..., 1)."""
+        if self.weight != (1,) * self.m:
+            raise ModeError(f"operation requires a plain-homogeneous ideal, not n={self.weight}")
 
     def level_data(self, ell: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:
         """(pivot columns, reduced rows, monomial column order) at level ell.
@@ -163,14 +153,13 @@ class GradedIdeal:
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"
-        tag = f" quasi{self.weight}" if self.mode == "quasi" else ""
+        tag = f" quasi{self.weight}" if self.weight != (1,) * self.m else ""
         return f"GradedIdeal<{gens}>{tag}"
 
 
 def graded_basis(ideal: GradedIdeal, k: int) -> list[GradedPolynomial]:
-    """Echelon basis of I_k = span{z^beta g_j : |beta| + deg g_j = k}, each
+    """Echelon basis of I_k = span{z^beta g_j : n.beta + n.g_j = k}, each
     row divided by its pivot entry."""
-    ideal._require_plain()
     pivots, red, monomials = ideal.level_data(k)
     return [
         GradedPolynomial(ideal.m, {monomials[c]: v / row[p] for c, v in row.items()})
@@ -183,9 +172,9 @@ def ideal_level_dimension(ideal: GradedIdeal, ell: int) -> int:
 
 
 def hilbert_function(ideal: GradedIdeal, k: int) -> int:
-    """dim I_k^perp = dim H_k - dim I_k (weight-free)."""
-    ideal._require_plain()
-    return level_dimension(ideal.m, k) - ideal_level_dimension(ideal, k)
+    """dim I_k^perp, the level's monomial count minus dim I_k (weight-free)."""
+    pivots, _, monomials = ideal.level_data(k)
+    return len(monomials) - len(pivots)
 
 
 def _numerator(leads: list[MultiIndex]) -> list[int]:
@@ -281,7 +270,7 @@ class ResidueLevel:
 
 @dataclass
 class ResidueDecomposition:
-    """Per-level residue class dimensions of a quasi-homogeneous ideal."""
+    """Per-level residue class dimensions of an ideal under its grading n."""
 
     weight: WeightVector
     levels: list[ResidueLevel] = field(default_factory=list)
@@ -297,8 +286,6 @@ def residue_decompose(ideal: GradedIdeal, ell_max: int) -> ResidueDecomposition:
     dim(J_ell ^ H^n(alpha)) is the nullity of the coordinate projection of
     J_ell onto the monomials *outside* the class, computed by exact rank.
     """
-    if ideal.mode != "quasi":
-        raise ModeError("residue_decompose requires quasi mode")
     n = ideal.weight
     out = ResidueDecomposition(weight=n)
     for ell in range(ell_max + 1):

@@ -1,8 +1,11 @@
 """Graded block realizations of multiplication operators and their adjoints.
 
-Every operator here is graded: it maps the degree-k coordinate space of a
-module realization to the degree-(k + shift) space, one exact block per
-level.  Two arithmetic tiers are kept strictly apart:
+Every operator here is graded: it maps the level-k coordinate space of a
+module realization to level k + shift, one exact block per level.  Levels,
+degrees, shifts and windows are weighted degrees n.alpha under the
+realization's one grading n, its ideal's weight vector (all ones for the full
+space, so a plain ideal's levels are total degrees).  Two arithmetic tiers
+are kept strictly apart:
 
 * exact tier -- bases, Gram diagonals, block entries, traces and dimensions
   are Gaussian-rational and never rounded;
@@ -58,8 +61,9 @@ from .algebra import (
     GradedPolynomial,
     MultiIndex,
     add_index,
-    enumerate_level,
+    enumerate_weighted_level,
     unit_index,
+    weighted_degree,
 )
 from .errors import ModeError, WindowError, WshmError
 from .ideals import GradedIdeal
@@ -100,16 +104,17 @@ class ModuleRealization:
 
     Each level holds its monomial weights as ints over one denominator.  For
     the full space the complement basis at level k is the monomial coordinate
-    basis and the Gram diagonal is omega.  For a quotient by a
-    plain-homogeneous ideal, S_k is the reduced echelon basis of the ideal
-    level and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in
-    S_k}: Gaussian-integer kernel vectors read off that echelon form in closed
-    form (no second elimination), orthogonalised by fraction-free Gram-Schmidt
-    so that its Gram matrix is diagonal too.  Two plain dicts memoise the
-    work: ``_levels`` holds each level up to ``max_level`` from its first
-    read, ``_blocks`` the blocks built so far of each
-    :class:`GradedOperator` recipe, by source level.  Neither refers to the
-    realization, so there is no reference cycle.  A realization is not safe
+    basis and the Gram diagonal is omega.  For a quotient, S_k is the reduced
+    echelon basis of the ideal level and the complement basis spans S_k^perp
+    = {v : <v, u> = 0 for u in S_k}: Gaussian-integer kernel vectors read off
+    that echelon form in closed form (no second elimination), orthogonalised
+    by fraction-free Gram-Schmidt so that its Gram matrix is diagonal too.
+    Level k holds the monomials of weighted degree k under ``weight``, the
+    ideal's n.  Plain dicts memoise the work: ``_levels`` holds each level up
+    to ``max_level`` from its first read, ``_blocks`` the blocks built so far
+    of each :class:`GradedOperator` recipe, by source level, and ``_degrees``
+    each polynomial's weighted degree.  None refers to the realization, so
+    there is no reference cycle.  A realization is not safe
     to share between threads without a lock, and no caller may mutate a
     block it reads.
     """
@@ -122,16 +127,15 @@ class ModuleRealization:
     ):
         if max_level < 0:
             raise WindowError(f"max_level must be >= 0, got {max_level}")
-        if ideal is not None:
-            if ideal.mode != "plain":
-                raise ModeError("realizations require a plain-homogeneous ideal")
-            if ideal.m != space.m:
-                raise ModeError("ideal and space variable counts disagree")
+        if ideal is not None and ideal.m != space.m:
+            raise ModeError("ideal and space variable counts disagree")
         self.space = space
         self.ideal = ideal
+        self.weight = (1,) * space.m if ideal is None else ideal.weight
         self.max_level = max_level
         self._levels: dict[int, _Level] = {}
         self._blocks: dict[tuple, dict[int, list[ela.Row]]] = {}
+        self._degrees: dict[GradedPolynomial, int] = {}
 
     @property
     def is_full(self) -> bool:
@@ -139,11 +143,11 @@ class ModuleRealization:
 
     def _build_level(self, k: int) -> _Level:
         if self.is_full:
-            monomials = enumerate_level(self.space.m, k)
+            monomials = enumerate_weighted_level(self.space.m, self.weight, k)
             n, den = self.space.level_weights(monomials)
             comp, norms, pivots = [{j: G_ONE} for j in range(len(n))], n, []
         else:
-            # a plain ideal's level columns are enumerate_level's monomials
+            # the ideal's level columns are enumerate_weighted_level's monomials
             pivots, red, monomials = self.ideal.level_data(k)
             n, den = self.space.level_weights(monomials)
             comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
@@ -164,6 +168,17 @@ class ModuleRealization:
         if lv is None:
             lv = self._levels[k] = self._build_level(k)
         return lv
+
+    def degree(self, p: GradedPolynomial) -> int:
+        """p's weighted degree n.alpha, read when an operator's recipe is built,
+        never per block; p must be nonzero and homogeneous for n."""
+        d = self._degrees.get(p)
+        if d is None:
+            if p.m != self.space.m or p.is_zero or not p.is_quasi_homogeneous(self.weight):
+                raise ModeError(f"operator polynomials must be nonzero in the realization's "
+                                f"variable count and homogeneous for n={self.weight}, got {p}")
+            d = self._degrees[p] = p.weighted_degree(self.weight)
+        return d
 
     def comp_dim(self, k: int) -> int:
         """dim S_k^perp; zero below level 0."""
@@ -281,10 +296,10 @@ def identity_blocks(realization: ModuleRealization) -> GradedOperator:
     return GradedOperator(realization, 0, _identity_block)
 
 
-def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial) -> list[ela.Row]:
-    """Block k of M_p on the full space: source level k, target k + deg p."""
+def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
+    """Block k of M_p on the full space: source level k, target k + d, d = deg p."""
     terms = list(p.terms())
-    tgt = r.level(k + p.degree)
+    tgt = r.level(k + d)
     block: list[ela.Row] = [{} for _ in tgt.monomials]
     for col, alpha in enumerate(r.level(k).monomials):
         for beta, c in terms:
@@ -292,15 +307,15 @@ def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial) -> list[ela.R
     return block
 
 
-def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial) -> list[ela.Row]:
+def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
     """Block j of the compressed M_p^* on a quotient, with no projection: [I]
-    is M_p-invariant, so x = M_p^* w_s lies in S_k^perp, k = j - deg p.  At a
+    is M_p-invariant, so x = M_p^* w_s lies in S_k^perp, k = j - d, d = deg p.  At a
     free column f, x_f = sum_beta conj(c_beta) w_s[f+beta] n_j[f+beta] d_k /
     (d_j n_k[f]), in integers over p's common denominator.  Row w_t has free
     entries at f_0..f_t only, so one back-substitution gives x's coordinates."""
-    k = j - p.degree
+    k = j - d
     if k < 0:
-        return _zero_block(r, -p.degree, j)
+        return _zero_block(r, -d, j)
     src, tgt = r.level(k), r.level(j)
     num, den = ela.over_common_denominator(dict(p.terms()))
     pivots, rows = set(src.ideal_pivots), src.comp_rows
@@ -321,10 +336,10 @@ def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial) -> lis
 
 def _multiplier(r: ModuleRealization, p: GradedPolynomial) -> GradedOperator:
     """M_p: closed-form on the full space, the adjoint of M_p^* on a quotient."""
+    d = r.degree(p)
     if r.is_full:
-        return GradedOperator(r, p.degree, _mult_block, p)
-    return GradedOperator(r, p.degree, _adjoint_block,
-                          GradedOperator(r, -p.degree, _coinvariant_block, p))
+        return GradedOperator(r, d, _mult_block, p, d)
+    return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, _coinvariant_block, p, d))
 
 
 def mult_blocks(
@@ -340,11 +355,7 @@ def mult_blocks(
     built once and shared.  K only checks that the realization has levels to
     K + d; block k reads levels k and k + d.
     """
-    if p.is_zero or not p.is_homogeneous:
-        raise ModeError(f"multiplier must be nonzero homogeneous, got {p}")
-    if p.m != realization.space.m:
-        raise ModeError("multiplier variable count disagrees with realization")
-    d = p.degree
+    d = realization.degree(p)
     if K < 0 or K + d > realization.max_level:
         raise WindowError(
             f"mult_blocks to K={K} needs realization levels to {K + d}, "
@@ -422,23 +433,19 @@ def commutator_blocks(
     weights (:func:`_commutator_block`); on a quotient they are the
     difference of the two products.
     """
-    for q in (f, g):
-        if q.is_zero or not q.is_homogeneous or q.m != realization.space.m:
-            raise ModeError(f"commutator arguments must be nonzero homogeneous in the "
-                            f"realization's variable count, got {q}")
+    da, db = realization.degree(f), realization.degree(g)
     if realization.is_full:
         pairs = tuple((c * d.conjugate(), a, b) for a, c in f.terms() for b, d in g.terms())
-        return GradedOperator(realization, f.degree - g.degree, _commutator_block, pairs)
+        return GradedOperator(realization, da - db, _commutator_block, pairs, da, db)
     return op_sub(*(product_blocks(realization, f, g, t) for t in (True, False)))
 
 
-def _commutator_block(r: ModuleRealization, k: int, pairs) -> list[ela.Row]:
-    """Block k of C(f, g) on the full space: e_x -> sum c conj(d) (w(x + a, b)
-    - w(x, b)) e_{x+a-b} over the ``pairs`` (c conj(d), a, b) of terms c z^a
-    of f and d z^b of g, where w(y, b) = omega(y) / omega(y - b) for y >= b
-    and 0 otherwise, read as ints off the level weights.  One pair is a
-    weighted partial permutation."""
-    da, db = sum(pairs[0][1]), sum(pairs[0][2])
+def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> list[ela.Row]:
+    """Block k of C(f, g) on the full space, f of degree da and g of degree
+    db: e_x -> sum c conj(d) (w(x + a, b) - w(x, b)) e_{x+a-b} over the
+    ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g, where
+    w(y, b) = omega(y) / omega(y - b) for y >= b and 0 otherwise, read as ints
+    off the level weights.  One pair is a weighted partial permutation."""
     src, hi = r.level(k), r.level(k + da)
     tgt, lo = (r.level(j) if j >= 0 else None for j in (k + da - db, k - db))
     block: list[ela.Row] = [{} for _ in range(r.comp_dim(k + da - db))]
@@ -462,11 +469,10 @@ def _defect_block(r: ModuleRealization, k: int, adj_first: bool, terms) -> list[
     """Block k of a sum-of-squares defect on the full space: diagonal, with
     entry 1 - sum_t a_t w(x + alpha_t, alpha_t) if ``adj_first``, else
     1 - sum_t a_t w(x, alpha_t) (w as in :func:`_commutator_block`), each
-    summed as one integer ratio."""
+    summed as one integer ratio; ``terms`` are (a_t, alpha_t, deg alpha_t)."""
     src = r.level(k)
     acc = [(1, 1)] * len(src.monomials)
-    for a, alpha in terms:
-        deg = sum(alpha)
+    for a, alpha, deg in terms:
         # w = omega(y) / omega(z): y = x + alpha over z = x, or y = x over z = x - alpha
         hi, lo = (r.level(k + deg), src) if adj_first else (src, r.level(k - deg) if k >= deg else None)
         for col, x in enumerate(src.monomials):
@@ -493,6 +499,7 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
         terms = [(1, unit_index(m, i)) for i in range(m)]
     terms = tuple(t for t in terms if t[0])  # a term with a_t = 0 adds nothing
     if realization.is_full:
+        terms = tuple((a, alpha, weighted_degree(alpha, realization.weight)) for a, alpha in terms)
         return GradedOperator(realization, 0, _defect_block, adj_first, terms)
     acc = identity_blocks(realization)
     for a, alpha in terms:

@@ -7,6 +7,7 @@ Grammar (whitespace ignored, case-insensitive variable names):
     factor  := ('+' | '-')* atom ('^' INT)?
     atom    := INT | 'i' | VAR | '(' expr ')'
     VAR     := 'z' INT   (1-based variable index)
+    list    := expr? (',' expr?)*                         -- for --ideal
 
 Coefficients such as ``1/2``, ``2i``, ``(1/2)i`` or ``(3+2i)`` all parse
 exactly; division is only allowed by a constant.  No floating-point literals
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .algebra import G_I, GaussianRational, GradedPolynomial
 from .errors import ParseError
 
-_OPS = set("+-*/^()")
+_OPS = set("+-*/^(),")
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,18 @@ class _Parser:
         if tok.kind != "end":
             raise self._error(f"unexpected {tok.text!r}", tok)
         return poly
+
+    def parse_list(self) -> list[GradedPolynomial]:
+        """Polynomials between top-level commas, empty entries skipped."""
+        out = []
+        while True:
+            if self.peek().kind not in (",", "end"):
+                out.append(self.expr())
+            tok = self.advance()
+            if tok.kind == "end":
+                return out
+            if tok.kind != ",":
+                raise self._error(f"unexpected {tok.text!r}", tok)
 
     def expr(self) -> GradedPolynomial:
         acc = self.term()
@@ -190,9 +203,5 @@ def parse_polynomial(text: str, m: int) -> GradedPolynomial:
 
 
 def parse_polynomial_list(text: str, m: int) -> list[GradedPolynomial]:
-    """Parse a comma-separated list of polynomials (for --ideal flags)."""
-    out = []
-    for chunk in text.split(","):
-        if chunk.strip():
-            out.append(parse_polynomial(chunk, m))
-    return out
+    """Parse a comma-separated list (--ideal); error positions are in the whole text."""
+    return _Parser(text, m).parse_list()

@@ -237,3 +237,16 @@ def test_parse_errors_carry_position():
 def test_parse_polynomial_list():
     gens = parse_polynomial_list("z1^2, z1*z2, z2^2", 2)
     assert len(gens) == 3 and all(g.is_homogeneous for g in gens)
+    assert parse_polynomial_list(" z1,, z2 ,", 2) == [parse_polynomial(t, 2) for t in ("z1", "z2")]
+    assert parse_polynomial_list(" ", 2) == []
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("z1+z2, z1+q", 1, 11),  # in the whole text, not in the second polynomial
+    ("z1, z2, (z1, z2)", 1, 12),  # a comma inside parentheses separates nothing
+    ("z1,\nz2 z3", 2, 4),
+])
+def test_parse_polynomial_list_errors_carry_whole_text_positions(text, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_polynomial_list(text, 2)
+    assert (e.value.line, e.value.column) == (line, column)

@@ -64,6 +64,11 @@ def test_parse_error_reports_position(capsys):
     )
     assert code == 2
     assert "line 1, column 6" in err
+    # a position in a comma-separated --ideal counts from the start of the flag's text
+    code, _, err = run(
+        capsys, "ideal", "hilbert", "--m", "2", "--ideal", "z1+z2, z1+q", "--max-level", "2"
+    )
+    assert code == 2 and "line 1, column 11" in err
 
 
 def test_ideal_hilbert_roundtrip(capsys):

@@ -523,7 +523,7 @@ def test_each_read_off_block_is_built_once(monkeypatch):
     read_off = operators._coinvariant_block
     monkeypatch.setattr(
         operators, "_coinvariant_block",
-        lambda r, j, p: built.append((p, j)) or read_off(r, j, p),
+        lambda r, j, p, d: built.append((p, j)) or read_off(r, j, p, d),
     )
     m, K = 3, 2
     ideal = GradedIdeal(m, [parse_polynomial("z1+(2-i)*z2+z3", m)])

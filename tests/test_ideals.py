@@ -5,6 +5,7 @@ import pytest
 
 import wshm.exact_linalg as ela
 from wshm.algebra import G_I, GradedPolynomial, enumerate_level, level_dimension
+from wshm.diagnostics import koszul_report
 from wshm.errors import ModeError
 from wshm.ideals import (
     GradedIdeal,
@@ -54,8 +55,8 @@ def test_graded_basis_mode_error():
 
 
 def test_weighted_graded_basis_mode_error():
-    with pytest.raises(ModeError):
-        graded_basis(GradedIdeal(2, [z(0)], weight=(1, 2)), 2)
+    # weighted level 2 of (z1) under n = (1, 2) holds z1^2, not z2 = z1^0 z2
+    assert graded_basis(GradedIdeal(2, [z(0)], weight=(1, 2)), 2) == [z(0) * z(0)]
     with pytest.raises(ModeError):
         GradedIdeal(2, [z(0) + z(1)], weight=(1, 2))
 
@@ -195,30 +196,39 @@ def test_residue_decompose_straddling_generator():
 
 
 def test_residue_decompose_mode_error():
-    ideal = GradedIdeal(2, [z(0) + z(1)])
-    with pytest.raises(ModeError):
-        residue_decompose(ideal, 3)
+    # a plain ideal has the one residue class 0 and so defect 0
+    dec = residue_decompose(GradedIdeal(2, [z(0) + z(1)]), 3)
+    assert dec.weight == (1, 1) and dec.max_defect == 0
+    assert [lv.class_dims for lv in dec.levels] == [{(0, 0): k} for k in range(4)]
     with pytest.raises(ModeError):
         GradedIdeal(2, [parse_polynomial("z2 - z1^2", 2)], weight=(1, 3))
 
 
-def test_weighted_graded_basis_examples():
-    def weighted_basis(ideal, ell):  # J_ell's echelon rows, each over its pivot entry
-        pivots, red, monomials = ideal.level_data(ell)
-        return [GradedPolynomial(2, {monomials[c]: v / row[p] for c, v in row.items()})
-                for p, row in zip(pivots, red)]
+def test_unit_degree_formulas_require_a_plain_ideal():
+    # the series' numerator is over (1 - t)^m, and the Koszul chain spaces are
+    # graded by total degree
+    quasi = GradedIdeal(2, [parse_polynomial("z2 - z1^2", 2)], weight=(1, 2))
+    with pytest.raises(ModeError, match=r"n=\(1, 2\)"):
+        hilbert_series(quasi)
+    with pytest.raises(ModeError, match="plain-homogeneous"):
+        koszul_report(2, quasi, "quotient", 4)
 
+
+def test_weighted_graded_basis_examples():
     g = parse_polynomial("z2 - z1^2", 2)
     ideal = GradedIdeal(2, [g], weight=(1, 2))
-    b3 = weighted_basis(ideal, 3)
+    b3 = graded_basis(ideal, 3)
     assert len(b3) == 1
     expected = parse_polynomial("z1*z2 - z1^3", 2)
     # same one-dimensional span
     assert b3[0].scale(-1) == expected or b3[0] == expected
 
-    assert weighted_basis(ideal, 1) == []
+    assert graded_basis(ideal, 1) == []
+    assert [hilbert_function(ideal, k) for k in range(8)] == [1] * 8  # R/I = C[z1]
 
     lin = GradedIdeal(2, [z(0) + z(1)], weight=(1, 1))
     plain = GradedIdeal(2, [z(0) + z(1)])
+    assert repr(lin) == repr(plain) == "GradedIdeal<z1 + z2>"
     for k in range(6):
-        assert weighted_basis(lin, k) == graded_basis(plain, k)
+        assert graded_basis(lin, k) == graded_basis(plain, k)
+        assert hilbert_function(lin, k) == hilbert_function(plain, k) == 1

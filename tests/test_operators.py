@@ -1,3 +1,5 @@
+import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from wshm.algebra import (
 )
 from wshm.diagnostics import normality_report
 from wshm.errors import ModeError, WindowError, WshmError
-from wshm.ideals import GradedIdeal
+from wshm.ideals import GradedIdeal, residue_decompose
 from wshm.operators import (
     GradedOperator,
     _Level,
@@ -34,7 +36,7 @@ from wshm.operators import (
     svdvals,
 )
 from wshm.parsing import parse_polynomial
-from wshm.spaces import builtin_space
+from wshm.spaces import builtin_space, weighted_piece
 
 
 def z(i, m=2):
@@ -159,11 +161,60 @@ def test_projection_matches_normal_equations(gen):
             assert got == want
 
 
-def test_realization_requires_plain_mode():
+def test_realization_of_a_quasi_ideal():
+    # graded by n = (1, 2), R/(z2 - z1^2) is C[z1] with z1^ell at level ell:
+    # every level of the quotient is one-dimensional
     hb = builtin_space("hardy-ball", 2)
     quasi = GradedIdeal(2, [parse_polynomial("z2 - z1^2", 2)], weight=(1, 2))
-    with pytest.raises(ModeError):
-        quotient_realization(hb, quasi, 4)
+    r = quotient_realization(hb, quasi, 8)
+    assert [r.comp_dim(k) for k in range(9)] == [1] * 9
+    assert [len(r.level(k).monomials) for k in range(5)] == [1, 1, 2, 2, 3]
+
+
+def piece_trace_mismatches(space, gen, n, piece_gen, L):
+    """The levels ell <= L at which the residue-piece oracle fails on H/[J],
+    J = (gen) graded by n with residue defect 0 at every level.  There the
+    compression of M_q, q_i = z_i^{n_i}, is block-diagonal over the residue
+    classes alpha, 0 <= alpha < n, and each block is the compressed piece
+    multiplication on weighted_piece(space, n, alpha) modulo (piece_gen),
+    graded by (n_i^2).  So the exact trace of C(q_i, q_i) at level ell, and
+    dim S_ell^perp, must equal their sums over alpha of the pieces' C(w_i, w_i)
+    and dimensions at level ell - n.alpha."""
+    m = len(n)
+    ideal = GradedIdeal(m, [parse_polynomial(gen, m)], weight=n)
+    assert residue_decompose(ideal, L).max_defect == 0
+    top = L + max(n) ** 2  # C(q_i, q_i) at level ell reads level ell + n_i^2
+    r = quotient_realization(space, ideal, top)
+    q = [GradedPolynomial(m, {tuple(w if j == i else 0 for j, w in enumerate(n)): 1})
+         for i in range(m)]
+    whole = [commutator_blocks(r, qi, qi) for qi in q]
+    piece_ideal = [parse_polynomial(piece_gen, m)]
+    pieces = []
+    for alpha in itertools.product(*map(range, n)):
+        pr = quotient_realization(weighted_piece(space, n, alpha),
+                                  GradedIdeal(m, piece_ideal, weight=[w * w for w in n]), top)
+        pieces.append((sum(map(operator.mul, n, alpha)), pr,
+                       [commutator_blocks(pr, z(i, m), z(i, m)) for i in range(m)]))
+
+    def trace(op, k):
+        return sum(op.diagonal(k), G_ZERO) if k >= 0 else G_ZERO
+
+    return [ell for ell in range(L + 1)
+            if r.comp_dim(ell) != sum(pr.comp_dim(ell - s) for s, pr, _ in pieces)
+            or [trace(c, ell) for c in whole]
+            != [sum((trace(c[i], ell - s) for s, _, c in pieces), G_ZERO) for i in range(m)]]
+
+
+@pytest.mark.parametrize("kind", ["hardy-ball", "drury-arveson", "bergman-ball"])
+@pytest.mark.parametrize("gen, piece_gen", [("z1^4-z2^2", "z1^4-z2"), ("z1^8-z2^4", "z1^8-z2^2")])
+def test_quasi_quotient_traces_add_up_over_residue_pieces(kind, gen, piece_gen):
+    assert piece_trace_mismatches(builtin_space(kind, 2), gen, (1, 2), piece_gen, 24) == []
+
+
+def test_residue_piece_oracle_rejects_a_wrong_piece_ideal():
+    bad = piece_trace_mismatches(builtin_space("hardy-ball", 2), "z1^4-z2^2", (1, 2),
+                                 "z1^4-2*z2", 12)
+    assert bad == list(range(13))  # C(w_2, w_2) at level 0 reads the piece's level 4
 
 
 # -- multiplication blocks ---------------------------------------------------

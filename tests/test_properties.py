@@ -204,16 +204,26 @@ def test_gaussian_complex_is_the_correctly_rounded_pair(a, b, d, e):
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
-def homogeneous(data, m, d, lead=GaussianRational(Fraction(1))):
-    """A nonzero homogeneous polynomial of degree d with Gaussian integer
-    coefficients, one of them ``lead``."""
-    monos = enumerate_level(m, d)
+def homogeneous(data, m, d, lead=GaussianRational(Fraction(1)), n=None):
+    """A nonzero polynomial of degree d with Gaussian integer coefficients, one
+    of them ``lead``, homogeneous for the weight vector n (plain by default)."""
+    monos = enumerate_weighted_level(m, n or (1,) * m, d)
     coeffs = data.draw(st.lists(gaussian_ints, min_size=len(monos), max_size=len(monos)))
     coeffs[data.draw(st.integers(0, len(monos) - 1))] = lead
     return GradedPolynomial(m, dict(zip(monos, coeffs)))
 
 
 nonzero_gaussian_rationals = gaussian_rationals.filter(bool)
+
+
+def gradings(m):
+    """Weight vectors n in {1, 2}^m, the plain n = (1, ..., 1) drawn often."""
+    return st.one_of(st.just((1,) * m), st.tuples(*[st.sampled_from([1, 2])] * m))
+
+
+def nonempty_degrees(m, n):
+    """The weighted degrees 1 and 2 that have a monomial under n (2 always does)."""
+    return [d for d in (1, 2) if enumerate_weighted_level(m, n, d)]
 
 
 def random_space(data, kind, m, top):
@@ -250,15 +260,19 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens,
     # <M_p u, v>_{k+d} = <u, M_p^* v>_k exactly, and each block entry, read off
     # by co-invariance, is the projection coefficient <p w_c, w_r> / <w_r, w_r>
     # computed densely and by project_to_complement.  Generators and p lead
-    # with a drawn Gaussian rational, so p has a common denominator.
+    # with a drawn Gaussian rational, so p has a common denominator.  The
+    # grading n is drawn from {1, 2}^m; degrees are weighted degrees, and a
+    # degree with no monomial (1 when n = (2, ..., 2)) becomes 2
+    n = data.draw(gradings(m))
+    ideal_degree, p_degree = (d if d in nonempty_degrees(m, n) else 2 for d in (ideal_degree, p_degree))
     top = 4 if m == 2 else 3
     space = random_space(data, kind, m, top)
     ideal = GradedIdeal(m, [
-        homogeneous(data, m, ideal_degree, data.draw(nonzero_gaussian_rationals))
+        homogeneous(data, m, ideal_degree, data.draw(nonzero_gaussian_rationals), n)
         for _ in range(ngens)
-    ])
+    ], weight=n)
     r = quotient_realization(space, ideal, top)
-    p = homogeneous(data, m, p_degree, data.draw(nonzero_gaussian_rationals))
+    p = homogeneous(data, m, p_degree, data.draw(nonzero_gaussian_rationals), n)
     op = mult_blocks(r, p, top - p_degree)
     adj = adjoint_blocks(op)
     k = data.draw(st.integers(0, top - p_degree))
@@ -842,11 +856,14 @@ def block_or_window_error(op, k):
 def test_full_space_blocks_equal_the_product_path(data, kind, m, top):
     # on the full space commutators, defects, codefects and P-defects are read
     # off the weights; each block equals the product path's exactly, and each
-    # raises WindowError exactly where the product path does
+    # raises WindowError exactly where the product path does.  The full space
+    # is graded by a drawn n (the zero ideal's), f and g homogeneous for it
     scale2 = data.draw(st.sampled_from(["1", f"1/{m}"]))
     params = {"scale2": scale2} if kind == "polydisk-hardy" else None
-    r = full_realization(builtin_space(kind, m, params), top)
-    f, g = (homogeneous(data, m, data.draw(st.integers(1, 2))) for _ in range(2))
+    n = data.draw(gradings(m))
+    r = quotient_realization(builtin_space(kind, m, params), GradedIdeal(m, [], weight=n), top)
+    f, g = (homogeneous(data, m, data.draw(st.sampled_from(nonempty_degrees(m, n))), n=n)
+            for _ in range(2))
     alphas = [a for d in (1, 2) for a in enumerate_level(m, d)]
     terms = tuple(data.draw(st.lists(
         st.tuples(positive_rationals, st.sampled_from(alphas)), min_size=1, max_size=3)))
