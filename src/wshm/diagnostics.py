@@ -45,7 +45,7 @@ from .operators import (
     mult_blocks,
     onb_map,
     quotient_realization,
-    svdvals,
+    svd_map,
 )
 from .spaces import WeightedShiftSpace
 
@@ -200,6 +200,8 @@ def normality_report(
         "max_level": K,
         "schatten": p_list,
     }
+    if any(n != 1 for n in realization.weight):  # a plain grading is not recorded
+        params["weight"] = list(realization.weight)
     report = DiagnosticsReport("normality", params)
 
     # cross commutators C(z_i, z_j) = M_{z_j}^* M_{z_i} - M_{z_i} M_{z_j}^*; as
@@ -207,35 +209,24 @@ def normality_report(
     pairs = [(i, j) for i in range(m) for j in range(m)]
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
     comms = {(i, j): commutator_blocks(realization, z[i], z[j]) for i, j in pairs if i <= j}
-    # every level block of each C(z_i, z_j) and of a quotient's spherical defect
-    # goes to floats and SVD stacked by shape; norms and Schatten terms reduce
-    # the stacked singular values.  On the full space the defect is diagonal
+    # norms and Schatten terms of the defect and each C(z_i, z_j), level by level
     defect = defect_blocks(realization)
-    ops = [*comms.values(), *([] if realization.is_full else [defect])]
-    def norm_and_terms(stack):
-        sv = svdvals(stack)
+    ops = [*comms.values(), defect]
+    def norm_and_terms(sv):
         terms = ((sv**p).sum(axis=-1).tolist() for p in p_list)
         return zip(sv.max(axis=-1, initial=0.0).tolist(), *terms)
-    flat = onb_map(norm_and_terms, [(op, k) for op in ops for k in range(K + 1)])
+    flat = svd_map(norm_and_terms, [(op, k) for op in ops for k in range(K + 1)])
     norms = [[t[0] for t in flat[n:n + K + 1]] for n in range(0, len(flat), K + 1)]
     defect_zero = not any(row for k in range(K + 1) for row in defect.block(k))
-    if realization.is_full:
-        # the full space's defect is diagonal: norm and Schatten terms from its entries
-        diag = [[abs(float(v.re)) for v in defect.diagonal(k)] for k in range(K + 1)]
-        defect_norms = [max(d, default=0.0) for d in diag]
-        defect_terms = {p: [float(sum(v**p for v in d)) for d in diag] for p in p_list}
-    else:
-        defect_norms = norms[-1]
-        defect_terms = {p: [t[n] for t in flat[-K - 1:]] for n, p in enumerate(p_list, 1)}
 
     report.tables.append(
         Table(
             "defect_level_norms",
             [Column("k", "int"), Column("norm", "float")],
-            [[k, defect_norms[k]] for k in range(K + 1)],
+            [[k, norms[-1][k]] for k in range(K + 1)],
         )
     )
-    report.verdicts.append(_trend_verdict("spherical-defect", defect_norms, defect_zero))
+    report.verdicts.append(_trend_verdict("spherical-defect", norms[-1], defect_zero))
 
     pair_norms: dict[tuple[int, int], list[float]] = {}
     for (i, j), pair in zip(comms, norms):
@@ -248,8 +239,8 @@ def normality_report(
     report.verdicts.append(_trend_verdict("cross-commutators", max_series, not nonzero))
 
     # Schatten partial sums of the defect for each requested exponent
-    for p in p_list:
-        terms = defect_terms[p]
+    for n, p in enumerate(p_list, 1):
+        terms = [t[n] for t in flat[-K - 1:]]
         sums = list(np.cumsum(terms))
         report.tables.append(
             Table(
@@ -588,7 +579,7 @@ def section5_checks(
         return zip(pos.sum(axis=-1).tolist(), pos.max(axis=-1, initial=0.0).tolist(),
                    neg.max(axis=-1, initial=0.0).tolist())
     pn = onb_map(trace_and_norms, [(ci, k) for k in range(K + 1) for ci in c])
-    x_norms = onb_map(lambda stack: svdvals(stack).max(axis=-1, initial=0.0).tolist(),
+    x_norms = svd_map(lambda sv: sv.max(axis=-1, initial=0.0).tolist(),
                       [(x, k) for k in range(K + 1)])
     recs = []
     for k, x_norm in enumerate(x_norms):

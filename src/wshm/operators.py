@@ -9,11 +9,11 @@ are kept strictly apart:
 
 * exact tier -- bases, Gram diagonals, block entries, traces and dimensions
   are Gaussian-rational and never rounded;
-* float tier -- norms, singular values and spectra go through an
-  orthonormal-coordinate conversion (each block scaled by the square roots of
-  the Gram diagonals) into double precision.  :func:`onb_map` groups a
-  report's (operator, level) items by block shape once: each shape goes to
-  floats, to SVD or eigh and through its reductions as one stacked array.
+* float tier -- norms, singular values and spectra are double precision, in
+  orthonormal coordinates (each block scaled by the square roots of the Gram
+  diagonals).  :func:`svd_map` reads a weighted partial permutation's singular
+  values off its exact entries, each rounded once; :func:`onb_map` stacks the
+  other blocks by shape, each shape going to floats and to SVD or eigh at once.
 
 Truncation windows are explicit, and the realization is their one source.
 Every block is exact on the levels it reads; reading a block at a level
@@ -70,6 +70,14 @@ from .ideals import GradedIdeal
 from .spaces import WeightedShiftSpace
 
 
+def _sqrt_split(a: int, b: int) -> tuple[float, int]:
+    """(x, s) with x * 2**s = sqrt(a / b), x from one correctly rounded int / int: s = 0
+    while a / b is a normal double, else a / b is first scaled by 2**(-2s) into [1/4, 4)."""
+    e = a.bit_length() - b.bit_length()
+    s = 0 if -1000 < e < 1000 else e // 2
+    return ((a << -2 * s) / b if s < 0 else a / (b << 2 * s)) ** 0.5, s
+
+
 @dataclass
 class _Level:
     monomials: list[MultiIndex]
@@ -82,21 +90,11 @@ class _Level:
 
     @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
-        """sqrt(g) for each Gram entry g = norms[r] / den, split as (x, s) with
-        x * 2**s = sqrt(g), built on first read: exact-only reports never round
-        it.  s = 0 while float(g) is a normal double; beyond that g is scaled by
-        2**(-2s) into [1/4, 4) before rounding, so no Gram entry overflows or
-        underflows the crossing.  g is read as int / int (correctly rounded), s
-        from g in lowest terms."""
-        xs, ss = [], []
-        for g in self.norms:
-            q = math.gcd(g, self.den)
-            a, b = g // q, self.den // q
-            e = a.bit_length() - b.bit_length()
-            s = 0 if -1000 < e < 1000 else e // 2
-            xs.append((a * 4 ** max(-s, 0) / (b * 4 ** max(s, 0))) ** 0.5)
-            ss.append(s)
-        return np.array(xs), np.array(ss, dtype=int)
+        """sqrt(g) for each Gram entry g = norms[r] / den as :func:`_sqrt_split` of g in
+        lowest terms, built on first read: exact-only reports never round it."""
+        split = [_sqrt_split(g // q, self.den // q) for g in self.norms
+                 for q in [math.gcd(g, self.den)]]
+        return np.array([x for x, _ in split]), np.array([s for _, s in split], dtype=int)
 
 
 class ModuleRealization:
@@ -171,13 +169,14 @@ class ModuleRealization:
 
     def degree(self, p: GradedPolynomial) -> int:
         """p's weighted degree n.alpha, read when an operator's recipe is built,
-        never per block; p must be nonzero and homogeneous for n."""
+        never per block; p must be nonzero and homogeneous for n (one pass)."""
         d = self._degrees.get(p)
         if d is None:
-            if p.m != self.space.m or p.is_zero or not p.is_quasi_homogeneous(self.weight):
+            degs = {sum(map(operator.mul, a, self.weight)) for a, _ in p.terms()}
+            if p.m != self.space.m or len(degs) != 1:
                 raise ModeError(f"operator polynomials must be nonzero in the realization's "
                                 f"variable count and homogeneous for n={self.weight}, got {p}")
-            d = self._degrees[p] = p.weighted_degree(self.weight)
+            d = self._degrees[p] = degs.pop()
         return d
 
     def comp_dim(self, k: int) -> int:
@@ -254,7 +253,7 @@ class GradedOperator:
         return float(self.singular_values(k).max(initial=0.0))
 
     def singular_values(self, k: int) -> np.ndarray:
-        return svdvals(self.onb_block(k)[None])[0]
+        return svd_map(lambda sv: sv, [(self, k)])[0]
 
 
 def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
@@ -281,6 +280,31 @@ def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
                  * np.ldexp(1.0, st[:, :, None] - ss[:, None, :]))
         for n, res in zip(idx, fn(f)):
             out[n] = res
+    return out
+
+
+def svd_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
+    """``fn`` applied per stack of the items' (B, min(nr, nc)) descending singular values in
+    orthonormal coordinates, results handed back in input order.  A weighted partial
+    permutation's (:func:`~wshm.exact_linalg.permutation_moduli`) are |B_ts| sqrt(g_t / g_s),
+    each rounded once from its exact square, zero-padded and stacked by length; other
+    blocks take :func:`onb_map` and one SVD per shape."""
+    out, rest, read = [None] * len(items), [], {}
+    for n, (op, k) in enumerate(items):
+        moduli = ela.permutation_moduli(op.block(k))
+        if moduli is None:
+            rest.append(n)
+            continue
+        tgt, src = map(op.realization.level, (k + op.shift, k)) if moduli else (None, None)
+        sv = sorted([math.ldexp(*_sqrt_split(a * tgt.norms[t] * src.den, d * tgt.den * src.norms[s]))
+                     for t, s, a, d in moduli], reverse=True)
+        size = min(op.block_shape(k))
+        read.setdefault(size, []).append((n, sv + [0.0] * (size - len(sv))))
+    for group in read.values():
+        for (n, _), res in zip(group, fn(np.array([sv for _, sv in group]))):
+            out[n] = res
+    for n, res in zip(rest, onb_map(lambda stack: fn(svdvals(stack)), [items[n] for n in rest])):
+        out[n] = res
     return out
 
 

@@ -46,6 +46,8 @@ from wshm.operators import (
 from wshm.parsing import parse_polynomial
 from wshm.spaces import builtin_space
 
+from test_operators import is_partial_permutation, read_off_mismatch
+
 
 def z(i, m=2):
     return GradedPolynomial.variable(m, i)
@@ -284,9 +286,9 @@ def test_section5_spectrum_is_the_self_commutators_bit_for_bit():
 
 
 def test_reports_cross_to_floats_once_per_block_shape(monkeypatch):
-    # every block of one shape crosses in one scatter: the normality report
-    # stacks all its blocks, section5 its self commutators (for eigh) and its
-    # X (for SVD) apart; hb2 z1^2+(1+i)z1z2-z2^2 has levels of dimension 1, 2, 2, ...
+    # every block of one shape that crosses to floats crosses in one scatter;
+    # partial permutations do not cross (their singular values are read off).
+    # hb2 z1^2+(1+i)z1z2-z2^2 has levels of dimension 1, 2, 2, ...
     calls = []
     crossing = ela.to_complex_array
 
@@ -299,11 +301,15 @@ def test_reports_cross_to_floats_once_per_block_shape(monkeypatch):
     ideal = GradedIdeal(2, [parse_polynomial("z1^2+(1+i)*z1*z2-z2^2", 2)])
     K = 8
     normality_report(quotient_realization(hb, ideal, K + 2), K, [2.0])
-    # C(z1, z1), C(z1, z2), C(z2, z2) and the defect; shapes (1, 1) and (2, 2)
-    assert len(calls) == 2 and sum(calls) == 4 * (K + 1)
+    # C(z1, z1), C(z1, z2), C(z2, z2) and the defect: their 1x1 level-0
+    # blocks read off, and every 2x2 block (levels 1..K) has a row with two
+    # entries, so it crosses and goes to SVD
+    assert calls == [4 * K]
     calls.clear()
     section5_report(hb, ideal, K)
-    assert len(calls) == 4 and sum(calls) == 3 * (K + 1)
+    # the self commutators cross for eigh, shapes (1, 1) and (2, 2); X is
+    # 1 / (k + 1) times the identity at every level k, so it reads off
+    assert len(calls) == 2 and sum(calls) == 2 * (K + 1)
 
 
 def test_section5_report_block_work_is_linear_in_levels(monkeypatch):
@@ -618,10 +624,25 @@ def test_normality_columns_equal_one_block_norms_bit_for_bit():
             assert [row[col] for row in comm.rows] == [op.norm(k) for k in range(K + 1)]
 
 
+def assert_norms_match_direct_svd(op, k, read_off):
+    """op.norm(k) is LAPACK's norm of the block, bit for bit, when the block is
+    not a partial permutation; otherwise its singular values are read off
+    (``read_off_mismatch``, which compares them with LAPACK's within 1e-14).
+    Whether the block read off is appended to ``read_off``."""
+    want = float(np.linalg.norm(op.onb_block(k), 2))
+    if is_partial_permutation(op.block(k)):
+        assert read_off_mismatch(op, k, op.singular_values(k)) is None
+    else:
+        assert op.norm(k) == want  # bit for bit
+    read_off.append(is_partial_permutation(op.block(k)))
+    return want
+
+
 @pytest.mark.parametrize("case", ["hb3-quotient", "polydisk-full"])
 def test_normality_mirrored_commutator_columns(case):
     # C(z_j, z_i) = C(z_i, z_j)^* in the weighted inner product, so comm_j_i
-    # repeats comm_i_j; both must match a direct SVD of C(z_j, z_i)
+    # repeats comm_i_j; both must match a direct SVD of C(z_j, z_i), bit for
+    # bit where the block takes the SVD, and within 1e-14 where it reads off
     K = 3
     if case == "hb3-quotient":
         gen = parse_polynomial("z1+(2-i)*z2+(1+3i)*z3", 3)
@@ -636,18 +657,35 @@ def test_normality_mirrored_commutator_columns(case):
     def column(i, j):
         return [row[names.index(f"comm_{i + 1}_{j + 1}")] for row in table.rows]
 
+    read_off = []
     for i in range(m):
         for j in range(m):
             assert column(j, i) == column(i, j)
             comm = commutator_blocks(r, z(j, m), z(i, m))
             for k in range(K + 1):
-                b = comm.onb_block(k)
-                want = float(np.linalg.norm(b, 2))
-                assert comm.norm(k) == want  # bit for bit
+                want = assert_norms_match_direct_svd(comm, k, read_off)
                 assert abs(column(j, i)[k] - want) <= 1e-14 * want
     dop = operators.defect_blocks(r)
     for k in range(K + 1):
-        assert dop.norm(k) == float(np.linalg.norm(dop.onb_block(k), 2))
+        assert_norms_match_direct_svd(dop, k, read_off)
+    # the quotient's 1x1 level-0 blocks read off and its wider blocks take the
+    # SVD; every full polydisk block is a partial permutation
+    assert set(read_off) == ({True, False} if case == "hb3-quotient" else {True})
+
+
+def test_normality_params_record_a_grading_that_is_not_plain():
+    # on hardy-ball m=2 the ideal (z1) realized with n = (1, 1) and n = (1, 2)
+    # gives different tables, so params name n when it is not all ones; a
+    # plain report's params carry no weight key, so it prints as before
+    hb = builtin_space("hardy-ball", 2)
+    reps = {n: normality_report(quotient_realization(hb, GradedIdeal(2, [z(0)], weight=n), 5), 2)
+            for n in [(1, 1), (1, 2)]}
+    plain, weighted = reps[(1, 1)].to_json_dict(), reps[(1, 2)].to_json_dict()
+    assert plain["tables"] != weighted["tables"]
+    assert "weight" not in plain["params"] and weighted["params"].pop("weight") == [1, 2]
+    assert weighted["params"] == plain["params"]
+    full = normality_report(full_realization(hb, 4), 2)
+    assert list(full.params) == ["space", "m", "ideal", "max_level", "schatten"]
 
 
 def test_trend_verdict_on_a_series_that_reaches_zero():

@@ -33,6 +33,7 @@ from wshm.operators import (
     op_sub,
     pn_split,
     quotient_realization,
+    svd_map,
     svdvals,
 )
 from wshm.parsing import parse_polynomial
@@ -256,6 +257,20 @@ def test_mult_blocks_errors():
         mult_blocks(r, z(0) + z(0) * z(0), 2)
     with pytest.raises(WindowError):
         mult_blocks(r, z(0), 3)  # K checks the levels to K + 1 up front
+
+
+def test_realization_degree_is_weighted_and_rejects_the_rest():
+    # one pass over the terms gives the weighted degree n.alpha and checks
+    # homogeneity for n; a zero, non-homogeneous or wrong-arity polynomial
+    # raises one ModeError that names n and the polynomial
+    ideal = GradedIdeal(2, [parse_polynomial("z2^2", 2)], weight=(1, 2))
+    r = quotient_realization(builtin_space("hardy-ball", 2), ideal, 4)
+    assert [r.degree(parse_polynomial(p, 2)) for p in ("z1", "z2", "z1^2-3*z2", "z1*z2")] == [1, 2, 2, 3]
+    for p in (GradedPolynomial(2, {}), z(0) + z(1), z(0, 3)):
+        with pytest.raises(ModeError) as err:
+            r.degree(p)
+        assert str(err.value) == ("operator polynomials must be nonzero in the realization's "
+                                  f"variable count and homogeneous for n=(1, 2), got {p}")
 
 
 # -- windows -----------------------------------------------------------------
@@ -664,6 +679,123 @@ def test_stacked_crossing_with_empty_blocks_and_gram_beyond_double_range(src, tg
     want = complex(b) * float(ratio) ** 0.5
     assert abs(got[0][0, 0] - want) <= 1e-15 * abs(want)
     assert abs(got[2][0, 0] + complex(b) / float(ratio) ** 0.5) <= 1e-15 * abs(want / ratio)
+
+
+# -- singular values read off partial permutations ---------------------------
+
+# Fraction(sigma)^2 may differ from the exact square by this much, relatively:
+# about one ulp of sigma, below LAPACK's own error
+READ_OFF_REL = Fraction(1, 2**50)
+
+
+def is_partial_permutation(block):
+    """At most one stored entry per row and no column used twice."""
+    cols = [c for row in block for c in row]
+    return all(len(row) <= 1 for row in block) and len(set(cols)) == len(cols)
+
+
+def exact_singular_squares(op, k):
+    """|B_ts|^2 g_t / g_s over the entries of a partial permutation block,
+    descending and padded with zeros to min(nr, nc)."""
+    r, block = op.realization, op.block(k)
+    tgt, src = (r.level(j) if j >= 0 else None for j in (k + op.shift, k))
+    sq = [(v.re**2 + v.im**2) * Fraction(tgt.norms[t] * src.den, tgt.den * src.norms[s])
+          for t, row in enumerate(block) for s, v in row.items()]
+    return sorted(sq, reverse=True) + [Fraction(0)] * (min(op.block_shape(k)) - len(sq))
+
+
+def read_off_mismatch(op, k, sv):
+    """None when ``sv`` are block k's read-off singular values, else why not:
+    each Fraction(sigma)^2 within READ_OFF_REL of its exact square, and each
+    sigma within 1e-14 relative of the sorted LAPACK value."""
+    want = exact_singular_squares(op, k)
+    if len(sv) != len(want):
+        return f"{len(sv)} singular values, {len(want)} expected"
+    for x, q in zip(sv.tolist(), want):
+        if abs(Fraction(x) ** 2 - q) > READ_OFF_REL * q:
+            return f"sigma = {x!r} is not sqrt({q}) to within 2^-50 of its square"
+    lapack = np.sort(np.linalg.svd(op.onb_block(k), compute_uv=False))[::-1]
+    if np.any(np.abs(sv - lapack) > 1e-14 * lapack):
+        return f"read off {sv.tolist()}, LAPACK gives {lapack.tolist()}"
+    return None
+
+
+READ_OFF_CASES = {
+    **{f"{kind}-m{m}": (kind, m, None)
+       for kind in ("hardy-ball", "drury-arveson", "bergman-ball", "polydisk-hardy") for m in (2, 3)},
+    "hb2-z1^2,z2": ("hardy-ball", 2, "z1^2,z2"),
+    "da2-z1*z2": ("drury-arveson", 2, "z1*z2"),
+    "hb3-z1^2,z2*z3": ("hardy-ball", 3, "z1^2,z2*z3"),
+}
+
+
+@pytest.mark.parametrize("case", READ_OFF_CASES)
+def test_partial_permutations_read_off_their_singular_values(monkeypatch, case):
+    # on the full space and on monomial quotients every C(z_i, z_j), the defect
+    # and the codefect is a weighted partial permutation: svd_map reads its
+    # singular values off the exact entries and no block crosses to floats
+    kind, m, gens = READ_OFF_CASES[case]
+    K = 4
+    space = builtin_space(kind, m)
+    if gens is None:
+        r = full_realization(space, K + 2)
+    else:
+        ideal = GradedIdeal(m, [parse_polynomial(g, m) for g in gens.split(",")])
+        r = quotient_realization(space, ideal, K + 2)
+    ops = [commutator_blocks(r, z(i, m), z(j, m)) for i in range(m) for j in range(m)]
+    items = [(op, k) for op in [*ops, defect_blocks(r), codefect_blocks(r)] for k in range(K + 1)]
+    assert all(is_partial_permutation(op.block(k)) for op, k in items)
+
+    def no_crossing(blocks, nr, nc):
+        raise AssertionError("a partial permutation crossed to floats")
+
+    monkeypatch.setattr(ela, "to_complex_array", no_crossing)
+    got = svd_map(lambda sv: sv, items)
+    monkeypatch.undo()
+    for (op, k), sv in zip(items, got):
+        assert read_off_mismatch(op, k, sv) is None
+        assert op.singular_values(k).tobytes() == sv.tobytes()  # one block alone: same bits
+
+
+def test_a_dense_block_goes_to_svd_bit_for_bit(monkeypatch):
+    # negative control: C(z1, z2) at level 2 of hb3 z1+z2+z3 has rows with
+    # several entries, so it fails the structural test and takes the SVD
+    m = 3
+    ideal = GradedIdeal(m, [parse_polynomial("z1+z2+z3", m)])
+    r = quotient_realization(builtin_space("hardy-ball", m), ideal, 4)
+    op = commutator_blocks(r, z(0, m), z(1, m))
+    assert not is_partial_permutation(op.block(2)) and ela.permutation_moduli(op.block(2)) is None
+    calls = []
+    crossing = ela.to_complex_array
+    monkeypatch.setattr(ela, "to_complex_array", lambda *a: calls.append(1) or crossing(*a))
+    got = svd_map(lambda sv: sv, [(op, 2)])[0]
+    assert calls == [1]
+    assert got.tobytes() == svdvals(op.onb_block(2)[None])[0].tobytes()
+
+
+@pytest.mark.parametrize("block, ok", [
+    ([], True), ([{}, {}], True), ([{1: G_ONE}, {}, {0: -G_ONE}], True),
+    ([{0: G_ONE, 1: G_ONE}], False), ([{0: G_ONE}, {0: G_ONE}], False),
+])
+def test_permutation_moduli_structural_test(block, ok):
+    got = ela.permutation_moduli(block)
+    assert (got is not None) == ok == is_partial_permutation(block)
+    if ok:
+        assert got == [(t, s, 1, 1) for t, row in enumerate(block) for s in row]
+
+
+@BEYOND_DOUBLE_RANGE
+def test_read_off_between_levels_beyond_double_range(src, tgt):
+    # a 1x1 block whose singular value is a double but whose square, like
+    # each Gram entry, lies far outside double range is read off through the
+    # split square root: its square neither overflows nor underflows
+    r = full_realization(builtin_space("polydisk-hardy", 1), 1)
+    entry = 2**600 if src[0] == 1 else Fraction(1, 2**600)
+    r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
+    op = given(r, 1, {0: [{0: GaussianRational(entry)}]})
+    sv = op.singular_values(0)
+    want = Fraction(entry) ** 2 * Fraction(*tgt) / Fraction(*src)
+    assert sv.shape == (1,) and abs(Fraction(sv[0]) ** 2 - want) <= READ_OFF_REL * want
 
 
 # -- pn split -----------------------------------------------------------------

@@ -20,6 +20,7 @@ ALLOWED = {
     "exact_linalg.kernel_basis",  # until the benchmark PR retargets `perfbench/tracer.py`
     "exact_linalg.solve",  # until the benchmark PR retargets `perfbench/tracer.py`
     "operators.GradedOperator.norm",  # until the benchmark PR retargets `perfbench/tracer.py`
+    "operators.GradedOperator.onb_block",  # until the benchmark PR retargets `perfbench/tracer.py`
     "operators.ModuleRealization.project_to_complement",  # until the benchmark PR retargets `perfbench/tracer.py`
     "operators.pn_split",  # until the benchmark PR retargets `perfbench/tracer.py`
 }

@@ -247,42 +247,17 @@ def pairing(x, y, gram):
     return sum((a * b.conjugate() * g for a, b, g in zip(x, y, gram)), G_ZERO)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    data=st.data(),
-    kind=st.sampled_from(["hardy-ball", "da", "polydisk-hardy", "custom"]),
-    m=st.sampled_from([2, 3]),
-    ideal_degree=st.sampled_from([1, 2]),
-    ngens=st.integers(1, 2),
-    p_degree=st.sampled_from([1, 2]),
-)
-def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens, p_degree):
-    # <M_p u, v>_{k+d} = <u, M_p^* v>_k exactly, and each block entry, read off
-    # by co-invariance, is the projection coefficient <p w_c, w_r> / <w_r, w_r>
-    # computed densely and by project_to_complement.  Generators and p lead
-    # with a drawn Gaussian rational, so p has a common denominator.  The
-    # grading n is drawn from {1, 2}^m; degrees are weighted degrees, and a
-    # degree with no monomial (1 when n = (2, ..., 2)) becomes 2
-    n = data.draw(gradings(m))
-    ideal_degree, p_degree = (d if d in nonempty_degrees(m, n) else 2 for d in (ideal_degree, p_degree))
-    top = 4 if m == 2 else 3
-    space = random_space(data, kind, m, top)
-    ideal = GradedIdeal(m, [
-        homogeneous(data, m, ideal_degree, data.draw(nonzero_gaussian_rationals), n)
-        for _ in range(ngens)
-    ], weight=n)
-    r = quotient_realization(space, ideal, top)
-    p = homogeneous(data, m, p_degree, data.draw(nonzero_gaussian_rationals), n)
-    op = mult_blocks(r, p, top - p_degree)
+def assert_adjoint_pairing(r, p, d, k, u, v):
+    """<M_p u, v>_{k+d} = <u, M_p^* v>_k exactly for complement coordinates u
+    and v, p of weighted degree d, and each block entry, read off by
+    co-invariance, is the projection coefficient <p w_c, w_r> / <w_r, w_r>
+    computed densely and by project_to_complement."""
+    op = mult_blocks(r, p, r.max_level - d)
     adj = adjoint_blocks(op)
-    k = data.draw(st.integers(0, top - p_degree))
-    src, tgt = r.level(k), r.level(k + p_degree)
-    u = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k), max_size=r.comp_dim(k)))
-    v = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k + p_degree),
-                           max_size=r.comp_dim(k + p_degree)))
+    src, tgt = r.level(k), r.level(k + d)
     gram_src, gram_tgt = ([Fraction(n, lv.den) for n in lv.norms] for lv in (src, tgt))
     lhs = pairing(apply(op.block(k), u), v, gram_tgt)
-    rhs = pairing(u, apply(adj.block(k + p_degree), v), gram_src)
+    rhs = pairing(u, apply(adj.block(k + d), v), gram_src)
     assert lhs == rhs
 
     block = op.block(k)
@@ -294,7 +269,7 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens,
                 j = tgt.col_of[tuple(a + b for a, b in zip(src.monomials[g], beta))]
                 image[j] = image[j] + x * coeff
         column = {row: y for row, y in enumerate(block) if c in y}
-        projected = r.project_to_complement(k + p_degree, {j: y for j, y in enumerate(image) if y}, den)
+        projected = r.project_to_complement(k + d, {j: y for j, y in enumerate(image) if y}, den)
         assert {row: y[c] for row, y in column.items()} == projected
         for row, (wr, gr) in enumerate(zip(tgt.comp_rows, gram_tgt)):
             inner = sum(
@@ -303,6 +278,60 @@ def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens,
                 G_ZERO,
             )
             assert block[row].get(c, G_ZERO) == inner / (gr * den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "da", "polydisk-hardy", "custom"]),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+    p_degree=st.sampled_from([1, 2]),
+)
+def test_adjoint_pairing_on_random_quotients(data, kind, m, ideal_degree, ngens, p_degree):
+    # assert_adjoint_pairing on drawn quotients.  Generators and p lead with
+    # a drawn Gaussian rational, so p has a common denominator.  The grading
+    # n is drawn from {1, 2}^m; degrees are weighted degrees, and a degree
+    # with no monomial (1 when n = (2, ..., 2)) becomes 2
+    n = data.draw(gradings(m))
+    ideal_degree, p_degree = (d if d in nonempty_degrees(m, n) else 2 for d in (ideal_degree, p_degree))
+    top = 4 if m == 2 else 3
+    space = random_space(data, kind, m, top)
+    ideal = GradedIdeal(m, [
+        homogeneous(data, m, ideal_degree, data.draw(nonzero_gaussian_rationals), n)
+        for _ in range(ngens)
+    ], weight=n)
+    r = quotient_realization(space, ideal, top)
+    p = homogeneous(data, m, p_degree, data.draw(nonzero_gaussian_rationals), n)
+    k = data.draw(st.integers(0, top - p_degree))
+    u = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k), max_size=r.comp_dim(k)))
+    v = data.draw(st.lists(gaussian_ints, min_size=r.comp_dim(k + p_degree),
+                           max_size=r.comp_dim(k + p_degree)))
+    assert_adjoint_pairing(r, p, p_degree, k, u, v)
+
+
+@pytest.mark.parametrize("kind", ["hardy-ball", "da"])
+@pytest.mark.parametrize("n, gens, p", [
+    ((1, 2), "z1^2-z2", "z2"),
+    ((1, 2), "z1*z2", "(1+i)*z1^2*z2+z2^2/2"),
+    ((2, 2), "z1+(2-i)*z2", "z1"),
+    ((2, 1), "z2^2+3*z1", "z1*z2"),
+])
+def test_adjoint_pairing_on_weighted_quotients(kind, n, gens, p):
+    # assert_adjoint_pairing where p's weighted degree differs from its total
+    # degree, at every level: a multiplier graded by total degree fails here
+    # whatever the hypothesis draws of the random-quotient test
+    m, top = 2, 5
+    ideal = GradedIdeal(m, [parse_polynomial(g, m) for g in gens.split(",")], weight=n)
+    r = quotient_realization(builtin_space(kind, m), ideal, top)
+    poly = parse_polynomial(p, m)
+    d = poly.weighted_degree(n)
+    assert d != poly.degree
+    for k in range(top - d + 1):
+        u = [GaussianRational(j + 1, 1 - j) for j in range(r.comp_dim(k))]
+        v = [GaussianRational(2 - j, j) for j in range(r.comp_dim(k + d))]
+        assert_adjoint_pairing(r, poly, d, k, u, v)
 
 
 @settings(max_examples=60, deadline=None)
