@@ -163,7 +163,8 @@ def _trend_verdict(name: str, norms: list[float], exact_zero: bool) -> Verdict:
     k_hi = len(norms) - 1
     k_lo = k_hi // 2
     hi, lo = norms[k_hi], norms[k_lo]
-    slope = _loglog_slope(norms)
+    slope = _loglog_slope(norms)  # printed like the norms: a one-ulp move keeps the text
+    slope = slope if slope is None else f"{slope:.6g}"
     detail = f"norm[{k_lo}]={lo:.6g}, norm[{k_hi}]={hi:.6g}, loglog_slope={slope}"
     if k_lo == k_hi:
         return Verdict(name, "inconclusive", f"{detail}; a trend needs two levels")
@@ -373,10 +374,11 @@ class SummabilityRecord:
     def details(self) -> str:
         if self.status == "exactly-zero":
             return "identically zero in exact arithmetic, so summable for every p"
+        tail = self.tail_estimate if self.tail_estimate is None else f"{self.tail_estimate:.6g}"
         return (
             f"status={self.status}, "
             f"increments={['%.6g' % x for x in self.increments]}, "
-            f"tail_estimate={self.tail_estimate}, p>m={self.exponent_above_m}"
+            f"tail_estimate={tail}, p>m={self.exponent_above_m}"
         )
 
     def report_status(self) -> str:

@@ -74,10 +74,6 @@ class GradedIdeal:
         self.groebner_leads: list[MultiIndex] = []
         self.k0: int | None = None
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
     def _require_plain(self) -> None:
         """For formulas that assume unit degrees, n = (1, ..., 1)."""
         if self.weight != (1,) * self.m:

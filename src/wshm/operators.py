@@ -25,12 +25,12 @@ Evaluation is on demand.  An operator is its realization plus a hashable
 recipe (shift, builder, arguments), and the realization keeps one block cache
 keyed by recipe, so equal recipes share every block: a report builds the
 levels and blocks it reads, each once per realization however often it is
-assembled.  On the full space a commutator of monomials is a weighted
-partial permutation and a sum-of-squares defect is diagonal, both read off
-the level weights; on a quotient every commutator, defect and codefect
-shares one build of each multiplier, adjoint and product.  No block
-projects: on a quotient M_p^* leaves S^perp invariant, and its blocks are
-read off directly.
+assembled.  On a monomial realization (the full space, or a quotient by
+single-term generators) a commutator of monomials is a weighted partial
+permutation and a sum-of-squares defect is diagonal, both read off the
+weights of the standard monomials; on any other quotient every commutator,
+defect and codefect shares one build of each multiplier, adjoint and
+product.  No block projects: on a quotient M_p^* leaves S^perp invariant.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -87,6 +87,7 @@ class _Level:
     comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis
     norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
     ideal_pivots: list[int]
+    comp_of: dict[MultiIndex, int] | None = None  # monomial: standard monomial -> coordinate
 
     @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,21 +101,21 @@ class _Level:
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
-    Each level holds its monomial weights as ints over one denominator.  For
-    the full space the complement basis at level k is the monomial coordinate
-    basis and the Gram diagonal is omega.  For a quotient, S_k is the reduced
-    echelon basis of the ideal level and the complement basis spans S_k^perp
-    = {v : <v, u> = 0 for u in S_k}: Gaussian-integer kernel vectors read off
-    that echelon form in closed form (no second elimination), orthogonalised
-    by fraction-free Gram-Schmidt so that its Gram matrix is diagonal too.
-    Level k holds the monomials of weighted degree k under ``weight``, the
-    ideal's n.  Plain dicts memoise the work: ``_levels`` holds each level up
-    to ``max_level`` from its first read, ``_blocks`` the blocks built so far
-    of each :class:`GradedOperator` recipe, by source level, and ``_degrees``
-    each polynomial's weighted degree.  None refers to the realization, so
-    there is no reference cycle.  A realization is not safe
-    to share between threads without a lock, and no caller may mutate a
-    block it reads.
+    Each level holds its monomial weights as ints over one denominator.  The
+    realization is monomial when each generator of its ideal is one term (the
+    full space has none): S_k^perp is then spanned by the standard monomials,
+    which no generator exponent divides, their unit rows its basis and omega
+    its Gram.  Otherwise S_k is the reduced echelon basis of the ideal level
+    and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in S_k}:
+    Gaussian-integer kernel vectors read off that echelon form in closed form,
+    orthogonalised by fraction-free Gram-Schmidt to a diagonal Gram.  Level k holds the monomials of
+    weighted degree k under ``weight``, the ideal's n.  Plain dicts memoise
+    the work: ``_levels`` holds each level up to ``max_level`` from its first
+    read, ``_blocks`` the blocks built so far of each :class:`GradedOperator`
+    recipe, by source level, and ``_degrees`` each polynomial's weighted
+    degree.  None refers to the realization, so there is no reference cycle.
+    A realization is not safe to share between threads without a lock, and no
+    caller may mutate a block it reads.
     """
 
     def __init__(
@@ -130,27 +131,32 @@ class ModuleRealization:
         self.space = space
         self.ideal = ideal
         self.weight = (1,) * space.m if ideal is None else ideal.weight
+        gens = () if ideal is None else ideal.generators
+        self._exponents = [a for g in gens for a in g.support()]
+        self.is_monomial = len(self._exponents) == len(gens)
         self.max_level = max_level
         self._levels: dict[int, _Level] = {}
         self._blocks: dict[tuple, dict[int, list[ela.Row]]] = {}
         self._degrees: dict[GradedPolynomial, int] = {}
 
-    @property
-    def is_full(self) -> bool:
-        return self.ideal is None or self.ideal.is_zero_ideal
-
     def _build_level(self, k: int) -> _Level:
-        if self.is_full:
-            monomials = enumerate_weighted_level(self.space.m, self.weight, k)
-            n, den = self.space.level_weights(monomials)
-            comp, norms, pivots = [{j: G_ONE} for j in range(len(n))], n, []
-        else:
-            # the ideal's level columns are enumerate_weighted_level's monomials
+        m, w = self.space.m, self.weight
+        if self.is_monomial:
+            monomials = enumerate_weighted_level(m, w, k)
+        else:  # the ideal's level columns are enumerate_weighted_level's monomials
             pivots, red, monomials = self.ideal.level_data(k)
-            n, den = self.space.level_weights(monomials)
-            comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
+        n, den = self.space.level_weights(monomials)
         col_of = {a: j for j, a in enumerate(monomials)}
-        return _Level(monomials, col_of, n, den, comp, norms, pivots)
+        if not self.is_monomial:
+            comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
+            return _Level(monomials, col_of, n, den, comp, norms, pivots)
+        # the ideal's level is spanned by its monomials e + b, e a generator exponent
+        in_ideal = {col_of[add_index(e, b)] for e in self._exponents
+                    for b in enumerate_weighted_level(m, w, k - weighted_degree(e, w))}
+        std = [j for j in range(len(n)) if j not in in_ideal] if in_ideal else range(len(n))
+        comp_of = {monomials[j]: t for t, j in enumerate(std)} if in_ideal else col_of
+        return _Level(monomials, col_of, n, den, [{j: G_ONE} for j in std],
+                      [n[j] for j in std] if in_ideal else n, sorted(in_ideal), comp_of)
 
     # -- level geometry -------------------------------------------------
 
@@ -321,13 +327,15 @@ def identity_blocks(realization: ModuleRealization) -> GradedOperator:
 
 
 def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
-    """Block k of M_p on the full space: source level k, target k + d, d = deg p."""
+    """Block k of M_p (d = deg p) on a monomial realization, terms off standard monomials dropped."""
     terms = list(p.terms())
     tgt = r.level(k + d)
-    block: list[ela.Row] = [{} for _ in tgt.monomials]
-    for col, alpha in enumerate(r.level(k).monomials):
+    block: list[ela.Row] = [{} for _ in tgt.comp_rows]
+    for col, alpha in enumerate(r.level(k).comp_of):
         for beta, c in terms:
-            block[tgt.col_of[add_index(alpha, beta)]][col] = c
+            t = tgt.comp_of.get(add_index(alpha, beta))
+            if t is not None:
+                block[t][col] = c
     return block
 
 
@@ -359,9 +367,9 @@ def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int
 
 
 def _multiplier(r: ModuleRealization, p: GradedPolynomial) -> GradedOperator:
-    """M_p: closed-form on the full space, the adjoint of M_p^* on a quotient."""
+    """M_p: closed-form on a monomial realization, else the adjoint of M_p^*."""
     d = r.degree(p)
-    if r.is_full:
+    if r.is_monomial:
         return GradedOperator(r, d, _mult_block, p, d)
     return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, _coinvariant_block, p, d))
 
@@ -371,13 +379,13 @@ def mult_blocks(
 ) -> GradedOperator:
     """Blocks of the compression of M_p to the realization's module.
 
-    On the full space these are the exact monomial-coordinate matrices of
-    multiplication by p.  On a quotient column c holds the coordinates of the
-    projection of p * w_c onto S_{k+d}^perp, built as the adjoint of M_p^*,
-    whose blocks are read off by co-invariance.  Every operator returned here
-    for one realization and polynomial has the same recipe, so each block is
-    built once and shared.  K only checks that the realization has levels to
-    K + d; block k reads levels k and k + d.
+    On a monomial realization these are multiplication by p on the standard
+    monomials, terms off them dropped.  Otherwise column c holds the
+    coordinates of the projection of p * w_c onto S_{k+d}^perp, the adjoint
+    of M_p^*, whose blocks are read off by co-invariance.  Every operator
+    returned here for one realization and polynomial has the same recipe, so
+    each block is built once and shared.  K only checks that the realization
+    has levels to K + d; block k reads levels k and k + d.
     """
     d = realization.degree(p)
     if K < 0 or K + d > realization.max_level:
@@ -396,8 +404,8 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     of op at source level j - d.  A source below the degree shift d maps into
     a negative level and gets a zero-row block.  Block j reads levels j and
     j - d.  The adjoint of an adjoint is the operator itself, so M_p and
-    M_p^* map to each other's recipes: on the full space M_p^* is the
-    adjoint of the closed-form M_p, on a quotient M_p that of the read-off
+    M_p^* map to each other's recipes: on a monomial realization M_p^* is the
+    adjoint of the closed-form M_p, on another quotient M_p that of the read-off
     M_p^*, and each is built once per realization, whichever is read first.
     """
     if op.build is _adjoint_block:
@@ -453,35 +461,38 @@ def commutator_blocks(
 
     Degree shift deg f - deg g; block k reads levels up to k + deg f.  For
     f = g each block is Hermitian (and on the unilateral shift the level-0
-    block is [1]).  On the full space the blocks are read off the level
-    weights (:func:`_commutator_block`); on a quotient they are the
-    difference of the two products.
+    block is [1]).  On a monomial realization the blocks are read off the
+    level weights (:func:`_commutator_block`); on any other quotient they are
+    the difference of the two products.
     """
     da, db = realization.degree(f), realization.degree(g)
-    if realization.is_full:
+    if realization.is_monomial:
         pairs = tuple((c * d.conjugate(), a, b) for a, c in f.terms() for b, d in g.terms())
         return GradedOperator(realization, da - db, _commutator_block, pairs, da, db)
     return op_sub(*(product_blocks(realization, f, g, t) for t in (True, False)))
 
 
 def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> list[ela.Row]:
-    """Block k of C(f, g) on the full space, f of degree da and g of degree
-    db: e_x -> sum c conj(d) (w(x + a, b) - w(x, b)) e_{x+a-b} over the
-    ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g, where
-    w(y, b) = omega(y) / omega(y - b) for y >= b and 0 otherwise, read as ints
-    off the level weights.  One pair is a weighted partial permutation."""
+    """Block k of C(f, g) on a monomial realization, f of degree da and g of
+    degree db: e_x -> sum c conj(d) (w(x + a, b) - w(x, b)) e_{x+a-b} over the
+    ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g with e_{x+a-b}
+    standard, where w(y, b) = omega(y) / omega(y - b) for standard y >= b and 0
+    otherwise, as ints.  One pair is a weighted partial permutation."""
     src, hi = r.level(k), r.level(k + da)
     tgt, lo = (r.level(j) if j >= 0 else None for j in (k + da - db, k - db))
     block: list[ela.Row] = [{} for _ in range(r.comp_dim(k + da - db))]
     for c, a, b in pairs:
-        for col, x in enumerate(src.monomials):
+        for col, x in enumerate(src.comp_of):
             y = add_index(x, a)
-            t = tgt.col_of.get(tuple(map(operator.sub, y, b))) if tgt else None
+            t = tgt.comp_of.get(tuple(map(operator.sub, y, b))) if tgt else None
             if t is not None:
-                num, den = hi.weights[hi.col_of[y]] * tgt.den, hi.den * tgt.weights[t]
-                s = lo.col_of.get(tuple(map(operator.sub, x, b))) if lo else None
+                try:
+                    num, den = hi.norms[hi.comp_of[y]] * tgt.den, hi.den * tgt.norms[t]
+                except KeyError:  # y is not standard (x - b is, if it is a monomial)
+                    num, den = 0, 1
+                s = lo.comp_of.get(tuple(map(operator.sub, x, b))) if lo else None
                 if s is not None:
-                    n, d = src.weights[col] * lo.den, src.den * lo.weights[s]
+                    n, d = src.norms[col] * lo.den, src.den * lo.norms[s]
                     num, den = num * d - n * den, den * d
                 if num:  # pairs with equal a - b meet here: add exactly
                     v, row = c.scaled(num, den), block[t]
@@ -490,21 +501,21 @@ def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> 
 
 
 def _defect_block(r: ModuleRealization, k: int, adj_first: bool, terms) -> list[ela.Row]:
-    """Block k of a sum-of-squares defect on the full space: diagonal, with
-    entry 1 - sum_t a_t w(x + alpha_t, alpha_t) if ``adj_first``, else
+    """Block k of a sum-of-squares defect on a monomial realization: diagonal,
+    with entry 1 - sum_t a_t w(x + alpha_t, alpha_t) if ``adj_first``, else
     1 - sum_t a_t w(x, alpha_t) (w as in :func:`_commutator_block`), each
     summed as one integer ratio; ``terms`` are (a_t, alpha_t, deg alpha_t)."""
     src = r.level(k)
-    acc = [(1, 1)] * len(src.monomials)
+    acc = [(1, 1)] * len(src.comp_rows)
     for a, alpha, deg in terms:
-        # w = omega(y) / omega(z): y = x + alpha over z = x, or y = x over z = x - alpha
+        # w = omega(y) / omega(z), both standard: y = x + alpha over z = x, or x over x - alpha
         hi, lo = (r.level(k + deg), src) if adj_first else (src, r.level(k - deg) if k >= deg else None)
-        for col, x in enumerate(src.monomials):
+        for col, x in enumerate(src.comp_of):
             y, z = (add_index(x, alpha), x) if adj_first else (x, tuple(map(operator.sub, x, alpha)))
-            s = lo.col_of.get(z) if lo else None
-            if s is not None:  # subtract a_t w = wn / wd
-                wn = a.numerator * hi.weights[hi.col_of[y]] * lo.den
-                wd = a.denominator * hi.den * lo.weights[s]
+            h, s = hi.comp_of.get(y), lo.comp_of.get(z) if lo else None
+            if h is not None and s is not None:  # subtract a_t w = wn / wd
+                wn = a.numerator * hi.norms[h] * lo.den
+                wd = a.denominator * hi.den * lo.norms[s]
                 n, d = acc[col]
                 acc[col] = (n * wd - wn * d, d * wd)
     return [{c: G_ONE.scaled(n, d)} if n else {} for c, (n, d) in enumerate(acc)]
@@ -514,15 +525,15 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
     """I - sum_t a_t M_t^* M_t if ``adj_first`` else I - sum_t a_t M_t M_t^*,
     M_t = M_{z^{alpha_t}}, over the terms (a_t, alpha_t) of a positive regular
     P, by default the m-shift's (a_t = 1, alpha_t = e_i): one exact square
-    block per level, diagonal and read off the weights on the full space
-    (:func:`_defect_block`).  On a quotient term t is a_t times the product
-    of M_q and M_q^*, q = z^{alpha_t}, so each term builds one multiplier and
-    the m-shift shares C(z_i, z_i)'s products."""
+    block per level, diagonal and read off the weights on a monomial
+    realization (:func:`_defect_block`).  Otherwise term t is a_t times the
+    product of M_q and M_q^*, q = z^{alpha_t}, so each term builds one
+    multiplier and the m-shift shares C(z_i, z_i)'s products."""
     m = realization.space.m
     if terms is None:
         terms = [(1, unit_index(m, i)) for i in range(m)]
     terms = tuple(t for t in terms if t[0])  # a term with a_t = 0 adds nothing
-    if realization.is_full:
+    if realization.is_monomial:
         terms = tuple((a, alpha, weighted_degree(alpha, realization.weight)) for a, alpha in terms)
         return GradedOperator(realization, 0, _defect_block, adj_first, terms)
     acc = identity_blocks(realization)

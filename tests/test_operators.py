@@ -757,6 +757,38 @@ def test_partial_permutations_read_off_their_singular_values(monkeypatch, case):
         assert op.singular_values(k).tobytes() == sv.tobytes()  # one block alone: same bits
 
 
+def test_monomial_path_equals_the_general_path_on_one_quotient():
+    # (z1+z2, z1-z2) and (z1, z2) generate one ideal of hb3, so S_k^perp is
+    # spanned by z3^k: the first takes the general quotient path (elimination,
+    # Gram-Schmidt, M_p^* read off by co-invariance, products), the second the
+    # monomial one (divisibility, and the closed forms with every term off the
+    # standard monomials dropped, such as M_{z1}^* M_{z1}'s in C(z1, z1) = 0).
+    # Every level and block agrees exactly
+    m, K = 3, 4
+    space = builtin_space("hardy-ball", m)
+    general, monomial = (
+        quotient_realization(space, GradedIdeal(m, [parse_polynomial(g, m) for g in gens]), K + 2)
+        for gens in (("z1+z2", "z1-z2"), ("z1", "z2")))
+    assert monomial.is_monomial and not general.is_monomial
+    f, g = parse_polynomial("z1+2*z3", m), parse_polynomial("(1+i)*z2-z3", m)
+    p = parse_polynomial("z1*z3+(2-i)*z3^2", m)
+
+    def ops(r):
+        zs = [z(i, m) for i in range(m)]
+        mult = mult_blocks(r, p, K)
+        return [*(commutator_blocks(r, a, b) for a in zs for b in zs), commutator_blocks(r, f, g),
+                defect_blocks(r), codefect_blocks(r), mult, adjoint_blocks(mult)]
+
+    pairs = list(zip(ops(monomial), ops(general)))
+    for k in range(K + 1):
+        lv, want = monomial.level(k), general.level(k)
+        assert [lv.monomials[c] for row in lv.comp_rows for c in row] == [(0, 0, k)]
+        assert (lv.comp_rows, lv.norms, lv.den) == (want.comp_rows, want.norms, want.den)
+        for a, b in pairs:
+            assert a.block(k) == b.block(k), k
+    assert all(not row for k in range(K + 1) for row in pairs[0][0].block(k))  # C(z1, z1) = 0
+
+
 def test_a_dense_block_goes_to_svd_bit_for_bit(monkeypatch):
     # negative control: C(z1, z2) at level 2 of hb3 z1+z2+z3 has rows with
     # several entries, so it fails the structural test and takes the SVD

@@ -14,7 +14,6 @@ import wshm
 ALLOWED = {
     # the kept public API: methods of types in ``wshm.__all__``
     "algebra.GradedPolynomial.is_homogeneous",
-    "algebra.GradedPolynomial.support",
     "algebra.GradedPolynomial.times_monomial",
     "spaces.WeightedShiftSpace.spherical_defect",  # README's tour; the tests' defect reference
     "exact_linalg.kernel_basis",  # until the benchmark PR retargets `perfbench/tracer.py`

@@ -5,10 +5,11 @@ content of reduced rows, sparse rows that never store a zero, ideal levels
 past a certified Groebner degree against from-scratch elimination and sympy's
 Groebner bases, the exact Hilbert series against from-scratch level
 dimensions, the block kernels against entry-by-entry references, the
-full-space commutators and defects read off the weights against the product
-path, the Koszul homology of a principal ideal, the polynomial text round
-trip, and the positive regular pipeline (delta table, P-defect, kernel of the
-comparison map, co-isometry, module map)."""
+full-space and monomial-quotient commutators, defects and multipliers read
+off the weights against the product path, the Koszul homology of a principal
+ideal, the polynomial text round trip, and the positive regular pipeline
+(delta table, P-defect, kernel of the comparison map, co-isometry, module
+map)."""
 
 import math
 import time
@@ -916,6 +917,58 @@ def test_full_space_blocks_equal_the_product_path(data, kind, m, top):
     for closed, product in pairs:
         for k in range(top + 1):
             assert block_or_window_error(closed, k) == block_or_window_error(product, k), k
+
+
+def general_path(space, ideal, top):
+    """The realization of space / [ideal] on the general quotient path, even
+    for a monomial ideal: levels by elimination and Gram-Schmidt, M_p^* read
+    off by co-invariance, M_p as its adjoint, commutators and defects as
+    differences of products."""
+    r = quotient_realization(space, ideal, top)
+    r.is_monomial = False
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "drury-arveson", "bergman-ball", "polydisk-hardy"]),
+    m=st.integers(1, 4),
+)
+def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
+    # a quotient by 1-3 single-term generators of degree <= 3 is read off by
+    # divisibility: the standard monomials' unit rows span S_k^perp, and the
+    # commutators, defects and multipliers are the full space's closed forms
+    # with every term off the standard monomials dropped.  Each level and each
+    # block equals the general quotient path's exactly, and each block raises
+    # WindowError exactly where it does.  A monomial ideal is quasi-homogeneous
+    # for every n, so the grading is drawn too; f, g and p are homogeneous for it
+    scale2 = data.draw(st.sampled_from(["1", f"1/{m}"]))
+    space = builtin_space(kind, m, {"scale2": scale2} if kind == "polydisk-hardy" else None)
+    n = data.draw(gradings(m))
+    gens = [GradedPolynomial(m, {data.draw(st.sampled_from(enumerate_level(m, d))):
+                                 data.draw(gaussian_ints.filter(bool))})
+            for d in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    ideal = GradedIdeal(m, gens, weight=n)
+    top = 5 if m <= 2 else 4
+    r, ref = quotient_realization(space, ideal, top), general_path(space, ideal, top)
+    assert r.is_monomial and not ref.is_monomial
+    for k in range(top + 1):
+        lv, want = r.level(k), ref.level(k)
+        assert (lv.comp_rows, lv.norms, lv.den, lv.ideal_pivots) == (
+            want.comp_rows, want.norms, want.den, want.ideal_pivots), k
+    z = [GradedPolynomial.variable(m, i) for i in range(m)]
+    f, g, p = (homogeneous(data, m, data.draw(st.sampled_from(nonempty_degrees(m, n))), n=n)
+               for _ in range(3))
+
+    def ops(x):  # every C(z_i, z_j), C(f, g), the defect, the codefect, M_p and M_p^*
+        mult = mult_blocks(x, p, top - x.degree(p))
+        return [*(commutator_blocks(x, a, b) for a in z for b in z), commutator_blocks(x, f, g),
+                defect_blocks(x), codefect_blocks(x), mult, adjoint_blocks(mult)]
+
+    for closed, general in zip(ops(r), ops(ref)):
+        for k in range(top + 1):
+            assert block_or_window_error(closed, k) == block_or_window_error(general, k), k
 
 
 @settings(max_examples=120, deadline=None)

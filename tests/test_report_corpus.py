@@ -5,8 +5,9 @@ report it printed when the corpus was recorded.  A change that alters a
 report on purpose records it again (``wshm <argv> > <case>.json``) and says
 why.  The cases cover scenarios that the benchmark does not run.  A report
 must keep its scenario, params, table layout and verdict names; exact, int
-and text columns and every verdict status must be equal, and float columns
-must agree within 1e-12 relative.
+and text columns and every verdict's status and details text must be equal
+(a details text prints its floats with six significant digits), and float
+columns must agree within 1e-12 relative.
 """
 
 import json
@@ -120,6 +121,6 @@ def test_report_matches_stored_corpus(case, capsys):
                     assert _floats_agree(xg, xw), (where, xg, xw)
                 else:
                     assert xg == xw, (where, xg, xw)
-    assert [(v["name"], v["status"]) for v in got["verdicts"]] == [
-        (v["name"], v["status"]) for v in want["verdicts"]
+    assert [(v["name"], v["status"], v["details"]) for v in got["verdicts"]] == [
+        (v["name"], v["status"], v["details"]) for v in want["verdicts"]
     ]
