@@ -468,11 +468,11 @@ def quotient_shift_weights(
     before any float enters.
     """
     realization = quotient_realization(space, ideal, K + 1)
-    for k in range(K + 2):
-        if realization.comp_dim(k) != 1:
+    levels = [realization.level(k) for k in range(K + 2)]  # each read once, held below
+    for k, lv in enumerate(levels):
+        if len(lv.comp_rows) != 1:
             raise StructuralError(
-                f"quotient level {k} has dimension {realization.comp_dim(k)}, "
-                "need exactly 1"
+                f"quotient level {k} has dimension {len(lv.comp_rows)}, need exactly 1"
             )
     zi = GradedPolynomial.variable(space.m, var)
     op = mult_blocks(realization, zi, K)
@@ -480,7 +480,7 @@ def quotient_shift_weights(
     moduli_sq = []
     for k in range(K + 1):
         c = op.block(k)[0].get(0, G_ZERO)
-        src, tgt = realization.level(k), realization.level(k + 1)
+        src, tgt = levels[k], levels[k + 1]
         moduli_sq.append(c.abs2() * Fraction(tgt.norms[0] * src.den, tgt.den * src.norms[0]))
     moduli = [float(q) ** 0.5 for q in moduli_sq]
 

@@ -15,33 +15,31 @@ are kept strictly apart:
   values off its exact entries, each rounded once; :func:`onb_map` stacks the
   other blocks by shape, each shape going to floats and to SVD or eigh at once.
 
-Truncation windows are explicit, and the realization is their one source.
-Every block is exact on the levels it reads; reading a block at a level
-outside [0, max_level], or one whose build reads such a level, raises
-:class:`~wshm.errors.WindowError` -- silent truncation artifacts are the
-main correctness hazard of this whole artifact.
+The realization is the one source of truncation windows: reading a block at a
+level outside [0, max_level], or one whose build reads such a level, raises
+:class:`~wshm.errors.WindowError`, so no block is silently truncated.
 
 Evaluation is on demand.  An operator is its realization plus a hashable
-recipe (shift, builder, arguments), and the realization keeps one block cache
-keyed by recipe, so equal recipes share every block: a report builds the
-levels and blocks it reads, each once per realization however often it is
-assembled.  On a monomial realization (the full space, or a quotient by
-single-term generators) a commutator of monomials is a weighted partial
-permutation and a sum-of-squares defect is diagonal, both read off the
-weights of the standard monomials; on any other quotient every commutator,
-defect and codefect shares one build of each multiplier, adjoint and
-product.  No block projects: on a quotient M_p^* leaves S^perp invariant.
+recipe (shift, builder, arguments); the realization caches blocks by recipe,
+so equal recipes share every block.  A monomial realization (the full space,
+or a quotient by single-term generators) stores the standard monomials as unit
+rows; a commutator of monomials is a weighted partial permutation and a
+sum-of-squares defect is diagonal, both read off the weights.  Any other
+quotient stores each complement vector v by its Gram-applied coordinates
+x = omega v, in which S_k^perp is a Euclidean complement and M_p^* is read off
+with no weight and no projection (it leaves S^perp invariant); there every
+commutator, defect and codefect shares one build of each multiplier, adjoint
+and product.
 
-Conventions.  The weighted inner product is linear in the first argument,
-``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
-basis {w_r} is orthogonal, so its Gram matrix is the diagonal
-``G = diag(<w_r, w_r>)``; the adjoint of a block B at source level k is
-``G_k^{-1} B^dagger G_{k+d}``, and the cross commutator is taken in the order
+Conventions.  The weighted inner product ``<u, v> = sum_gamma u_gamma
+conj(v_gamma) omega(gamma)`` is linear in u.  Every complement basis {w_r} is
+orthogonal with diagonal Gram ``G = diag(<w_r, w_r>)``; the adjoint of a block
+B at source level k is ``G_k^{-1} B^dagger G_{k+d}``, and the cross
+commutator is taken in the order
 
     commutator_blocks(f, g)  =  M_g^* M_f - M_f M_g^*,
 
-so that for f = g = z on the unilateral shift the level-0 block is [1] (the
-projection onto constants with a positive sign).
+so that for f = g = z on the unilateral shift the level-0 block is [1].
 """
 
 from __future__ import annotations
@@ -82,9 +80,11 @@ def _sqrt_split(a: int, b: int) -> tuple[float, int]:
 class _Level:
     monomials: list[MultiIndex]
     col_of: dict[MultiIndex, int]
-    weights: list[int]  # the weight of monomial coordinate c is weights[c] / den
+    # stored rows pair as sum_c u_c conj(v_c) weights[c] / den: monomial coordinates under
+    # omega on a monomial level, else Gram-applied coordinates x_c = omega_c v_c under 1 / omega
+    weights: list[int]
     den: int
-    comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis
+    comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis, stored as above
     norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
     ideal_pivots: list[int]
     comp_of: dict[MultiIndex, int] | None = None  # monomial: standard monomial -> coordinate
@@ -101,21 +101,19 @@ class _Level:
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
-    Each level holds its monomial weights as ints over one denominator.  The
-    realization is monomial when each generator of its ideal is one term (the
-    full space has none): S_k^perp is then spanned by the standard monomials,
-    which no generator exponent divides, their unit rows its basis and omega
-    its Gram.  Otherwise S_k is the reduced echelon basis of the ideal level
-    and the complement basis spans S_k^perp = {v : <v, u> = 0 for u in S_k}:
-    Gaussian-integer kernel vectors read off that echelon form in closed form,
-    orthogonalised by fraction-free Gram-Schmidt to a diagonal Gram.  Level k holds the monomials of
-    weighted degree k under ``weight``, the ideal's n.  Plain dicts memoise
-    the work: ``_levels`` holds each level up to ``max_level`` from its first
-    read, ``_blocks`` the blocks built so far of each :class:`GradedOperator`
-    recipe, by source level, and ``_degrees`` each polynomial's weighted
-    degree.  None refers to the realization, so there is no reference cycle.
-    A realization is not safe to share between threads without a lock, and no
-    caller may mutate a block it reads.
+    Level k holds the monomials of weighted degree k under ``weight``, the
+    ideal's n.  The realization is monomial when each generator is one term
+    (the full space has none): S_k^perp is then spanned by the standard
+    monomials, which no generator exponent divides, stored as unit rows.
+    Otherwise S_k is the reduced echelon basis of the ideal level, and
+    S_k^perp in Gram-applied coordinates x = omega v its Euclidean complement:
+    kernel vectors read off the echelon form in closed form, orthogonalised by
+    fraction-free Gram-Schmidt under the reciprocal weights 1 / omega.  Plain
+    dicts memoise each level (``_levels``), the blocks of each
+    :class:`GradedOperator` recipe by source level (``_blocks``) and each
+    polynomial's weighted degree (``_degrees``); none refers to the
+    realization.  A realization is not safe to share between threads without
+    a lock, and no caller may mutate a block.
     """
 
     def __init__(
@@ -141,15 +139,14 @@ class ModuleRealization:
 
     def _build_level(self, k: int) -> _Level:
         m, w = self.space.m, self.weight
-        if self.is_monomial:
-            monomials = enumerate_weighted_level(m, w, k)
-        else:  # the ideal's level columns are enumerate_weighted_level's monomials
+        if not self.is_monomial:  # the ideal's level columns are enumerate_weighted_level's monomials
             pivots, red, monomials = self.ideal.level_data(k)
+            r, den = self.space.reciprocal_weights(monomials)
+            comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, len(r)), r)
+            return _Level(monomials, {a: j for j, a in enumerate(monomials)}, r, den, comp, norms, pivots)
+        monomials = enumerate_weighted_level(m, w, k)
         n, den = self.space.level_weights(monomials)
         col_of = {a: j for j, a in enumerate(monomials)}
-        if not self.is_monomial:
-            comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, n), n)
-            return _Level(monomials, col_of, n, den, comp, norms, pivots)
         # the ideal's level is spanned by its monomials e + b, e a generator exponent
         in_ideal = {col_of[add_index(e, b)] for e in self._exponents
                     for b in enumerate_weighted_level(m, w, k - weighted_degree(e, w))}
@@ -167,9 +164,9 @@ class ModuleRealization:
             )
 
     def level(self, k: int) -> _Level:
-        self._check_level(k)
         lv = self._levels.get(k)
-        if lv is None:
+        if lv is None:  # only levels in the window are ever stored
+            self._check_level(k)
             lv = self._levels[k] = self._build_level(k)
         return lv
 
@@ -190,12 +187,14 @@ class ModuleRealization:
         return len(self.level(k).comp_rows) if k >= 0 else 0
 
     def project_to_complement(self, k: int, coords: ela.Row, den: int) -> ela.Row:
-        """Complement coordinates <coords, w_s> / (den <w_s, w_s>) of the
-        orthogonal projection of a Gaussian-integer monomial-coordinate row
-        ``coords`` / den at level k, zeros dropped: the reference that tests
-        check multiplier blocks against (no block is built by projection)."""
+        """Complement coordinates <coords, w_s> / (den <w_s, w_s>) of the orthogonal
+        projection of a Gaussian-integer monomial-coordinate row ``coords`` / den at
+        level k, zeros dropped (against Gram-applied rows x_s, <coords, w_s> = sum_c
+        coords_c conj(x_s[c])): the reference that tests check multiplier blocks
+        against (no block is built by projection)."""
         lv = self.level(k)
-        return ela.project(coords, den, lv.comp_rows, lv.norms, lv.weights)
+        n = lv.weights if self.is_monomial else [lv.den] * len(lv.monomials)
+        return ela.project(coords, den, lv.comp_rows, lv.norms, n)
 
 
 def full_realization(space: WeightedShiftSpace, max_level: int) -> ModuleRealization:
@@ -234,9 +233,9 @@ class GradedOperator:
         self._cache = realization._blocks.setdefault(self.recipe, {})
 
     def block(self, k: int) -> list[ela.Row]:
-        self.realization._check_level(k)
         block = self._cache.get(k)
-        if block is None:
+        if block is None:  # only blocks at levels in the window are ever stored
+            self.realization._check_level(k)
             block = self._cache[k] = self.build(self.realization, k, *self.args)
         return block
 
@@ -301,10 +300,11 @@ def svd_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
         if moduli is None:
             rest.append(n)
             continue
-        tgt, src = map(op.realization.level, (k + op.shift, k)) if moduli else (None, None)
+        src = op.realization.level(k)
+        tgt = op.realization.level(k + op.shift) if moduli else None
         sv = sorted([math.ldexp(*_sqrt_split(a * tgt.norms[t] * src.den, d * tgt.den * src.norms[s]))
                      for t, s, a, d in moduli], reverse=True)
-        size = min(op.block_shape(k))
+        size = min(len(op.block(k)), len(src.comp_rows))  # min(block_shape), from the levels held
         read.setdefault(size, []).append((n, sv + [0.0] * (size - len(sv))))
     for group in read.values():
         for (n, _), res in zip(group, fn(np.array([sv for _, sv in group]))):
@@ -340,29 +340,28 @@ def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial, d: int) -> li
 
 
 def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
-    """Block j of the compressed M_p^* on a quotient, with no projection: [I]
-    is M_p-invariant, so x = M_p^* w_s lies in S_k^perp, k = j - d, d = deg p.  At a
-    free column f, x_f = sum_beta conj(c_beta) w_s[f+beta] n_j[f+beta] d_k /
-    (d_j n_k[f]), in integers over p's common denominator.  Row w_t has free
-    entries at f_0..f_t only, so one back-substitution gives x's coordinates."""
+    """Block j of the compressed M_p^* on a quotient, with no projection: [I] is
+    M_p-invariant, so y = M_p^* w_s lies in S_k^perp, k = j - d, d = deg p.  In
+    Gram-applied coordinates y_f = sum_beta conj(c_beta) w_s[f+beta] at a free
+    column f, with no weight, in integers over p's common denominator.  Row w_t
+    has free entries at f_0..f_t only: one back-substitution gives y's coordinates."""
     k = j - d
     if k < 0:
         return _zero_block(r, -d, j)
     src, tgt = r.level(k), r.level(j)
     num, den = ela.over_common_denominator(dict(p.terms()))
     pivots, rows = set(src.ideal_pivots), src.comp_rows
-    free = [c for c in range(len(src.weights)) if c not in pivots]
+    free = [c for c in range(len(src.monomials)) if c not in pivots]
     tri = [(rows[t][f], [(i, rows[i][f]) for i in range(t + 1, len(rows)) if f in rows[i]])
            for t, f in enumerate(free)]
-    # x_f = conj(<reads[f], w_s>) / dens[f], where reads[f] = {f + beta: num_beta d_k}
-    reads = [{tgt.col_of[add_index(src.monomials[f], b)]: c * src.den for b, c in num.items()}
-             for f in free]
-    dens = [den * tgt.den * src.weights[f] for f in free]
+    # y_f = conj(reads[f] . conj(w_s)) / den, where reads[f] = {f + beta: num_beta}
+    reads = [{tgt.col_of[add_index(src.monomials[f], b)]: c for b, c in num.items()} for f in free]
+    ones, dens = [1] * len(tgt.monomials), [den] * len(free)
     adj: list[ela.Row] = [{} for _ in free]
     for s, w in enumerate(tgt.comp_rows):
-        x = [(re, -im) for re, im in (ela.inner(v, w, tgt.weights) for v in reads)]
-        for t, y in ela.back_substitute(x, dens, tri).items():
-            adj[t][s] = y
+        y = [(re, -im) for re, im in (ela.inner(v, w, ones) for v in reads)]
+        for t, a in ela.back_substitute(y, dens, tri).items():
+            adj[t][s] = a
     return adj
 
 
@@ -478,9 +477,9 @@ def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> 
     ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g with e_{x+a-b}
     standard, where w(y, b) = omega(y) / omega(y - b) for standard y >= b and 0
     otherwise, as ints.  One pair is a weighted partial permutation."""
-    src, hi = r.level(k), r.level(k + da)
-    tgt, lo = (r.level(j) if j >= 0 else None for j in (k + da - db, k - db))
-    block: list[ela.Row] = [{} for _ in range(r.comp_dim(k + da - db))]
+    held = {j: r.level(j) for j in {k, k + da, k + da - db, k - db} if j >= 0}  # each once
+    src, hi, tgt, lo = map(held.get, (k, k + da, k + da - db, k - db))
+    block: list[ela.Row] = [{} for _ in tgt.comp_rows] if tgt else []
     for c, a, b in pairs:
         for col, x in enumerate(src.comp_of):
             y = add_index(x, a)

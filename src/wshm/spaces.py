@@ -89,6 +89,11 @@ class WeightedShiftSpace:
         den = math.lcm(*[w.denominator for w in ws])
         return [w.numerator * (den // w.denominator) for w in ws], den
 
+    def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
+        """(r, D): 1 / omega(alpha_j) = r[j] / D exactly, D the lcm of their denominators."""
+        den = math.lcm(*[self.weight(a).numerator for a in monomials])
+        return [den // w.numerator * w.denominator for w in map(self.weight, monomials)], den
+
     def shift_ratio(self, alpha: Iterable[int], i: int) -> Fraction:
         """omega(alpha + e_i) / omega(alpha) = ||z_i z^alpha||^2 / ||z^alpha||^2."""
         a = check_multiindex(alpha, self.m)
@@ -142,12 +147,10 @@ class _KernelPowerSpace(WeightedShiftSpace):
         self._fact = [1]  # _fact[j] = j!, extended to the highest level read
 
     def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """Closed form: n[j] = alpha! (shift-1)! (K+shift-1)! / (|alpha|+shift-1)!
-        over D = (K+shift-1)!, K the highest degree of ``monomials``, so mixed
-        degrees keep omega(alpha_j) = n[j] / D and one level k has D =
-        (k+shift-1)!.  The factorials come from one table per space, replaced
-        by a longer copy (never extended in place, so a concurrent reader
-        sees a whole table) when a higher level is read; no Fraction is built."""
+        """Closed form: n[j] = alpha! (shift-1)! (K+shift-1)! / (|alpha|+shift-1)! over
+        D = (K+shift-1)!, K the highest degree of ``monomials`` (one level k has D =
+        (k+shift-1)!), from one factorial table per space, replaced by a longer copy (never
+        extended in place, so a concurrent reader sees a whole table) when a higher level is read."""
         degrees = list(map(sum, monomials))
         shift, top = self._shift, max(degrees, default=0) + self._shift - 1
         fact = self._fact
@@ -159,6 +162,12 @@ class _KernelPowerSpace(WeightedShiftSpace):
         d, get = fact[top], fact.__getitem__
         scale = {k: d // fact[k + shift - 1] * fact[shift - 1] for k in set(degrees)}
         return [math.prod(map(get, alpha)) * scale[k] for alpha, k in zip(monomials, degrees)], d
+
+    def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
+        """Over D = 1: 1 / omega(alpha_j) = (|alpha|+shift-1)! / (alpha! (shift-1)!) = D' / n[j]
+        for :meth:`level_weights` (n, D'), a multinomial coefficient."""
+        n, d = self.level_weights(monomials)
+        return [d // x for x in n], 1
 
 
 # the only parameter keys each kind reads; any other key is an input error

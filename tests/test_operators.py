@@ -61,6 +61,43 @@ def dense(rows, ncols):
     return out
 
 
+def monomial_rows(r, k):
+    """Level k's complement rows in monomial coordinates v: a monomial level
+    stores them so, any other quotient level stores x = omega v."""
+    lv = r.level(k)
+    if r.is_monomial:
+        return lv.comp_rows
+    omega = [r.space.weight(a) for a in lv.monomials]
+    return [{c: x / omega[c] for c, x in row.items()} for row in lv.comp_rows]
+
+
+def basis_scales(r, ref, k):
+    """c with ref's level-k complement vector s equal to c[s] times r's, both
+    mapped to monomial coordinates; each c[s] must be a positive rational and
+    ref's Gram entry c[s]^2 times r's, exactly."""
+    lv, want = r.level(k), ref.level(k)
+    rows, ref_rows = monomial_rows(r, k), monomial_rows(ref, k)
+    assert len(rows) == len(ref_rows) and lv.ideal_pivots == want.ideal_pivots, k
+    scales = []
+    for s, (u, v) in enumerate(zip(rows, ref_rows)):
+        j = next(iter(u))
+        c = v.get(j, G_ZERO) / u[j]
+        assert c.is_real() and c.re > 0 and v == {i: x * c for i, x in u.items()}, (k, s)
+        assert Fraction(want.norms[s], want.den) == c.re ** 2 * Fraction(lv.norms[s], lv.den)
+        scales.append(c.re)
+    return scales
+
+
+def in_basis_of(ref, op, k):
+    """Block k of ``op`` rewritten in the complement bases of ``ref`` (the same
+    module): with ref's vector s equal to c_s times op's realization's at each
+    level (:func:`basis_scales`), entry (t, s) becomes B_ts c_s / c_t."""
+    block, j = op.block(k), k + op.shift
+    cs = basis_scales(op.realization, ref, k)
+    ct = basis_scales(op.realization, ref, j) if j >= 0 else []
+    return [{s: x * (cs[s] / ct[t]) for s, x in row.items()} for t, row in enumerate(block)]
+
+
 def sparse_identity(n):
     return [{i: G_ONE} for i in range(n)]
 
@@ -114,8 +151,10 @@ def test_realization_dim_split_and_gram():
             lv = r.level(k)
             assert len(lv.ideal_pivots) + r.comp_dim(k) == level_dimension(2, k)
             monos = lv.monomials
-            comp = dense(lv.comp_rows, len(monos))
-            # the complement basis is orthogonal and norms / den is its Gram, exactly
+            assert lv.weights == [1 / hb.weight(a) for a in monos] and lv.den == 1
+            comp = dense(monomial_rows(r, k), len(monos))
+            # stored as x = omega v, the complement basis is orthogonal and
+            # norms / den is its Gram, exactly
             for s, ws in enumerate(comp):
                 for t, wt in enumerate(comp):
                     g = exact_inner(hb, ws, wt, monos)
@@ -155,7 +194,7 @@ def test_projection_matches_normal_equations(gen):
             # project_to_complement reads a Gaussian-integer row over a denominator
             coeffs = r.project_to_complement(k, {c: xc * 6 for c, xc in enumerate(x) if xc}, 6)
             got = [
-                sum((q * w.get(c, G_ZERO) for s, w in enumerate(lv.comp_rows)
+                sum((q * w.get(c, G_ZERO) for s, w in enumerate(monomial_rows(r, k))
                      if (q := coeffs.get(s)) is not None), G_ZERO)
                 for c in range(dim)
             ]
@@ -763,7 +802,8 @@ def test_monomial_path_equals_the_general_path_on_one_quotient():
     # Gram-Schmidt, M_p^* read off by co-invariance, products), the second the
     # monomial one (divisibility, and the closed forms with every term off the
     # standard monomials dropped, such as M_{z1}^* M_{z1}'s in C(z1, z1) = 0).
-    # Every level and block agrees exactly
+    # The general path stores x = omega v, so its vector is the monomial one
+    # over omega: every level and block agrees exactly under that change of basis
     m, K = 3, 4
     space = builtin_space("hardy-ball", m)
     general, monomial = (
@@ -783,9 +823,10 @@ def test_monomial_path_equals_the_general_path_on_one_quotient():
     for k in range(K + 1):
         lv, want = monomial.level(k), general.level(k)
         assert [lv.monomials[c] for row in lv.comp_rows for c in row] == [(0, 0, k)]
-        assert (lv.comp_rows, lv.norms, lv.den) == (want.comp_rows, want.norms, want.den)
+        assert lv.comp_rows == want.comp_rows == [{lv.col_of[(0, 0, k)]: G_ONE}]
+        assert basis_scales(monomial, general, k) == [1 / space.weight((0, 0, k))]
         for a, b in pairs:
-            assert a.block(k) == b.block(k), k
+            assert in_basis_of(general, a, k) == b.block(k), k
     assert all(not row for k in range(K + 1) for row in pairs[0][0].block(k))  # C(z1, z1) = 0
 
 

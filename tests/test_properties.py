@@ -62,6 +62,8 @@ from wshm.posreg import (
 )
 from wshm.spaces import builtin_space
 
+from test_operators import basis_scales, in_basis_of, monomial_rows
+
 small_ints = st.integers(-3, 3)
 gaussian_ints = st.tuples(small_ints, small_ints).map(
     lambda c: GaussianRational(Fraction(c[0]), Fraction(c[1]))
@@ -263,19 +265,20 @@ def assert_adjoint_pairing(r, p, d, k, u, v):
 
     block = op.block(k)
     num, den = ela.over_common_denominator(dict(p.terms()))
-    for c, wc in enumerate(src.comp_rows):
+    omega_tgt = [r.space.weight(a) for a in tgt.monomials]
+    for c, wc in enumerate(monomial_rows(r, k)):
         image = [G_ZERO] * len(tgt.monomials)
         for g, x in wc.items():
             for beta, coeff in num.items():
                 j = tgt.col_of[tuple(a + b for a, b in zip(src.monomials[g], beta))]
                 image[j] = image[j] + x * coeff
         column = {row: y for row, y in enumerate(block) if c in y}
-        projected = r.project_to_complement(k + d, {j: y for j, y in enumerate(image) if y}, den)
+        coords, scale = ela.over_common_denominator({j: y for j, y in enumerate(image) if y})
+        projected = r.project_to_complement(k + d, coords, den * scale)
         assert {row: y[c] for row, y in column.items()} == projected
-        for row, (wr, gr) in enumerate(zip(tgt.comp_rows, gram_tgt)):
+        for row, (wr, gr) in enumerate(zip(monomial_rows(r, k + d), gram_tgt)):
             inner = sum(
-                (image[j] * y.conjugate() * Fraction(tgt.weights[j], tgt.den)
-                 for j, y in wr.items()),
+                (image[j] * y.conjugate() * omega_tgt[j] for j, y in wr.items()),
                 G_ZERO,
             )
             assert block[row].get(c, G_ZERO) == inner / (gr * den)
@@ -363,24 +366,29 @@ def test_kernel_basis_is_annihilated(ncols, data):
     ngens=st.integers(1, 2),
 )
 def test_closed_form_complement_equals_kernel_basis(data, kind, m, ideal_degree, ngens):
-    # the basis of S_k^perp read off the ideal's reduced echelon form, divided
-    # by its free entries, equals the kernel of its constraint rows
-    # conj(u_i) * omega, computed by elimination; each vector is a primitive
-    # Gaussian-integer row with a positive free entry
+    # the basis read off the ideal's reduced echelon form, divided by its free
+    # entries, equals the kernel of the constraint rows conj(u_i), computed by
+    # elimination; each vector is a primitive Gaussian-integer row with a
+    # positive free entry.  As Gram-applied coordinates x = omega v it spans
+    # S_k^perp: v = x / omega over its free entry equals the kernel of
+    # conj(u_i) * omega
     space = builtin_space(kind, m)
     ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
     for k in range(5 if m == 2 else 4):
         pivots, red, monomials = ideal.level_data(k)
         omega = [space.weight(a) for a in monomials]
+        euclidean = ela.kernel_basis([{c: y.conjugate() for c, y in u.items()} for u in red],
+                                     len(monomials))
         constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in red]
         reference = ela.kernel_basis(constraint, len(monomials))
-        n, den = space.level_weights(monomials)
-        basis = ela.complement_kernel(pivots, red, n)
-        assert len(basis) == len(reference)
-        for v, ref in zip(basis, reference):
+        basis = ela.complement_kernel(pivots, red, len(monomials))
+        assert len(basis) == len(reference) == len(euclidean)
+        for x, e, ref in zip(basis, euclidean, reference):
             free = next(c for c in ref if c not in pivots)
-            assert v[free].is_real() and v[free].re > 0 and is_primitive(v)
-            assert {c: x / v[free] for c, x in v.items()} == ref
+            assert x[free].is_real() and x[free].re > 0 and is_primitive(x)
+            assert {c: y / x[free] for c, y in x.items()} == e
+            v = {c: y / omega[c] for c, y in x.items()}
+            assert {c: y / v[free] for c, y in v.items()} == ref
 
 
 def sparse_row(data, ncols):
@@ -802,6 +810,30 @@ def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens)
         assert no_zero_stored(r.level(k).comp_rows)
 
 
+def assert_complement_levels(r):
+    """Each level of r stores its complement basis as primitive Gaussian-integer
+    rows, in monomial coordinates v on a monomial quotient and as x = omega v
+    otherwise, pairing under weights / den = omega or 1 / omega.  Mapped back
+    to v they span the kernel_basis reference of the constraint rows
+    conj(u_i) * omega, are exactly orthogonal in the space's weights, and
+    have Gram entries norms / den."""
+    for k in range(r.max_level + 1):
+        lv = r.level(k)
+        omega = [r.space.weight(a) for a in lv.monomials]
+        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in r.ideal.level_data(k)[1]]
+        reference = ela.kernel_basis(constraint, len(omega))
+        metric = omega if r.is_monomial else [1 / w for w in omega]
+        assert [Fraction(n, lv.den) for n in lv.weights] == metric
+        assert all(map(is_primitive, lv.comp_rows)) and len(lv.comp_rows) == len(reference)
+        comp = monomial_rows(r, k)
+        assert ela.rank(comp + reference, len(omega)) == len(reference)
+        for s, ws in enumerate(comp):
+            for t, wt in enumerate(comp):
+                g = sum((x * wt[c].conjugate() * omega[c] for c, x in ws.items() if c in wt),
+                        G_ZERO)
+                assert g == (Fraction(lv.norms[s], lv.den) if s == t else 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.data(),
@@ -811,26 +843,33 @@ def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens)
     ngens=st.integers(1, 2),
 )
 def test_integer_complement_bases_span_the_reference_kernel(data, kind, m, ideal_degree, ngens):
-    # each level's complement basis is primitive Gaussian-integer rows that
-    # span the kernel_basis reference of the constraint rows, are exactly
-    # orthogonal in the space's weights, and have norms / den equal to their
-    # weighted norms
-    space = builtin_space(kind, m)
+    # assert_complement_levels on drawn quotients of the kernel-power spaces,
+    # whose reciprocal weights are integers: a non-monomial level has den 1
     ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
-    r = quotient_realization(space, ideal, 4 if m == 2 else 3)
-    for k in range(r.max_level + 1):
-        lv = r.level(k)
-        omega = [space.weight(a) for a in lv.monomials]
-        constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in r.ideal.level_data(k)[1]]
-        reference = ela.kernel_basis(constraint, len(omega))
-        comp = lv.comp_rows
-        assert all(map(is_primitive, comp)) and len(comp) == len(reference)
-        assert ela.rank(comp + reference, len(omega)) == len(reference)
-        for s, ws in enumerate(comp):
-            for t, wt in enumerate(comp):
-                g = sum((x * wt[c].conjugate() * omega[c] for c, x in ws.items() if c in wt),
-                        G_ZERO)
-                assert g == (Fraction(lv.norms[s], lv.den) if s == t else 0)
+    r = quotient_realization(builtin_space(kind, m), ideal, 4 if m == 2 else 3)
+    assert_complement_levels(r)
+    assert r.is_monomial or all(r.level(k).den == 1 for k in range(r.max_level + 1))
+
+
+@pytest.mark.parametrize("kind", ["drury-arveson", "hardy-ball", "bergman-ball",
+                                  "polydisk-hardy", "custom"])
+@settings(max_examples=12, deadline=None)
+@given(
+    data=st.data(),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+)
+def test_gram_applied_complements_on_every_space_kind(kind, data, m, ideal_degree, ngens):
+    # assert_complement_levels on the general quotient path, which stores
+    # x = omega v even for a monomial ideal, on every kind of space: among
+    # them polydisk-hardy with scale2 = 5/2, whose 1 / omega = (2/5)^|alpha|
+    # is no integer, and a drawn custom table
+    top = 4 if m == 2 else 3
+    space = (builtin_space(kind, m, {"scale2": "5/2"}) if kind == "polydisk-hardy"
+             else random_space(data, kind, m, top))
+    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
+    assert_complement_levels(general_path(space, ideal, top))
 
 
 @settings(max_examples=25, deadline=None)
@@ -939,10 +978,12 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
     # a quotient by 1-3 single-term generators of degree <= 3 is read off by
     # divisibility: the standard monomials' unit rows span S_k^perp, and the
     # commutators, defects and multipliers are the full space's closed forms
-    # with every term off the standard monomials dropped.  Each level and each
-    # block equals the general quotient path's exactly, and each block raises
-    # WindowError exactly where it does.  A monomial ideal is quasi-homogeneous
-    # for every n, so the grading is drawn too; f, g and p are homogeneous for it
+    # with every term off the standard monomials dropped.  The general path
+    # stores x = omega v, so its vector s is c_s > 0 times the monomial one:
+    # under that change of basis each level and each block equals the general
+    # quotient path's exactly, and each block raises WindowError exactly where
+    # it does.  A monomial ideal is quasi-homogeneous for every n, so the
+    # grading is drawn too; f, g and p are homogeneous for it
     scale2 = data.draw(st.sampled_from(["1", f"1/{m}"]))
     space = builtin_space(kind, m, {"scale2": scale2} if kind == "polydisk-hardy" else None)
     n = data.draw(gradings(m))
@@ -954,9 +995,7 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
     r, ref = quotient_realization(space, ideal, top), general_path(space, ideal, top)
     assert r.is_monomial and not ref.is_monomial
     for k in range(top + 1):
-        lv, want = r.level(k), ref.level(k)
-        assert (lv.comp_rows, lv.norms, lv.den, lv.ideal_pivots) == (
-            want.comp_rows, want.norms, want.den, want.ideal_pivots), k
+        basis_scales(r, ref, k)
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
     f, g, p = (homogeneous(data, m, data.draw(st.sampled_from(nonempty_degrees(m, n))), n=n)
                for _ in range(3))
@@ -966,9 +1005,15 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
         return [*(commutator_blocks(x, a, b) for a in z for b in z), commutator_blocks(x, f, g),
                 defect_blocks(x), codefect_blocks(x), mult, adjoint_blocks(mult)]
 
+    def rebased(op, k):
+        try:
+            return in_basis_of(ref, op, k)
+        except WindowError:
+            return WindowError
+
     for closed, general in zip(ops(r), ops(ref)):
         for k in range(top + 1):
-            assert block_or_window_error(closed, k) == block_or_window_error(general, k), k
+            assert rebased(closed, k) == block_or_window_error(general, k), k
 
 
 @settings(max_examples=120, deadline=None)

@@ -184,13 +184,14 @@ def test_describe_serializes():
     assert "drury-arveson" in text and desc["sample_weights"][0]["omega"] == "1"
 
 
-@pytest.mark.parametrize(
+SPACE_MAKERS = pytest.mark.parametrize(
     "make",
     [
         lambda: builtin_space("da", 3),
         lambda: builtin_space("hardy-ball", 2),
         lambda: builtin_space("bergman-ball", 3),
         lambda: builtin_space("polydisk-hardy", 2, {"scale2": Fraction(2, 3)}),
+        lambda: builtin_space("polydisk-hardy", 2, {"scale2": "5/2"}),
         lambda: builtin_space(
             "custom", 2,
             {"table": {a: Fraction(k + 1, 3 + j) for k in range(6)
@@ -198,8 +199,12 @@ def test_describe_serializes():
         ),
         lambda: weighted_piece(builtin_space("da", 2), (2, 1), (1, 0)),
     ],
-    ids=["da", "hardy-ball", "bergman-ball", "polydisk-scale2", "custom", "weighted-piece"],
+    ids=["da", "hardy-ball", "bergman-ball", "polydisk-scale2", "polydisk-5/2", "custom",
+         "weighted-piece"],
 )
+
+
+@SPACE_MAKERS
 def test_level_weights_are_ints_over_one_denominator(make):
     # level_weights(monos) = (n, D) with n[j] / D == weight(monos[j])
     space = make()
@@ -221,6 +226,33 @@ def test_level_weights_are_ints_over_one_denominator(make):
     for k in range(6):
         monos = enumerate_level(space.m, k)
         assert space.level_weights(monos) == fresh.level_weights(monos)
+
+
+@SPACE_MAKERS
+def test_reciprocal_weights_are_ints_over_one_denominator(make):
+    # reciprocal_weights(monos) = (r, D) with r[j] / D == 1 / weight(monos[j]),
+    # on one level and on mixed degrees in any order; the kernel-power spaces
+    # read D = 1 off their closed form (1 / omega is a multinomial coefficient)
+    space = make()
+    monos = [a for k in range(6) for a in enumerate_level(space.m, k)]
+    e1 = (1,) + (0,) * (space.m - 1)
+    shuffled = random.Random(0).sample(monos, len(monos))
+    levels = [enumerate_level(space.m, k) for k in range(6)]
+    for mixed in (*levels, monos, monos[::-1], shuffled, [e1, (2,) + e1[1:], (0,) * space.m]):
+        r, den = space.reciprocal_weights(mixed)
+        assert type(den) is int and den > 0 and all(type(x) is int for x in r)
+        assert [Fraction(x, den) for x in r] == [1 / space.weight(a) for a in mixed]
+        assert den == 1 or space.kind not in ("drury-arveson", "hardy-ball", "bergman-ball")
+
+
+def test_kernel_power_reciprocal_weights_closed_form():
+    # (|alpha|+shift-1)! / (alpha! (shift-1)!) over D = 1, also after a higher
+    # level has been read; an empty list is ([], 1)
+    hb = builtin_space("hardy-ball", 2)
+    hb.reciprocal_weights(enumerate_level(2, 9))
+    assert hb.reciprocal_weights(enumerate_level(2, 2)) == ([3, 6, 3], 1)
+    assert builtin_space("bergman-ball", 3).reciprocal_weights([]) == ([], 1)
+    assert builtin_space("drury-arveson", 3).reciprocal_weights([(1, 2, 0), (0, 0, 4)]) == ([3, 1], 1)
 
 
 def test_kernel_power_level_weights_closed_form():
