@@ -2,35 +2,44 @@
 
 One representation is used throughout: the sparse row
 ``Row = dict[int, GaussianRational]``, column index to nonzero entry, with
-zeros never stored.  A spanning set or a basis is a ``list[Row]``; an
-operator block is a ``list[Row]`` with one row per target coordinate, its
-column count kept by the caller.  Rows from principal ideals and from
-multiplication operators are extremely sparse, and every routine here only
-touches stored entries.
+zeros never stored.  A spanning set, a kernel basis or a complement basis is
+a ``list[Row]``; an operator block is a ``list[Row]`` with one row per target
+coordinate, its column count kept by the caller.  The rows arising from
+principal ideals and from multiplication operators are extremely sparse, and
+reduction, products and adjoints only ever touch stored entries.
 
-Elimination and orthogonalisation are fraction-free, on Gaussian-integer rows
-with integer content 1 updated only by :func:`combine` (a * dst - b * src,
-content removed); :func:`integral` and the content gcd return a primitive row
-as itself after one short scan.  :func:`rref` eliminates ideal levels up to a
-certified Groebner degree (past it, levels clear tails by :func:`combine`
-alone); its rows keep their own pivot entries, and its back phase removes
-each row's Gaussian-integer content so that pivot entries' Gaussian factors do
-not pile up.  In Gram-applied coordinates x = omega v the complement of an
-ideal level is Euclidean: :func:`complement_kernel` reads its basis off
-reduced rows in closed form, with no weight, :func:`orthogonalize` makes it
-orthogonal under integer (reciprocal) weights with integer norms, and
+Elimination and orthogonalisation are fraction-free.  Their rows are
+Gaussian-integer rows (every entry has denominator 1) with integer content 1,
+updated only by :func:`combine` (a * dst - b * src, content removed).
+Normalisation does its work once: :func:`integral` skips the lcm for a row
+with no denominator, and the content gcd stops as soon as it reaches 1, so a
+row that is already primitive costs one short scan and comes back as itself.
+:func:`rref` eliminates ideal levels up to a certified Groebner degree (past
+it, levels clear tails by :func:`combine` alone); its rows keep their own
+pivot entries, so a caller that needs the RREF divides once.  Its back phase
+removes each row's Gaussian-integer content, so pivot entries' Gaussian
+factors do not pile up.  :func:`rank` stops after forward elimination.
+Complement geometry runs in Gram-applied coordinates x = omega v, in which
+the complement of an ideal level is Euclidean: :func:`complement_kernel`
+reads its basis off reduced rows in closed form with no weight,
+:func:`orthogonalize` makes it orthogonal under integer (reciprocal)
+weights with integer norms, and
 :func:`back_substitute` reads a complement vector's coordinates off its free
-columns.  :func:`mat_mul`, :func:`mat_sub` and :func:`back_substitute` sum
-integer triples over the lcm of their denominators and reduce once per output
-entry.  :func:`kernel_basis` and :func:`solve` are references the package
-never calls: tests check complement bases and blocks with them.
+columns.  The block kernels :func:`mat_mul`, :func:`mat_sub` and
+:func:`back_substitute` sum integer triples over the lcm of their
+denominators and reduce once per output entry; :func:`adjoint`,
+:func:`reduce_against` (its residual is exact) and :func:`permutation_moduli`
+(a partial permutation's exact squared moduli) work entry by entry.
+:func:`kernel_basis`, :func:`solve` and :func:`project` are references the
+package no longer calls: tests check complement bases and blocks with them.
 
-Everything here is exact: an entry is (a + b i) / d over Python ints, and the
-integer kernels read and build that triple directly (the only module besides
-``algebra`` that does), so row operations create no Fraction.  Rank and
-dimension counts feed every downstream claim, so nothing here rounds; floats
-leave only through :func:`to_complex_array`, one scatter per stack of
-same-shape blocks.
+Everything here is exact: no tolerances and no floats.  An entry is
+(a + b i) / d over Python ints; the integer kernels here read and build that
+triple directly (the only module besides ``algebra`` that does), so row
+operations create no Fraction.  Rank and dimension counts feed every
+downstream claim, so this module never rounds.  Float conversion for the
+numeric tier happens in one place, :func:`to_complex_array`, one scatter per
+stack of same-shape blocks.
 """
 
 from __future__ import annotations

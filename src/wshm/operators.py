@@ -15,31 +15,36 @@ are kept strictly apart:
   values off its exact entries, each rounded once; :func:`onb_map` stacks the
   other blocks by shape, each shape going to floats and to SVD or eigh at once.
 
-The realization is the one source of truncation windows: reading a block at a
-level outside [0, max_level], or one whose build reads such a level, raises
-:class:`~wshm.errors.WindowError`, so no block is silently truncated.
+Truncation windows are explicit, and the realization is their one source.
+Every block is exact on the levels it reads; reading a block at a level
+outside [0, max_level], or one whose build reads such a level, raises
+:class:`~wshm.errors.WindowError` -- silent truncation artifacts are the
+main correctness hazard of this whole artifact.
 
 Evaluation is on demand.  An operator is its realization plus a hashable
-recipe (shift, builder, arguments); the realization caches blocks by recipe,
-so equal recipes share every block.  A monomial realization (the full space,
-or a quotient by single-term generators) stores the standard monomials as unit
-rows; a commutator of monomials is a weighted partial permutation and a
-sum-of-squares defect is diagonal, both read off the weights.  Any other
-quotient stores each complement vector v by its Gram-applied coordinates
-x = omega v, in which S_k^perp is a Euclidean complement and M_p^* is read off
-with no weight and no projection (it leaves S^perp invariant); there every
-commutator, defect and codefect shares one build of each multiplier, adjoint
-and product.
+recipe (shift, builder, arguments), and the realization keeps one block cache
+keyed by recipe, so equal recipes share every block: a report builds the
+levels and blocks it reads, each once per realization however often it is
+assembled.  A monomial realization (the full space, or a quotient by
+single-term generators) stores the standard monomials as unit rows: a
+commutator of monomials is a weighted partial permutation and a
+sum-of-squares defect is diagonal, both read off the weights of the standard
+monomials.  Any other quotient stores each complement vector v by its
+Gram-applied coordinates x = omega v, in which S_k^perp is a Euclidean
+complement and M_p^* is read off with no weight; there every commutator,
+defect and codefect shares one build of each multiplier, adjoint and
+product.  No block projects: on a quotient M_p^* leaves S^perp invariant.
 
-Conventions.  The weighted inner product ``<u, v> = sum_gamma u_gamma
-conj(v_gamma) omega(gamma)`` is linear in u.  Every complement basis {w_r} is
-orthogonal with diagonal Gram ``G = diag(<w_r, w_r>)``; the adjoint of a block
-B at source level k is ``G_k^{-1} B^dagger G_{k+d}``, and the cross
-commutator is taken in the order
+Conventions.  The weighted inner product is linear in the first argument,
+``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
+basis {w_r} is orthogonal, so its Gram matrix is the diagonal
+``G = diag(<w_r, w_r>)``; the adjoint of a block B at source level k is
+``G_k^{-1} B^dagger G_{k+d}``, and the cross commutator is taken in the order
 
     commutator_blocks(f, g)  =  M_g^* M_f - M_f M_g^*,
 
-so that for f = g = z on the unilateral shift the level-0 block is [1].
+so that for f = g = z on the unilateral shift the level-0 block is [1] (the
+projection onto constants with a positive sign).
 """
 
 from __future__ import annotations
@@ -101,19 +106,23 @@ class _Level:
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
-    Level k holds the monomials of weighted degree k under ``weight``, the
-    ideal's n.  The realization is monomial when each generator is one term
+    The realization is monomial when each generator of its ideal is one term
     (the full space has none): S_k^perp is then spanned by the standard
-    monomials, which no generator exponent divides, stored as unit rows.
-    Otherwise S_k is the reduced echelon basis of the ideal level, and
-    S_k^perp in Gram-applied coordinates x = omega v its Euclidean complement:
-    kernel vectors read off the echelon form in closed form, orthogonalised by
-    fraction-free Gram-Schmidt under the reciprocal weights 1 / omega.  Plain
-    dicts memoise each level (``_levels``), the blocks of each
-    :class:`GradedOperator` recipe by source level (``_blocks``) and each
-    polynomial's weighted degree (``_degrees``); none refers to the
-    realization.  A realization is not safe to share between threads without
-    a lock, and no caller may mutate a block.
+    monomials, which no generator exponent divides, their unit rows its basis
+    and omega (as ints over one denominator) its Gram.  Otherwise S_k is the
+    reduced echelon basis of the ideal level and the complement basis spans
+    S_k^perp = {v : <v, u> = 0 for u in S_k}, stored in Gram-applied
+    coordinates x = omega v, where it is the Euclidean complement:
+    Gaussian-integer kernel vectors read off that echelon form in closed form,
+    orthogonalised by fraction-free Gram-Schmidt under the reciprocal weights
+    1 / omega to a diagonal Gram.  Level k holds the monomials of weighted
+    degree k under ``weight``, the ideal's n.  Plain dicts memoise
+    the work: ``_levels`` holds each level up to ``max_level`` from its first
+    read, ``_blocks`` the blocks built so far of each :class:`GradedOperator`
+    recipe, by source level, and ``_degrees`` each polynomial's weighted
+    degree.  None refers to the realization, so there is no reference cycle.
+    A realization is not safe to share between threads without a lock, and no
+    caller may mutate a block it reads.
     """
 
     def __init__(

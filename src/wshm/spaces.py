@@ -164,8 +164,8 @@ class _KernelPowerSpace(WeightedShiftSpace):
         return [math.prod(map(get, alpha)) * scale[k] for alpha, k in zip(monomials, degrees)], d
 
     def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """Over D = 1: 1 / omega(alpha_j) = (|alpha|+shift-1)! / (alpha! (shift-1)!) = D' / n[j]
-        for :meth:`level_weights` (n, D'), a multinomial coefficient."""
+        """Over D = 1, with no Fraction per weight: 1 / omega(alpha_j) = (|alpha|+shift-1)! /
+        (alpha! (shift-1)!) = D' / n[j] for :meth:`level_weights` (n, D'), a multinomial coefficient."""
         n, d = self.level_weights(monomials)
         return [d // x for x in n], 1
 

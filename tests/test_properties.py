@@ -834,42 +834,28 @@ def assert_complement_levels(r):
                 assert g == (Fraction(lv.norms[s], lv.den) if s == t else 0)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    kind=st.sampled_from(["hardy-ball", "da", "bergman-ball"]),
+    kind=st.sampled_from(["hardy-ball", "da", "bergman-ball", "polydisk-hardy", "custom"]),
     m=st.sampled_from([2, 3]),
     ideal_degree=st.sampled_from([1, 2]),
     ngens=st.integers(1, 2),
 )
 def test_integer_complement_bases_span_the_reference_kernel(data, kind, m, ideal_degree, ngens):
-    # assert_complement_levels on drawn quotients of the kernel-power spaces,
-    # whose reciprocal weights are integers: a non-monomial level has den 1
-    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
-    r = quotient_realization(builtin_space(kind, m), ideal, 4 if m == 2 else 3)
-    assert_complement_levels(r)
-    assert r.is_monomial or all(r.level(k).den == 1 for k in range(r.max_level + 1))
-
-
-@pytest.mark.parametrize("kind", ["drury-arveson", "hardy-ball", "bergman-ball",
-                                  "polydisk-hardy", "custom"])
-@settings(max_examples=12, deadline=None)
-@given(
-    data=st.data(),
-    m=st.sampled_from([2, 3]),
-    ideal_degree=st.sampled_from([1, 2]),
-    ngens=st.integers(1, 2),
-)
-def test_gram_applied_complements_on_every_space_kind(kind, data, m, ideal_degree, ngens):
-    # assert_complement_levels on the general quotient path, which stores
-    # x = omega v even for a monomial ideal, on every kind of space: among
-    # them polydisk-hardy with scale2 = 5/2, whose 1 / omega = (2/5)^|alpha|
-    # is no integer, and a drawn custom table
+    # assert_complement_levels on drawn quotients on the general path, which
+    # stores x = omega v even for a monomial ideal, on every kind of space:
+    # among them polydisk-hardy with scale2 = 5/2, whose 1 / omega =
+    # (2/5)^|alpha| is no integer, and a drawn custom table.  The kernel-power
+    # spaces' reciprocal weights are integers, so their levels have den 1
     top = 4 if m == 2 else 3
     space = (builtin_space(kind, m, {"scale2": "5/2"}) if kind == "polydisk-hardy"
              else random_space(data, kind, m, top))
     ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
-    assert_complement_levels(general_path(space, ideal, top))
+    r = general_path(space, ideal, top)
+    assert_complement_levels(r)
+    if kind in ("hardy-ball", "da", "bergman-ball"):
+        assert all(r.level(k).den == 1 for k in range(top + 1))
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from wshm.algebra import GradedPolynomial, enumerate_level, level_dimension, residue_of
 from wshm.errors import ArityError, DimensionError, WshmError
-from wshm.spaces import builtin_space, weighted_piece
+from wshm.spaces import WeightedShiftSpace, builtin_space, weighted_piece
 
 
 def kernel_series_weights(m, power, degree):
@@ -247,10 +247,14 @@ def test_reciprocal_weights_are_ints_over_one_denominator(make):
 
 def test_kernel_power_reciprocal_weights_closed_form():
     # (|alpha|+shift-1)! / (alpha! (shift-1)!) over D = 1, also after a higher
-    # level has been read; an empty list is ([], 1)
+    # level has been read, equal to the generic method's ints; an empty list is ([], 1)
     hb = builtin_space("hardy-ball", 2)
     hb.reciprocal_weights(enumerate_level(2, 9))
     assert hb.reciprocal_weights(enumerate_level(2, 2)) == ([3, 6, 3], 1)
+    for kind, m in (("drury-arveson", 3), ("hardy-ball", 2), ("bergman-ball", 3)):
+        space = builtin_space(kind, m)
+        monos = [a for k in (7, 0, 3, 1) for a in enumerate_level(m, k)]
+        assert space.reciprocal_weights(monos) == WeightedShiftSpace.reciprocal_weights(space, monos)
     assert builtin_space("bergman-ball", 3).reciprocal_weights([]) == ([], 1)
     assert builtin_space("drury-arveson", 3).reciprocal_weights([(1, 2, 0), (0, 0, 4)]) == ([3, 1], 1)
 
