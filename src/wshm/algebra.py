@@ -116,9 +116,9 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
+    def abs2(self, num: int = 1, den: int = 1) -> Fraction:
+        """Squared modulus times num / den (ints, den > 0), an exact rational reduced once."""
+        return Fraction((self._a * self._a + self._b * self._b) * num, self._d * self._d * den)
 
     def is_real(self) -> bool:
         return not self._b

@@ -481,7 +481,7 @@ def quotient_shift_weights(
     for k in range(K + 1):
         c = op.block(k)[0].get(0, G_ZERO)
         src, tgt = levels[k], levels[k + 1]
-        moduli_sq.append(c.abs2() * Fraction(tgt.norms[0] * src.den, tgt.den * src.norms[0]))
+        moduli_sq.append(c.abs2(tgt.norms[0] * src.den, tgt.den * src.norms[0]))
     moduli = [float(q) ** 0.5 for q in moduli_sq]
 
     normalized = deviations = None

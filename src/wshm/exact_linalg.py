@@ -277,10 +277,11 @@ def complement_kernel(pivots: list[int], red: list[Row], ncols: int) -> list[Row
     for p, u in zip(pivots, red):
         ur, ui = u[p]._a, u[p]._b
         dp = ur * ur + ui * ui
+        make = _make if dp == 1 else _reduced  # a unit pivot needs no gcd
         for f, y in u.items():
             if f != p:
                 yr, yi = y._a, y._b
-                basis[f][p] = _reduced(-(yr * ur + yi * ui), yi * ur - yr * ui, dp)
+                basis[f][p] = make(-(yr * ur + yi * ui), yi * ur - yr * ui, dp)
     return [integral(v) for v in basis.values()]
 
 

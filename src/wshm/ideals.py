@@ -126,10 +126,12 @@ class GradedIdeal:
         keeps the levels' lex order and maps level k - n_i one to one onto the
         monomials with a_i >= 1: up is their column list."""
         parent = {}
-        for i, w in enumerate(self.weight):  # a later variable overwrites an earlier one
-            pivots_p, red_p, _ = self._level_cache.get(k - w, ([], [], []))
-            up = [j for j, a in enumerate(monomials) if a[i]]
-            parent.update((up[p], (up, row)) for p, row in zip(pivots_p, red_p))
+        for i in reversed(range(self.m)):  # the first variable found is the last such i
+            pivots_p, red_p, _ = self._level_cache.get(k - self.weight[i], ([], [], []))
+            if pivots_p:
+                up = [j for j, a in enumerate(monomials) if a[i]]
+                for p, row in zip(pivots_p, red_p):
+                    parent.setdefault(up[p], (up, row))
         return parent
 
     def _extend(self, k: int) -> tuple[list[int], list[ela.Row], list[MultiIndex]]:

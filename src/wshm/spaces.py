@@ -17,6 +17,7 @@ of the generator tuple: only squared quantities enter any computation, so the
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -131,10 +132,14 @@ class WeightedShiftSpace:
 
 class _KernelPowerSpace(WeightedShiftSpace):
     """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, whose level weights
-    have a closed form.
+    and reciprocal weights have closed forms.
 
     shift = 1 gives Drury-Arveson, shift = m the Hardy ball, shift = m+1 the
     Bergman ball (these are the kernel powers of the respective spaces).
+    Each space keeps a factorial table for :meth:`level_weights` and a table
+    of Pascal rows C(n, e) for :meth:`reciprocal_weights`; a read past either
+    table's end replaces it by a longer copy (never extended in place, so a
+    concurrent reader sees a whole table).
     """
 
     def __init__(self, kind: str, m: int, shift: int):
@@ -145,12 +150,12 @@ class _KernelPowerSpace(WeightedShiftSpace):
         super().__init__(kind, m, weight)
         self._shift = shift
         self._fact = [1]  # _fact[j] = j!, extended to the highest level read
+        self._pascal = [[1]]  # _pascal[n][e] = C(n, e), extended to the highest level read
 
     def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
         """Closed form: n[j] = alpha! (shift-1)! (K+shift-1)! / (|alpha|+shift-1)! over
         D = (K+shift-1)!, K the highest degree of ``monomials`` (one level k has D =
-        (k+shift-1)!), from one factorial table per space, replaced by a longer copy (never
-        extended in place, so a concurrent reader sees a whole table) when a higher level is read."""
+        (k+shift-1)!), from the factorial table."""
         degrees = list(map(sum, monomials))
         shift, top = self._shift, max(degrees, default=0) + self._shift - 1
         fact = self._fact
@@ -164,10 +169,24 @@ class _KernelPowerSpace(WeightedShiftSpace):
         return [math.prod(map(get, alpha)) * scale[k] for alpha, k in zip(monomials, degrees)], d
 
     def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """Over D = 1, with no Fraction per weight: 1 / omega(alpha_j) = (|alpha|+shift-1)! /
-        (alpha! (shift-1)!) = D' / n[j] for :meth:`level_weights` (n, D'), a multinomial coefficient."""
-        n, d = self.level_weights(monomials)
-        return [d // x for x in n], 1
+        """Over D = 1, with no division: 1 / omega(alpha) = (|alpha|+shift-1)! / (alpha!
+        (shift-1)!) = C(|alpha|+shift-1, shift-1) prod_i C(alpha_1+...+alpha_i, alpha_i),
+        each factor an entry of the Pascal table."""
+        s1, rows = self._shift - 1, self._pascal
+        top = max(map(sum, monomials), default=0) + s1
+        if len(rows) <= top:
+            rows = list(rows)
+            for _ in range(len(rows), top + 1):
+                rows.append([1, *map(operator.add, rows[-1], rows[-1][1:]), 1])
+            self._pascal = rows
+        out = []
+        for alpha in monomials:
+            x, n = 1, 0
+            for a in alpha:
+                n += a
+                x *= rows[n][a]
+            out.append(x * rows[n + s1][s1])
+        return out, 1
 
 
 # the only parameter keys each kind reads; any other key is an input error

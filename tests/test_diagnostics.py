@@ -174,6 +174,19 @@ def test_quotient_weights_match_closed_form(alpha_text, alpha_abs2):
     assert rec.deviations[40] < rec.deviations[5]
 
 
+@pytest.mark.parametrize("alpha_text,alpha_abs2", [("2i", 4), ("(1-3i)", 10), ("3", 9)])
+def test_quotient_weights_exact_closed_form(alpha_text, alpha_abs2):
+    # on hardy-ball m=2 modulo z1 + alpha z2, exactly at every k <= 60:
+    # |w_k|^2 = |alpha|^2 / (1+|alpha|^2) (k+1)/(k+2) for z1
+    # and 1 / (1+|alpha|^2) (k+1)/(k+2) for z2
+    hb = builtin_space("hardy-ball", 2)
+    ideal = GradedIdeal(2, [parse_polynomial(f"z1+{alpha_text}*z2", 2)])
+    for var, top in ((0, alpha_abs2), (1, 1)):
+        rec = quotient_shift_weights(hb, ideal, 60, var=var)
+        assert rec.alpha_abs2 == alpha_abs2
+        assert rec.moduli_sq == [Fraction(top, 1 + alpha_abs2) * Fraction(k + 1, k + 2) for k in range(61)]
+
+
 def test_quotient_weights_alpha_zero_boundary():
     # <z1>: the z1 compression vanishes; the quotient's cyclic shift is z2,
     # whose weights are the one-variable hardy ratios.

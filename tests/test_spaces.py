@@ -1,10 +1,17 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wshm.algebra import GradedPolynomial, enumerate_level, level_dimension, residue_of
+from wshm.algebra import (
+    GradedPolynomial,
+    enumerate_level,
+    enumerate_weighted_level,
+    level_dimension,
+    residue_of,
+)
 from wshm.errors import ArityError, DimensionError, WshmError
 from wshm.spaces import WeightedShiftSpace, builtin_space, weighted_piece
 
@@ -246,17 +253,26 @@ def test_reciprocal_weights_are_ints_over_one_denominator(make):
 
 
 def test_kernel_power_reciprocal_weights_closed_form():
-    # (|alpha|+shift-1)! / (alpha! (shift-1)!) over D = 1, also after a higher
-    # level has been read, equal to the generic method's ints; an empty list is ([], 1)
+    # (|alpha|+shift-1)! / (alpha! (shift-1)!) over D = 1, read off the Pascal
+    # table, equal to the generic method's ints (from the Fraction weights) on
+    # plain and weighted levels and on mixed degrees in any order, also when a
+    # higher level was read first, and equal to a fresh space's; [] is ([], 1)
     hb = builtin_space("hardy-ball", 2)
     hb.reciprocal_weights(enumerate_level(2, 9))
     assert hb.reciprocal_weights(enumerate_level(2, 2)) == ([3, 6, 3], 1)
-    for kind, m in (("drury-arveson", 3), ("hardy-ball", 2), ("bergman-ball", 3)):
-        space = builtin_space(kind, m)
-        monos = [a for k in (7, 0, 3, 1) for a in enumerate_level(m, k)]
-        assert space.reciprocal_weights(monos) == WeightedShiftSpace.reciprocal_weights(space, monos)
-    assert builtin_space("bergman-ball", 3).reciprocal_weights([]) == ([], 1)
     assert builtin_space("drury-arveson", 3).reciprocal_weights([(1, 2, 0), (0, 0, 4)]) == ([3, 1], 1)
+    for kind, m in itertools.product(("drury-arveson", "hardy-ball", "bergman-ball"), range(1, 5)):
+        space, fresh = builtin_space(kind, m), builtin_space(kind, m)
+        top = {1: 40, 2: 40, 3: 14, 4: 10}[m]
+        levels = [enumerate_level(m, k) for k in range(top + 1)]
+        n = {2: (1, 2), 3: (2, 1, 3)}.get(m)
+        weighted = [enumerate_weighted_level(m, n, k) for k in range(3 * top // 2 + 1)] if n else []
+        mixed = [a for monos in levels[: top // 2] for a in monos]
+        for monos in (*levels, *weighted, mixed[::-1], random.Random(m).sample(mixed, len(mixed))):
+            assert space.reciprocal_weights(monos) == WeightedShiftSpace.reciprocal_weights(space, monos)
+        for monos in levels[:4]:  # read after higher levels, and on a fresh space
+            assert space.reciprocal_weights(monos) == fresh.reciprocal_weights(monos)
+        assert space.reciprocal_weights([]) == fresh.reciprocal_weights([]) == ([], 1)
 
 
 def test_kernel_power_level_weights_closed_form():
