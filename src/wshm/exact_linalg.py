@@ -19,15 +19,16 @@ it, levels clear tails by :func:`combine` alone); its rows keep their own
 pivot entries, so a caller that needs the RREF divides once.  Its back phase
 removes each row's Gaussian-integer content, so pivot entries' Gaussian
 factors do not pile up.  :func:`rank` stops after forward elimination.
-Complement geometry runs in Gram-applied coordinates x = omega v, in which
-the complement of an ideal level is Euclidean: :func:`complement_kernel`
-reads its basis off reduced rows in closed form with no weight,
-:func:`orthogonalize` makes it orthogonal under integer (reciprocal)
-weights with integer norms, and
-:func:`back_substitute` reads a complement vector's coordinates off its free
-columns.  The block kernels :func:`mat_mul`, :func:`mat_sub` and
-:func:`back_substitute` sum integer triples over the lcm of their
-denominators and reduce once per output entry; :func:`adjoint`,
+Complement geometry runs in Gram-applied coordinates x = omega v, the one
+convention in which every level is stored (a monomial's vector
+z^alpha / omega(alpha) is the unit row e_alpha) and in which the complement
+of an ideal level is Euclidean: :func:`complement_kernel` reads its basis
+off reduced rows in closed form with no weight, :func:`orthogonalize` makes
+it orthogonal under the integer reciprocal weights 1 / omega (over one
+denominator) with integer norms, and :func:`back_substitute` reads a
+complement vector's coordinates off its free columns.  The block kernels
+:func:`mat_mul`, :func:`mat_sub` and :func:`back_substitute` sum integer
+triples over the lcm of their denominators and reduce once per output entry; :func:`adjoint`,
 :func:`reduce_against` (its residual is exact) and :func:`permutation_moduli`
 (a partial permutation's exact squared moduli) work entry by entry.
 :func:`kernel_basis`, :func:`solve` and :func:`project` are references the

@@ -25,15 +25,16 @@ Evaluation is on demand.  An operator is its realization plus a hashable
 recipe (shift, builder, arguments), and the realization keeps one block cache
 keyed by recipe, so equal recipes share every block: a report builds the
 levels and blocks it reads, each once per realization however often it is
-assembled.  A monomial realization (the full space, or a quotient by
-single-term generators) stores the standard monomials as unit rows: a
-commutator of monomials is a weighted partial permutation and a
-sum-of-squares defect is diagonal, both read off the weights of the standard
-monomials.  Any other quotient stores each complement vector v by its
-Gram-applied coordinates x = omega v, in which S_k^perp is a Euclidean
-complement and M_p^* is read off with no weight; there every commutator,
-defect and codefect shares one build of each multiplier, adjoint and
-product.  No block projects: on a quotient M_p^* leaves S^perp invariant.
+assembled.  Every level stores each complement vector v by its Gram-applied
+coordinates x = omega v, in which S_k^perp is a Euclidean complement under
+the reciprocal weights 1 / omega, M_p^* is read off with no weight, and M_p
+is its adjoint.  On a monomial realization (the full space, or a quotient by
+single-term generators) the standard monomials' vectors z^alpha / omega(alpha)
+are unit rows, M_p^* has unit entries, and a commutator of monomials (a
+weighted partial permutation) and a sum-of-squares defect (diagonal) are
+read off the reciprocal weights; on any other quotient they share one build
+of each multiplier, adjoint and product.  No block projects: on a quotient
+M_p^* leaves S^perp invariant.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -85,11 +86,10 @@ def _sqrt_split(a: int, b: int) -> tuple[float, int]:
 class _Level:
     monomials: list[MultiIndex]
     col_of: dict[MultiIndex, int]
-    # stored rows pair as sum_c u_c conj(v_c) weights[c] / den: monomial coordinates under
-    # omega on a monomial level, else Gram-applied coordinates x_c = omega_c v_c under 1 / omega
-    weights: list[int]
-    den: int
-    comp_rows: list[ela.Row]  # orthogonal Gaussian-integer complement basis, stored as above
+    den: int  # the reciprocal weights' common denominator
+    # orthogonal Gaussian-integer complement basis, each vector v stored by its Gram-applied
+    # coordinates x = omega v: <v, u> = sum_c x_c conj(y_c) / omega_c for u stored as y
+    comp_rows: list[ela.Row]
     norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
     ideal_pivots: list[int]
     comp_of: dict[MultiIndex, int] | None = None  # monomial: standard monomial -> coordinate
@@ -106,23 +106,23 @@ class _Level:
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
 
-    The realization is monomial when each generator of its ideal is one term
-    (the full space has none): S_k^perp is then spanned by the standard
-    monomials, which no generator exponent divides, their unit rows its basis
-    and omega (as ints over one denominator) its Gram.  Otherwise S_k is the
-    reduced echelon basis of the ideal level and the complement basis spans
-    S_k^perp = {v : <v, u> = 0 for u in S_k}, stored in Gram-applied
-    coordinates x = omega v, where it is the Euclidean complement:
-    Gaussian-integer kernel vectors read off that echelon form in closed form,
-    orthogonalised by fraction-free Gram-Schmidt under the reciprocal weights
-    1 / omega to a diagonal Gram.  Level k holds the monomials of weighted
-    degree k under ``weight``, the ideal's n.  Plain dicts memoise
-    the work: ``_levels`` holds each level up to ``max_level`` from its first
-    read, ``_blocks`` the blocks built so far of each :class:`GradedOperator`
-    recipe, by source level, and ``_degrees`` each polynomial's weighted
-    degree.  None refers to the realization, so there is no reference cycle.
-    A realization is not safe to share between threads without a lock, and no
-    caller may mutate a block it reads.
+    Every level stores its complement basis in Gram-applied coordinates
+    x = omega v, where S_k^perp = {v : <v, u> = 0 for u in S_k} is the
+    Euclidean complement and the Gram is diagonal under the reciprocal
+    weights 1 / omega.  The realization is monomial when each generator of
+    its ideal is one term (the full space has none): S_k^perp is then
+    spanned by the standard monomials, which no generator exponent divides,
+    their vectors z^alpha / omega(alpha) stored as unit rows.  Otherwise S_k
+    is the reduced echelon basis of the ideal level, and the complement
+    basis is Gaussian-integer kernel vectors read off that echelon form in
+    closed form, orthogonalised by fraction-free Gram-Schmidt under 1 / omega.
+    Level k holds the monomials of weighted degree k under ``weight``, the
+    ideal's n.  Plain dicts memoise the work: ``_levels`` holds each level up
+    to ``max_level`` from its first read, ``_blocks`` the blocks built so far
+    of each :class:`GradedOperator` recipe, by source level, and ``_degrees``
+    each polynomial's weighted degree.  None refers to the realization, so
+    there is no reference cycle.  A realization is not safe to share between
+    threads without a lock, and no caller may mutate a block it reads.
     """
 
     def __init__(
@@ -152,17 +152,17 @@ class ModuleRealization:
             pivots, red, monomials = self.ideal.level_data(k)
             r, den = self.space.reciprocal_weights(monomials)
             comp, norms = ela.orthogonalize(ela.complement_kernel(pivots, red, len(r)), r)
-            return _Level(monomials, {a: j for j, a in enumerate(monomials)}, r, den, comp, norms, pivots)
+            return _Level(monomials, {a: j for j, a in enumerate(monomials)}, den, comp, norms, pivots)
         monomials = enumerate_weighted_level(m, w, k)
-        n, den = self.space.level_weights(monomials)
+        r, den = self.space.reciprocal_weights(monomials)
         col_of = {a: j for j, a in enumerate(monomials)}
         # the ideal's level is spanned by its monomials e + b, e a generator exponent
         in_ideal = {col_of[add_index(e, b)] for e in self._exponents
                     for b in enumerate_weighted_level(m, w, k - weighted_degree(e, w))}
-        std = [j for j in range(len(n)) if j not in in_ideal] if in_ideal else range(len(n))
+        std = [j for j in range(len(r)) if j not in in_ideal] if in_ideal else range(len(r))
         comp_of = {monomials[j]: t for t, j in enumerate(std)} if in_ideal else col_of
-        return _Level(monomials, col_of, n, den, [{j: G_ONE} for j in std],
-                      [n[j] for j in std] if in_ideal else n, sorted(in_ideal), comp_of)
+        return _Level(monomials, col_of, den, [{j: G_ONE} for j in std],
+                      [r[j] for j in std] if in_ideal else r, sorted(in_ideal), comp_of)
 
     # -- level geometry -------------------------------------------------
 
@@ -202,8 +202,7 @@ class ModuleRealization:
         coords_c conj(x_s[c])): the reference that tests check multiplier blocks
         against (no block is built by projection)."""
         lv = self.level(k)
-        n = lv.weights if self.is_monomial else [lv.den] * len(lv.monomials)
-        return ela.project(coords, den, lv.comp_rows, lv.norms, n)
+        return ela.project(coords, den, lv.comp_rows, lv.norms, [lv.den] * len(lv.monomials))
 
 
 def full_realization(space: WeightedShiftSpace, max_level: int) -> ModuleRealization:
@@ -335,17 +334,18 @@ def identity_blocks(realization: ModuleRealization) -> GradedOperator:
     return GradedOperator(realization, 0, _identity_block)
 
 
-def _mult_block(r: ModuleRealization, k: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
-    """Block k of M_p (d = deg p) on a monomial realization, terms off standard monomials dropped."""
-    terms = list(p.terms())
-    tgt = r.level(k + d)
-    block: list[ela.Row] = [{} for _ in tgt.comp_rows]
-    for col, alpha in enumerate(r.level(k).comp_of):
-        for beta, c in terms:
-            t = tgt.comp_of.get(add_index(alpha, beta))
-            if t is not None:
-                block[t][col] = c
-    return block
+def _monomial_coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial,
+                                d: int) -> list[ela.Row]:
+    """Block j of M_p^* (d = deg p) on a monomial realization: M_{z^beta}^* maps
+    z^gamma / omega(gamma) to z^(gamma-beta) / omega(gamma-beta), so row alpha
+    (level j - d) holds the unit entry conj(c_beta) at each standard alpha + beta."""
+    k = j - d
+    if k < 0:
+        return _zero_block(r, -d, j)
+    src = r.level(j).comp_of
+    terms = [(beta, c.conjugate()) for beta, c in p.terms()]
+    return [{s: c for beta, c in terms if (s := src.get(add_index(alpha, beta))) is not None}
+            for alpha in r.level(k).comp_of]
 
 
 def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
@@ -375,11 +375,10 @@ def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int
 
 
 def _multiplier(r: ModuleRealization, p: GradedPolynomial) -> GradedOperator:
-    """M_p: closed-form on a monomial realization, else the adjoint of M_p^*."""
+    """M_p, the adjoint of M_p^*: closed-form on a monomial realization, else read off."""
     d = r.degree(p)
-    if r.is_monomial:
-        return GradedOperator(r, d, _mult_block, p, d)
-    return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, _coinvariant_block, p, d))
+    read_off = _monomial_coinvariant_block if r.is_monomial else _coinvariant_block
+    return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, read_off, p, d))
 
 
 def mult_blocks(
@@ -387,10 +386,11 @@ def mult_blocks(
 ) -> GradedOperator:
     """Blocks of the compression of M_p to the realization's module.
 
-    On a monomial realization these are multiplication by p on the standard
-    monomials, terms off them dropped.  Otherwise column c holds the
-    coordinates of the projection of p * w_c onto S_{k+d}^perp, the adjoint
-    of M_p^*, whose blocks are read off by co-invariance.  Every operator
+    Column c holds the coordinates of the projection of p * w_c onto
+    S_{k+d}^perp: the adjoint of M_p^*, whose blocks are read off by
+    co-invariance.  On a monomial realization M_p^* has unit entries, so M_p
+    maps the standard monomial alpha's vector to c_beta omega(alpha + beta) /
+    omega(alpha) times that of each standard alpha + beta.  Every operator
     returned here for one realization and polynomial has the same recipe, so
     each block is built once and shared.  K only checks that the realization
     has levels to K + d; block k reads levels k and k + d.
@@ -412,9 +412,9 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
     of op at source level j - d.  A source below the degree shift d maps into
     a negative level and gets a zero-row block.  Block j reads levels j and
     j - d.  The adjoint of an adjoint is the operator itself, so M_p and
-    M_p^* map to each other's recipes: on a monomial realization M_p^* is the
-    adjoint of the closed-form M_p, on another quotient M_p that of the read-off
-    M_p^*, and each is built once per realization, whichever is read first.
+    M_p^* map to each other's recipes: M_p is the adjoint of the read-off
+    M_p^* on every realization, and each is built once per realization,
+    whichever is read first.
     """
     if op.build is _adjoint_block:
         return op.args[0]
@@ -470,8 +470,8 @@ def commutator_blocks(
     Degree shift deg f - deg g; block k reads levels up to k + deg f.  For
     f = g each block is Hermitian (and on the unilateral shift the level-0
     block is [1]).  On a monomial realization the blocks are read off the
-    level weights (:func:`_commutator_block`); on any other quotient they are
-    the difference of the two products.
+    reciprocal weights (:func:`_commutator_block`); on any other quotient
+    they are the difference of the two products.
     """
     da, db = realization.degree(f), realization.degree(g)
     if realization.is_monomial:
@@ -482,10 +482,11 @@ def commutator_blocks(
 
 def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> list[ela.Row]:
     """Block k of C(f, g) on a monomial realization, f of degree da and g of
-    degree db: e_x -> sum c conj(d) (w(x + a, b) - w(x, b)) e_{x+a-b} over the
-    ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g with e_{x+a-b}
-    standard, where w(y, b) = omega(y) / omega(y - b) for standard y >= b and 0
-    otherwise, as ints.  One pair is a weighted partial permutation."""
+    degree db: v_x -> sum c conj(d) (w(x, a) - w(x - b, a)) v_{x+a-b} over the
+    ``pairs`` (c conj(d), a, b) of terms c z^a of f and d z^b of g with x+a-b
+    standard, v_x = z^x / omega(x), where w(y, a) = r(y) / r(y + a) for standard
+    y and y + a and 0 otherwise, r = 1 / omega as ints.  One pair is a weighted
+    partial permutation."""
     held = {j: r.level(j) for j in {k, k + da, k + da - db, k - db} if j >= 0}  # each once
     src, hi, tgt, lo = map(held.get, (k, k + da, k + da - db, k - db))
     block: list[ela.Row] = [{} for _ in tgt.comp_rows] if tgt else []
@@ -494,13 +495,11 @@ def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> 
             y = add_index(x, a)
             t = tgt.comp_of.get(tuple(map(operator.sub, y, b))) if tgt else None
             if t is not None:
-                try:
-                    num, den = hi.norms[hi.comp_of[y]] * tgt.den, hi.den * tgt.norms[t]
-                except KeyError:  # y is not standard (x - b is, if it is a monomial)
-                    num, den = 0, 1
+                h = hi.comp_of.get(y)  # None: y is not standard (x - b is, if it is a monomial)
+                num, den = (src.norms[col] * hi.den, src.den * hi.norms[h]) if h is not None else (0, 1)
                 s = lo.comp_of.get(tuple(map(operator.sub, x, b))) if lo else None
                 if s is not None:
-                    n, d = src.norms[col] * lo.den, src.den * lo.norms[s]
+                    n, d = lo.norms[s] * tgt.den, lo.den * tgt.norms[t]
                     num, den = num * d - n * den, den * d
                 if num:  # pairs with equal a - b meet here: add exactly
                     v, row = c.scaled(num, den), block[t]
@@ -510,20 +509,20 @@ def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> 
 
 def _defect_block(r: ModuleRealization, k: int, adj_first: bool, terms) -> list[ela.Row]:
     """Block k of a sum-of-squares defect on a monomial realization: diagonal,
-    with entry 1 - sum_t a_t w(x + alpha_t, alpha_t) if ``adj_first``, else
-    1 - sum_t a_t w(x, alpha_t) (w as in :func:`_commutator_block`), each
-    summed as one integer ratio; ``terms`` are (a_t, alpha_t, deg alpha_t)."""
+    with entry 1 - sum_t a_t w(x, alpha_t) if ``adj_first``, else
+    1 - sum_t a_t w(x - alpha_t, alpha_t) (w as in :func:`_commutator_block`),
+    each summed as one integer ratio; ``terms`` are (a_t, alpha_t, deg alpha_t)."""
     src = r.level(k)
     acc = [(1, 1)] * len(src.comp_rows)
     for a, alpha, deg in terms:
-        # w = omega(y) / omega(z), both standard: y = x + alpha over z = x, or x over x - alpha
+        # w = r(z) / r(y), both standard: y = x + alpha over z = x, or x over x - alpha
         hi, lo = (r.level(k + deg), src) if adj_first else (src, r.level(k - deg) if k >= deg else None)
         for col, x in enumerate(src.comp_of):
             y, z = (add_index(x, alpha), x) if adj_first else (x, tuple(map(operator.sub, x, alpha)))
             h, s = hi.comp_of.get(y), lo.comp_of.get(z) if lo else None
             if h is not None and s is not None:  # subtract a_t w = wn / wd
-                wn = a.numerator * hi.norms[h] * lo.den
-                wd = a.denominator * hi.den * lo.norms[s]
+                wn = a.numerator * lo.norms[s] * hi.den
+                wd = a.denominator * lo.den * hi.norms[h]
                 n, d = acc[col]
                 acc[col] = (n * wd - wn * d, d * wd)
     return [{c: G_ONE.scaled(n, d)} if n else {} for c, (n, d) in enumerate(acc)]
@@ -533,8 +532,8 @@ def _sum_of_squares_defect(realization: ModuleRealization, adj_first: bool, term
     """I - sum_t a_t M_t^* M_t if ``adj_first`` else I - sum_t a_t M_t M_t^*,
     M_t = M_{z^{alpha_t}}, over the terms (a_t, alpha_t) of a positive regular
     P, by default the m-shift's (a_t = 1, alpha_t = e_i): one exact square
-    block per level, diagonal and read off the weights on a monomial
-    realization (:func:`_defect_block`).  Otherwise term t is a_t times the
+    block per level, diagonal and read off the reciprocal weights on a
+    monomial realization (:func:`_defect_block`).  Otherwise term t is a_t times the
     product of M_q and M_q^*, q = z^{alpha_t}, so each term builds one
     multiplier and the m-shift shares C(z_i, z_i)'s products."""
     m = realization.space.m

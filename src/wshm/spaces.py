@@ -83,13 +83,6 @@ class WeightedShiftSpace:
             self._cache[a] = w
         return w
 
-    def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """(n, D): the weights of ``monomials`` as ints over one denominator,
-        omega(alpha_j) = n[j] / D exactly; here D is the lcm of theirs."""
-        ws = [self.weight(a) for a in monomials]
-        den = math.lcm(*[w.denominator for w in ws])
-        return [w.numerator * (den // w.denominator) for w in ws], den
-
     def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
         """(r, D): 1 / omega(alpha_j) = r[j] / D exactly, D the lcm of their denominators."""
         den = math.lcm(*[self.weight(a).numerator for a in monomials])
@@ -131,15 +124,16 @@ class WeightedShiftSpace:
 
 
 class _KernelPowerSpace(WeightedShiftSpace):
-    """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, whose level weights
-    and reciprocal weights have closed forms.
+    """Weights alpha! (shift-1)! / (|alpha|+shift-1)!, whose reciprocal
+    weights, the one weight table a realization reads, are integers in
+    closed form.
 
     shift = 1 gives Drury-Arveson, shift = m the Hardy ball, shift = m+1 the
     Bergman ball (these are the kernel powers of the respective spaces).
-    Each space keeps a factorial table for :meth:`level_weights` and a table
-    of Pascal rows C(n, e) for :meth:`reciprocal_weights`; a read past either
-    table's end replaces it by a longer copy (never extended in place, so a
-    concurrent reader sees a whole table).
+    Each space keeps a table of Pascal rows C(n, e) for
+    :meth:`reciprocal_weights`; a read past the table's end replaces it by a
+    longer copy (never extended in place, so a concurrent reader sees a whole
+    table).
     """
 
     def __init__(self, kind: str, m: int, shift: int):
@@ -149,24 +143,7 @@ class _KernelPowerSpace(WeightedShiftSpace):
 
         super().__init__(kind, m, weight)
         self._shift = shift
-        self._fact = [1]  # _fact[j] = j!, extended to the highest level read
         self._pascal = [[1]]  # _pascal[n][e] = C(n, e), extended to the highest level read
-
-    def level_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
-        """Closed form: n[j] = alpha! (shift-1)! (K+shift-1)! / (|alpha|+shift-1)! over
-        D = (K+shift-1)!, K the highest degree of ``monomials`` (one level k has D =
-        (k+shift-1)!), from the factorial table."""
-        degrees = list(map(sum, monomials))
-        shift, top = self._shift, max(degrees, default=0) + self._shift - 1
-        fact = self._fact
-        if len(fact) <= top:
-            fact = list(fact)
-            for j in range(len(fact), top + 1):
-                fact.append(fact[-1] * j)
-            self._fact = fact
-        d, get = fact[top], fact.__getitem__
-        scale = {k: d // fact[k + shift - 1] * fact[shift - 1] for k in set(degrees)}
-        return [math.prod(map(get, alpha)) * scale[k] for alpha, k in zip(monomials, degrees)], d
 
     def reciprocal_weights(self, monomials: list[MultiIndex]) -> tuple[list[int], int]:
         """Over D = 1, with no division: 1 / omega(alpha) = (|alpha|+shift-1)! / (alpha!

@@ -62,40 +62,11 @@ def dense(rows, ncols):
 
 
 def monomial_rows(r, k):
-    """Level k's complement rows in monomial coordinates v: a monomial level
-    stores them so, any other quotient level stores x = omega v."""
+    """Level k's complement rows in monomial coordinates v = x / omega, from the
+    Gram-applied coordinates x = omega v that every level stores."""
     lv = r.level(k)
-    if r.is_monomial:
-        return lv.comp_rows
     omega = [r.space.weight(a) for a in lv.monomials]
     return [{c: x / omega[c] for c, x in row.items()} for row in lv.comp_rows]
-
-
-def basis_scales(r, ref, k):
-    """c with ref's level-k complement vector s equal to c[s] times r's, both
-    mapped to monomial coordinates; each c[s] must be a positive rational and
-    ref's Gram entry c[s]^2 times r's, exactly."""
-    lv, want = r.level(k), ref.level(k)
-    rows, ref_rows = monomial_rows(r, k), monomial_rows(ref, k)
-    assert len(rows) == len(ref_rows) and lv.ideal_pivots == want.ideal_pivots, k
-    scales = []
-    for s, (u, v) in enumerate(zip(rows, ref_rows)):
-        j = next(iter(u))
-        c = v.get(j, G_ZERO) / u[j]
-        assert c.is_real() and c.re > 0 and v == {i: x * c for i, x in u.items()}, (k, s)
-        assert Fraction(want.norms[s], want.den) == c.re ** 2 * Fraction(lv.norms[s], lv.den)
-        scales.append(c.re)
-    return scales
-
-
-def in_basis_of(ref, op, k):
-    """Block k of ``op`` rewritten in the complement bases of ``ref`` (the same
-    module): with ref's vector s equal to c_s times op's realization's at each
-    level (:func:`basis_scales`), entry (t, s) becomes B_ts c_s / c_t."""
-    block, j = op.block(k), k + op.shift
-    cs = basis_scales(op.realization, ref, k)
-    ct = basis_scales(op.realization, ref, j) if j >= 0 else []
-    return [{s: x * (cs[s] / ct[t]) for s, x in row.items()} for t, row in enumerate(block)]
 
 
 def sparse_identity(n):
@@ -151,7 +122,7 @@ def test_realization_dim_split_and_gram():
             lv = r.level(k)
             assert len(lv.ideal_pivots) + r.comp_dim(k) == level_dimension(2, k)
             monos = lv.monomials
-            assert lv.weights == [1 / hb.weight(a) for a in monos] and lv.den == 1
+            assert lv.den == 1  # the Hardy ball's reciprocal weights are integers
             comp = dense(monomial_rows(r, k), len(monos))
             # stored as x = omega v, the complement basis is orthogonal and
             # norms / den is its Gram, exactly
@@ -360,20 +331,22 @@ def test_operator_window_is_the_realization(kind, name):
 
 
 def test_adjoint_full_space_formula():
+    # every level stores z^alpha / omega(alpha) as a unit row, so M_{z1}^* has
+    # unit entries and M_{z1}, its adjoint, the shift ratios omega(beta + e_1) / omega(beta)
     bb = builtin_space("bergman-ball", 2)
     r = full_realization(bb, 5)
     op = mult_blocks(r, z(0), 4)
     adj = adjoint_blocks(op)
     for j in range(1, 5):
         block = dense(adj.block(j), level_dimension(2, j))  # level j -> j-1
+        mult = dense(op.block(j - 1), level_dimension(2, j - 1))  # level j-1 -> j
         src_level = enumerate_level(2, j)
         tgt_level = enumerate_level(2, j - 1)
         for col, alpha in enumerate(src_level):
             for row, beta in enumerate(tgt_level):
-                expected = G_ZERO
-                if alpha[0] >= 1 and tuple(a - b for a, b in zip(alpha, (1, 0))) == beta:
-                    expected = ela.G_ONE * bb.shift_ratio(beta, 0)
-                assert block[row][col] == expected
+                hit = alpha == (beta[0] + 1, beta[1])
+                assert block[row][col] == (G_ONE if hit else G_ZERO)
+                assert mult[col][row] == (G_ONE * bb.shift_ratio(beta, 0) if hit else G_ZERO)
     # adjoint kills the constants
     assert adj.block(0) == []
 
@@ -607,14 +580,14 @@ def given(r, shift, blocks):
 
 
 def one_dim_level(norm, den):
-    """A full one-coordinate level of weight (and Gram entry) norm / den."""
-    return _Level([(0,)], {(0,): 0}, [norm], den, [{0: G_ONE}], [norm], [])
+    """A full one-coordinate level of Gram entry norm / den."""
+    return _Level([(0,)], {(0,): 0}, den, [{0: G_ONE}], [norm], [])
 
 
 def test_onb_scale_splits_gram_entries_beyond_double_range():
     # Gram entries 2^-2100 and 2^2100 neither underflow nor overflow: each
     # mantissa is finite and nonzero, and x * 2^s is sqrt(g) to rounding
-    lv = _Level([(1, 0), (0, 1)], {(1, 0): 0, (0, 1): 1}, [1, 2**4200], 2**2100,
+    lv = _Level([(1, 0), (0, 1)], {(1, 0): 0, (0, 1): 1}, 2**2100,
                 [{0: G_ONE}, {1: G_ONE}], [1, 2**4200], [])
     gram = [Fraction(n, lv.den) for n in lv.norms]
     assert gram == [Fraction(1, 2**2100), Fraction(2**2100)]
@@ -704,7 +677,7 @@ def test_stacked_crossing_with_empty_blocks_and_gram_beyond_double_range(src, tg
     # blocks into and out of an empty level 2
     r = full_realization(builtin_space("polydisk-hardy", 1), 2)
     r._levels[0], r._levels[1] = one_dim_level(*src), one_dim_level(*tgt)
-    r._levels[2] = _Level([(2,)], {(2,): 0}, [1], 1, [], [], [0])
+    r._levels[2] = _Level([(2,)], {(2,): 0}, 1, [], [], [0])
     b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
     up = given(r, 1, {0: [{0: b}], 1: []})
     down = given(r, -1, {1: [{0: -b}], 2: [{}]})
@@ -802,8 +775,8 @@ def test_monomial_path_equals_the_general_path_on_one_quotient():
     # Gram-Schmidt, M_p^* read off by co-invariance, products), the second the
     # monomial one (divisibility, and the closed forms with every term off the
     # standard monomials dropped, such as M_{z1}^* M_{z1}'s in C(z1, z1) = 0).
-    # The general path stores x = omega v, so its vector is the monomial one
-    # over omega: every level and block agrees exactly under that change of basis
+    # Both store z3^k / omega(z3^k) as the unit row x = e_{z3^k}: every level
+    # and every block is equal, exactly
     m, K = 3, 4
     space = builtin_space("hardy-ball", m)
     general, monomial = (
@@ -824,9 +797,10 @@ def test_monomial_path_equals_the_general_path_on_one_quotient():
         lv, want = monomial.level(k), general.level(k)
         assert [lv.monomials[c] for row in lv.comp_rows for c in row] == [(0, 0, k)]
         assert lv.comp_rows == want.comp_rows == [{lv.col_of[(0, 0, k)]: G_ONE}]
-        assert basis_scales(monomial, general, k) == [1 / space.weight((0, 0, k))]
+        assert (lv.norms, lv.den, lv.ideal_pivots) == (want.norms, want.den, want.ideal_pivots)
+        assert [Fraction(g, lv.den) for g in lv.norms] == [1 / space.weight((0, 0, k))]
         for a, b in pairs:
-            assert in_basis_of(general, a, k) == b.block(k), k
+            assert a.block(k) == b.block(k), k
     assert all(not row for k in range(K + 1) for row in pairs[0][0].block(k))  # C(z1, z1) = 0
 
 

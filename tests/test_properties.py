@@ -6,11 +6,14 @@ past a certified Groebner degree against from-scratch elimination and sympy's
 Groebner bases, the exact Hilbert series against from-scratch level
 dimensions, the block kernels against entry-by-entry references, the
 full-space and monomial-quotient commutators, defects and multipliers read
-off the weights against the product path, the Koszul homology of a principal
+off the weights against the product path, the exact transfer of levels,
+commutators and defects from Drury-Arveson to the Hardy and Bergman balls,
+the Koszul homology of a principal
 ideal, the polynomial text round trip, and the positive regular pipeline
 (delta table, P-defect, kernel of the comparison map, co-isometry, module
 map)."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -62,7 +65,7 @@ from wshm.posreg import (
 )
 from wshm.spaces import builtin_space
 
-from test_operators import basis_scales, in_basis_of, monomial_rows
+from test_operators import monomial_rows
 
 small_ints = st.integers(-3, 3)
 gaussian_ints = st.tuples(small_ints, small_ints).map(
@@ -231,7 +234,7 @@ def nonempty_degrees(m, n):
 
 def random_space(data, kind, m, top):
     """A built-in space; ``custom`` draws a positive rational weight for every
-    monomial up to degree ``top``, so its level weights have no closed form."""
+    monomial up to degree ``top``, so its reciprocal weights have no closed form."""
     if kind == "polydisk-hardy":
         return builtin_space(kind, m, {"scale2": data.draw(st.sampled_from(["1", "1/2", "5/3"]))})
     if kind == "custom":
@@ -812,18 +815,17 @@ def test_complement_bases_never_store_a_zero(data, kind, m, ideal_degree, ngens)
 
 def assert_complement_levels(r):
     """Each level of r stores its complement basis as primitive Gaussian-integer
-    rows, in monomial coordinates v on a monomial quotient and as x = omega v
-    otherwise, pairing under weights / den = omega or 1 / omega.  Mapped back
-    to v they span the kernel_basis reference of the constraint rows
-    conj(u_i) * omega, are exactly orthogonal in the space's weights, and
-    have Gram entries norms / den."""
+    rows x = omega v, pairing under the reciprocal weights 1 / omega over the
+    level's den.  Mapped back to v they span the kernel_basis reference of the
+    constraint rows conj(u_i) * omega, are exactly orthogonal in the space's
+    weights, and have Gram entries norms / den."""
     for k in range(r.max_level + 1):
         lv = r.level(k)
         omega = [r.space.weight(a) for a in lv.monomials]
         constraint = [{c: u[c].conjugate() * omega[c] for c in u} for u in r.ideal.level_data(k)[1]]
         reference = ela.kernel_basis(constraint, len(omega))
-        metric = omega if r.is_monomial else [1 / w for w in omega]
-        assert [Fraction(n, lv.den) for n in lv.weights] == metric
+        recip, den = r.space.reciprocal_weights(lv.monomials)
+        assert den == lv.den and [Fraction(x, den) for x in recip] == [1 / w for w in omega]
         assert all(map(is_primitive, lv.comp_rows)) and len(lv.comp_rows) == len(reference)
         comp = monomial_rows(r, k)
         assert ela.rank(comp + reference, len(omega)) == len(reference)
@@ -964,12 +966,11 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
     # a quotient by 1-3 single-term generators of degree <= 3 is read off by
     # divisibility: the standard monomials' unit rows span S_k^perp, and the
     # commutators, defects and multipliers are the full space's closed forms
-    # with every term off the standard monomials dropped.  The general path
-    # stores x = omega v, so its vector s is c_s > 0 times the monomial one:
-    # under that change of basis each level and each block equals the general
-    # quotient path's exactly, and each block raises WindowError exactly where
-    # it does.  A monomial ideal is quasi-homogeneous for every n, so the
-    # grading is drawn too; f, g and p are homogeneous for it
+    # with every term off the standard monomials dropped.  Both paths store
+    # z^alpha / omega(alpha) as the unit row x = e_alpha: each level and each
+    # block equals the general quotient path's exactly, and each block raises
+    # WindowError exactly where it does.  A monomial ideal is quasi-homogeneous
+    # for every n, so the grading is drawn too; f, g and p are homogeneous for it
     scale2 = data.draw(st.sampled_from(["1", f"1/{m}"]))
     space = builtin_space(kind, m, {"scale2": scale2} if kind == "polydisk-hardy" else None)
     n = data.draw(gradings(m))
@@ -981,7 +982,9 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
     r, ref = quotient_realization(space, ideal, top), general_path(space, ideal, top)
     assert r.is_monomial and not ref.is_monomial
     for k in range(top + 1):
-        basis_scales(r, ref, k)
+        lv, want = r.level(k), ref.level(k)
+        assert (lv.comp_rows, lv.norms, lv.den, lv.ideal_pivots) == (
+            want.comp_rows, want.norms, want.den, want.ideal_pivots), k
     z = [GradedPolynomial.variable(m, i) for i in range(m)]
     f, g, p = (homogeneous(data, m, data.draw(st.sampled_from(nonempty_degrees(m, n))), n=n)
                for _ in range(3))
@@ -991,15 +994,83 @@ def test_monomial_quotient_blocks_equal_the_general_path(data, kind, m):
         return [*(commutator_blocks(x, a, b) for a in z for b in z), commutator_blocks(x, f, g),
                 defect_blocks(x), codefect_blocks(x), mult, adjoint_blocks(mult)]
 
-    def rebased(op, k):
-        try:
-            return in_basis_of(ref, op, k)
-        except WindowError:
-            return WindowError
-
     for closed, general in zip(ops(r), ops(ref)):
         for k in range(top + 1):
-            assert rebased(closed, k) == block_or_window_error(general, k), k
+            assert block_or_window_error(closed, k) == block_or_window_error(general, k), k
+
+
+KERNEL_POWERS = ("drury-arveson", "hardy-ball", "bergman-ball")
+
+
+def transfer_failures(m, gens, top, a):
+    """Where the transfer from Drury-Arveson to the kernel-power space with shift
+    s (DA s = 1, the Hardy ball s = m, the Bergman ball s = m + 1) fails on
+    R / (gens), levels 0..top, with a(k, s) in place of a_k = (k + 1) / (k + s).
+    On a plain level 1 / omega = C(k + s - 1, s - 1) k! / alpha!, so every level
+    stores the same rows and pivots, with the level-k Gram C(k + s - 1, s - 1)
+    times DA's; then M_i^(s) = a_k M_i^DA from level k, so
+    C(z_i, z_j)_k = a_k (M_j^* M_i)^DA_k - a_{k-1} (M_i M_j^*)^DA_k and
+    D_k = (1 - a_k) I + a_k D^DA_k, exactly."""
+    def scaled(block, c):
+        return [{j: v * c for j, v in row.items()} for row in block] if c else [{} for _ in block]
+
+    def realize(kind):
+        space = builtin_space(kind, m)
+        if gens:
+            return quotient_realization(space, GradedIdeal(m, gens), top)
+        return full_realization(space, top)
+
+    da, zs = realize("drury-arveson"), [GradedPolynomial.variable(m, i) for i in range(m)]
+    adj_mult = {(i, j, t): product_blocks(da, zs[i], zs[j], t)
+                for i in range(m) for j in range(m) for t in (True, False)}
+    failures = []
+    for kind, s in zip(KERNEL_POWERS, (1, m, m + 1)):
+        r = realize(kind)
+        for k in range(top + 1):
+            lv, ref = r.level(k), da.level(k)
+            gram = [Fraction(g, lv.den) for g in lv.norms]
+            if ((lv.comp_rows, lv.ideal_pivots) != (ref.comp_rows, ref.ideal_pivots)
+                    or gram != [math.comb(k + s - 1, s - 1) * Fraction(g, ref.den) for g in ref.norms]):
+                failures.append((kind, "level", k))
+        for k in range(top):  # C and D at level k read level k + 1
+            ak, below = a(k, s), a(k - 1, s) if k else 0
+            for i, j in itertools.product(range(m), repeat=2):
+                want = ela.mat_sub(scaled(adj_mult[i, j, True].block(k), ak),
+                                   scaled(adj_mult[i, j, False].block(k), below))
+                if commutator_blocks(r, zs[i], zs[j]).block(k) != want:
+                    failures.append((kind, (i, j), k))
+            n = r.comp_dim(k)
+            want = ela.mat_sub(scaled(defect_blocks(da).block(k), ak),
+                               [{c: GaussianRational(ak - 1)} if ak != 1 else {} for c in range(n)])
+            if defect_blocks(r).block(k) != want:
+                failures.append((kind, "defect", k))
+    return failures
+
+
+def kernel_power_a(k, s):
+    return Fraction(k + 1, k + s)
+
+
+@pytest.mark.parametrize("m, gens, top", [
+    (2, "", 6), (3, "", 5), (4, "", 3), (3, "z1^2,z2*z3", 5), (3, "z1^2+z2*z3", 5),
+    (3, "z1^2+z2^2+z3^2", 5), (2, "z1^2-3*z1*z2+2*z2^2", 8), (3, "z1+(2-i)*z2,z2*z3-z1^2", 5),
+    (3, "z1+z2+z3", 5),
+], ids=["full-m2", "full-m3", "full-m4", "monomial-m3", "z1^2+z2*z3", "cone", "line-pair",
+        "line-and-quadric", "plane"])
+def test_kernel_power_spaces_transfer_from_drury_arveson(m, gens, top):
+    ideal = [parse_polynomial(g, m) for g in gens.split(",") if g]
+    assert transfer_failures(m, ideal, top, kernel_power_a) == []
+    # negative control: the shift s + 1 in a_k breaks the commutators and defects
+    wrong = transfer_failures(m, ideal, top, lambda k, s: kernel_power_a(k, s + 1))
+    assert {f[0] for f in wrong} == set(KERNEL_POWERS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3]), degree=st.integers(1, 2),
+       ngens=st.integers(1, 2))
+def test_kernel_power_transfer_on_drawn_homogeneous_ideals(data, m, degree, ngens):
+    ideal = [homogeneous(data, m, degree) for _ in range(ngens)]
+    assert transfer_failures(m, ideal, 5 if m == 2 else 4, kernel_power_a) == []
 
 
 @settings(max_examples=120, deadline=None)

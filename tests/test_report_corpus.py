@@ -62,6 +62,16 @@ CASES = {
         "diag", "section5", "--space", "hardy-ball", "--m", "2",
         "--ideal", "z1^2+(1+i)*z1*z2-z2^2", "--max-level", "8",
     ),
+    # monomial quotients: every block is read off the standard monomials'
+    # weights (d = 1 and d = 2; a d = 0 ideal would pin M0's open question)
+    "section5-hb-monomial": (
+        "diag", "section5", "--space", "hardy-ball", "--m", "2", "--ideal", "z1*z2",
+        "--max-level", "12",
+    ),
+    "normality-hb3-monomial": (
+        "diag", "normality", "--space", "hardy-ball", "--m", "3", "--ideal", "z1^2,z2*z3",
+        "--max-level", "8", "--schatten", "2",
+    ),
     "preg-check": (
         "preg", "check", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-wlevel", "6",
     ),

@@ -212,34 +212,11 @@ SPACE_MAKERS = pytest.mark.parametrize(
 
 
 @SPACE_MAKERS
-def test_level_weights_are_ints_over_one_denominator(make):
-    # level_weights(monos) = (n, D) with n[j] / D == weight(monos[j])
-    space = make()
-    for k in range(6):
-        monos = enumerate_level(space.m, k)
-        n, den = space.level_weights(monos)
-        assert type(den) is int and den > 0 and len(n) == len(monos)
-        assert all(type(x) is int for x in n)
-        assert [Fraction(x, den) for x in n] == [space.weight(a) for a in monos]
-    # mixed degrees, in level order and shuffled, on the same space
-    monos = [a for k in range(6) for a in enumerate_level(space.m, k)]
-    e1 = (1,) + (0,) * (space.m - 1)
-    shuffled = random.Random(0).sample(monos, len(monos))
-    for mixed in (monos, monos[::-1], shuffled, [e1, (2,) + e1[1:], (0,) * space.m]):
-        n, den = space.level_weights(mixed)
-        assert [Fraction(x, den) for x in n] == [space.weight(a) for a in mixed]
-    # a single level keeps its ints after the space has read higher levels
-    fresh = make()
-    for k in range(6):
-        monos = enumerate_level(space.m, k)
-        assert space.level_weights(monos) == fresh.level_weights(monos)
-
-
-@SPACE_MAKERS
 def test_reciprocal_weights_are_ints_over_one_denominator(make):
     # reciprocal_weights(monos) = (r, D) with r[j] / D == 1 / weight(monos[j]),
     # on one level and on mixed degrees in any order; the kernel-power spaces
-    # read D = 1 off their closed form (1 / omega is a multinomial coefficient)
+    # read D = 1 off their closed form (1 / omega is a multinomial coefficient).
+    # A single level keeps its ints after the space has read higher levels
     space = make()
     monos = [a for k in range(6) for a in enumerate_level(space.m, k)]
     e1 = (1,) + (0,) * (space.m - 1)
@@ -250,6 +227,9 @@ def test_reciprocal_weights_are_ints_over_one_denominator(make):
         assert type(den) is int and den > 0 and all(type(x) is int for x in r)
         assert [Fraction(x, den) for x in r] == [1 / space.weight(a) for a in mixed]
         assert den == 1 or space.kind not in ("drury-arveson", "hardy-ball", "bergman-ball")
+    fresh = make()
+    for monos in levels:
+        assert space.reciprocal_weights(monos) == fresh.reciprocal_weights(monos)
 
 
 def test_kernel_power_reciprocal_weights_closed_form():
@@ -273,12 +253,3 @@ def test_kernel_power_reciprocal_weights_closed_form():
         for monos in levels[:4]:  # read after higher levels, and on a fresh space
             assert space.reciprocal_weights(monos) == fresh.reciprocal_weights(monos)
         assert space.reciprocal_weights([]) == fresh.reciprocal_weights([]) == ([], 1)
-
-
-def test_kernel_power_level_weights_closed_form():
-    # one level k keeps the ints alpha! (shift-1)! over (k+shift-1)!, also
-    # after a higher level has been read; an empty list has D = (shift-1)!
-    hb = builtin_space("hardy-ball", 2)
-    hb.level_weights(enumerate_level(2, 9))
-    assert hb.level_weights(enumerate_level(2, 2)) == ([2, 1, 2], 6)
-    assert builtin_space("bergman-ball", 3).level_weights([]) == ([], 6)
