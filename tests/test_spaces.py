@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wshm.algebra import (
+    G_ONE,
     GradedPolynomial,
     enumerate_level,
     enumerate_weighted_level,
@@ -13,6 +14,7 @@ from wshm.algebra import (
     residue_of,
 )
 from wshm.errors import ArityError, DimensionError, WshmError
+from wshm.operators import full_realization
 from wshm.spaces import WeightedShiftSpace, builtin_space, weighted_piece
 
 
@@ -215,8 +217,7 @@ SPACE_MAKERS = pytest.mark.parametrize(
 def test_reciprocal_weights_are_ints_over_one_denominator(make):
     # reciprocal_weights(monos) = (r, D) with r[j] / D == 1 / weight(monos[j]),
     # on one level and on mixed degrees in any order; the kernel-power spaces
-    # read D = 1 off their closed form (1 / omega is a multinomial coefficient).
-    # A single level keeps its ints after the space has read higher levels
+    # read D = 1 off their closed form (1 / omega is a multinomial coefficient)
     space = make()
     monos = [a for k in range(6) for a in enumerate_level(space.m, k)]
     e1 = (1,) + (0,) * (space.m - 1)
@@ -227,8 +228,27 @@ def test_reciprocal_weights_are_ints_over_one_denominator(make):
         assert type(den) is int and den > 0 and all(type(x) is int for x in r)
         assert [Fraction(x, den) for x in r] == [1 / space.weight(a) for a in mixed]
         assert den == 1 or space.kind not in ("drury-arveson", "hardy-ball", "bergman-ball")
+
+
+@SPACE_MAKERS
+def test_level_weights_are_ints_over_one_denominator(make):
+    # a full realization's level k stores z^alpha / omega(alpha) as the unit row
+    # e_alpha, so its Gram norms / den are the level's weights 1 / omega as ints
+    # over one denominator, the space's reciprocal weights of that level
+    space = make()
+    r = full_realization(space, 5)
+    for k in range(5, -1, -1):  # higher levels first
+        lv = r.level(k)
+        monos = enumerate_level(space.m, k)
+        assert lv.monomials == monos and lv.comp_rows == [{j: G_ONE} for j in range(len(monos))]
+        assert type(lv.den) is int and lv.den > 0 and len(lv.norms) == len(monos)
+        assert all(type(x) is int for x in lv.norms)
+        assert [Fraction(x, lv.den) for x in lv.norms] == [1 / space.weight(a) for a in monos]
+        assert (lv.norms, lv.den) == space.reciprocal_weights(monos)
+    # a single level keeps its ints after the space has read higher levels
     fresh = make()
-    for monos in levels:
+    for k in range(6):
+        monos = enumerate_level(space.m, k)
         assert space.reciprocal_weights(monos) == fresh.reciprocal_weights(monos)
 
 
