@@ -42,6 +42,7 @@ from .operators import (
     defect_blocks,
     full_realization,
     hermitian_eigh,
+    moduli_sq,
     mult_blocks,
     onb_map,
     quotient_realization,
@@ -462,27 +463,18 @@ def quotient_shift_weights(
 ) -> QuotientShiftWeights:
     """|w_k| = ||P_{S^perp} z_var v_k|| / ||v_k|| for v_k spanning S_k^perp.
 
-    Raises StructuralError unless every level up to K is exactly
-    one-dimensional.  The squared modulus is computed exactly as
-    |block|^2 * g_{k+1} / g_k, from the integer Gram entries g = norms / den,
-    before any float enters.
+    Raises StructuralError unless every level up to K + 1 is exactly
+    one-dimensional.  The squared modulus |block|^2 * g_{k+1} / g_k is the
+    exact :func:`~wshm.operators.moduli_sq` of the 1 x 1 block, before any
+    float enters.
     """
     realization = quotient_realization(space, ideal, K + 1)
-    levels = [realization.level(k) for k in range(K + 2)]  # each read once, held below
-    for k, lv in enumerate(levels):
-        if len(lv.comp_rows) != 1:
-            raise StructuralError(
-                f"quotient level {k} has dimension {len(lv.comp_rows)}, need exactly 1"
-            )
-    zi = GradedPolynomial.variable(space.m, var)
-    op = mult_blocks(realization, zi, K)
-
-    moduli_sq = []
-    for k in range(K + 1):
-        c = op.block(k)[0].get(0, G_ZERO)
-        src, tgt = levels[k], levels[k + 1]
-        moduli_sq.append(c.abs2(tgt.norms[0] * src.den, tgt.den * src.norms[0]))
-    moduli = [float(q) ** 0.5 for q in moduli_sq]
+    for k in range(K + 2):
+        if (dim := realization.comp_dim(k)) != 1:
+            raise StructuralError(f"quotient level {k} has dimension {dim}, need exactly 1")
+    op = mult_blocks(realization, GradedPolynomial.variable(space.m, var), K)
+    squares = [sum((Fraction(a, d) for a, d in moduli_sq(op, k)), Fraction(0)) for k in range(K + 1)]
+    moduli = [float(q) ** 0.5 for q in squares]
 
     normalized = deviations = None
     alpha = _principal_linear_alpha(ideal)
@@ -493,7 +485,7 @@ def quotient_shift_weights(
         normalized = [w / limit for w in moduli]
         deviations = [abs(x - 1.0) for x in normalized]
     return QuotientShiftWeights(
-        var, K, moduli_sq, moduli, normalized, deviations, alpha_abs2
+        var, K, squares, moduli, normalized, deviations, alpha_abs2
     )
 
 

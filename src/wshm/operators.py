@@ -19,7 +19,8 @@ Truncation windows are explicit, and the realization is their one source.
 Every block is exact on the levels it reads; reading a block at a level
 outside [0, max_level], or one whose build reads such a level, raises
 :class:`~wshm.errors.WindowError` -- silent truncation artifacts are the
-main correctness hazard of this whole artifact.
+main correctness hazard of this whole artifact.  A block into a level below
+0 has no rows and is never built.
 
 Evaluation is on demand.  An operator is its realization plus a hashable
 recipe (shift, builder, arguments), and the realization keeps one block cache
@@ -27,14 +28,14 @@ keyed by recipe, so equal recipes share every block: a report builds the
 levels and blocks it reads, each once per realization however often it is
 assembled.  Every level stores each complement vector v by its Gram-applied
 coordinates x = omega v, in which S_k^perp is a Euclidean complement under
-the reciprocal weights 1 / omega, M_p^* is read off with no weight, and M_p
-is its adjoint.  On a monomial realization (the full space, or a quotient by
-single-term generators) the standard monomials' vectors z^alpha / omega(alpha)
-are unit rows, M_p^* has unit entries, and a commutator of monomials (a
-weighted partial permutation) and a sum-of-squares defect (diagonal) are
-read off the reciprocal weights; on any other quotient they share one build
-of each multiplier, adjoint and product.  No block projects: on a quotient
-M_p^* leaves S^perp invariant.
+the reciprocal weights 1 / omega.  M_p^* leaves S^perp invariant, so one
+read-off of M_p^*, with no weight and no projection, serves every
+realization, and M_p is its adjoint.  On a monomial realization (the full
+space, or a quotient by single-term generators) the standard monomials'
+vectors z^alpha / omega(alpha) are unit rows, so M_p^* has unit entries, and
+a commutator of monomials (a weighted partial permutation) and a
+sum-of-squares defect (diagonal) are read off the reciprocal weights; on any
+other quotient they share one build of each multiplier, adjoint and product.
 
 Conventions.  The weighted inner product is linear in the first argument,
 ``<u, v> = sum_gamma u_gamma conj(v_gamma) omega(gamma)``.  Every complement
@@ -222,7 +223,7 @@ class GradedOperator:
     Block k maps level-k complement coordinates to level-(k + shift)
     coordinates: one sparse row per target coordinate, its shape given by
     :meth:`block_shape`.  Blocks whose target level is negative have no rows
-    (the operator kills those levels).  Block k is ``build(realization, k,
+    (the operator kills those levels) and are never built.  Block k is ``build(realization, k,
     *args)``, built on first read and kept in the realization's cache under
     ``recipe = (shift, build, *args)``, each operator argument entering as
     its own recipe; operators with equal recipes share every block, so no
@@ -244,7 +245,9 @@ class GradedOperator:
         block = self._cache.get(k)
         if block is None:  # only blocks at levels in the window are ever stored
             self.realization._check_level(k)
-            block = self._cache[k] = self.build(self.realization, k, *self.args)
+            # a block into a level below 0 has no rows: no builder sees one
+            block = self._cache[k] = (self.build(self.realization, k, *self.args)
+                                      if k + self.shift >= 0 else [])
         return block
 
     def block_shape(self, k: int) -> tuple[int, int]:
@@ -296,23 +299,31 @@ def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
     return out
 
 
+def moduli_sq(op: GradedOperator, k: int) -> list[tuple[int, int]] | None:
+    """Int pairs (a, d), a / d = |B_ts|^2 g_t / g_s, one per entry (t, s) of block k when it
+    is a weighted partial permutation (:func:`~wshm.exact_linalg.permutation_moduli`): the
+    squares of its singular values in orthonormal coordinates, exact.  Else None."""
+    moduli = ela.permutation_moduli(op.block(k))
+    if not moduli:  # None, or no entries: the target level may lie below 0
+        return moduli
+    src, tgt = op.realization.level(k), op.realization.level(k + op.shift)
+    return [(a * tgt.norms[t] * src.den, d * tgt.den * src.norms[s]) for t, s, a, d in moduli]
+
+
 def svd_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
     """``fn`` applied per stack of the items' (B, min(nr, nc)) descending singular values in
     orthonormal coordinates, results handed back in input order.  A weighted partial
-    permutation's (:func:`~wshm.exact_linalg.permutation_moduli`) are |B_ts| sqrt(g_t / g_s),
-    each rounded once from its exact square, zero-padded and stacked by length; other
-    blocks take :func:`onb_map` and one SVD per shape."""
+    permutation's are the square roots of its :func:`moduli_sq`, each rounded once,
+    zero-padded and stacked by length; other blocks take :func:`onb_map` and one SVD per
+    shape."""
     out, rest, read = [None] * len(items), [], {}
     for n, (op, k) in enumerate(items):
-        moduli = ela.permutation_moduli(op.block(k))
-        if moduli is None:
+        squares = moduli_sq(op, k)
+        if squares is None:
             rest.append(n)
             continue
-        src = op.realization.level(k)
-        tgt = op.realization.level(k + op.shift) if moduli else None
-        sv = sorted([math.ldexp(*_sqrt_split(a * tgt.norms[t] * src.den, d * tgt.den * src.norms[s]))
-                     for t, s, a, d in moduli], reverse=True)
-        size = min(len(op.block(k)), len(src.comp_rows))  # min(block_shape), from the levels held
+        sv = sorted([math.ldexp(*_sqrt_split(a, d)) for a, d in squares], reverse=True)
+        size = min(len(op.block(k)), op.realization.comp_dim(k))  # min(block_shape)
         read.setdefault(size, []).append((n, sv + [0.0] * (size - len(sv))))
     for group in read.values():
         for (n, _), res in zip(group, fn(np.array([sv for _, sv in group]))):
@@ -320,10 +331,6 @@ def svd_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
     for n, res in zip(rest, onb_map(lambda stack: fn(svdvals(stack)), [items[n] for n in rest])):
         out[n] = res
     return out
-
-
-def _zero_block(realization: ModuleRealization, shift: int, k: int) -> list[ela.Row]:
-    return [{} for _ in range(realization.comp_dim(k + shift))]
 
 
 def _identity_block(r: ModuleRealization, k: int) -> list[ela.Row]:
@@ -334,30 +341,15 @@ def identity_blocks(realization: ModuleRealization) -> GradedOperator:
     return GradedOperator(realization, 0, _identity_block)
 
 
-def _monomial_coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial,
-                                d: int) -> list[ela.Row]:
-    """Block j of M_p^* (d = deg p) on a monomial realization: M_{z^beta}^* maps
-    z^gamma / omega(gamma) to z^(gamma-beta) / omega(gamma-beta), so row alpha
-    (level j - d) holds the unit entry conj(c_beta) at each standard alpha + beta."""
-    k = j - d
-    if k < 0:
-        return _zero_block(r, -d, j)
-    src = r.level(j).comp_of
-    terms = [(beta, c.conjugate()) for beta, c in p.terms()]
-    return [{s: c for beta, c in terms if (s := src.get(add_index(alpha, beta))) is not None}
-            for alpha in r.level(k).comp_of]
-
-
 def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int) -> list[ela.Row]:
-    """Block j of the compressed M_p^* on a quotient, with no projection: [I] is
-    M_p-invariant, so y = M_p^* w_s lies in S_k^perp, k = j - d, d = deg p.  In
-    Gram-applied coordinates y_f = sum_beta conj(c_beta) w_s[f+beta] at a free
+    """Block j of the compressed M_p^* on any realization, with no projection: [I]
+    is M_p-invariant, so y = M_p^* w_s lies in S_k^perp, k = j - d >= 0, d = deg p.
+    In Gram-applied coordinates y_f = sum_beta conj(c_beta) w_s[f+beta] at a free
     column f, with no weight, in integers over p's common denominator.  Row w_t
-    has free entries at f_0..f_t only: one back-substitution gives y's coordinates."""
-    k = j - d
-    if k < 0:
-        return _zero_block(r, -d, j)
-    src, tgt = r.level(k), r.level(j)
+    has free entries at f_0..f_t only: one back-substitution gives y's coordinates.
+    On a monomial realization every w is a unit row at a standard monomial, so
+    row alpha holds conj(c_beta) at each standard alpha + beta."""
+    src, tgt = r.level(j - d), r.level(j)
     num, den = ela.over_common_denominator(dict(p.terms()))
     pivots, rows = set(src.ideal_pivots), src.comp_rows
     free = [c for c in range(len(src.monomials)) if c not in pivots]
@@ -375,10 +367,9 @@ def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int
 
 
 def _multiplier(r: ModuleRealization, p: GradedPolynomial) -> GradedOperator:
-    """M_p, the adjoint of M_p^*: closed-form on a monomial realization, else read off."""
+    """M_p, the adjoint of the read-off M_p^*."""
     d = r.degree(p)
-    read_off = _monomial_coinvariant_block if r.is_monomial else _coinvariant_block
-    return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, read_off, p, d))
+    return GradedOperator(r, d, _adjoint_block, GradedOperator(r, -d, _coinvariant_block, p, d))
 
 
 def mult_blocks(
@@ -387,8 +378,9 @@ def mult_blocks(
     """Blocks of the compression of M_p to the realization's module.
 
     Column c holds the coordinates of the projection of p * w_c onto
-    S_{k+d}^perp: the adjoint of M_p^*, whose blocks are read off by
-    co-invariance.  On a monomial realization M_p^* has unit entries, so M_p
+    S_{k+d}^perp: the adjoint of M_p^*, whose blocks one read-off
+    (:func:`_coinvariant_block`) gives by co-invariance on every
+    realization.  On a monomial realization M_p^* has unit entries, so M_p
     maps the standard monomial alpha's vector to c_beta omega(alpha + beta) /
     omega(alpha) times that of each standard alpha + beta.  Every operator
     returned here for one realization and polynomial has the same recipe, so
@@ -423,9 +415,7 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
 
 def _adjoint_block(r: ModuleRealization, j: int, op: GradedOperator) -> list[ela.Row]:
     """Block j of the adjoint of ``op``."""
-    d, k = op.shift, j - op.shift
-    if k < 0:
-        return _zero_block(r, -d, j)
+    k = j - op.shift
     tgt, src = r.level(j), r.level(k)
     return ela.adjoint(op.block(k), tgt.norms, tgt.den, src.norms, src.den)
 
@@ -438,8 +428,8 @@ def compose(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 def _compose_block(r: ModuleRealization, j: int, a: GradedOperator, b: GradedOperator):
     mid = j + b.shift
-    if mid < 0:
-        return _zero_block(r, a.shift + b.shift, j)
+    if mid < 0:  # b maps level j below level 0, and a maps that back to a level >= 0
+        return [{} for _ in range(r.comp_dim(j + a.shift + b.shift))]
     return ela.mat_mul(a.block(mid), b.block(j))
 
 
@@ -489,11 +479,11 @@ def _commutator_block(r: ModuleRealization, k: int, pairs, da: int, db: int) -> 
     partial permutation."""
     held = {j: r.level(j) for j in {k, k + da, k + da - db, k - db} if j >= 0}  # each once
     src, hi, tgt, lo = map(held.get, (k, k + da, k + da - db, k - db))
-    block: list[ela.Row] = [{} for _ in tgt.comp_rows] if tgt else []
+    block: list[ela.Row] = [{} for _ in tgt.comp_rows]
     for c, a, b in pairs:
         for col, x in enumerate(src.comp_of):
             y = add_index(x, a)
-            t = tgt.comp_of.get(tuple(map(operator.sub, y, b))) if tgt else None
+            t = tgt.comp_of.get(tuple(map(operator.sub, y, b)))
             if t is not None:
                 h = hi.comp_of.get(y)  # None: y is not standard (x - b is, if it is a monomial)
                 num, den = (src.norms[col] * hi.den, src.den * hi.norms[h]) if h is not None else (0, 1)

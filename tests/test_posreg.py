@@ -128,7 +128,7 @@ def test_full_space_defects_and_commutators_build_no_product(monkeypatch):
     # every C(z_i, z_j) are read off the reciprocal weights: no check or report
     # builds a multiplier, adjoint, product or difference block
     calls = []
-    for mod, name in [(operators, "_monomial_coinvariant_block"), (operators, "_adjoint_block"),
+    for mod, name in [(operators, "_coinvariant_block"), (operators, "_adjoint_block"),
                       (operators, "_compose_block"), (operators, "_sub_block"),
                       (ela, "mat_mul"), (ela, "mat_sub")]:
         fn = getattr(mod, name)
