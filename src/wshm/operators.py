@@ -291,9 +291,9 @@ def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
             xt, st = map(np.array, zip(*(op.realization.level(k + op.shift).onb_scale
                                          for op, k in group)))
             xs, ss = map(np.array, zip(*(op.realization.level(k).onb_scale for op, k in group)))
-            # power-of-two scaling is exact: with every s = 0 the factor is 1.0
-            f = (f * xt[:, :, None] * (1.0 / xs[:, None, :])
-                 * np.ldexp(1.0, st[:, :, None] - ss[:, None, :]))
+            # one rounded ratio, 1.0 where g_t = g_s (a degree-0 block's diagonal), then an
+            # exact power-of-two factor: with every s = 0 it is 1.0
+            f = f * (xt[:, :, None] / xs[:, None, :]) * np.ldexp(1.0, st[:, :, None] - ss[:, None, :])
         for n, res in zip(idx, fn(f)):
             out[n] = res
     return out

@@ -646,7 +646,7 @@ def one_block_crossing(op, k):
         return f
     xt, st = op.realization.level(k + op.shift).onb_scale
     xs, ss = op.realization.level(k).onb_scale
-    return f * xt[:, None] * (1.0 / xs) * np.ldexp(1.0, st[:, None] - ss)
+    return f * (xt[:, None] / xs) * np.ldexp(1.0, st[:, None] - ss)
 
 
 def assert_stacked_crossing_is_per_block(items):
@@ -668,6 +668,26 @@ def test_stacked_crossing_is_per_block_on_a_mixed_shape_report():
     items = [(op, k) for op in [*ops, defect_blocks(r)] for k in range(K + 1)]
     assert len({op.block_shape(k) for op, k in items}) == K + 1
     assert_stacked_crossing_is_per_block(items)
+
+
+@pytest.mark.parametrize(
+    "kind,m,gens",
+    [("da", 2, "z1^2"), ("hardy-ball", 2, "z1^6,z2^6"), ("hardy-ball", 3, "z1+z2+z3"),
+     ("bergman-ball", 2, "z1^2+(1+i)*z1*z2-z2^2")],
+)
+def test_degree_zero_diagonals_cross_exactly(kind, m, gens):
+    # a degree-0 block's diagonal entry is scaled by sqrt(g) / sqrt(g) = 1.0 exactly, so
+    # every diagonal entry of the defect, the codefect and each C(z_i, z_i) crosses to
+    # floats as complex(exact entry), whatever else shares its stack
+    K = 6
+    ideal = GradedIdeal(m, [parse_polynomial(g, m) for g in gens.split(",")])
+    r = quotient_realization(builtin_space(kind, m), ideal, K + 1)
+    ops = [defect_blocks(r), codefect_blocks(r), *(commutator_blocks(r, z(i, m), z(i, m))
+                                                   for i in range(m))]
+    items = [(op, k) for op in ops for k in range(K + 1)]
+    for (op, k), f in zip(items, onb_map(lambda stack: stack, items)):
+        got = [f[j, j] for j in range(len(f))]
+        assert got == [complex(v) for v in op.diagonal(k)]
 
 
 @BEYOND_DOUBLE_RANGE
