@@ -28,7 +28,6 @@ from .diagnostics import (
     Column,
     DiagnosticsReport,
     Table,
-    Verdict,
     exact_verdict,
     koszul_report,
     normality_report,
@@ -36,7 +35,7 @@ from .diagnostics import (
     section5_report,
     trace_report,
 )
-from .errors import ParseError, WshmError
+from .errors import WshmError
 from .ideals import GradedIdeal, hilbert_series, ideal_level_dimension, residue_decompose
 from .operators import ModuleRealization
 from .parsing import parse_polynomial, parse_polynomial_list
@@ -467,14 +466,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser(name, entry).parse_args(argv[2:])
     except SystemExit as e:
         return int(e.code or 0)
-    except (WshmError, ParseError, OSError, json.JSONDecodeError) as e:
+    except (WshmError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
     try:
         _check_levels(args)
         report = entry.run(args)
-    except (WshmError, ParseError, np.linalg.LinAlgError) as e:
+    except (WshmError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

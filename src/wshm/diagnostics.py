@@ -473,7 +473,7 @@ def quotient_shift_weights(
         if (dim := realization.comp_dim(k)) != 1:
             raise StructuralError(f"quotient level {k} has dimension {dim}, need exactly 1")
     op = mult_blocks(realization, GradedPolynomial.variable(space.m, var), K)
-    squares = [sum((Fraction(a, d) for a, d in moduli_sq(op, k)), Fraction(0)) for k in range(K + 1)]
+    squares = [Fraction(*sq[0]) if (sq := moduli_sq(op, k)) else Fraction(0) for k in range(K + 1)]
     moduli = [float(q) ** 0.5 for q in squares]
 
     normalized = deviations = None

@@ -223,12 +223,13 @@ class GradedOperator:
     Block k maps level-k complement coordinates to level-(k + shift)
     coordinates: one sparse row per target coordinate, its shape given by
     :meth:`block_shape`.  Blocks whose target level is negative have no rows
-    (the operator kills those levels) and are never built.  Block k is ``build(realization, k,
-    *args)``, built on first read and kept in the realization's cache under
-    ``recipe = (shift, build, *args)``, each operator argument entering as
-    its own recipe; operators with equal recipes share every block, so no
-    caller may mutate one.  :meth:`block` raises WindowError when k, or a
-    level its build reads, lies outside the realization's levels.
+    (the operator kills those levels) and are never built.  Block k is
+    ``build(realization, k, *args)``, built on first read and kept in the
+    realization's cache under ``recipe = (shift, build, *args)``, each
+    operator argument entering as its own recipe; operators with equal
+    recipes share every block, so no caller may mutate one.  :meth:`block`
+    raises WindowError when k, or a level its build reads, lies outside the
+    realization's levels.
     """
 
     def __init__(self, realization: ModuleRealization, shift: int, build, *args):
@@ -293,7 +294,8 @@ def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
             xs, ss = map(np.array, zip(*(op.realization.level(k).onb_scale for op, k in group)))
             # one rounded ratio, 1.0 where g_t = g_s (a degree-0 block's diagonal), then an
             # exact power-of-two factor: with every s = 0 it is 1.0
-            f = f * (xt[:, :, None] / xs[:, None, :]) * np.ldexp(1.0, st[:, :, None] - ss[:, None, :])
+            f = (f * (xt[:, :, None] / xs[:, None, :])
+                 * np.ldexp(1.0, st[:, :, None] - ss[:, None, :]))
         for n, res in zip(idx, fn(f)):
             out[n] = res
     return out

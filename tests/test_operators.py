@@ -311,13 +311,18 @@ def _window_cases(r):
 def test_operator_window_is_the_realization(kind, name):
     # the realization's levels are the one window: the highest level an
     # operator can build returns a block, the next one up and k = -1 raise,
-    # and a level that raised raises again, so nothing was cached for it
+    # and a level that raised raises again, so nothing was cached for it.
+    # At the lower edge a block into a level below 0 has no rows and is never built
     if kind == "full":
         r = full_realization(builtin_space("da", 2), 5)
     else:
         ideal = GradedIdeal(2, [parse_polynomial("z1^2 + (1+i)*z1*z2 - z2^2", 2)])
         r = quotient_realization(builtin_space("hardy-ball", 2), ideal, 5)
     op, top = _window_cases(r)[name]
+    build, op.build = op.build, lambda *args: pytest.fail(f"built block {args[1]}")
+    for k in range(-op.shift):
+        assert op.block(k) == [] and op.block_shape(k) == (0, r.comp_dim(k))
+    op.build = build
     block = op.block(top)
     assert len(block) == op.block_shape(top)[0]
     if name == "op_sub":

@@ -1,9 +1,12 @@
-"""Every function, class and method in ``src/wshm`` has a caller there.
+"""Every function, class and method in ``src/wshm`` has a caller there, and
+every name a module imports is used in it.
 
 A definition that only tests call is a second path beside the one the reports
 take.  The scan matches names: a definition is called when its name appears
 outside its own body as a name, an attribute or an ``__all__`` entry anywhere
-in the package.  Names that start with ``__`` are not scanned.
+in the package.  Names that start with ``__`` are not scanned.  An import is
+used when its bound name appears in its module as a name or an ``__all__``
+entry, so a deletion cannot leave a stale import behind.
 """
 
 import ast
@@ -36,6 +39,13 @@ def _definitions(module, tree):
                 yield f"{module}.{node.name}.{sub.name}", sub.lineno, sub.end_lineno
 
 
+def _all_entries(node):
+    """The entries of an ``__all__`` assignment; none for any other node."""
+    if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", "") for t in node.targets]:
+        return [e.value for e in node.value.elts]
+    return []
+
+
 def _references(tree):
     """(name, line) of each name, attribute and ``__all__`` entry."""
     for node in ast.walk(tree):
@@ -43,8 +53,8 @@ def _references(tree):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", "") for t in node.targets]:
-            yield from ((e.value, node.lineno) for e in node.value.elts)
+        else:
+            yield from ((e, node.lineno) for e in _all_entries(node))
 
 
 def test_every_package_definition_has_a_package_caller():
@@ -62,3 +72,22 @@ def test_every_package_definition_has_a_package_caller():
     assert sorted(uncalled - ALLOWED) == []
     # a name leaves the list when it is deleted or gains a package caller
     assert sorted(ALLOWED - uncalled) == []
+
+
+def _imported_names(tree):
+    """Each name a module's imports bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path in sorted(Path(wshm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {e for node in ast.walk(tree) for e in _all_entries(node)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []
