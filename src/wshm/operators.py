@@ -403,9 +403,8 @@ def adjoint_blocks(op: GradedOperator) -> GradedOperator:
 
     With diagonal Grams each block is one pass over the stored entries: entry
     (c, r) of block j is conj(B[r][c]) * g_j[r] / g_{j-d}[c] for the block B
-    of op at source level j - d.  A source below the degree shift d maps into
-    a negative level and gets a zero-row block.  Block j reads levels j and
-    j - d.  The adjoint of an adjoint is the operator itself, so M_p and
+    of op at source level j - d.  A block j < d maps into a negative level
+    and has no rows.  Block j reads levels j and j - d.  The adjoint of an adjoint is the operator itself, so M_p and
     M_p^* map to each other's recipes: M_p is the adjoint of the read-off
     M_p^* on every realization, and each is built once per realization,
     whichever is read first.
