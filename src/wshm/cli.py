@@ -15,7 +15,9 @@ byte-identical across runs for identical configs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -415,7 +417,10 @@ _USAGE = f"usage: wshm {{{' | '.join(COMMANDS)}}} [flags], or wshm --config FILE
 
 
 def _parser(name: str, entry: _Command) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"wshm {name}")
+    # argparse would query the terminal once per add_argument for this width
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    parser = argparse.ArgumentParser(prog=f"wshm {name}", formatter_class=formatter)
     for flag, keywords in _FLAGS.items():
         if flag in entry.flags or flag in _EVERY_COMMAND_FLAGS:
             parser.add_argument(f"--{flag}", **keywords)

@@ -9,6 +9,8 @@ fail) in exact arithmetic may be ``exact-pass`` / ``exact-fail``.  Values the
 implementation reports without asserting are ``reported-only``.  Every
 numeric table column is tagged with its arithmetic tier, and reports carry
 their full configuration so identical configs reproduce byte-identical JSON.
+NumPy runs only in the float-tier callbacks of ``onb_map`` and ``svd_map``;
+trend slopes and partial sums are plain Python floats.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -153,9 +155,8 @@ def _loglog_slope(norms: list[float]) -> float | None:
     ]
     if len(pts) < 2:
         return None
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+    xbar, ybar = (sum(c) / len(pts) for c in zip(*pts))
+    return sum((x - xbar) * (y - ybar) for x, y in pts) / sum((x - xbar) ** 2 for x, _ in pts)
 
 
 def _trend_verdict(name: str, norms: list[float], exact_zero: bool) -> Verdict:
@@ -243,12 +244,12 @@ def normality_report(
     # Schatten partial sums of the defect for each requested exponent
     for n, p in enumerate(p_list, 1):
         terms = [t[n] for t in flat[-K - 1:]]
-        sums = list(np.cumsum(terms))
+        sums = list(accumulate(terms))
         report.tables.append(
             Table(
                 f"schatten_defect_p{p}",
                 [Column("k", "int"), Column("term", "float"), Column("partial_sum", "float")],
-                [[k, terms[k], float(sums[k])] for k in range(K + 1)],
+                [[k, terms[k], sums[k]] for k in range(K + 1)],
             )
         )
         rec = summability_verdict(terms, p, m, defect_zero)
@@ -401,10 +402,8 @@ def summability_verdict(series: list[float], p: float, m: int, exact_zero=False)
     if n < 16:
         return SummabilityRecord(p, m, "inconclusive", [], [], None, above)
     checkpoints = [n // 16, n // 8, n // 4, n // 2, n]
-    prefix = np.cumsum(series)
-    increments = [
-        float(prefix[b] - prefix[a]) for a, b in zip(checkpoints, checkpoints[1:])
-    ]
+    prefix = list(accumulate(series))
+    increments = [prefix[b] - prefix[a] for a, b in zip(checkpoints, checkpoints[1:])]
     last, prev = increments[-1], increments[-2]
     if last > SUMMABILITY_FLOOR:
         return SummabilityRecord(p, m, "divergent-trend", checkpoints, increments, None, above)

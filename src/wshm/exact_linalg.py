@@ -28,9 +28,8 @@ it orthogonal under the integer reciprocal weights 1 / omega (over one
 denominator) with integer norms, and :func:`back_substitute` reads a
 complement vector's coordinates off its free columns.  The block kernels
 :func:`mat_mul`, :func:`mat_sub` and :func:`back_substitute` sum integer
-triples over the lcm of their denominators and reduce once per output entry; :func:`adjoint`,
-:func:`reduce_against` (its residual is exact) and :func:`permutation_moduli`
-(a partial permutation's exact squared moduli) work entry by entry.
+triples over the lcm of their denominators and reduce once per output entry; :func:`adjoint`
+and :func:`reduce_against` (its residual is exact) work entry by entry.
 :func:`kernel_basis`, :func:`solve` and :func:`project` are references the
 package no longer calls: tests check complement bases and blocks with them.
 
@@ -379,20 +378,6 @@ def adjoint(block: list[Row], t_norms: list[int], t_den: int, s_norms: list[int]
         for c, x in row.items():
             out[c][r] = _reduced(x._a * n, -x._b * n, x._d * t_den * s_norms[c])
     return out
-
-
-def permutation_moduli(block: list[Row]) -> list[tuple[int, int, int, int]] | None:
-    """(t, s, a^2 + b^2, d^2) for each entry (a + b i) / d at (t, s) of a weighted partial
-    permutation (at most one entry per row, no column twice: B^dagger B is diagonal), else None."""
-    out, cols = [], set()
-    for t, row in enumerate(block):
-        if row:
-            if len(row) > 1:
-                return None
-            ((s, x),) = row.items()
-            out.append((t, s, x._a * x._a + x._b * x._b, x._d * x._d))
-            cols.add(s)
-    return out if len(cols) == len(out) else None
 
 
 def solve(a: list[list], b: list[list]) -> list[list]:

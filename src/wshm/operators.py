@@ -303,13 +303,23 @@ def onb_map(fn, items: list[tuple[GradedOperator, int]]) -> list:
 
 def moduli_sq(op: GradedOperator, k: int) -> list[tuple[int, int]] | None:
     """Int pairs (a, d), a / d = |B_ts|^2 g_t / g_s, one per entry (t, s) of block k when it
-    is a weighted partial permutation (:func:`~wshm.exact_linalg.permutation_moduli`): the
-    squares of its singular values in orthonormal coordinates, exact.  Else None."""
-    moduli = ela.permutation_moduli(op.block(k))
-    if not moduli:  # None, or no entries: the target level may lie below 0
-        return moduli
+    is a weighted partial permutation (at most one entry per row, no column twice: B^dagger B
+    is diagonal): the squares of its singular values in orthonormal coordinates, exact.  Else
+    None.  One pass over the block's rows makes the structural test and reads the squares."""
+    block = op.block(k)
+    if not block:  # no rows: the target level may lie below 0
+        return []
     src, tgt = op.realization.level(k), op.realization.level(k + op.shift)
-    return [(a * tgt.norms[t] * src.den, d * tgt.den * src.norms[s]) for t, s, a, d in moduli]
+    tn, td, sn, sd = tgt.norms, tgt.den, src.norms, src.den
+    out, cols = [], set()
+    for t, row in enumerate(block):
+        if row:
+            if len(row) > 1:
+                return None
+            ((s, x),) = row.items()
+            out.append(((x._a * x._a + x._b * x._b) * tn[t] * sd, x._d * x._d * td * sn[s]))
+            cols.add(s)
+    return out if len(cols) == len(out) else None
 
 
 def svd_map(fn, items: list[tuple[GradedOperator, int]]) -> list:

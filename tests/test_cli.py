@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import shutil
 from collections import Counter
 from fractions import Fraction
 
@@ -400,6 +402,60 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+def _lapack_reached(*args, **kwargs):
+    raise AssertionError("LAPACK was called")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--space", "hardy-ball", "--m", "3", "--max-level", "3", "--schatten", "2"),
+        ("--space", "da", "--m", "3", "--max-level", "8"),
+        ("--space", "polydisk-hardy", "--m", "2", "--max-level", "5"),
+    ],
+    ids=["hardy-ball-m3", "da-m3", "polydisk-hardy-m2"],
+)
+def test_full_space_normality_reports_call_no_lapack(monkeypatch, capsys, argv):
+    # every full-space block is a weighted partial permutation read off its
+    # exact entries, and the trend slopes are closed-form
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, _lapack_reached)
+    monkeypatch.setattr(np, "polyfit", _lapack_reached)
+    code, out, err = run(capsys, "diag", "normality", *argv)
+    assert (code, err) == (0, "") and json.loads(out)["scenario"] == "normality"
+
+
+def _plain_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"wshm {name}")
+    for flag, keywords in cli._FLAGS.items():
+        if flag in cli.COMMANDS[name].flags or flag in cli._EVERY_COMMAND_FLAGS:
+            parser.add_argument(f"--{flag}", **keywords)
+    return parser
+
+
+def test_parser_build_queries_the_terminal_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    for name, entry in cli.COMMANDS.items():
+        calls.clear()
+        cli._parser(name, entry)
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_and_usage_are_argparse_defaults(monkeypatch, capsys, columns):
+    # the parser's help width is argparse's own: the terminal's columns less 2
+    monkeypatch.setenv("COLUMNS", columns)
+    for name in cli.COMMANDS:
+        plain = _plain_parser(name)
+        assert run(capsys, *name.split(), "--help") == (0, plain.format_help(), "")
+        with pytest.raises(SystemExit):
+            plain.parse_args(["--bogus"])
+        want = capsys.readouterr()
+        assert run(capsys, *name.split(), "--bogus") == (2, want.out, want.err)
 
 
 def _raise_linalg_error(space, max_level):

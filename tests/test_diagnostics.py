@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wshm.diagnostics as diagnostics
 import wshm.exact_linalg as ela
@@ -729,6 +731,64 @@ def test_details_text_is_blind_to_a_one_ulp_move_of_the_last_norm():
     moved = dataclasses.replace(record, tail_estimate=float(np.nextafter(record.tail_estimate, 1.0)))
     assert moved.details == record.details
     assert "tail_estimate=None" in summability_verdict(series[:8], 2.0, 2).details
+
+
+# the magnitudes a per-level norm takes, from near-zero to well above 1
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1e-15, max_value=1e3), min_size=2, max_size=60))
+def test_loglog_slope_matches_least_squares(norms):
+    # LAPACK's least squares (np.polyfit) is the oracle of the closed-form slope
+    pts = [(math.log(k + 1.0), math.log(v)) for k, v in enumerate(norms) if k >= len(norms) // 2]
+    got = _loglog_slope(norms)
+    if len(pts) < 2:
+        assert got is None
+    else:
+        ref = float(np.polyfit(*zip(*pts), 1)[0])
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=17, max_size=200))
+def test_summability_increments_are_cumsum_differences_bit_for_bit(series):
+    rec = summability_verdict(series, 2.0, 2)
+    prefix = np.cumsum(series)
+    want = [float(prefix[b] - prefix[a]) for a, b in zip(rec.checkpoints, rec.checkpoints[1:])]
+    assert [x.hex() for x in rec.increments] == [x.hex() for x in want]
+
+
+def test_schatten_partial_sums_are_cumsum_bit_for_bit():
+    r = quotient_realization(builtin_space("hardy-ball", 2), GradedIdeal(2, [z(0) + z(1)]), 22)
+    tables = {t.name: t for t in normality_report(r, 20, [1.5, 2.0]).tables}
+    for p in (1.5, 2.0):
+        rows = tables[f"schatten_defect_p{p}"].rows
+        want = np.cumsum([row[1] for row in rows]).tolist()
+        assert all(type(row[2]) is float for row in rows)
+        assert [row[2].hex() for row in rows] == [x.hex() for x in want]
+
+
+def test_reports_leave_no_cyclic_garbage():
+    # a report's realization, levels and blocks die by reference counting
+    # inside the call; a cycle would wait for the collector instead
+    hb2, hb3 = builtin_space("hardy-ball", 2), builtin_space("hardy-ball", 3)
+    plane = GradedIdeal(3, [z(0, 3) + z(1, 3) + z(2, 3)])
+    reports = {
+        "normality hb3 z1+z2+z3 K=2": lambda: normality_report(
+            quotient_realization(hb3, plane, 4), 2, [2.0]),
+        "normality full hb3 K=3": lambda: normality_report(full_realization(hb3, 5), 3, [2.0]),
+        "section5 hb2 z1+z2 K=15": lambda: section5_report(
+            hb2, GradedIdeal(2, [z(0) + z(1)]), 15),
+        "qweights hb2 z1+2i*z2 K=50": lambda: qweights_report(
+            hb2, GradedIdeal(2, [parse_polynomial("z1+2i*z2", 2)]), 50),
+        "trace hb3 K=6": lambda: trace_report(hb3, 6),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, report in reports.items():
+            report()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_normality_report_rejects_exponents_below_one():

@@ -28,6 +28,7 @@ from wshm.operators import (
     full_realization,
     hermitian_eigh,
     identity_blocks,
+    moduli_sq,
     mult_blocks,
     onb_map,
     op_sub,
@@ -836,7 +837,7 @@ def test_a_dense_block_goes_to_svd_bit_for_bit(monkeypatch):
     ideal = GradedIdeal(m, [parse_polynomial("z1+z2+z3", m)])
     r = quotient_realization(builtin_space("hardy-ball", m), ideal, 4)
     op = commutator_blocks(r, z(0, m), z(1, m))
-    assert not is_partial_permutation(op.block(2)) and ela.permutation_moduli(op.block(2)) is None
+    assert not is_partial_permutation(op.block(2)) and moduli_sq(op, 2) is None
     calls = []
     crossing = ela.to_complex_array
     monkeypatch.setattr(ela, "to_complex_array", lambda *a: calls.append(1) or crossing(*a))
@@ -850,10 +851,15 @@ def test_a_dense_block_goes_to_svd_bit_for_bit(monkeypatch):
     ([{0: G_ONE, 1: G_ONE}], False), ([{0: G_ONE}, {0: G_ONE}], False),
 ])
 def test_permutation_moduli_structural_test(block, ok):
-    got = ela.permutation_moduli(block)
+    # moduli_sq's one pass over the rows makes the structural test and scales
+    # each entry's exact square (1 here) by g_t / g_s as int pairs
+    r = full_realization(builtin_space("hardy-ball", 2), 2)
+    src, tgt = r.level(1), r.level(2)
+    got = moduli_sq(given(r, 1, {1: block}), 1)
     assert (got is not None) == ok == is_partial_permutation(block)
     if ok:
-        assert got == [(t, s, 1, 1) for t, row in enumerate(block) for s in row]
+        assert got == [(tgt.norms[t] * src.den, tgt.den * src.norms[s])
+                       for t, row in enumerate(block) for s in row]
 
 
 @BEYOND_DOUBLE_RANGE
