@@ -7,8 +7,10 @@ arithmetic is exact; there is no rounding anywhere in this module.
 
 Monomials are exponent tuples ``alpha = (a_1, ..., a_m)`` and polynomials are
 sparse maps from exponent tuple to coefficient (zero coefficients are never
-stored).  A single deterministic monomial order -- graded lexicographic, with
-the higher power of the earlier variable first inside each degree -- is used
+stored).  ``GradedPolynomial(m, terms)`` checks m, each exponent and each
+coefficient; arithmetic results, built from checked terms, are not checked
+again.  A single deterministic monomial order -- graded lexicographic, with the
+higher power of the earlier variable first inside each degree -- is used
 everywhere so that matrices, bases and reports are bit-for-bit reproducible.
 """
 
@@ -34,8 +36,8 @@ class GaussianRational:
     gcd(a, b, d) = 1, and never mutated.  Closed under +, -, *, and / by a
     nonzero element.  Equality and hashing are exact and agree with
     Fraction/int on real values, so these can key dictionaries and be
-    compared for bit-for-bit identity in tests.  Outside this module only
-    the integer row kernels of ``exact_linalg`` read or build the triple.
+    compared for bit-for-bit identity in tests.  Elsewhere only the integer row
+    kernels of ``exact_linalg`` build the triple; they and ``operators.moduli_sq`` read it.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -276,24 +278,8 @@ class GradedPolynomial:
     def __init__(self, m: int, terms: Mapping[MultiIndex, ScalarLike] | None = None):
         if m < 1:
             raise ArityError(f"variable count must be >= 1, got {m}")
-        clean: dict[MultiIndex, GaussianRational] = {}
-        if terms:
-            for alpha, c in terms.items():
-                a = check_multiindex(alpha, m)
-                g = GaussianRational.of(c)
-                if g:
-                    acc = clean.get(a)
-                    g = acc + g if acc is not None else g
-                    if g:
-                        clean[a] = g
-                    elif a in clean:
-                        del clean[a]
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(
-            self, "_degree", max((sum(a) for a in clean), default=None)
-        )
-        object.__setattr__(self, "_hash", None)  # set on first hash
+        items = terms.items() if terms else ()
+        _poly(m, _summed((check_multiindex(a, m), GaussianRational.of(c)) for a, c in items), self)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GradedPolynomial is immutable")
@@ -361,17 +347,10 @@ class GradedPolynomial:
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._require_same_ring(other)
-        out = dict(self._terms)
-        for a, c in other._terms.items():
-            s = out.get(a, G_ZERO) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return GradedPolynomial(self.m, out)
+        return _poly(self.m, _summed([*self._terms.items(), *other._terms.items()]))
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(self.m, {a: -c for a, c in self._terms.items()})
+        return _poly(self.m, {a: -c for a, c in self._terms.items()})
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + (-other)
@@ -379,16 +358,8 @@ class GradedPolynomial:
     def __mul__(self, other) -> "GradedPolynomial":
         if isinstance(other, GradedPolynomial):
             self._require_same_ring(other)
-            out: dict[MultiIndex, GaussianRational] = {}
-            for a, ca in self._terms.items():
-                for b, cb in other._terms.items():
-                    key = add_index(a, b)
-                    s = out.get(key, G_ZERO) + ca * cb
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return GradedPolynomial(self.m, out)
+            return _poly(self.m, _summed((add_index(a, b), ca * cb) for a, ca in self._terms.items()
+                                         for b, cb in other._terms.items()))
         return self.scale(other)
 
     def __rmul__(self, other) -> "GradedPolynomial":
@@ -398,13 +369,11 @@ class GradedPolynomial:
         g = GaussianRational.of(c)
         if not g:
             return GradedPolynomial.zero(self.m)
-        return GradedPolynomial(self.m, {a: v * g for a, v in self._terms.items()})
+        return _poly(self.m, {a: v * g for a, v in self._terms.items()})
 
     def times_monomial(self, beta: MultiIndex) -> "GradedPolynomial":
         b = check_multiindex(beta, self.m)
-        return GradedPolynomial(
-            self.m, {add_index(a, b): c for a, c in self._terms.items()}
-        )
+        return _poly(self.m, {add_index(a, b): c for a, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -442,3 +411,24 @@ class GradedPolynomial:
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({self})"
+
+
+def _summed(terms: Iterable[tuple[MultiIndex, GaussianRational]]) -> dict[MultiIndex, GaussianRational]:
+    """The term map of a sum of terms: coefficients added per exponent, zero sums dropped."""
+    out: dict[MultiIndex, GaussianRational] = {}
+    for a, c in terms:
+        s = out.get(a)
+        out[a] = c if s is None else s + c
+    return {a: c for a, c in out.items() if c}
+
+
+def _poly(m: int, terms: dict[MultiIndex, GaussianRational], p: GradedPolynomial | None = None
+          ) -> GradedPolynomial:
+    """The polynomial of a checked term map that stores no zero, unchecked as :func:`_make` is
+    for scalars; built in ``p`` (the public constructor's instance) when given."""
+    p = object.__new__(GradedPolynomial) if p is None else p
+    object.__setattr__(p, "m", m)
+    object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_degree", max(map(sum, terms), default=None))
+    object.__setattr__(p, "_hash", None)  # set on first hash
+    return p

@@ -477,9 +477,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _check_levels(args)
-        report = entry.run(args)
+        # a float past the double range is an input error, not an Infinity in a report
+        with np.errstate(over="raise", invalid="raise"):
+            report = entry.run(args)
     except (WshmError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as e:
+        print(f"error: a float-tier value is outside the double range ({e})", file=sys.stderr)
         return 2
 
     try:

@@ -33,12 +33,14 @@ from .algebra import (
     G_ZERO,
     GradedPolynomial,
     add_index,
+    level_dimension,
     unit_index,
 )
 from .errors import ScenarioError, StructuralError, WindowError, WshmError
 from .ideals import GradedIdeal, hilbert_function, hilbert_series, ideal_level_dimension
 from .operators import (
     ModuleRealization,
+    _sqrt_split,
     codefect_blocks,
     commutator_blocks,
     defect_blocks,
@@ -267,12 +269,6 @@ def normality_report(
 # trace identity
 # ---------------------------------------------------------------------------
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @dataclass
 class TraceIdentityRecord:
     """Exact level-k trace of sum_i [M_{z_i}*, M_{z_i}] and its comparisons.
@@ -300,7 +296,7 @@ def trace_identity(realization: ModuleRealization, k: int) -> TraceIdentityRecor
     d, x = defect_blocks(realization), codefect_blocks(realization)
     total = (sum(x.diagonal(k), G_ZERO) - sum(d.diagonal(k), G_ZERO)).re
     telescoping = realization.comp_dim(k) - realization.comp_dim(k - 1)
-    binomial = _binom(m + k - 1, k - 1) - _binom(m + k - 2, k - 2)
+    binomial = level_dimension(m, k - 1)  # by Pascal's rule
     defect_zero = not any(row for j in range(max(k - 1, 0), k + 1) for row in d.block(j))
     return TraceIdentityRecord(
         k, total, telescoping, binomial, defect_zero, total == telescoping
@@ -465,15 +461,18 @@ def quotient_shift_weights(
     Raises StructuralError unless every level up to K + 1 is exactly
     one-dimensional.  The squared modulus |block|^2 * g_{k+1} / g_k is the
     exact :func:`~wshm.operators.moduli_sq` of the 1 x 1 block, before any
-    float enters.
+    float enters; each modulus is its root, rounded once by ``_sqrt_split`` as
+    :func:`~wshm.operators.svd_map` rounds, so a square outside the double
+    range still gives a finite modulus when the root is a double.
     """
     realization = quotient_realization(space, ideal, K + 1)
     for k in range(K + 2):
         if (dim := realization.comp_dim(k)) != 1:
             raise StructuralError(f"quotient level {k} has dimension {dim}, need exactly 1")
     op = mult_blocks(realization, GradedPolynomial.variable(space.m, var), K)
-    squares = [Fraction(*sq[0]) if (sq := moduli_sq(op, k)) else Fraction(0) for k in range(K + 1)]
-    moduli = [float(q) ** 0.5 for q in squares]
+    pairs = [sq[0] if (sq := moduli_sq(op, k)) else (0, 1) for k in range(K + 1)]
+    squares = [Fraction(*sq) for sq in pairs]
+    moduli = [math.ldexp(*_sqrt_split(*sq)) for sq in pairs]
 
     normalized = deviations = None
     alpha = _principal_linear_alpha(ideal)

@@ -35,11 +35,12 @@ package no longer calls: tests check complement bases and blocks with them.
 
 Everything here is exact: no tolerances and no floats.  An entry is
 (a + b i) / d over Python ints; the integer kernels here read and build that
-triple directly (the only module besides ``algebra`` that does), so row
+triple directly (the only module besides ``algebra`` that builds it), so row
 operations create no Fraction.  Rank and dimension counts feed every
-downstream claim, so this module never rounds.  Float conversion for the
-numeric tier happens in one place, :func:`to_complex_array`, one scatter per
-stack of same-shape blocks.
+downstream claim, so this module never rounds.  Entries cross to the numeric
+tier in one place, :func:`to_complex_array`, one scatter per stack of
+same-shape blocks; exact square roots (Gram scales, read-off singular values,
+qweights moduli) are rounded from int pairs by ``operators._sqrt_split``.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wshm import algebra
 from wshm.algebra import (
     G_I,
     G_ONE,
@@ -192,6 +193,37 @@ def test_polynomial_times_monomial():
     shifted = p.times_monomial((0, 3))
     assert shifted.coefficient((2, 3)) == Fraction(1, 3)
     assert shifted.coefficient((1, 4)) == G_I
+
+
+def test_polynomial_constructor_checks_every_term():
+    with pytest.raises(ArityError, match="variable count must be >= 1, got 0"):
+        GradedPolynomial(0, {})
+    with pytest.raises(DimensionError, match="multi-index length 1 != variable count 2"):
+        GradedPolynomial(2, {(1, 0): 1, (1,): 1})
+    with pytest.raises(DimensionError, match="entries must be >= 0"):
+        GradedPolynomial(2, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        GradedPolynomial(2, {(1, 0): "abc"})
+    with pytest.raises(TypeError):
+        GradedPolynomial(2, {(1, 0): None})
+    # two keys that check to one exponent are summed, and a zero sum is dropped
+    assert GradedPolynomial(2, {"10": 1, (1, 0): -1}).is_zero
+    assert GradedPolynomial(2, {"10": 1, (1, 0): 2}) == GradedPolynomial(2, {(1, 0): 3})
+
+
+def test_polynomial_arithmetic_does_not_check_its_results_again(monkeypatch):
+    # sums, differences, products and negatives are built from terms already
+    # checked, so neither the exponent check nor the coefficient check runs
+    p, q = sample_polys()
+    want = [p + q, p - q, p * q, -p, p.scale(2)]
+
+    def refuse(*args):
+        raise AssertionError("an arithmetic result was checked again")
+
+    monkeypatch.setattr(algebra, "check_multiindex", refuse)
+    assert p.scale(2) == want[4]
+    monkeypatch.setattr(GaussianRational, "of", staticmethod(refuse))
+    assert [p + q, p - q, p * q, -p] == want[:4]
 
 
 # -- parser --------------------------------------------------------------

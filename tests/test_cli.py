@@ -262,6 +262,16 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["scenario"] == "trace"
 
 
+def test_config_list_value_runs_as_its_comma_joined_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "diag normality", "space": "hardy-ball", "m": 2,
+                               "max_level": 3, "schatten": [2, 3]}))
+    via_config = run(capsys, "--config", str(cfg))
+    assert via_config[0] == 0
+    assert via_config == run(capsys, "diag", "normality", "--space", "hardy-ball", "--m", "2",
+                             "--max-level", "3", "--schatten", "2,3")
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "diag trace", "bogus_key": 1}))
@@ -458,6 +468,11 @@ def test_help_and_usage_are_argparse_defaults(monkeypatch, capsys, columns):
         assert run(capsys, *name.split(), "--bogus") == (2, want.out, want.err)
 
 
+# polydisk-hardy with squared shift scales 10^310 and 10^160: shift norms near 10^155 and 10^80
+_HUGE = ("--space", "polydisk", "--m", "2", "--param", "scale2=1e310")
+_LARGE = ("--space", "polydisk", "--m", "2", "--param", "scale2=1e160")
+
+
 def _raise_linalg_error(space, max_level):
     raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -489,6 +504,13 @@ def _raise_linalg_error(space, max_level):
           "--ideal", "z1^5"), None),
         (("space", "describe", "--space", "polydisk", "--m", "1", "--param", "scale2=1/2",
           "--param", "scale2=3"), None),
+        # norms past the double range, and Schatten powers past it
+        (("diag", "normality", *_HUGE, "--max-level", "3"), None),
+        (("diag", "normality", *_HUGE, "--ideal", "z1+z2", "--max-level", "3"), None),
+        (("diag", "section5", *_HUGE, "--ideal", "z1+z2", "--max-level", "3"), None),
+        (("diag", "normality", *_LARGE, "--max-level", "3", "--schatten", "2"), None),
+        (("diag", "normality", *_LARGE, "--max-level", "3", "--schatten", "2",
+          "--format", "csv"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
@@ -497,7 +519,8 @@ def _raise_linalg_error(space, max_level):
          "negative-preview-degree", "var-zero", "var-above-m",
          "scale2-not-a-number", "scale2-zero-denominator", "empty-table-path",
          "custom-weight-key", "param-not-read-by-space", "koszul-full-with-ideal",
-         "param-given-twice"],
+         "param-given-twice", "huge-normality-full", "huge-normality-quotient",
+         "huge-section5", "large-schatten-json", "large-schatten-csv"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:
@@ -505,6 +528,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, ar
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2 and not out
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_qweights_moduli_past_the_double_range_of_their_squares(capsys):
+    # each modulus_sq is about 10^310, above any double; its root is one
+    code, out, err = run(capsys, "diag", "qweights", *_HUGE, "--ideal", "z1+z2", "--max-level", "3")
+    assert code == 0 and not err
+    (table,) = json.loads(out)["tables"]
+    for k, modulus_sq, modulus in table["rows"]:
+        assert Fraction(modulus_sq) == Fraction(k + 1, k + 2) * 10**310
+        assert modulus == pytest.approx(((k + 1) / (k + 2)) ** 0.5 * 1e155, rel=1e-15)
 
 
 def test_empty_table_path_names_the_flag(capsys):

@@ -47,7 +47,7 @@ from wshm.operators import (
     pn_split,
     quotient_realization,
 )
-from wshm.parsing import parse_polynomial
+from wshm.parsing import parse_polynomial, parse_polynomial_list
 from wshm.spaces import builtin_space
 
 from test_operators import is_partial_permutation, read_off_mismatch
@@ -135,6 +135,15 @@ def test_summability_zero_and_short_series():
     assert summability_verdict([1.0] * 10, 2.0, 2).status == "inconclusive"
 
 
+def test_summability_increments_below_the_floor_that_do_not_shrink_are_inconclusive():
+    # increments 0.002, 0.004, 0.008, 0.016: under the floor, but growing, so no
+    # geometric tail bounds them
+    rec = summability_verdict([0.0] + [0.001] * 32, 2.0, 2)
+    assert max(rec.increments) < diagnostics.SUMMABILITY_FLOOR
+    assert rec.increments == sorted(rec.increments)
+    assert rec.tail_estimate == math.inf and rec.status == "inconclusive"
+
+
 def test_exactly_zero_defect_is_summable_for_every_p():
     # the Hardy ball is a spherical isometry: its defect is zero in exact
     # arithmetic, so its Schatten series is summable for p <= m as well
@@ -212,6 +221,23 @@ def test_qweights_report_trend():
     hb = builtin_space("hardy-ball", 2)
     rep = qweights_report(hb, GradedIdeal(2, [z(0) + z(1)]), 30)
     assert rep.verdicts[0].status == "trend-consistent"
+
+
+@pytest.mark.parametrize(
+    "m, ideal, modulus_sq",
+    [
+        (3, "z1-z2,z2-z3", lambda k: Fraction(k + 1, 3 * (k + 3))),  # m != 2
+        (2, "z2", lambda k: Fraction(k + 1, k + 2)),  # no z1 term
+    ],
+)
+def test_qweights_report_without_a_reference_limit(m, ideal, modulus_sq):
+    # the line weights of the quotient: nothing to normalize by, so no verdict is graded
+    K = 12
+    rep = qweights_report(builtin_space("hardy-ball", m), GradedIdeal(m, parse_polynomial_list(ideal, m)), K)
+    (table,) = rep.tables
+    assert [c.name for c in table.columns] == ["k", "modulus_sq", "modulus"]
+    assert [row[1] for row in table.rows] == [str(modulus_sq(k)) for k in range(K + 1)]
+    assert [(v.name, v.status) for v in rep.verdicts] == [("weights-converge", "reported-only")]
 
 
 # -- bounded-dimension trace inequality ----------------------------------------

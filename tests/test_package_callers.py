@@ -1,5 +1,6 @@
-"""Every function, class and method in ``src/wshm`` has a caller there, and
-every name a module imports is used in it.
+"""Every function, class and method in ``src/wshm`` has a caller there, every
+name a module imports is used in it, and the unchecked constructors and the
+scalar triple stay in the modules that own them.
 
 A definition that only tests call is a second path beside the one the reports
 take.  The scan matches names: a definition is called when its name appears
@@ -91,3 +92,29 @@ def test_every_package_import_is_used():
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+# name -> the modules that may reference it: the unchecked constructors skip the
+# checks that the public ones make, and the triple (a + b i) / d is read only by
+# the integer kernels
+PRIVATE_TO = {
+    "_summed": {"algebra"},
+    "_poly": {"algebra"},
+    "_make": {"algebra", "exact_linalg"},
+    "_reduced": {"algebra", "exact_linalg"},
+    "_a": {"algebra", "exact_linalg", "operators"},
+    "_b": {"algebra", "exact_linalg", "operators"},
+    "_d": {"algebra", "exact_linalg", "operators"},
+}
+
+
+def test_private_constructors_and_the_scalar_triple_stay_in_their_modules():
+    where = {}
+    for path in Path(wshm.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for name in {name for name, _ in _references(tree)} | set(_imported_names(tree)):
+            where.setdefault(name, set()).add(path.stem)
+    stray = {name: sorted(where.get(name, set()) - home) for name, home in PRIVATE_TO.items()}
+    assert {name: modules for name, modules in stray.items() if modules} == {}
+    # a rule lapses silently when its name is renamed away
+    assert all(where.get(name) for name in PRIVATE_TO)

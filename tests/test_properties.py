@@ -889,6 +889,45 @@ def test_parse_polynomial_round_trip(m, data):
     assert parse_polynomial(str(p), m) == p
 
 
+def to_sympy_poly(p: GradedPolynomial):
+    def entry(c):
+        return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+
+    ys = sympy.symbols(f"y1:{p.m + 1}")
+    return sympy.Poly.from_dict({a: entry(c) for a, c in p.terms()}, *ys, domain=QQ_I)
+
+
+def small_polynomials(m):
+    """Degree <= 3 and Gaussian-integer coefficients in [-2, 2]^2, zero among them,
+    on few monomials, so that sums and products cancel often."""
+    index = st.tuples(*[st.integers(0, 3)] * m).filter(lambda a: sum(a) <= 3)
+    coeff = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+    return st.dictionaries(index, coeff, max_size=5).map(lambda t: GradedPolynomial(m, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 3), data=st.data())
+def test_polynomial_arithmetic_matches_sympy(m, data):
+    p, q = data.draw(small_polynomials(m)), data.draw(small_polynomials(m))
+    c = data.draw(st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)))
+    pairs = [(p, q), (p, p)]
+    if m >= 2:
+        z1, z2 = GradedPolynomial.variable(m, 0), GradedPolynomial.variable(m, 1)
+        pairs.append((z1 + z2, z1 - z2))
+    for f, g in pairs:
+        sf, sg = to_sympy_poly(f), to_sympy_poly(g)
+        results = [
+            (f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg), (-f, -sf),
+            (f.scale(c), sf * to_sympy_poly(GradedPolynomial.constant(m, c))),
+        ]
+        for got, want in results:
+            assert (to_sympy_poly(got) - want).is_zero
+            assert all(coeff for _, coeff in got.terms())  # no zero is stored
+            rebuilt = GradedPolynomial(m, dict(got.terms()))
+            assert rebuilt == got and hash(rebuilt) == hash(got)
+            assert got.degree == (None if want.is_zero else want.total_degree())
+    assert (p - p).is_zero
+
 def _truncate(p: GradedPolynomial, degree: int) -> GradedPolynomial:
     return GradedPolynomial(p.m, {a: c for a, c in p.terms() if sum(a) <= degree})
 
