@@ -20,7 +20,6 @@ from .errors import WshmError
 from .ideals import GradedIdeal, graded_basis, hilbert_function, hilbert_series
 from .parsing import parse_polynomial, parse_polynomial_list
 from .spaces import WeightedShiftSpace, builtin_space, weighted_piece
-from .posreg import PositiveRegularPoly
 
 __all__ = [
     "G_I",
@@ -45,3 +44,11 @@ __all__ = [
     "weighted_degree",
     "weighted_piece",
 ]
+
+
+def __getattr__(name: str):
+    # posreg loads on first use: no diag, space or ideal command needs it
+    if name == "PositiveRegularPoly":
+        from .posreg import PositiveRegularPoly
+        return PositiveRegularPoly
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

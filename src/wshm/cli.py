@@ -21,7 +21,7 @@ import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -41,18 +41,10 @@ from .errors import WshmError
 from .ideals import GradedIdeal, hilbert_series, ideal_level_dimension, residue_decompose
 from .operators import ModuleRealization
 from .parsing import parse_polynomial, parse_polynomial_list
-from .posreg import (
-    JPData,
-    PositiveRegularPoly,
-    XpLevel,
-    defect_projection_check,
-    delta_coefficients,
-    jp_data,
-    kernel_vs_ideal,
-    xp_blocks,
-    xp_module_map_check,
-)
 from .spaces import builtin_space
+
+if TYPE_CHECKING:  # the preg runners import posreg when they run: no other command needs it
+    from . import posreg
 
 # add_argument keywords of every flag, in the order a parser registers them
 _FLAGS = {
@@ -290,13 +282,17 @@ def _run_qweights(args) -> DiagnosticsReport:
     return qweights_report(space, ideal, args.max_level, var=args.var - 1)
 
 
-def _preg_poly(args) -> PositiveRegularPoly:
-    return PositiveRegularPoly.from_polynomial(parse_polynomial(args.poly, args.m))
+def _preg_poly(args) -> posreg.PositiveRegularPoly:
+    from . import posreg
+
+    return posreg.PositiveRegularPoly.from_polynomial(parse_polynomial(args.poly, args.m))
 
 
 def _run_preg_delta(args) -> DiagnosticsReport:
+    from . import posreg
+
     poly = _preg_poly(args)
-    table = delta_coefficients(poly, args.max_level)
+    table = posreg.delta_coefficients(poly, args.max_level)
     report = DiagnosticsReport(
         "preg-delta", {"poly": str(poly), "m": args.m, "max_level": args.max_level}
     )
@@ -310,22 +306,28 @@ def _run_preg_delta(args) -> DiagnosticsReport:
     return report
 
 
-def _comparison_map(args) -> tuple[JPData, list[XpLevel]]:
+def _comparison_map(args) -> tuple[posreg.JPData, list[posreg.XpLevel]]:
     """J_P of ``--poly`` and its comparison map's levels to ``--max-wlevel``,
     built once per report."""
-    data = jp_data(_preg_poly(args))
-    return data, xp_blocks(data, args.max_wlevel)
+    from . import posreg
+
+    data = posreg.jp_data(_preg_poly(args))
+    return data, posreg.xp_blocks(data, args.max_wlevel)
 
 
-def _kernel_report(args, data: JPData, xp_levels: list[XpLevel]) -> DiagnosticsReport:
+def _kernel_report(
+    args, data: posreg.JPData, xp_levels: list[posreg.XpLevel]
+) -> DiagnosticsReport:
     """The kernel-vs-ideal report that ``preg kernel`` prints and ``preg
     check`` extends."""
+    from . import posreg
+
     ell_max = args.max_wlevel
     report = DiagnosticsReport(
         f"preg-{args.sub}", {"poly": str(data.poly), "m": args.m, "max_wlevel": ell_max}
     )
     report.params["jp"] = data.to_json_dict()
-    levels = kernel_vs_ideal(data, xp_levels)
+    levels = posreg.kernel_vs_ideal(data, xp_levels)
     report.tables.append(
         Table(
             "kernel_vs_ideal",
@@ -355,11 +357,13 @@ def _kernel_report(args, data: JPData, xp_levels: list[XpLevel]) -> DiagnosticsR
 
 
 def _run_preg_check(args) -> DiagnosticsReport:
+    from . import posreg
+
     data, xp_levels = _comparison_map(args)
     report = _kernel_report(args, data, xp_levels)
     deg = max(args.max_wlevel, 8)
-    proj = defect_projection_check(data.poly, deg)
-    mm = xp_module_map_check(data, args.max_wlevel)
+    proj = posreg.defect_projection_check(data.poly, deg)
+    mm = posreg.xp_module_map_check(data, args.max_wlevel)
     svmax = max([0.0, *(s for xl in xp_levels for s in xl.singular_values)])
     sq_max = max([Fraction(0), *(s for xl in xp_levels for s in xl.singular_sq)])
     report.tables.append(

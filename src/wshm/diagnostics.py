@@ -15,14 +15,13 @@ trend slopes and partial sums are plain Python floats.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,21 +67,16 @@ VERDICT_STATUSES = (
 TIERS = ("exact", "float", "int", "text")
 
 
-@dataclass
 class Column:
-    name: str
-    tier: str
-
-    def __post_init__(self):
-        if self.tier not in TIERS:
-            raise WshmError(f"unknown tier {self.tier}")
+    def __init__(self, name: str, tier: str):
+        if tier not in TIERS:
+            raise WshmError(f"unknown tier {tier}")
+        self.name, self.tier = name, tier
 
 
-@dataclass
 class Table:
-    name: str
-    columns: list[Column]
-    rows: list[list]
+    def __init__(self, name: str, columns: list[Column], rows: list[list]):
+        self.name, self.columns, self.rows = name, columns, rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,6 +87,8 @@ class Table:
 
     def to_csv(self) -> str:
         """Header and rows of ``str`` values; a comma, quote or newline gets quoted."""
+        import csv  # only CSV output reads it
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(c.name for c in self.columns)
@@ -100,15 +96,11 @@ class Table:
         return out.getvalue()
 
 
-@dataclass
 class Verdict:
-    name: str
-    status: str
-    details: str = ""
-
-    def __post_init__(self):
-        if self.status not in VERDICT_STATUSES:
-            raise WshmError(f"unknown verdict status {self.status}")
+    def __init__(self, name: str, status: str, details: str = ""):
+        if status not in VERDICT_STATUSES:
+            raise WshmError(f"unknown verdict status {status}")
+        self.name, self.status, self.details = name, status, details
 
 
 def exact_verdict(name: str, passed: bool, details: str) -> Verdict:
@@ -116,13 +108,12 @@ def exact_verdict(name: str, passed: bool, details: str) -> Verdict:
     return Verdict(name, "exact-pass" if passed else "exact-fail", details)
 
 
-@dataclass
 class DiagnosticsReport:
-    scenario: str
-    params: dict
-    tables: list[Table] = field(default_factory=list)
-    verdicts: list[Verdict] = field(default_factory=list)
-    tool_version: str = TOOL_VERSION
+    def __init__(self, scenario: str, params: dict, tables: list[Table] | None = None,
+                 verdicts: list[Verdict] | None = None, tool_version: str = TOOL_VERSION):
+        self.scenario, self.params, self.tool_version = scenario, params, tool_version
+        self.tables = [] if tables is None else tables
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def has_exact_fail(self) -> bool:
@@ -269,8 +260,7 @@ def normality_report(
 # trace identity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TraceIdentityRecord:
+class TraceIdentityRecord(NamedTuple):
     """Exact level-k trace of sum_i [M_{z_i}*, M_{z_i}] and its comparisons.
 
     ``telescoping`` is dim H_k - dim H_{k-1}; the two agree whenever the
@@ -341,8 +331,7 @@ SUMMABILITY_FLOOR = 0.05
 SUMMABILITY_TAIL = 0.05
 
 
-@dataclass
-class SummabilityRecord:
+class SummabilityRecord(NamedTuple):
     """Doubling-window growth test over a per-level Schatten series.
 
     Checkpoints are N/16, N/8, N/4, N/2, N.  The verdict is divergent-trend
@@ -430,8 +419,7 @@ def _principal_linear_alpha(ideal: GradedIdeal):
     return c2 / c1
 
 
-@dataclass
-class QuotientShiftWeights:
+class QuotientShiftWeights(NamedTuple):
     """Moduli of the compressed coordinate shift on a quotient whose levels
     are all one-dimensional.
 
@@ -530,8 +518,7 @@ def qweights_report(
 # bounded-dimension trace inequality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Section5Record:
+class Section5Record(NamedTuple):
     k: int
     lhs: float  # Tr(sum_i P_{i,k})
     rhs: float  # M0 * (2 ||X_k|| + sum_i ||N_{i,k}||)
@@ -577,6 +564,8 @@ def section5_checks(
     for k, x_norm in enumerate(x_norms):
         traces, p_norms, n_norms = map(list, zip(*pn[k * m:(k + 1) * m]))
         lhs, rhs = sum(traces), bounded_dim * (2.0 * x_norm + sum(n_norms))
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):  # Python floats do not raise
+            raise OverflowError(f"level {k}: lhs {lhs}, rhs {rhs}")
         recs.append(
             Section5Record(k, lhs, rhs, x_norm, p_norms, n_norms, lhs <= rhs + SECTION5_SLACK)
         )
@@ -688,8 +677,7 @@ class _KoszulModule:
         return rows
 
 
-@dataclass
-class KoszulReport:
+class KoszulReport(NamedTuple):
     """Per-degree homology dimensions of the polynomial-level Koszul complex.
 
     ``homology[d][j]`` is dim H_j in total degree d (exterior degree j);

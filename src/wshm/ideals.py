@@ -31,9 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import exact_linalg as ela
 from .algebra import (
@@ -194,8 +193,7 @@ def _numerator(leads: list[MultiIndex]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """HS(t) = sum_k HF(k) t^k = Q(t) / (1 - t)^d of R/I, with Q(1) != 0.
 
     ``numerator`` holds Q's coefficients (constant first), ``dimension`` is
@@ -228,7 +226,7 @@ class HilbertSeries:
         return max(len(self.numerator) - self.dimension, 0)
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "coefficients": [str(c) for c in self.coefficients],
+        return {**self._asdict(), "coefficients": [str(c) for c in self.coefficients],
                 "stabilization_degree": self.stabilization_degree}
 
 
@@ -258,20 +256,18 @@ def hilbert_series(ideal: GradedIdeal) -> HilbertSeries:
     return HilbertSeries(tuple(q), d, sum(q), tuple(coeffs))
 
 
-@dataclass
-class ResidueLevel:
+class ResidueLevel(NamedTuple):
     ell: int
     dim_total: int
     class_dims: dict[MultiIndex, int]
     defect: int
 
 
-@dataclass
-class ResidueDecomposition:
+class ResidueDecomposition(NamedTuple):
     """Per-level residue class dimensions of an ideal under its grading n."""
 
     weight: WeightVector
-    levels: list[ResidueLevel] = field(default_factory=list)
+    levels: list[ResidueLevel]
 
     @property
     def max_defect(self) -> int:
@@ -285,7 +281,7 @@ def residue_decompose(ideal: GradedIdeal, ell_max: int) -> ResidueDecomposition:
     J_ell onto the monomials *outside* the class, computed by exact rank.
     """
     n = ideal.weight
-    out = ResidueDecomposition(weight=n)
+    levels = []
     for ell in range(ell_max + 1):
         pivots, red, monomials = ideal.level_data(ell)
         dim_total = len(pivots)
@@ -301,5 +297,5 @@ def residue_decompose(ideal: GradedIdeal, ell_max: int) -> ResidueDecomposition:
             r = ela.rank(projected, len(monomials))
             class_dims[cls] = dim_total - r
         defect = dim_total - sum(class_dims.values())
-        out.levels.append(ResidueLevel(ell, dim_total, class_dims, defect))
-    return out
+        levels.append(ResidueLevel(ell, dim_total, class_dims, defect))
+    return ResidueDecomposition(n, levels)

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,17 +82,22 @@ def _sqrt_split(a: int, b: int) -> tuple[float, int]:
     return ((a << -2 * s) / b if s < 0 else a / (b << 2 * s)) ** 0.5, s
 
 
-@dataclass
 class _Level:
-    monomials: list[MultiIndex]
-    col_of: dict[MultiIndex, int]
-    den: int  # the reciprocal weights' common denominator
-    # orthogonal Gaussian-integer complement basis, each vector v stored by its Gram-applied
-    # coordinates x = omega v: <v, u> = sum_c x_c conj(y_c) / omega_c for u stored as y
-    comp_rows: list[ela.Row]
-    norms: list[int]  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
-    ideal_pivots: list[int]
-    comp_of: dict[MultiIndex, int] | None = None  # monomial: standard monomial -> coordinate
+    def __init__(
+        self,
+        monomials: list[MultiIndex],
+        col_of: dict[MultiIndex, int],
+        den: int,  # the reciprocal weights' common denominator
+        # orthogonal Gaussian-integer complement basis, each vector v stored by its Gram-applied
+        # coordinates x = omega v: <v, u> = sum_c x_c conj(y_c) / omega_c for u stored as y
+        comp_rows: list[ela.Row],
+        norms: list[int],  # den * <w_r, w_r>; <w_r, w_s> = 0 for r != s
+        ideal_pivots: list[int],
+        comp_of: dict[MultiIndex, int] | None = None,  # monomial: standard monomial -> coordinate
+    ):
+        self.monomials, self.col_of, self.den = monomials, col_of, den
+        self.comp_rows, self.norms, self.ideal_pivots = comp_rows, norms, ideal_pivots
+        self.comp_of = comp_of
 
     @cached_property
     def onb_scale(self) -> tuple[np.ndarray, np.ndarray]:

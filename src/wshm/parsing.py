@@ -17,8 +17,8 @@ line/column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import G_I, GaussianRational, GradedPolynomial
 from .errors import ParseError
@@ -26,8 +26,7 @@ from .errors import ParseError
 _OPS = set("+-*/^(),")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int' | 'var' | 'i' | op character | 'end'
     text: str
     pos: int

@@ -1,15 +1,20 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wshm
 from wshm import cli, posreg
 from wshm.diagnostics import DiagnosticsReport, Verdict
 
@@ -445,6 +450,28 @@ def _plain_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
+# run in a fresh interpreter: this process's test modules import posreg at collection
+_FRESH_IMPORT = """
+import sys
+import wshm.cli
+loaded = sorted({"wshm.posreg", "csv", "dataclasses"} & set(sys.modules))
+assert not loaded, f"import wshm.cli loaded {loaded}"
+import wshm
+missing = [name for name in wshm.__all__ if getattr(wshm, name, None) is None]
+assert not missing, f"unresolved in wshm.__all__: {missing}"
+sys.exit(wshm.cli.main(["preg", "check", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2",
+                        "--m", "2", "--max-wlevel", "2"]))
+"""
+
+
+def test_cli_import_leaves_posreg_csv_and_dataclasses_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(wshm.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _FRESH_IMPORT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["scenario"] == "preg-check"
+
+
 def test_parser_build_queries_the_terminal_once(monkeypatch):
     calls = []
     size = shutil.get_terminal_size
@@ -471,6 +498,8 @@ def test_help_and_usage_are_argparse_defaults(monkeypatch, capsys, columns):
 # polydisk-hardy with squared shift scales 10^310 and 10^160: shift norms near 10^155 and 10^80
 _HUGE = ("--space", "polydisk", "--m", "2", "--param", "scale2=1e310")
 _LARGE = ("--space", "polydisk", "--m", "2", "--param", "scale2=1e160")
+# squared shift scale 10^308: every norm is a double, but section5's bound 2 ||X_k|| is not
+_EDGE = ("--space", "polydisk", "--m", "2", "--param", "scale2=1e308")
 
 
 def _raise_linalg_error(space, max_level):
@@ -511,6 +540,10 @@ def _raise_linalg_error(space, max_level):
         (("diag", "normality", *_LARGE, "--max-level", "3", "--schatten", "2"), None),
         (("diag", "normality", *_LARGE, "--max-level", "3", "--schatten", "2",
           "--format", "csv"), None),
+        (("diag", "section5", *_EDGE, "--ideal", "z1+z2", "--max-level", "3",
+          "--format", "json"), None),
+        (("diag", "section5", *_EDGE, "--ideal", "z1+z2", "--max-level", "3",
+          "--format", "csv"), None),
     ],
     ids=["schatten-not-a-number", "schatten-below-one",
          "weight-not-an-integer", "missing-weight-table", "linalg-error",
@@ -520,7 +553,8 @@ def _raise_linalg_error(space, max_level):
          "scale2-not-a-number", "scale2-zero-denominator", "empty-table-path",
          "custom-weight-key", "param-not-read-by-space", "koszul-full-with-ideal",
          "param-given-twice", "huge-normality-full", "huge-normality-quotient",
-         "huge-section5", "large-schatten-json", "large-schatten-csv"],
+         "huge-section5", "large-schatten-json", "large-schatten-csv",
+         "section5-bound-past-the-double-range-json", "section5-bound-past-the-double-range-csv"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, patch):
     if patch is not None:
@@ -608,12 +642,12 @@ def test_preg_contractivity_is_decided_exactly(monkeypatch, capsys):
     # root rounds to within 1e-10 of 1, but the exact verdict must fail
     sq = Fraction(1) + Fraction(1, 10**12)
 
-    def raised(data, ell_max):
-        first, *rest = posreg.xp_blocks(data, ell_max)
+    def raised(data, ell_max, _real=posreg.xp_blocks):
+        first, *rest = _real(data, ell_max)
         assert first.singular_sq == [1]
         return [dataclasses.replace(first, singular_sq=[sq], singular_values=[float(sq) ** 0.5]), *rest]
 
-    monkeypatch.setattr(cli, "xp_blocks", raised)
+    monkeypatch.setattr(posreg, "xp_blocks", raised)
     code, out, _ = run(
         capsys,
         "preg", "check",
@@ -632,8 +666,7 @@ def test_preg_check_builds_the_comparison_map_once(monkeypatch, capsys):
             calls[_name] += 1
             return _real(*args)
 
-        for module in (posreg, cli):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(posreg, name, counted)
     argv = ("preg", "check", "--poly", "1/2*z1+1/2*z2+1/4*z1*z2", "--m", "2", "--max-wlevel", "4")
     assert run(capsys, *argv)[0] == 0 and calls == {"jp_data": 1, "xp_blocks": 1}
 

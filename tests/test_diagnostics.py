@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -754,7 +753,7 @@ def test_details_text_is_blind_to_a_one_ulp_move_of_the_last_norm():
     series = [1.0 / (k + 1) ** 3 for k in range(33)]
     record = summability_verdict(series, 2.0, 2)
     assert record.status == "convergent-trend"
-    moved = dataclasses.replace(record, tail_estimate=float(np.nextafter(record.tail_estimate, 1.0)))
+    moved = record._replace(tail_estimate=float(np.nextafter(record.tail_estimate, 1.0)))
     assert moved.details == record.details
     assert "tail_estimate=None" in summability_verdict(series[:8], 2.0, 2).details
 

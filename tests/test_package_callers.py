@@ -33,7 +33,7 @@ def _definitions(module, tree):
     """(qualified name, first line, last line) of each top-level function and
     class and of each method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             yield f"{module}.{node.name}", node.lineno, node.end_lineno
         for sub in node.body if isinstance(node, ast.ClassDef) else []:
             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
