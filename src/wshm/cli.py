@@ -72,12 +72,13 @@ def _config_to_argv(path: str) -> list[str]:
         raise WshmError("config file must be a JSON object with a 'command' key")
     argv = list(str(data.pop("command")).split())
     for key, value in sorted(data.items()):
-        flag = "--" + key.replace("_", "-")
+        name = key.replace("_", "-")
         if isinstance(value, bool):
             raise WshmError(f"boolean config values are not supported: {key}")
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        argv += [flag, str(value)]
+        # a repeatable flag takes one flag per list item, any other flag one comma-joined list
+        if not isinstance(value, list) or _FLAGS.get(name, {}).get("action") != "append":
+            value = [",".join(map(str, value)) if isinstance(value, list) else value]
+        argv += [a for v in value for a in ("--" + name, str(v))]
     return argv
 
 

@@ -83,6 +83,8 @@ def _sqrt_split(a: int, b: int) -> tuple[float, int]:
 
 
 class _Level:
+    """A level's geometry, with ``onb_scale`` and ``read_off`` cached on first read."""
+
     def __init__(
         self,
         monomials: list[MultiIndex],
@@ -107,6 +109,14 @@ class _Level:
                  for q in [math.gcd(g, self.den)]]
         return np.array([x for x, _ in split]), np.array([s for _, s in split], dtype=int)
 
+    @cached_property
+    def read_off(self) -> tuple[list[int], list[tuple]]:
+        """(free columns f_t, back-substitution triangle [(w_t[f_t], [(r, w_r[f_t]) for r > t])])."""
+        pivots, rows = set(self.ideal_pivots), self.comp_rows
+        free = [c for c in range(len(self.monomials)) if c not in pivots]
+        return free, [(rows[t][f], [(i, rows[i][f]) for i in range(t + 1, len(rows)) if f in rows[i]])
+                      for t, f in enumerate(free)]
+
 
 class ModuleRealization:
     """Per-level exact orthogonal bases of an ambient space modulo an optional ideal.
@@ -123,9 +133,11 @@ class ModuleRealization:
     closed form, orthogonalised by fraction-free Gram-Schmidt under 1 / omega.
     Level k holds the monomials of weighted degree k under ``weight``, the
     ideal's n.  Plain dicts memoise the work: ``_levels`` holds each level up
-    to ``max_level`` from its first read, ``_blocks`` the blocks built so far
-    of each :class:`GradedOperator` recipe, by source level, and ``_degrees``
-    each polynomial's weighted degree.  None refers to the realization, so
+    to ``max_level`` from its first read (with what :class:`_Level` caches),
+    ``_blocks`` the blocks built so far of each :class:`GradedOperator`
+    recipe, by source level, and ``_polys`` each polynomial's (d, terms, den):
+    its weighted degree and its terms c z^beta as ints (beta, Re, Im) over a
+    common denominator.  None refers to the realization, so
     there is no reference cycle.  A realization is not safe to share between
     threads without a lock, and no caller may mutate a block it reads.
     """
@@ -149,7 +161,7 @@ class ModuleRealization:
         self.max_level = max_level
         self._levels: dict[int, _Level] = {}
         self._blocks: dict[tuple, dict[int, list[ela.Row]]] = {}
-        self._degrees: dict[GradedPolynomial, int] = {}
+        self._polys: dict[GradedPolynomial, tuple[int, list[tuple], int]] = {}
 
     def _build_level(self, k: int) -> _Level:
         m, w = self.space.m, self.weight
@@ -185,16 +197,17 @@ class ModuleRealization:
         return lv
 
     def degree(self, p: GradedPolynomial) -> int:
-        """p's weighted degree n.alpha, read when an operator's recipe is built,
-        never per block; p must be nonzero and homogeneous for n (one pass)."""
-        d = self._degrees.get(p)
-        if d is None:
+        """p's weighted degree n.alpha, kept with its integer terms when an operator's recipe
+        is built, never per block; p must be nonzero and homogeneous for n (one pass)."""
+        got = self._polys.get(p)
+        if got is None:
             degs = {sum(map(operator.mul, a, self.weight)) for a, _ in p.terms()}
             if p.m != self.space.m or len(degs) != 1:
                 raise ModeError(f"operator polynomials must be nonzero in the realization's "
                                 f"variable count and homogeneous for n={self.weight}, got {p}")
-            d = self._degrees[p] = degs.pop()
-        return d
+            num, den = ela.over_common_denominator(dict(p.terms()))
+            got = self._polys[p] = (degs.pop(), [(b, c._a, c._b) for b, c in num.items()], den)
+        return got[0]
 
     def comp_dim(self, k: int) -> int:
         """dim S_k^perp; zero below level 0."""
@@ -361,24 +374,30 @@ def _coinvariant_block(r: ModuleRealization, j: int, p: GradedPolynomial, d: int
     """Block j of the compressed M_p^* on any realization, with no projection: [I]
     is M_p-invariant, so y = M_p^* w_s lies in S_k^perp, k = j - d >= 0, d = deg p.
     In Gram-applied coordinates y_f = sum_beta conj(c_beta) w_s[f+beta] at a free
-    column f, with no weight, in integers over p's common denominator.  Row w_t
-    has free entries at f_0..f_t only: one back-substitution gives y's coordinates.
-    On a monomial realization every w is a unit row at a standard monomial, so
-    row alpha holds conj(c_beta) at each standard alpha + beta."""
+    column f, each w_s[f+beta] probed in w_s's stored entries, in integers over
+    p's common denominator (``r._polys``).  Row w_t has free entries at f_0..f_t
+    only: one back-substitution, whose triangle every p shares (``_Level.read_off``),
+    gives y's coordinates.  On a monomial realization every w is a unit row at a
+    standard monomial, so row alpha holds conj(c_beta) at each standard alpha + beta."""
     src, tgt = r.level(j - d), r.level(j)
-    num, den = ela.over_common_denominator(dict(p.terms()))
-    pivots, rows = set(src.ideal_pivots), src.comp_rows
-    free = [c for c in range(len(src.monomials)) if c not in pivots]
-    tri = [(rows[t][f], [(i, rows[i][f]) for i in range(t + 1, len(rows)) if f in rows[i]])
-           for t, f in enumerate(free)]
-    # y_f = conj(reads[f] . conj(w_s)) / den, where reads[f] = {f + beta: num_beta}
-    reads = [{tgt.col_of[add_index(src.monomials[f], b)]: c for b, c in num.items()} for f in free]
-    ones, dens = [1] * len(tgt.monomials), [den] * len(free)
+    free, tri = src.read_off
+    _, terms, den = r._polys[p]
+    # reads[f] = [(column of f + beta, Re c_beta, Im c_beta)]
+    reads = [[(tgt.col_of[add_index(src.monomials[f], b)], a, e) for b, a, e in terms] for f in free]
+    dens = [den] * len(free)
     adj: list[ela.Row] = [{} for _ in free]
     for s, w in enumerate(tgt.comp_rows):
-        y = [(re, -im) for re, im in (ela.inner(v, w, ones) for v in reads)]
-        for t, a in ela.back_substitute(y, dens, tri).items():
-            adj[t][s] = a
+        y = []
+        for read in reads:
+            re = im = 0
+            for c, a, e in read:
+                x = w.get(c)
+                if x is not None:
+                    re += a * x._a + e * x._b
+                    im += a * x._b - e * x._a
+            y.append((re, im))
+        for t, v in ela.back_substitute(y, dens, tri).items():
+            adj[t][s] = v
     return adj
 
 

@@ -277,6 +277,22 @@ def test_config_list_value_runs_as_its_comma_joined_flag(tmp_path, capsys):
                              "--max-level", "3", "--schatten", "2,3")
 
 
+@pytest.mark.parametrize("params", [["scale2=1/2"], ["scale2=1/2", "scale2=1/3"]])
+def test_config_list_of_a_repeatable_flag_runs_as_one_flag_per_item(tmp_path, capsys, params):
+    # --param is registered with action="append": a config list gives one
+    # --param per item, as on the command line, never one comma-joined value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "diag trace", "space": "polydisk-hardy", "m": 2,
+                               "max_level": 2, "param": params}))
+    via_config = run(capsys, "--config", str(cfg))
+    argv = ["diag", "trace", "--space", "polydisk-hardy", "--m", "2", "--max-level", "2"]
+    via_argv = run(capsys, *argv, *(a for p in params for a in ("--param", p)))
+    assert via_config == via_argv
+    assert via_config[0] == (0 if len(params) == 1 else 2)
+    if len(params) == 2:
+        assert "--param scale2 given twice" in via_config[2]
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "diag trace", "bogus_key": 1}))

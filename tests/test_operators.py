@@ -2,6 +2,7 @@ import itertools
 import operator
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -874,6 +875,76 @@ def test_read_off_between_levels_beyond_double_range(src, tgt):
     sv = op.singular_values(0)
     want = Fraction(entry) ** 2 * Fraction(*tgt) / Fraction(*src)
     assert sv.shape == (1,) and abs(Fraction(sv[0]) ** 2 - want) <= READ_OFF_REL * want
+
+
+# -- a 50-digit mpmath oracle for the float tier --------------------------------
+
+# a float singular value may differ from the 50-digit one by MP_ORACLE_C * n * u * ||B||,
+# for an nr x nc block with n = max(nr, nc), u = 2^-53 and ||B|| its largest 50-digit
+# singular value: the crossing rounds each entry and each scale once, LAPACK's SVD is
+# backward stable, and a read-off value is rounded once
+MP_ORACLE_C = 8
+
+
+def mp_singular_values(op, k):
+    """Block k's singular values to 50 digits, descending: its exact entries B_ts
+    scaled by sqrt(g_t / g_s) in mpmath, with no double in between."""
+    nr, nc = op.block_shape(k)
+    if not nr or not nc:
+        return []
+    tgt, src = op.realization.level(k + op.shift), op.realization.level(k)
+    with mpmath.workdps(50):
+        scale_t = [mpmath.sqrt(mpmath.mpf(g) / tgt.den) for g in tgt.norms]
+        scale_s = [mpmath.sqrt(mpmath.mpf(g) / src.den) for g in src.norms]
+        a = mpmath.zeros(nr, nc)
+        for t, row in enumerate(op.block(k)):
+            for s, v in row.items():
+                entry = mpmath.mpc(mpmath.mpf(v._a) / v._d, mpmath.mpf(v._b) / v._d)
+                a[t, s] = entry * scale_t[t] / scale_s[s]
+        sv = mpmath.mp.svd_c(a if nr >= nc else a.H, compute_uv=False)
+        return sorted((sv[i] for i in range(min(nr, nc))), reverse=True)
+
+
+def float_tier_mismatches(items):
+    """(item index, why) wherever svd_map's singular values, or LAPACK's on
+    onb_map's block, differ from the 50-digit ones by more than the bound."""
+    bad = []
+    svd, onb = svd_map(lambda sv: sv, items), onb_map(lambda stack: stack, items)
+    for n, ((op, k), sv, f) in enumerate(zip(items, svd, onb)):
+        want = mp_singular_values(op, k)
+        bound = MP_ORACLE_C * max(op.block_shape(k)) * 2.0**-53 * float(want[0]) if want else 0.0
+        lapack = svdvals(f[None])[0] if f.size else np.zeros(0)
+        for name, got in (("svd_map", sv), ("onb_map", lapack)):
+            if len(got) != len(want):
+                bad.append((n, f"{name}: {len(got)} singular values, {len(want)} expected"))
+            elif any(abs(mpmath.mpf(float(x)) - y) > bound for x, y in zip(got, want)):
+                bad.append((n, f"{name}: {got.tolist()} against {[float(y) for y in want]}"))
+    return bad
+
+
+def test_float_tier_matches_a_50_digit_mpmath_oracle():
+    # svd_map and onb_map against mpmath's 50-digit SVD of the exact entries in
+    # orthonormal coordinates: a weighted partial permutation (read off moduli_sq),
+    # a dense quotient commutator block, a quotient defect, and one stack of mixed
+    # shapes holding 0 x n and n x 0 blocks (level 3 of the quotient below is empty)
+    full = full_realization(builtin_space("hardy-ball", 2), 6)
+    perm = commutator_blocks(full, z(0), z(1))
+    hb3 = builtin_space("hardy-ball", 3)
+    quot = quotient_realization(hb3, GradedIdeal(3, [parse_polynomial("z1+(2-i)*z2+z3", 3)]), 6)
+    dense, defect = commutator_blocks(quot, z(0, 3), z(1, 3)), defect_blocks(quot)
+    assert moduli_sq(perm, 4) is not None
+    assert moduli_sq(dense, 4) is None
+    for items in ([(perm, 4)], [(dense, 4)], [(defect, 4)]):
+        assert float_tier_mismatches(items) == []
+    art = quotient_realization(builtin_space("bergman-ball", 2),
+                               GradedIdeal(2, [parse_polynomial(g, 2) for g in ("z1^2+z2^2", "z1*z2")]), 4)
+    mult = mult_blocks(art, parse_polynomial("(1+i)*z1-z2/3", 2), 3)
+    items = [(mult, 0), (adjoint_blocks(mult), 3), (commutator_blocks(art, z(0), z(1)), 1),
+             (mult, 2), (defect_blocks(art), 2), (mult, 1), (adjoint_blocks(mult), 2),
+             (perm, 2), (dense, 3), (defect_blocks(art), 3)]
+    shapes = [op.block_shape(k) for op, k in items]
+    assert (0, 1) in shapes and (1, 0) in shapes and (0, 0) in shapes
+    assert float_tier_mismatches(items) == []
 
 
 # -- pn split -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hypothesis properties of the exact core: Gaussian-rational arithmetic, the
-weighted adjoint pairing of compressed multipliers, closed-form complement
+weighted adjoint pairing of compressed multipliers, the M_p^* read-off
+against projection with one read-off table per level, closed-form complement
 bases, kernel bases, elimination against a sympy oracle, Gaussian-integer
 content of reduced rows, sparse rows that never store a zero, ideal levels
 past a certified Groebner degree against from-scratch elimination and sympy's
@@ -17,6 +18,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 import sympy
@@ -40,6 +42,7 @@ from wshm.diagnostics import koszul_euler
 from wshm.errors import WindowError
 from wshm.ideals import GradedIdeal, hilbert_series
 from wshm.operators import (
+    _Level,
     _sum_of_squares_defect,
     adjoint_blocks,
     codefect_blocks,
@@ -339,6 +342,77 @@ def test_adjoint_pairing_on_weighted_quotients(kind, n, gens, p):
         u = [GaussianRational(j + 1, 1 - j) for j in range(r.comp_dim(k))]
         v = [GaussianRational(2 - j, j) for j in range(r.comp_dim(k + d))]
         assert_adjoint_pairing(r, poly, d, k, u, v)
+
+
+def projection_reference(r, p, k):
+    """Block k of M_p by projection, with no read-off: column c holds
+    project_to_complement of p w_c, w_c in monomial coordinates."""
+    d = r.degree(p)
+    src, tgt = r.level(k), r.level(k + d)
+    num, den = ela.over_common_denominator(dict(p.terms()))
+    block = [{} for _ in tgt.comp_rows]
+    for c, wc in enumerate(monomial_rows(r, k)):
+        image = {}
+        for g, x in wc.items():
+            for beta, coeff in num.items():
+                j = tgt.col_of[add_index(src.monomials[g], beta)]
+                image[j] = image.get(j, G_ZERO) + x * coeff
+        coords, scale = ela.over_common_denominator({j: y for j, y in image.items() if y})
+        for t, y in r.project_to_complement(k + d, coords, den * scale).items():
+            block[t][c] = y
+    return block
+
+
+# (1 + b i) / q: never a Gaussian integer, so never a unit, and always with denominator q
+fractional_coefficients = st.builds(lambda b, q: GaussianRational(Fraction(1, q), Fraction(b, q)),
+                                    st.integers(-2, 2), st.sampled_from([2, 3, 5]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["hardy-ball", "da", "bergman-ball", "polydisk-hardy", "custom"]),
+    m=st.sampled_from([2, 3]),
+    ideal_degree=st.sampled_from([1, 2]),
+    ngens=st.integers(1, 2),
+    npolys=st.integers(2, 4),
+)
+def test_read_off_equals_projection_and_builds_each_level_table_once(
+        data, kind, m, ideal_degree, ngens, npolys):
+    # several multi-term p of degree <= 2, each with a non-unit coefficient that
+    # has a denominator, are read off one realization of a plain quotient by
+    # Gaussian-integer generators: every block of M_p (the adjoint of the
+    # read-off M_p^*) equals the projection of p w_c, and each source level's
+    # read-off table (free columns and triangle) is built once, whatever the
+    # number of polynomials that read it
+    top = 4 if m == 2 else 3
+    if kind == "polydisk-hardy":
+        space = builtin_space(kind, m, {"scale2": data.draw(st.sampled_from(["1/2", "5/3"]))})
+    else:
+        space = random_space(data, kind, m, top)
+    ideal = GradedIdeal(m, [homogeneous(data, m, ideal_degree) for _ in range(ngens)])
+    r = quotient_realization(space, ideal, top)
+    polys = []
+    for _ in range(npolys):
+        monos = enumerate_level(m, data.draw(st.sampled_from([1, 2])))
+        picked = data.draw(st.lists(st.sampled_from(monos), min_size=2, max_size=3, unique=True))
+        coeffs = [data.draw(fractional_coefficients)]
+        coeffs += [data.draw(nonzero_gaussian_rationals) for _ in picked[1:]]
+        polys.append(GradedPolynomial(m, dict(zip(picked, coeffs))))
+    read_off = _Level.read_off.func
+    built = []
+    counting = cached_property(lambda lv: built.append(lv) or read_off(lv))
+    counting.__set_name__(_Level, "read_off")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Level, "read_off", counting)
+        for p in polys:
+            d = r.degree(p)
+            op = mult_blocks(r, p, top - d)
+            for k in range(top - d + 1):
+                assert op.block(k) == projection_reference(r, p, k), (p, k)
+    sources = range(top - min(r.degree(p) for p in polys) + 1)
+    assert len(built) == len(sources)
+    assert {id(lv) for lv in built} == {id(r.level(k)) for k in sources}
 
 
 @settings(max_examples=60, deadline=None)
